@@ -25,7 +25,8 @@ Recognized keys (all others are rejected by name):
     workers     worker threads for sampling (default 1)
     hist_times  optional semicolon list of times at which to export P(u)
                 histograms
-    label       optional record label used in output file names
+    label       optional record label used in output file names; a plain
+                file name, without path separators
     out         output directory (default "results")
 
 Outputs are deterministic: the same config and seed produce
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -44,9 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import observables, selfcheck
-from .core import ModelParams, SystemAmplitudes, dispersed_couplings
-from .engine import DegenerateOutcomeError
+from . import observables, selfcheck, universe
+from .core import ModelParams, SystemAmplitudes, dispersed_couplings, last_dispersed_coupling
+from .engine import ENUMERATION_CAP, DegenerateOutcomeError
 from .observables import (
     DEFAULT_EPSILON,
     ObservableSeries,
@@ -88,12 +91,25 @@ class ExperimentConfig:
     preset: str = ""
 
     def validate(self) -> "ExperimentConfig":
+        """Reject the configs whose values alone make ``run_config`` fail.
+
+        Costs O(1) in N for a scalar h: the dispersed couplings are checked
+        through their last value, never expanded.
+        """
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key}: must be finite, got {getattr(self, key)!r}")
+        for key in sorted(_LIST_KEYS):
+            if not all(math.isfinite(v) for v in getattr(self, key)):
+                raise ConfigError(f"{key}: every value must be finite")
         if self.n < 1:
             raise ConfigError("n: need at least one environment spin")
         if len(self.h) not in (1, self.n):
             raise ConfigError(f"h: expected 1 or {self.n} values, got {len(self.h)}")
         if len(self.h) > 1 and self.delta_h != 0.0:
             raise ConfigError("delta_h: dispersion applies to a scalar h only")
+        if not math.isfinite(self._last_coupling()):
+            raise ConfigError("delta_h: the dispersed couplings overflow")
         if not 0.0 <= self.alpha_up_sq <= 1.0:
             raise ConfigError(f"alpha_up_sq: must lie in [0, 1], got {self.alpha_up_sq}")
         if not 0.0 < self.epsilon < 0.5:
@@ -104,13 +120,43 @@ class ExperimentConfig:
             raise ConfigError("steps: need at least one grid point")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end: must exceed t_start")
+        g = self.grid()
+        if not np.all(np.isfinite(g)):
+            raise ConfigError("t_end: the grid span overflows")
+        if self.steps > 1 and not np.all(np.diff(g) > 0.0):
+            raise ConfigError("steps: grid points are not strictly increasing at float resolution")
+        if g[0] < 0.0:
+            raise ConfigError("t_start: the first grid point precedes the initial time 0")
+        if any(t < 0.0 for t in self.hist_times):
+            raise ConfigError("hist_times: every time must be at or after the initial time 0")
         if self.samples < 1:
             raise ConfigError("samples: must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed: must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers: must be positive")
         if self.method not in ("auto",) + observables.METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}")
+        if self.method == "exact" and self.n > ENUMERATION_CAP:
+            raise ConfigError(f"method: exact enumeration is capped at n = {ENUMERATION_CAP}")
+        if self.method == "exact-universe" and self.n > universe.DEFAULT_CAP:
+            raise ConfigError(f"method: the dense universe is capped at n = {universe.DEFAULT_CAP}")
+        if self.method == "binomial" and not self._constant_couplings():
+            raise ConfigError("method: binomial needs all couplings equal")
+        if any(c in self.label for c in _LABEL_FORBIDDEN):
+            raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
         return self
+
+    def _last_coupling(self) -> float:
+        if len(self.h) == self.n:
+            return self.h[-1]
+        return last_dispersed_coupling(self.h[0], self.delta_h, self.n)
+
+    def _constant_couplings(self) -> bool:
+        """``len(set(self.couplings())) == 1`` without expanding a scalar h."""
+        if len(self.h) == self.n:
+            return len(set(self.h)) == 1
+        return self._last_coupling() == self.h[0]
 
     def couplings(self) -> tuple[float, ...]:
         if len(self.h) == self.n:
@@ -163,6 +209,9 @@ _INT_KEYS = {"n", "steps", "samples", "seed", "workers"}
 _FLOAT_KEYS = {"delta", "delta_h", "beta", "alpha_up_sq", "phase", "epsilon", "t_start", "t_end"}
 _LIST_KEYS = {"h", "hist_times"}
 _STR_KEYS = {"method", "label", "out"}
+# Characters that would take an output file out of its directory or
+# that no path may hold.
+_LABEL_FORBIDDEN = {sep for sep in (os.sep, os.altsep) if sep} | {"\0"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 
 

@@ -49,6 +49,17 @@ def dispersed_couplings(h: float, delta_h: float, n: int) -> tuple[float, ...]:
     return tuple(h + (j - 1) * delta_h / n for j in range(1, n + 1))
 
 
+def last_dispersed_coupling(h: float, delta_h: float, n: int) -> float:
+    """h_n of ``dispersed_couplings(h, delta_h, n)`` in O(1).
+
+    h_j is monotone in j, so h_1 = h and h_n bound every coupling: all are
+    finite when h_n is, and all are equal when h_n == h.
+    """
+    if n < 1:
+        raise ValueError("need at least one environment spin")
+    return h + (n - 1) * delta_h / n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable central-spin universe: detuning, couplings, bath size, temperature.

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -49,15 +48,6 @@ class DegenerateOutcomeError(ValueError):
     def __init__(self, message: str, t: float | None = None):
         super().__init__(message)
         self.t = t
-
-
-@dataclass(frozen=True)
-class OutcomeAtom:
-    """One possible up-projection value with its probability mass."""
-
-    u: float
-    weight: float
-    pattern: FlipPattern | None = None
 
 
 @dataclass
@@ -92,14 +82,6 @@ class ProjectionDistribution:
 
     def total_weight(self) -> float:
         return float(np.sum(self.weight))
-
-    def atoms(self, n: int | None = None) -> Iterator[OutcomeAtom]:
-        """Materialize atoms; pass the environment size to decode patterns."""
-        for i in range(self.u.size):
-            pat = None
-            if self.pattern_codes is not None and n is not None:
-                pat = FlipPattern.from_code(int(self.pattern_codes[i]), n)
-            yield OutcomeAtom(float(self.u[i]), float(self.weight[i]), pat)
 
 
 def _log_branch_pair(params, alphas, t):

@@ -111,9 +111,8 @@ def distribution_at(
     if method == "exact-universe":
         ensemble = universe.thermal_ensemble(params)
         outs = universe.trajectory_ensemble(params, alphas, ensemble, t)
-        u = np.array([abs(o.phi[0]) ** 2 for o in outs])
-        w = np.array([o.weight for o in outs])
-        return engine.ProjectionDistribution(u=u, weight=w, kind="exact")
+        u = np.abs(outs.phi[:, 0]) ** 2
+        return engine.ProjectionDistribution(u=u, weight=outs.weight, kind="exact")
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -3,10 +3,21 @@
 Builds the full 2^(N+1)-dimensional Hamiltonian of system plus bath,
 propagates by eigendecomposition (exact at any time, no stepping error
 beyond linear algebra), and enumerates every trajectory outcome
-(n_final, n_initial) with its weight.  Used to validate the factorized
-engine and the reduced-density-matrix identity; practical for small N
-only, the default cap is N = 12 (a dense complex matrix at N = 12 is
-8192^2 entries, about 1 GiB, and eigh needs a few times that).
+(n_final, n_initial) with its weight as parallel arrays.  Used to
+validate the factorized engine and the reduced-density-matrix identity.
+
+H commutes with sz_S, so on the basis below it is block-diagonal: the
+system-up sector is indices [0, M) and the system-down sector [M, 2M),
+with M = 2^N.  The oracle checks that both off-sector blocks are exactly
+zero, then diagonalizes each dense M x M sector block and propagates it
+on its own.  Nothing is factorized per spin, so the oracle shares no
+assumption with the engines it checks.
+
+Practical for small N only; the default cap is N = 12.  The dense real H
+takes 8 * 4^(N+1) bytes (512 MiB at N = 12), the two complex sector
+propagators 32 * 4^N bytes together (another 512 MiB), and the outcome
+arrays 56 bytes per outcome for up to 4^N outcomes (896 MiB), plus eigh
+workspace and transient copies.
 
 Basis ordering is documented bit-exactly: a universe basis index is
 sys_bit * 2^N + env_index with sys_bit 0 for system up, 1 for down; in
@@ -17,12 +28,15 @@ spin up (+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import EnvironmentTooLarge, FlipPattern, ModelParams, SystemAmplitudes
 
 DEFAULT_CAP = 12
+# Outcomes with squared norm g at or below this are dropped (see trajectory_ensemble).
+G_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,33 @@ class TrajectoryOutcome:
     phi: np.ndarray
     weight: float
     labels: tuple[int, int] | None = None
+
+
+@dataclass(frozen=True)
+class TrajectoryOutcomes:
+    """All trajectory outcomes at one time, as parallel arrays.
+
+    Row k is one outcome: phi[k] its normalized system state, weight[k]
+    its probability and labels[k] = (n_final, n_initial).  len() counts
+    the outcomes; iterating yields one TrajectoryOutcome per row, whose
+    phi is a view into the phi array.
+    """
+
+    phi: np.ndarray
+    weight: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        k = self.weight.shape
+        if len(k) != 1 or self.phi.shape != k + (2,) or self.labels.shape != k + (2,):
+            raise ValueError("outcome arrays must be phi (K, 2), weight (K,), labels (K, 2)")
+
+    def __len__(self) -> int:
+        return self.weight.size
+
+    def __iter__(self) -> Iterator[TrajectoryOutcome]:
+        for phi, weight, labels in zip(self.phi, self.weight.tolist(), self.labels.tolist()):
+            yield TrajectoryOutcome(phi, weight, tuple(labels))
 
 
 def spins_of_index(index: int, n: int) -> tuple[int, ...]:
@@ -132,19 +173,39 @@ def thermal_ensemble(params: ModelParams) -> ThermalEnsemble:
     return ThermalEnsemble(w / total, partition)
 
 
-def _evolved_columns(
-    params: ModelParams, alphas: SystemAmplitudes, t: float, cap: int
-) -> np.ndarray:
-    """exp(-i tau H) applied to |phi> x |n> for every env index n (as columns)."""
+def _sector_propagators(
+    params: ModelParams, t: float, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i tau H) restricted to the system-up and system-down sectors.
+
+    H is real symmetric, so each sector block has real eigenvectors V_s
+    and U_s = V_s diag(exp(-i tau w)) V_s^T is formed as two real
+    products, one for the cosine part and one for the sine part.
+    """
     tau = params.elapsed(t)
     h_mat = build_hamiltonian(params, cap)
-    w, v = np.linalg.eigh(h_mat)
-    propagator = (v * np.exp(-1j * tau * w)) @ v.conj().T
     m = 2 ** params.n_env
-    psi0 = np.zeros((2 * m, m), dtype=complex)
-    psi0[np.arange(m), np.arange(m)] = alphas.a_up
-    psi0[m + np.arange(m), np.arange(m)] = alphas.a_down
-    return propagator @ psi0
+    # [H, sz_S] vanishes exactly when both off-sector blocks are zero.
+    if np.any(h_mat[:m, m:]) or np.any(h_mat[m:, :m]):
+        raise ValueError("H does not commute with sz_S: an off-sector block is non-zero")
+    propagators = []
+    for block in (h_mat[:m, :m], h_mat[m:, m:]):
+        w, v = np.linalg.eigh(block)
+        u = np.empty((m, m), dtype=complex)
+        u.real = (v * np.cos(tau * w)) @ v.T
+        u.imag = (v * -np.sin(tau * w)) @ v.T
+        propagators.append(u)
+    return propagators[0], propagators[1]
+
+
+def _evolved_blocks(
+    params: ModelParams, alphas: SystemAmplitudes, t: float, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up and down components of exp(-i tau H)|phi>|n>, indexed [n_final, n_initial]."""
+    up, down = _sector_propagators(params, t, cap)
+    up *= alphas.a_up
+    down *= alphas.a_down
+    return up, down
 
 
 def trajectory_ensemble(
@@ -153,42 +214,41 @@ def trajectory_ensemble(
     ensemble: ThermalEnsemble,
     t: float,
     cap: int = DEFAULT_CAP,
-) -> list[TrajectoryOutcome]:
+) -> TrajectoryOutcomes:
     """All trajectory outcomes (n_final, n_initial) at time t.
 
     For each initial bath state n with f_n > 0 and each final n', the
     outcome state is the n'-component of the evolved universe vector,
     renormalized; its probability is f_n times the squared norm g.
-    Outcomes with g below the squared propagator roundoff (~1e-24) are
-    omitted: under exact arithmetic their probability is zero and their
-    direction is pure numerical noise.  The listed weights still sum to
-    one to the stated tolerance.
+    Outcomes with g at or below the squared propagator roundoff
+    (G_FLOOR = 1e-24) are omitted: under exact arithmetic their
+    probability is zero and their direction is pure numerical noise.
+    The listed weights still sum to one to the stated tolerance.
+    Outcomes are ordered by n_initial, then by n_final.
     """
     m = 2 ** params.n_env
     if ensemble.f.shape != (m,):
         raise ValueError("ensemble size does not match environment size")
-    evolved = _evolved_columns(params, alphas, t, cap)
-    up_block = evolved[:m, :]
-    down_block = evolved[m:, :]
-    g = np.abs(up_block) ** 2 + np.abs(down_block) ** 2
-    outcomes: list[TrajectoryOutcome] = []
-    for n_init in range(m):
-        fn = float(ensemble.f[n_init])
-        if fn == 0.0:
-            continue
-        for n_fin in range(m):
-            gv = float(g[n_fin, n_init])
-            if gv <= 1e-24:
-                continue
-            phi = np.array(
-                [up_block[n_fin, n_init], down_block[n_fin, n_init]], dtype=complex
-            ) / np.sqrt(gv)
-            outcomes.append(TrajectoryOutcome(phi, fn * gv, (n_fin, n_init)))
-    return outcomes
+    up, down = _evolved_blocks(params, alphas, t, cap)
+    # Transposed, row-major order runs over n_initial outer, n_final inner.
+    up, down = up.T, down.T
+    g = np.abs(up) ** 2
+    g += np.abs(down) ** 2
+    # A NaN g fails "g <= G_FLOOR" and is kept, so that it shows downstream.
+    keep = (ensemble.f != 0.0)[:, None] & ~(g <= G_FLOOR)
+    n_init, n_fin = np.nonzero(keep)
+    g = g[keep]
+    phi = np.empty((g.size, 2), dtype=complex)
+    phi[:, 0] = up[keep]
+    phi[:, 1] = down[keep]
+    phi /= np.sqrt(g)[:, None]
+    return TrajectoryOutcomes(
+        phi=phi, weight=ensemble.f[n_init] * g, labels=np.stack((n_fin, n_init), axis=1)
+    )
 
 
 def reduced_density_check(
-    outcomes: list[TrajectoryOutcome],
+    outcomes: TrajectoryOutcomes,
     params: ModelParams,
     alphas: SystemAmplitudes,
     ensemble: ThermalEnsemble,
@@ -201,25 +261,10 @@ def reduced_density_check(
     density matrix; the right side resums the supplied outcomes.  The
     two agree to roundoff (contract: <= 1e-9).
     """
-    m = 2 ** params.n_env
-    evolved = _evolved_columns(params, alphas, t, cap)
-    rho_traced = np.zeros((2, 2), dtype=complex)
-    for n_init in range(m):
-        fn = float(ensemble.f[n_init])
-        if fn == 0.0:
-            continue
-        up = evolved[:m, n_init]
-        down = evolved[m:, n_init]
-        rho_traced[0, 0] += fn * np.vdot(up, up)
-        rho_traced[0, 1] += fn * np.vdot(down, up)
-        rho_traced[1, 0] += fn * np.vdot(up, down)
-        rho_traced[1, 1] += fn * np.vdot(down, down)
-
-    rho_ensemble = np.zeros((2, 2), dtype=complex)
-    for out in outcomes:
-        if out.phi.shape != (2,):
-            raise ValueError("outcome states must be 2-component vectors")
-        rho_ensemble += out.weight * np.outer(out.phi, out.phi.conj())
+    up, down = _evolved_blocks(params, alphas, t, cap)
+    columns = np.stack((up, down))
+    rho_traced = np.einsum("anm,bnm,m->ab", columns, columns.conj(), ensemble.f)
+    rho_ensemble = (outcomes.phi * outcomes.weight[:, None]).T @ outcomes.phi.conj()
     return float(np.max(np.abs(rho_traced - rho_ensemble)))
 
 

@@ -75,6 +75,70 @@ class TestParseConfig:
             parse_config(MINIMAL + "epsilon = 0.7\n")
 
 
+# Each config here fails at run time unless validate rejects it first.
+RUN_REJECTS = {
+    "nan_delta": "delta = nan\n",
+    "inf_t_end": "t_end = inf\n",
+    "nan_phase": "phase = nan\n",
+    "inf_coupling": "h = 0.01; inf; 0.01; 0.01; 0.01; 0.01; 0.01; 0.01; 0.01; 0.01\n",
+    "nan_hist_time": "hist_times = nan\n",
+    "overflowing_dispersion": "delta_h = 1e308\nn = 20\n",
+    "grid_before_t0": "t_start = -500\n",
+    "hist_before_t0": "hist_times = -1\n",
+    "grid_spacing_below_ulp": "t_start = 1e16\nt_end = 1.0000000000000004e16\n",
+    "negative_seed": "seed = -1\n",
+    "exact_over_cap": "n = 21\nmethod = exact\n",
+    "universe_over_cap": "n = 13\nmethod = exact-universe\n",
+    "binomial_dispersed": "delta_h = 0.02\nmethod = binomial\n",
+    "label_escapes_out": "label = ../escape\n",
+    "label_has_separator": "label = sub/name\n",
+}
+
+
+def config_text(overrides):
+    """MINIMAL with the keys in ``overrides`` replaced."""
+    keys = {line.split("=")[0].strip() for line in overrides.splitlines()}
+    kept = [line for line in MINIMAL.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + overrides
+
+
+class TestValidateBoundary:
+    @pytest.mark.parametrize("case", sorted(RUN_REJECTS))
+    def test_validate_and_run_exit_1(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_text(config_text(RUN_REJECTS[case]))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "escape.csv").exists()
+
+    def test_overrides_are_validated(self, tmp_path):
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL)
+        assert main(["run", str(path), "--seed", "-1", "--out", str(tmp_path)]) == 1
+
+    def test_boundary_values_accepted(self):
+        # A first grid point at t0, a histogram at t0, equal explicit
+        # couplings for binomial and dotted labels are all fine.
+        cfg = parse_config(
+            config_text("t_start = -1\nt_end = 1\nsteps = 1\nhist_times = 0\nlabel = h0.01\n")
+        )
+        assert cfg.grid()[0] == 0.0
+        # One grid point has no spacing to resolve, however far out it lies.
+        parse_config(config_text("t_start = 1e16\nt_end = 1.0000000000000008e16\nsteps = 1\n"))
+        for label in (".", ".."):
+            parse_config(config_text(f"label = {label}\n"))
+        parse_config("n = 3\nh = 0.2; 0.2; 0.2\nmethod = binomial\n")
+        parse_config("n = 12\nh = 0.1\nmethod = exact-universe\n")
+
+    def test_constant_coupling_detection_matches_expansion(self):
+        underflowing = "n = 4\nh = 1e-300\ndelta_h = 1e-320\n"
+        for text in (MINIMAL, MINIMAL + "delta_h = 0.02\n", underflowing):
+            cfg = parse_config(text)
+            assert cfg._constant_couplings() == (len(set(cfg.couplings())) == 1)
+
+
 class TestConfigBehavior:
     def test_grid_is_half_step_offset(self):
         cfg = parse_config("n = 2\nh = 0.1\nt_start = 0\nt_end = 10\nsteps = 5\n")

@@ -16,6 +16,7 @@ from centralspin.core import (
     branch_axis,
     branch_flip_profile,
     dispersed_couplings,
+    last_dispersed_coupling,
     log_branch_weight,
     spin_amplitude,
     spin_spectral,
@@ -40,6 +41,10 @@ class TestModelParams:
     def test_dispersed_couplings_rule(self):
         h = dispersed_couplings(0.01, 0.02, 10)
         assert h == pytest.approx(tuple(0.01 + (j - 1) * 0.002 for j in range(1, 11)))
+
+    def test_last_dispersed_coupling_is_last_of_expansion(self):
+        for h, delta_h, n in ((0.01, 0.02, 10), (0.3, -0.7, 7), (1e-300, 1e-320, 4), (0.2, 0.0, 1)):
+            assert last_dispersed_coupling(h, delta_h, n) == dispersed_couplings(h, delta_h, n)[-1]
 
     def test_mu_nu_sum_to_one(self):
         for delta in (0.0, 0.3, -0.77, 1.0):

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from centralspin.core import EnvironmentTooLarge, ModelParams, SystemAmplitudes
+from centralspin import universe
+from centralspin.core import (
+    EnvironmentTooLarge,
+    ModelParams,
+    SystemAmplitudes,
+    dispersed_couplings,
+)
+from centralspin.engine import enumerate_outcomes
+from centralspin.observables import class_probabilities, distribution_at
 from centralspin.universe import (
+    TrajectoryOutcome,
+    _sector_propagators,
     build_hamiltonian,
     env_basis_state,
     pattern_between,
@@ -44,6 +54,12 @@ def hamiltonian_by_terms(params):
         env_ops[j - 1] = SX
         h_mat += params.h[j - 1] * kron_chain([SZ] + env_ops)
     return h_mat
+
+
+def full_propagator(params, t):
+    """exp(-i t H) from one eigh of the whole 2^(N+1) Hamiltonian."""
+    w, v = np.linalg.eigh(build_hamiltonian(params))
+    return (v * np.exp(-1j * t * w)) @ v.T
 
 
 class TestBuildHamiltonian:
@@ -212,3 +228,102 @@ class TestReducedDensityCheck:
         ens = thermal_ensemble(p)
         outs = trajectory_ensemble(p, a, ens, 7.0)
         assert reduced_density_check(outs, p, a, ens, 7.0) <= 1e-9
+
+    def test_detects_wrong_weights(self):
+        p = ModelParams(delta=0.15, h=(0.4, -0.7), beta=0.5)
+        a = SystemAmplitudes.from_up_weight(0.4, 1.0)
+        ens = thermal_ensemble(p)
+        outs = trajectory_ensemble(p, a, ens, 7.0)
+        outs.weight[np.argmax(outs.weight)] *= 0.5
+        assert reduced_density_check(outs, p, a, ens, 7.0) > 1e-3
+
+
+class TestSectorPropagation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_propagator(self, n):
+        rng = np.random.default_rng(40 + n)
+        p = ModelParams(delta=float(rng.uniform(-1, 1)), h=tuple(rng.uniform(-1, 1, n)))
+        m = 2**n
+        for t in (0.0, 0.7, 13.0):
+            full = full_propagator(p, t)
+            up, down = _sector_propagators(p, t, universe.DEFAULT_CAP)
+            assert np.max(np.abs(full[:m, :m] - up)) <= 1e-12
+            assert np.max(np.abs(full[m:, m:] - down)) <= 1e-12
+            assert np.max(np.abs(full[:m, m:])) <= 1e-12
+            assert np.max(np.abs(full[m:, :m])) <= 1e-12
+
+    def test_off_sector_entry_raises(self, monkeypatch):
+        real = universe.build_hamiltonian
+
+        def leaky(params, cap=universe.DEFAULT_CAP):
+            h_mat = real(params, cap)
+            m = 2**params.n_env
+            h_mat[0, m] = h_mat[m, 0] = 1e-3
+            return h_mat
+
+        monkeypatch.setattr(universe, "build_hamiltonian", leaky)
+        p = ModelParams(delta=0.2, h=(0.3, 0.5))
+        a = SystemAmplitudes.from_up_weight(0.4)
+        with pytest.raises(ValueError, match="sz_S"):
+            trajectory_ensemble(p, a, thermal_ensemble(p), 1.0)
+
+
+class TestOutcomeArrays:
+    def test_matches_reference_double_loop(self):
+        # A frozen spin (h = 0) gives exactly-zero amplitudes and a cold
+        # bath gives exactly-zero occupations, so both skips are exercised.
+        p = ModelParams(delta=0.3, h=(0.0, 0.6, -0.4), beta=1000.0)
+        a = SystemAmplitudes.from_up_weight(0.35, 0.9)
+        ens = thermal_ensemble(p)
+        t = 4.2
+        m = 2**p.n_env
+        prop = full_propagator(p, t)
+        ref_phi, ref_weight, ref_labels = [], [], []
+        for n_init in range(m):
+            if ens.f[n_init] == 0.0:
+                continue
+            for n_fin in range(m):
+                up = a.a_up * prop[n_fin, n_init]
+                down = a.a_down * prop[m + n_fin, m + n_init]
+                g = abs(up) ** 2 + abs(down) ** 2
+                if g <= 1e-24:
+                    continue
+                ref_phi.append(np.array([up, down]) / np.sqrt(g))
+                ref_weight.append(ens.f[n_init] * g)
+                ref_labels.append((n_fin, n_init))
+        assert np.any(ens.f == 0.0)
+        assert 0 < len(ref_labels) < np.count_nonzero(ens.f) * m
+
+        outs = trajectory_ensemble(p, a, ens, t)
+        assert len(outs) == len(ref_labels)
+        assert outs.labels.tolist() == [list(lab) for lab in ref_labels]
+        np.testing.assert_allclose(outs.weight, ref_weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outs.phi, np.array(ref_phi), rtol=0, atol=1e-12)
+
+    def test_iteration_yields_outcome_views(self):
+        p = ModelParams(delta=0.1, h=(0.9, 0.4))
+        a = SystemAmplitudes.from_up_weight(0.5)
+        outs = trajectory_ensemble(p, a, thermal_ensemble(p), 3.3)
+        items = list(outs)
+        assert len(items) == len(outs) == outs.weight.size
+        for k, item in enumerate(items):
+            assert isinstance(item, TrajectoryOutcome)
+            assert np.shares_memory(item.phi, outs.phi)
+            assert item.weight == outs.weight[k]
+            assert item.labels == tuple(outs.labels[k].tolist())
+
+    def test_rejects_unparallel_arrays(self):
+        with pytest.raises(ValueError):
+            universe.TrajectoryOutcomes(
+                phi=np.zeros((3, 2), dtype=complex), weight=np.zeros(2), labels=np.zeros((3, 2))
+            )
+
+
+class TestExactUniverseDistribution:
+    def test_class_masses_match_enumeration_n8(self):
+        p = ModelParams(delta=0.0, h=dispersed_couplings(0.01, 0.02, 8))
+        a = SystemAmplitudes.from_up_weight(0.4)
+        for t in (66.7, 200.0, 333.3):
+            oracle = class_probabilities(distribution_at(p, a, t, "exact-universe"))
+            exact = class_probabilities(enumerate_outcomes(p, a, t))
+            assert np.max(np.abs(np.subtract(oracle, exact))) <= 1e-9

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import observables, selfcheck, universe
 from .core import ModelParams, SystemAmplitudes, dispersed_couplings, last_dispersed_coupling
-from .engine import ENUMERATION_CAP, DegenerateOutcomeError
+from .engine import ENUMERATION_CAP
 from .observables import (
     DEFAULT_EPSILON,
     ObservableSeries,
@@ -262,43 +262,22 @@ class ResultRecord:
 def run_config(config: ExperimentConfig) -> ResultRecord:
     """Evaluate one config over its grid, with degenerate-node retry.
 
-    If a grid point hits a degenerate outcome (both branch weights
-    exactly zero), the point is re-evaluated one float ulp later and
-    the event is logged in the diagnostics.
+    The grid goes through ``observables.evaluate_grid``: if a grid point
+    hits a degenerate outcome (both branch weights exactly zero), the
+    point is re-evaluated one float ulp later and the event is logged
+    in the diagnostics.
     """
     config.validate()
     params = config.params()
     alphas = config.alphas()
     method = config.resolved_method()
-    times = config.grid()
     start = time.perf_counter()
 
-    retries: list[tuple[float, float]] = []
-    dropped = 0
-    p_up = np.empty(times.size)
-    p_down = np.empty(times.size)
-    p_q = np.empty(times.size)
-    for i, t in enumerate(times):
-        t_eval = float(t)
-        try:
-            dist = distribution_at(
-                params, alphas, t_eval, method, config.samples, point_seed(config.seed, i),
-                config.workers,
-            )
-        except DegenerateOutcomeError:
-            bumped = float(np.nextafter(t_eval, np.inf))
-            retries.append((t_eval, bumped))
-            dist = distribution_at(
-                params, alphas, bumped, method, config.samples, point_seed(config.seed, i),
-                config.workers,
-            )
-        dropped += dist.dropped
-        p_up[i], p_down[i], p_q[i] = observables.class_probabilities(dist, config.epsilon)
-    series = ObservableSeries(
-        times, p_up, p_down, p_q, config.epsilon, method, params, alphas,
-        config.samples if method == "sampled" else None,
-        config.seed if method == "sampled" else None,
+    evaluation = observables.evaluate_grid(
+        params, alphas, config.grid(), config.epsilon, method, config.samples, config.seed,
+        config.workers,
     )
+    series = evaluation.series
 
     histograms = []
     for k, t in enumerate(config.hist_times):
@@ -309,8 +288,8 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
         histograms.append((float(t), histogram(dist)))
 
     diagnostics = {
-        "dropped_atoms": dropped,
-        "degenerate_retries": retries,
+        "dropped_atoms": evaluation.dropped,
+        "degenerate_retries": evaluation.retries,
         "collapse_time_grid": first_collapse_time(series),
         "collapse_time_note": "first grid time with P_q < 0.01 (operational definition)",
     }

@@ -103,10 +103,11 @@ class ModelParams:
     def h_array(self) -> np.ndarray:
         return np.asarray(self.h, dtype=float)
 
-    def elapsed(self, t: float) -> float:
+    def elapsed(self, t):
+        """t - t0 for one time or an array of times; no time may precede t0."""
         tau = t - self.t0
-        if tau < 0:
-            raise ValueError(f"t={t} precedes the initial time t0={self.t0}")
+        if np.any(tau < 0):
+            raise ValueError(f"t={np.min(t)} precedes the initial time t0={self.t0}")
         return tau
 
 
@@ -264,17 +265,22 @@ class FlipProfile(NamedTuple):
     log_flip: np.ndarray
 
 
-def branch_flip_profile(params: ModelParams, branch: str, t: float) -> FlipProfile:
+def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     """Squared per-spin amplitudes of a branch at elapsed time t - t0.
 
-    keep[i] + flip[i] = 1 to a few ulp for every spin (asserted at
+    t is one time, giving length-N fields, or a 1-D array of T times,
+    giving T x N fields whose row k is bit-identical to the profile at
+    t[k].  keep + flip = 1 to a few ulp for every spin (asserted at
     1e-12 in the tests); logs of exact zeros are -inf.
     """
-    tau = params.elapsed(t)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be one time or a 1-D array of times")
+    tau = params.elapsed(times)
     a, _ = branch_axis(params, branch)
     h = params.h_array
     omega = np.hypot(a, h)
-    arg = omega * tau
+    arg = omega * tau[..., None]
     s2 = np.sin(arg) ** 2
     c2 = np.cos(arg) ** 2
     # omega == 0 only when a == h_j == 0: that spin is frozen (keep 1, flip 0).
@@ -287,6 +293,15 @@ def branch_flip_profile(params: ModelParams, branch: str, t: float) -> FlipProfi
         return FlipProfile(keep, flip, np.log(keep), np.log(flip))
 
 
+def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float:
+    """Sum over spins of log |G_j|^2 for one flip pattern, in spin order.
+
+    flipped is a boolean length-N mask (True = spin flipped); exactly
+    -inf when any factor vanishes.
+    """
+    return float(np.sum(np.where(flipped, profile.log_flip, profile.log_keep)))
+
+
 def log_branch_weight(params: ModelParams, branch: str, t: float, pattern: FlipPattern) -> float:
     """Natural log of the branch weight: sum over spins of log |G_j|^2.
 
@@ -295,6 +310,4 @@ def log_branch_weight(params: ModelParams, branch: str, t: float, pattern: FlipP
     """
     if len(pattern) != params.n_env:
         raise ValueError("pattern length does not match environment size")
-    prof = branch_flip_profile(params, branch, t)
-    terms = np.where(pattern.flipped, prof.log_flip, prof.log_keep)
-    return float(np.sum(terms))
+    return pattern_log_weight(branch_flip_profile(params, branch, t), pattern.flipped)

@@ -33,6 +33,7 @@ from .core import (
     ModelParams,
     SystemAmplitudes,
     branch_flip_profile,
+    pattern_log_weight,
     spin_amplitude,
 )
 
@@ -123,16 +124,53 @@ def pattern_projection(
     if len(pattern) != params.n_env:
         raise ValueError("pattern length does not match environment size")
     up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
-    flipped = pattern.flipped
-    log_wu = float(np.sum(np.where(flipped, up.log_flip, up.log_keep)))
-    log_wd = float(np.sum(np.where(flipped, down.log_flip, down.log_keep)))
-    total_up = lw_up + log_wu
-    total_down = lw_down + log_wd
+    total_up = lw_up + pattern_log_weight(up, pattern.flipped)
+    total_down = lw_down + pattern_log_weight(down, pattern.flipped)
     if math.isinf(total_up) and math.isinf(total_down):
         raise DegenerateOutcomeError(
             f"both branch weights vanish for this pattern at t={t}", t=t
         )
     return float(_u_from_logs(total_up, total_down))
+
+
+def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarray:
+    """Log-weights of all 2^N flip patterns at each of T times, by subset doubling.
+
+    log_keep and log_flip are T x N; column c of the T x 2^N result is
+    the pattern whose bit i is set when spin i+1 flipped.  Spin i
+    doubles the columns: the first half keeps it, the second flips it.
+    Each entry is the left-to-right sum over spins 1..N, so it equals
+    a spin-by-spin loop bit for bit; -inf factors stay -inf (no +inf
+    term exists, so inf - inf never occurs).
+    """
+    acc = np.zeros((log_keep.shape[0], 1))
+    for i in range(log_keep.shape[1]):
+        acc = np.concatenate((acc + log_keep[:, i, None], acc + log_flip[:, i, None]), axis=1)
+    return acc
+
+
+def enumerate_block(
+    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray, cap: int = ENUMERATION_CAP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
+
+    Columns are pattern codes.  keep marks the atoms with weight at or
+    above 1e-300; u is exact 0/1 where one branch weight vanishes and
+    is meaningful on kept atoms only (a dropped atom may have both
+    branch weights zero).
+    """
+    n = params.n_env
+    if n > cap:
+        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {cap} (2^N atoms)")
+    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, times)
+    log_wu = pattern_log_weights(up.log_keep, up.log_flip)
+    log_wd = pattern_log_weights(down.log_keep, down.log_flip)
+    with np.errstate(over="ignore"):
+        weight = alphas.w_up * np.exp(log_wu) + alphas.w_down * np.exp(log_wd)
+    # In place, to save two block-sized temporaries; the sums are the same.
+    log_wu += lw_up
+    log_wd += lw_down
+    return _u_from_logs(log_wu, log_wd), weight, weight >= WEIGHT_FLOOR
 
 
 def enumerate_outcomes(
@@ -144,39 +182,30 @@ def enumerate_outcomes(
     amplitudes depend only on d_j, so the result is independent of the
     bath occupation and of beta.  Atoms with weight below 1e-300
     (including exact zeros) are dropped and counted in ``dropped``.
+    This is ``enumerate_block`` on the one-time block [t].
     """
-    n = params.n_env
-    if n > cap:
-        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {cap} (2^N atoms)")
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
-    codes = np.arange(2**n, dtype=np.int64)
-    log_wu = np.zeros(2**n)
-    log_wd = np.zeros(2**n)
-    for i in range(n):
-        bit = ((codes >> i) & 1).astype(bool)
-        log_wu += np.where(bit, up.log_flip[i], up.log_keep[i])
-        log_wd += np.where(bit, down.log_flip[i], down.log_keep[i])
-    with np.errstate(over="ignore"):
-        weight = alphas.w_up * np.exp(log_wu) + alphas.w_down * np.exp(log_wd)
-    keep = weight >= WEIGHT_FLOOR
-    u = _u_from_logs(lw_up + log_wu[keep], lw_down + log_wd[keep])
+    u, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t]), cap))
     return ProjectionDistribution(
-        u=u,
+        u=u[keep],
         weight=weight[keep],
         kind="exact",
-        pattern_codes=codes[keep],
+        pattern_codes=np.flatnonzero(keep),
         dropped=int(np.count_nonzero(~keep)),
     )
 
 
-def _log_choose(n: int, k: np.ndarray) -> np.ndarray:
-    return np.array(
-        [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in k]
-    )
+def binomial_log_counts(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, from math.lgamma; independent of time."""
+    lg = np.array([math.lgamma(v + 1) for v in range(n + 1)])
+    return lg[n] - lg - lg[::-1]
 
 
 def binomial_outcomes(
-    params: ModelParams, alphas: SystemAmplitudes, t: float
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    t: float,
+    *,
+    log_counts: np.ndarray | None = None,
 ) -> ProjectionDistribution:
     """Exact distribution for equal couplings, indexed by flip count.
 
@@ -185,7 +214,8 @@ def binomial_outcomes(
     multiplicity.  Atoms whose u coincide within 1e-12 are merged;
     flip_counts then records the smallest flip count of each merged
     group.  Agrees with enumerate_outcomes exactly (after the same
-    merging) wherever both apply.
+    merging) wherever both apply.  log_counts, when given, must be
+    ``binomial_log_counts(N)``; a grid passes it once for every point.
     """
     n = params.n_env
     if len(set(params.h)) != 1:
@@ -202,7 +232,7 @@ def binomial_outcomes(
 
     log_wu = log_w(up)
     log_wd = log_w(down)
-    log_count = _log_choose(n, k)
+    log_count = binomial_log_counts(n) if log_counts is None else log_counts
     with np.errstate(over="ignore"):
         weight = alphas.w_up * np.exp(log_count + log_wu) + alphas.w_down * np.exp(
             log_count + log_wd
@@ -349,8 +379,7 @@ def wavefunction_of_pattern(
         raise ValueError("pattern length does not match environment size")
 
     def branch_log_and_phase(branch):
-        prof = branch_flip_profile(params, branch, t)
-        log_mag2 = float(np.sum(np.where(pattern.flipped, prof.log_flip, prof.log_keep)))
+        log_mag2 = pattern_log_weight(branch_flip_profile(params, branch, t), pattern.flipped)
         phase = 0.0
         for j in range(1, n + 1):
             g = spin_amplitude(params, branch, j, t, int(spins[j - 1]), bool(pattern.flipped[j - 1]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,8 +18,12 @@ from . import engine, universe
 from .core import ModelParams, SystemAmplitudes, spin_spectral
 
 DEFAULT_EPSILON = 1e-3
-METHODS = ("exact", "binomial", "sampled", "exact-universe")
 HISTOGRAM_BINS = 200
+# Atoms per block of a grid evaluation: exact enumeration evaluates
+# max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
+# spread numpy's per-call cost at small N, while each block array stays
+# at 32 KiB (4096 float64).
+GRID_BLOCK_ATOMS = 4096
 
 
 def validate_error_threshold(eps: float) -> float:
@@ -92,6 +97,57 @@ def point_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _exact_block(
+    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray, eps: float
+) -> tuple[np.ndarray, int]:
+    """(3, T) class masses and the dropped-atom count of a time block, by one enumeration.
+
+    Per time row: the same u tests as ``class_probabilities`` and np.sum
+    over the kept atoms in pattern-code order, so every mass equals the
+    per-point ``enumerate_outcomes`` + ``class_probabilities`` value
+    bit for bit.
+    """
+    u, weight, keep = engine.enumerate_block(params, alphas, times)
+    if not np.all(np.any(keep, axis=1)):
+        raise ValueError("empty distribution")
+    up = keep & (u >= 1.0 - eps)
+    down = keep & (u <= eps)
+    p_up = np.array([np.sum(w[m]) for w, m in zip(weight, up)])
+    p_down = np.array([np.sum(w[m]) for w, m in zip(weight, down)])
+    # The complement can land a few ulp below zero; keep it in range.
+    p_q = np.maximum(0.0, 1.0 - p_up - p_down)
+    return np.stack((p_up, p_down, p_q)), int(np.count_nonzero(~keep))
+
+
+def _universe_point(params, alphas, t, **_) -> engine.ProjectionDistribution:
+    ensemble = universe.thermal_ensemble(params)
+    outs = universe.trajectory_ensemble(params, alphas, ensemble, t)
+    u = np.abs(outs.phi[:, 0]) ** 2
+    return engine.ProjectionDistribution(u=u, weight=outs.weight, kind="exact")
+
+
+# Method -> its distribution at one time, called with the keywords
+# samples, seed, workers and log_counts; each engine takes what it needs.
+ENGINES = {
+    "exact": lambda p, a, t, **_: engine.enumerate_outcomes(p, a, t),
+    "binomial": lambda p, a, t, log_counts, **_: engine.binomial_outcomes(
+        p, a, t, log_counts=log_counts
+    ),
+    "sampled": lambda p, a, t, samples, seed, workers, **_: engine.sample_outcomes(
+        p, a, t, samples, seed, workers
+    ),
+    "exact-universe": _universe_point,
+}
+METHODS = tuple(ENGINES)
+
+
+def _engine(method: str):
+    try:
+        return ENGINES[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
+
+
 def distribution_at(
     params: ModelParams,
     alphas: SystemAmplitudes,
@@ -100,20 +156,88 @@ def distribution_at(
     samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
+    *,
+    log_counts: np.ndarray | None = None,
 ) -> engine.ProjectionDistribution:
-    """Projection distribution at one time via the selected engine."""
+    """Projection distribution at one time via the engine ``ENGINES[method]``.
+
+    log_counts, read by binomial only, is ``engine.binomial_log_counts(N)``
+    when a grid computes it once for all its points.
+    """
+    return _engine(method)(
+        params, alphas, t, samples=samples, seed=seed, workers=workers, log_counts=log_counts
+    )
+
+
+@dataclass
+class GridEvaluation:
+    """A grid's series, its dropped-atom count and its degenerate retries (t, t one ulp later)."""
+
+    series: ObservableSeries
+    dropped: int
+    retries: list[tuple[float, float]]
+
+
+def evaluate_grid(
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    times,
+    eps: float = DEFAULT_EPSILON,
+    method: str = "exact",
+    samples: int = 100_000,
+    seed: int = 0,
+    workers: int = 1,
+) -> GridEvaluation:
+    """Class probabilities over a time grid, with dropped atoms and degenerate retries.
+
+    Exact enumeration evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N)
+    consecutive times at once.  The other methods go through
+    ``distribution_at`` one point at a time: binomial with its
+    multiplicities computed once for the grid, sampled with the stream
+    ``point_seed(seed, i)`` of point i.  A point that raises
+    DegenerateOutcomeError (both branch weights exactly zero) is
+    re-evaluated one float ulp later and the pair (t, bumped) is logged
+    in ``retries``; degenerate again, it raises with its grid time
+    attached.  Exact blocks drop zero-weight atoms and never raise it.
+    """
+    validate_error_threshold(eps)
+    times = np.asarray(times, dtype=float)
+    masses = np.empty((3, times.size))
+    dropped = 0
+    retries: list[tuple[float, float]] = []
     if method == "exact":
-        return engine.enumerate_outcomes(params, alphas, t)
-    if method == "binomial":
-        return engine.binomial_outcomes(params, alphas, t)
-    if method == "sampled":
-        return engine.sample_outcomes(params, alphas, t, samples, seed, workers)
-    if method == "exact-universe":
-        ensemble = universe.thermal_ensemble(params)
-        outs = universe.trajectory_ensemble(params, alphas, ensemble, t)
-        u = np.abs(outs.phi[:, 0]) ** 2
-        return engine.ProjectionDistribution(u=u, weight=outs.weight, kind="exact")
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        step = max(1, GRID_BLOCK_ATOMS >> params.n_env)
+        for first in range(0, times.size, step):
+            block = slice(first, first + step)
+            masses[:, block], count = _exact_block(params, alphas, times[block], eps)
+            dropped += count
+    else:
+        log_counts = engine.binomial_log_counts(params.n_env) if method == "binomial" else None
+        at = partial(
+            distribution_at, params, alphas, method=method, samples=samples, workers=workers,
+            log_counts=log_counts,
+        )
+        for i, t in enumerate(times.tolist()):
+            stream = point_seed(seed, i) if method == "sampled" else seed
+            try:
+                dist = at(t, seed=stream)
+            except engine.DegenerateOutcomeError:
+                bumped = float(np.nextafter(t, np.inf))
+                retries.append((t, bumped))
+                try:
+                    dist = at(bumped, seed=stream)
+                except engine.DegenerateOutcomeError as err:
+                    raise engine.DegenerateOutcomeError(
+                        f"degenerate outcome at grid time t={t}: {err}", t=t
+                    ) from err
+            masses[:, i] = class_probabilities(dist, eps)
+            dropped += dist.dropped
+    sampled = method == "sampled"
+    series = ObservableSeries(
+        times, masses[0], masses[1], masses[2], eps, method, params, alphas,
+        samples if sampled else None, seed if sampled else None,
+    )
+    return GridEvaluation(series, dropped, retries)
 
 
 def time_series(
@@ -128,30 +252,16 @@ def time_series(
 ) -> ObservableSeries:
     """Class probabilities over a time grid; deterministic under a fixed seed.
 
+    The series of ``evaluate_grid``, the evaluator ``cli run`` uses too:
+    exact enumeration runs over blocks of times, with values equal bit
+    for bit to per-point ``distribution_at`` + ``class_probabilities``.
     Sampled points use per-point streams derived from (seed, index) so
-    the series does not depend on evaluation order or worker count.
-    Engine errors propagate with the offending time attached.
+    the series does not depend on evaluation order or worker count.  A
+    degenerate grid point is re-evaluated one float ulp later; if it is
+    degenerate again, DegenerateOutcomeError propagates with its time
+    attached.
     """
-    validate_error_threshold(eps)
-    times = np.asarray(times, dtype=float)
-    p_up = np.empty(times.size)
-    p_down = np.empty(times.size)
-    p_q = np.empty(times.size)
-    for i, t in enumerate(times):
-        try:
-            dist = distribution_at(
-                params, alphas, float(t), method, samples, point_seed(seed, i), workers
-            )
-        except engine.DegenerateOutcomeError as err:
-            raise engine.DegenerateOutcomeError(
-                f"degenerate outcome at grid time t={t}: {err}", t=float(t)
-            ) from err
-        p_up[i], p_down[i], p_q[i] = class_probabilities(dist, eps)
-    return ObservableSeries(
-        times, p_up, p_down, p_q, eps, method, params, alphas,
-        samples if method == "sampled" else None,
-        seed if method == "sampled" else None,
-    )
+    return evaluate_grid(params, alphas, times, eps, method, samples, seed, workers).series
 
 
 def revival_times(params: ModelParams, m_max: int):

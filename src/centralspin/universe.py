@@ -138,8 +138,10 @@ def build_hamiltonian(params: ModelParams, cap: int = DEFAULT_CAP) -> np.ndarray
     """
     n = params.n_env
     if n > cap:
+        # H, the two sector propagators and the outcome arrays (module docstring).
+        footprint = 8 * 4 ** (n + 1) + 32 * 4**n + 56 * 4**n
         raise EnvironmentTooLarge(
-            f"N={n} exceeds cap {cap}; a dense universe needs ~{16 * 4 ** (n + 1) / 2 ** 30:.1f} GiB"
+            f"N={n} exceeds cap {cap}; a dense universe needs ~{footprint / 2 ** 30:.1f} GiB"
         )
     m = 2**n
     dim = 2 * m

@@ -235,21 +235,23 @@ class TestRunAndEmit:
 
     def test_degenerate_grid_point_retried_one_ulp_later(self, monkeypatch):
         # A degenerate node must be retried one float ulp later and logged.
-        import centralspin.cli as cli_mod
+        # Exact grids run in blocks that cannot raise, so the poisoned
+        # engine is binomial, which the evaluator calls point by point.
+        import centralspin.observables as obs
         from centralspin.engine import DegenerateOutcomeError
 
-        real = cli_mod.distribution_at
+        real = obs.ENGINES["binomial"]
         poisoned = {"t": None}
 
-        def flaky(params, alphas, t, method, samples, seed, workers):
+        def flaky(params, alphas, t, **options):
             if poisoned["t"] is None:
                 poisoned["t"] = t
             if t == poisoned["t"]:
                 raise DegenerateOutcomeError("node", t=t)
-            return real(params, alphas, t, method, samples, seed, workers)
+            return real(params, alphas, t, **options)
 
-        monkeypatch.setattr(cli_mod, "distribution_at", flaky)
-        record = run_config(parse_config(SMALL))
+        monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
+        record = run_config(parse_config(SMALL + "method = binomial\n"))
         retries = record.diagnostics["degenerate_retries"]
         assert len(retries) == 1
         before, after = retries[0]

@@ -191,6 +191,25 @@ def test_per_spin_pair_sum_rule(delta, h, t):
         assert np.max(np.abs(prof.keep + prof.flip - 1.0)) <= 1e-12
 
 
+class TestBlockProfile:
+    def test_rows_equal_scalar_profiles_bitwise(self):
+        # A frozen spin (delta = 0, h = 0 on the down branch) and t = 0
+        # give exact zeros, hence -inf logs.
+        p = ModelParams(delta=0.0, h=(0.0, 0.01, 0.37, 2.5), t0=0.0)
+        times = np.array([0.0, 0.3, 17.0, 1800.0 / 7])
+        for branch in ("up", "down"):
+            block = branch_flip_profile(p, branch, times)
+            for k, t in enumerate(times):
+                one = branch_flip_profile(p, branch, float(t))
+                for got, want in zip(block, one):
+                    assert got.shape == (4, 4) and np.array_equal(got[k], want)
+
+    def test_block_time_before_t0_rejected(self):
+        p = ModelParams(delta=0.0, h=(0.1,), t0=1.0)
+        with pytest.raises(ValueError, match="precedes"):
+            branch_flip_profile(p, "up", np.array([2.0, 0.5]))
+
+
 class TestLogBranchWeight:
     def test_no_flips_at_initial_time(self):
         p = ModelParams(delta=0.0, h=(0.3, 0.1))

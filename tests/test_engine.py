@@ -16,9 +16,11 @@ from centralspin.core import (
 )
 from centralspin.engine import (
     DegenerateOutcomeError,
+    binomial_log_counts,
     binomial_outcomes,
     enumerate_outcomes,
     merge_by_u,
+    pattern_log_weights,
     pattern_projection,
     sample_outcomes,
     wavefunction_of_pattern,
@@ -292,3 +294,47 @@ def test_projection_always_in_unit_interval(delta, t, w_up):
     dist = enumerate_outcomes(p, a, t)
     assert np.all((dist.u >= 0.0) & (dist.u <= 1.0))
     assert dist.total_weight() == pytest.approx(1.0, abs=1e-9)
+
+
+def _bit_loop_log_weights(log_keep, log_flip):
+    """Reference: one pass per spin over all 2^N codes (bit i set = spin i+1 flipped)."""
+    n = log_keep.size
+    codes = np.arange(2**n, dtype=np.int64)
+    acc = np.zeros(2**n)
+    for i in range(n):
+        bit = ((codes >> i) & 1).astype(bool)
+        acc += np.where(bit, log_flip[i], log_keep[i])
+    return acc
+
+
+class TestSubsetDoubling:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_bit_loop_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        log_keep = np.log(rng.uniform(0.0, 1.0, (3, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (3, n)))
+        # Exact zeros: a frozen spin in row 1, a certain flip in row 2.
+        log_flip[1, n // 2] = -math.inf
+        log_keep[2, n - 1] = -math.inf
+        got = pattern_log_weights(log_keep, log_flip)
+        assert got.shape == (3, 2**n)
+        for row in range(3):
+            want = _bit_loop_log_weights(log_keep[row], log_flip[row])
+            assert np.array_equal(got[row], want)
+        assert np.isneginf(got[1]).sum() == 2 ** (n - 1)
+
+
+class TestBinomialLogCounts:
+    @pytest.mark.parametrize("n", [1, 2, 80, 1000])
+    def test_equals_lgamma_formula_bitwise(self, n):
+        want = [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in range(n + 1)]
+        assert np.array_equal(binomial_log_counts(n), np.array(want))
+
+    def test_passed_counts_give_the_same_distribution(self):
+        p = ModelParams(delta=0.1, h=(0.02,) * 80)
+        counts = binomial_log_counts(80)
+        for t in (0.0, 37.5, 410.0):
+            a = binomial_outcomes(p, ALPHAS, t)
+            b = binomial_outcomes(p, ALPHAS, t, log_counts=counts)
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.flip_counts, b.flip_counts) and a.dropped == b.dropped

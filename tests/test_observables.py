@@ -7,12 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centralspin import observables as obs
+from centralspin.cli import ExperimentConfig, run_config
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
-from centralspin.engine import ProjectionDistribution, enumerate_outcomes
+from centralspin.engine import (
+    DegenerateOutcomeError,
+    ProjectionDistribution,
+    binomial_outcomes,
+    enumerate_outcomes,
+)
 from centralspin.observables import (
+    GRID_BLOCK_ATOMS,
     ObservableSeries,
     class_probabilities,
     classify,
+    distribution_at,
+    evaluate_grid,
     first_collapse_time,
     histogram,
     revival_times,
@@ -141,6 +151,97 @@ class TestTimeSeries:
         p = ModelParams(delta=0.0, h=(0.01,))
         with pytest.raises(ValueError):
             time_series(p, ALPHAS, [2.0, 1.0], method="exact")
+
+
+def _per_point(params, alphas, times, method, eps=1e-3):
+    """Reference: one distribution_at + class_probabilities per grid point."""
+    dists = [distribution_at(params, alphas, float(t), method) for t in times]
+    masses = np.array([class_probabilities(d, eps) for d in dists])
+    return masses.T, sum(d.dropped for d in dists)
+
+
+class TestGridEvaluator:
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
+    def test_exact_blocks_equal_per_point_bitwise(self, n):
+        # t = 0 first; the length is no multiple of the block wherever the block exceeds 1.
+        size = 7 if n >= 11 else 131
+        assert size % max(1, GRID_BLOCK_ATOMS >> n) != 0 or n >= 12
+        times = np.concatenate(([0.0], np.linspace(0.7, 350.0, size - 1)))
+        h = (0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]  # one zero coupling
+        for delta in (0.0, 0.3):
+            params = ModelParams(delta=delta, h=h)
+            for w_up in (0.0, 0.4, 1.0):
+                alphas = SystemAmplitudes.from_up_weight(w_up)
+                grid = evaluate_grid(params, alphas, times, method="exact")
+                (p_up, p_down, p_q), dropped = _per_point(params, alphas, times, "exact")
+                s = grid.series
+                assert np.array_equal(s.p_up, p_up)
+                assert np.array_equal(s.p_down, p_down)
+                assert np.array_equal(s.p_q, p_q)
+                assert grid.dropped == dropped and grid.retries == []
+
+    def test_binomial_n80_equals_per_point(self):
+        params = ModelParams(delta=0.1, h=(0.02,) * 80)
+        times = np.concatenate(([0.0], np.linspace(1.0, 600.0, 40)))
+        grid = evaluate_grid(params, ALPHAS, times, method="binomial")
+        dists = [binomial_outcomes(params, ALPHAS, float(t)) for t in times]
+        want = np.array([class_probabilities(d) for d in dists]).T
+        s = grid.series
+        assert np.array_equal(np.stack((s.p_up, s.p_down, s.p_q)), want)
+        assert grid.dropped == sum(d.dropped for d in dists)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(n=10, h=(0.01,), delta_h=0.02, steps=41, alpha_up_sq=0.4),
+            ExperimentConfig(n=80, h=(0.01,), steps=9, method="binomial"),
+            ExperimentConfig(
+                n=12, h=(0.02,), delta_h=0.01, steps=3, method="sampled", samples=3000, seed=5,
+                workers=2,
+            ),
+            ExperimentConfig(n=3, h=(0.3,), delta=0.2, delta_h=0.5, steps=4, method="exact-universe"),
+        ],
+        ids=["exact", "binomial", "sampled", "exact-universe"],
+    )
+    def test_time_series_equals_run_config(self, config):
+        record = run_config(config)
+        series = time_series(
+            config.params(), config.alphas(), config.grid(), config.epsilon,
+            config.resolved_method(), config.samples, config.seed, config.workers,
+        )
+        for name in ("times", "p_up", "p_down", "p_q"):
+            assert np.array_equal(getattr(series, name), getattr(record.series, name))
+        assert (series.sample_count, series.seed) == (record.series.sample_count, record.series.seed)
+
+    def test_degenerate_point_retried_in_time_series(self, monkeypatch):
+        real = obs.ENGINES["binomial"]
+        times = np.linspace(1.0, 9.0, 5)
+        poisoned = float(times[2])
+
+        def flaky(params, alphas, t, **options):
+            if t == poisoned:
+                raise DegenerateOutcomeError("node", t=t)
+            return real(params, alphas, t, **options)
+
+        monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
+        params = ModelParams(delta=0.0, h=(0.05,) * 4)
+        series = time_series(params, ALPHAS, times, method="binomial")
+        bumped = float(np.nextafter(poisoned, np.inf))
+        want = time_series(params, ALPHAS, [bumped], method="binomial")
+        assert series.p_q[2] == want.p_q[0]
+        assert np.array_equal(series.times, times)
+        grid = evaluate_grid(params, ALPHAS, times, method="binomial")
+        assert grid.retries == [(poisoned, bumped)]
+
+    def test_point_degenerate_twice_raises_with_its_time(self, monkeypatch):
+        def always(params, alphas, t, **options):
+            raise DegenerateOutcomeError("node", t=t)
+
+        monkeypatch.setitem(obs.ENGINES, "binomial", always)
+        params = ModelParams(delta=0.0, h=(0.05,) * 4)
+        with pytest.raises(DegenerateOutcomeError) as info:
+            time_series(params, ALPHAS, [3.0, 4.0], method="binomial")
+        assert info.value.t == 3.0
 
 
 class TestRevivalTimes:

@@ -97,6 +97,11 @@ class TestBuildHamiltonian:
         # Overridable cap.
         build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 5), cap=5)
 
+    def test_cap_message_states_footprint(self):
+        # 8*4^14 (H) + 32*4^13 (propagators) + 56*4^13 (outcomes) = 7.5 GiB.
+        with pytest.raises(EnvironmentTooLarge, match=r"N=13 exceeds cap 12; .* ~7\.5 GiB$"):
+            build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 13))
+
 
 class TestBasisBookkeeping:
     def test_spins_of_index(self):

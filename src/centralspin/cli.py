@@ -22,7 +22,8 @@ Recognized keys (all others are rejected by name):
                 couplings, sampled otherwise)
     samples     draws per grid point for the sampled method (default 100000)
     seed        base RNG seed (default 0)
-    workers     worker threads for sampling (default 1)
+    workers     worker threads for sampling (default 1); a point starts
+                at most one thread per 8192-draw chunk and per usable CPU
     hist_times  optional semicolon list of times at which to export P(u)
                 histograms
     label       optional record label used in output file names; a plain
@@ -262,10 +263,12 @@ class ResultRecord:
 def run_config(config: ExperimentConfig) -> ResultRecord:
     """Evaluate one config over its grid, with degenerate-node retry.
 
-    The grid goes through ``observables.evaluate_grid``: if a grid point
-    hits a degenerate outcome (both branch weights exactly zero), the
-    point is re-evaluated one float ulp later and the event is logged
-    in the diagnostics.
+    The engine is prepared once (``observables.prepare``) and its state
+    serves the grid and every histogram time.  The grid goes through
+    ``observables.evaluate_grid``: if a grid point hits a degenerate
+    outcome (both branch weights exactly zero), the point is
+    re-evaluated one float ulp later and the event is logged in the
+    diagnostics.
     """
     config.validate()
     params = config.params()
@@ -273,9 +276,10 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
     method = config.resolved_method()
     start = time.perf_counter()
 
+    prepared = observables.prepare(params, alphas, method, config.samples, config.workers)
     evaluation = observables.evaluate_grid(
         params, alphas, config.grid(), config.epsilon, method, config.samples, config.seed,
-        config.workers,
+        config.workers, prepared=prepared,
     )
     series = evaluation.series
 
@@ -283,7 +287,7 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
     for k, t in enumerate(config.hist_times):
         dist = distribution_at(
             params, alphas, float(t), method, config.samples,
-            point_seed(config.seed, 1_000_000 + k), config.workers,
+            point_seed(config.seed, 1_000_000 + k), config.workers, prepared=prepared,
         )
         histograms.append((float(t), histogram(dist)))
 

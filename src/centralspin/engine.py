@@ -22,6 +22,7 @@ the logit so it comes out finite or exactly 0/1 even at N = 80.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -286,17 +287,17 @@ def merge_by_u(dist: ProjectionDistribution, tol: float = U_MERGE_TOL) -> Projec
     )
 
 
-def _sample_chunk(params, alphas, t, seed, chunk_index, size):
+def _sample_chunk(branches, alphas, seed, chunk_index, size):
     """Draw one deterministic chunk of patterns and return their u values.
 
-    The chunk stream is PCG64 seeded with
-    SeedSequence(entropy=seed, spawn_key=(chunk_index,)); within a
-    chunk the draw order is fixed: ``size`` uniforms pick the mixture
-    branch, then a (size, N) uniform block picks the flips.
+    branches is the point's ``_log_branch_pair``.  The chunk stream is
+    PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(chunk_index,));
+    within a chunk the draw order is fixed: ``size`` uniforms pick the
+    mixture branch, then a (size, N) uniform block picks the flips.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
-    n = params.n_env
+    up, down, lw_up, lw_down = branches
+    n = up.flip.size
     branch_up = rng.random(size) < alphas.w_up
     flip_prob = np.where(branch_up[:, None], up.flip[None, :], down.flip[None, :])
     flips = rng.random((size, n)) < flip_prob
@@ -307,6 +308,13 @@ def _sample_chunk(params, alphas, t, seed, chunk_index, size):
         log_wu += np.where(col, up.log_flip[i], up.log_keep[i])
         log_wd += np.where(col, down.log_flip[i], down.log_keep[i])
     return _u_from_logs(lw_up + log_wu, lw_down + log_wd)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_outcomes(
@@ -332,21 +340,22 @@ def sample_outcomes(
     Samples are produced in fixed chunks of 8192; chunk c uses the
     stream SeedSequence(entropy=seed, spawn_key=(c,)) and results are
     concatenated in chunk order, so the output is byte-identical for
-    any worker count.
+    any worker count.  The branch profiles are computed once per call;
+    at most min(workers, chunks, usable CPUs) threads run the chunks.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
     sizes = [SAMPLE_CHUNK] * (count // SAMPLE_CHUNK)
     if count % SAMPLE_CHUNK:
         sizes.append(count % SAMPLE_CHUNK)
+    branches = _log_branch_pair(params, alphas, t)
     jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda job: _sample_chunk(params, alphas, t, seed, *job), jobs)
-            )
+    threads = min(workers, len(jobs), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda job: _sample_chunk(branches, alphas, seed, *job), jobs))
     else:
-        parts = [_sample_chunk(params, alphas, t, seed, c, s) for c, s in jobs]
+        parts = [_sample_chunk(branches, alphas, seed, c, s) for c, s in jobs]
     u = np.concatenate(parts)
     return ProjectionDistribution(
         u=u,

@@ -119,33 +119,60 @@ def _exact_block(
     return np.stack((p_up, p_down, p_q)), int(np.count_nonzero(~keep))
 
 
-def _universe_point(params, alphas, t, **_) -> engine.ProjectionDistribution:
+def _prepare_exact(params, alphas, samples, workers):
+    return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
+
+
+def _prepare_binomial(params, alphas, samples, workers):
+    log_counts = engine.binomial_log_counts(params.n_env)
+    return lambda t, seed: engine.binomial_outcomes(params, alphas, t, log_counts=log_counts)
+
+
+def _prepare_sampled(params, alphas, samples, workers):
+    return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
+
+
+def _prepare_universe(params, alphas, samples, workers):
+    spectra = universe.sector_spectra(params)
     ensemble = universe.thermal_ensemble(params)
-    outs = universe.trajectory_ensemble(params, alphas, ensemble, t)
-    u = np.abs(outs.phi[:, 0]) ** 2
-    return engine.ProjectionDistribution(u=u, weight=outs.weight, kind="exact")
+
+    def point(t, seed):
+        u, weight = universe.projection_outcomes(params, alphas, ensemble, spectra, t)
+        return engine.ProjectionDistribution(u=u, weight=weight, kind="exact")
+
+    return point
 
 
-# Method -> its distribution at one time, called with the keywords
-# samples, seed, workers and log_counts; each engine takes what it needs.
+# Method -> prepare(params, alphas, samples, workers): does the run's
+# time-independent work once and returns its point function
+# (t, seed) -> ProjectionDistribution; each engine reads what it needs.
 ENGINES = {
-    "exact": lambda p, a, t, **_: engine.enumerate_outcomes(p, a, t),
-    "binomial": lambda p, a, t, log_counts, **_: engine.binomial_outcomes(
-        p, a, t, log_counts=log_counts
-    ),
-    "sampled": lambda p, a, t, samples, seed, workers, **_: engine.sample_outcomes(
-        p, a, t, samples, seed, workers
-    ),
-    "exact-universe": _universe_point,
+    "exact": _prepare_exact,
+    "binomial": _prepare_binomial,
+    "sampled": _prepare_sampled,
+    "exact-universe": _prepare_universe,
 }
 METHODS = tuple(ENGINES)
 
 
-def _engine(method: str):
+def prepare(
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    method: str,
+    samples: int = 100_000,
+    workers: int = 1,
+):
+    """Point function (t, seed) -> distribution of one run, from ``ENGINES[method]``.
+
+    Binomial computes its multiplicities here and exact-universe its
+    sector spectra.  The state lives as long as the caller holds the
+    point function; nothing is cached across runs.
+    """
     try:
-        return ENGINES[method]
+        engine_prepare = ENGINES[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
+    return engine_prepare(params, alphas, samples, workers)
 
 
 def distribution_at(
@@ -157,16 +184,18 @@ def distribution_at(
     seed: int = 0,
     workers: int = 1,
     *,
-    log_counts: np.ndarray | None = None,
+    prepared=None,
 ) -> engine.ProjectionDistribution:
     """Projection distribution at one time via the engine ``ENGINES[method]``.
 
-    log_counts, read by binomial only, is ``engine.binomial_log_counts(N)``
-    when a grid computes it once for all its points.
+    prepared, when given, is the point function ``prepare`` returned for
+    the same params, alphas, method, samples and workers, so that a run
+    does its time-independent work once for all its points; without it
+    the engine is prepared for this one call.
     """
-    return _engine(method)(
-        params, alphas, t, samples=samples, seed=seed, workers=workers, log_counts=log_counts
-    )
+    if prepared is None:
+        prepared = prepare(params, alphas, method, samples, workers)
+    return prepared(t, seed)
 
 
 @dataclass
@@ -187,13 +216,16 @@ def evaluate_grid(
     samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
+    *,
+    prepared=None,
 ) -> GridEvaluation:
     """Class probabilities over a time grid, with dropped atoms and degenerate retries.
 
     Exact enumeration evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N)
-    consecutive times at once.  The other methods go through
-    ``distribution_at`` one point at a time: binomial with its
-    multiplicities computed once for the grid, sampled with the stream
+    consecutive times at once.  The other methods are prepared once per
+    grid by ``prepare`` (or share the point function ``prepared`` that
+    the caller made for the same run) and then go through
+    ``distribution_at`` one point at a time, sampled with the stream
     ``point_seed(seed, i)`` of point i.  A point that raises
     DegenerateOutcomeError (both branch weights exactly zero) is
     re-evaluated one float ulp later and the pair (t, bumped) is logged
@@ -212,10 +244,11 @@ def evaluate_grid(
             masses[:, block], count = _exact_block(params, alphas, times[block], eps)
             dropped += count
     else:
-        log_counts = engine.binomial_log_counts(params.n_env) if method == "binomial" else None
+        if prepared is None:
+            prepared = prepare(params, alphas, method, samples, workers)
         at = partial(
             distribution_at, params, alphas, method=method, samples=samples, workers=workers,
-            log_counts=log_counts,
+            prepared=prepared,
         )
         for i, t in enumerate(times.tolist()):
             stream = point_seed(seed, i) if method == "sampled" else seed

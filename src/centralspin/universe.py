@@ -19,6 +19,13 @@ propagators 32 * 4^N bytes together (another 512 MiB), and the outcome
 arrays 56 bytes per outcome for up to 4^N outcomes (896 MiB), plus eigh
 workspace and transient copies.
 
+A time grid takes a lighter path: ``sector_spectra`` builds H and runs
+both eigh once, and ``projection_outcomes`` evaluates each time from
+them.  Between times the grid holds two real M x M eigenvector matrices,
+16 * 4^N bytes (1 MiB at N = 8).  Per time it forms the real C and S
+parts of one sector at a time and returns (u, weight) arrays, 16 bytes
+per outcome: no complex propagator, outcome state or label.
+
 Basis ordering is documented bit-exactly: a universe basis index is
 sys_bit * 2^N + env_index with sys_bit 0 for system up, 1 for down; in
 env_index, environment spin j sits at bit N - j, bit value 0 meaning
@@ -175,27 +182,51 @@ def thermal_ensemble(params: ModelParams) -> ThermalEnsemble:
     return ThermalEnsemble(w / total, partition)
 
 
-def _sector_propagators(
-    params: ModelParams, t: float, cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i tau H) restricted to the system-up and system-down sectors.
+def sector_spectra(params: ModelParams, cap: int = DEFAULT_CAP) -> tuple:
+    """Eigenpairs (w, V) of the system-up and system-down sector blocks of H.
 
-    H is real symmetric, so each sector block has real eigenvectors V_s
-    and U_s = V_s diag(exp(-i tau w)) V_s^T is formed as two real
-    products, one for the cosine part and one for the sine part.
+    Checks the cap, builds H, checks that both off-sector blocks are
+    exactly zero and diagonalizes each M x M sector block; H is released
+    on return.  The spectra depend on params alone, so a grid computes
+    them once for all its times.
     """
-    tau = params.elapsed(t)
     h_mat = build_hamiltonian(params, cap)
     m = 2 ** params.n_env
     # [H, sz_S] vanishes exactly when both off-sector blocks are zero.
     if np.any(h_mat[:m, m:]) or np.any(h_mat[m:, :m]):
         raise ValueError("H does not commute with sz_S: an off-sector block is non-zero")
+    return tuple(np.linalg.eigh(block) for block in (h_mat[:m, :m], h_mat[m:, m:]))
+
+
+def _cos_sin(spectrum, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) = (V cos(tau w) V^T, V sin(tau w) V^T), so exp(-i tau H_s) = C - i S.
+
+    H is real symmetric, so each sector block has real eigenvectors and
+    its propagator is formed as these two real products.
+    """
+    w, v = spectrum
+    return (v * np.cos(tau * w)) @ v.T, (v * np.sin(tau * w)) @ v.T
+
+
+def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Outcomes kept from g indexed [n_initial, n_final]: f_n != 0 and g > G_FLOOR.
+
+    A NaN g fails "g <= G_FLOOR" and is kept, so that it shows downstream.
+    """
+    return (f != 0.0)[:, None] & ~(g <= G_FLOOR)
+
+
+def _sector_propagators(
+    params: ModelParams, t: float, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i tau H) restricted to the system-up and system-down sectors."""
+    tau = params.elapsed(t)
     propagators = []
-    for block in (h_mat[:m, :m], h_mat[m:, m:]):
-        w, v = np.linalg.eigh(block)
-        u = np.empty((m, m), dtype=complex)
-        u.real = (v * np.cos(tau * w)) @ v.T
-        u.imag = (v * -np.sin(tau * w)) @ v.T
+    for spectrum in sector_spectra(params, cap):
+        c, s = _cos_sin(spectrum, tau)
+        u = np.empty(c.shape, dtype=complex)
+        u.real = c
+        u.imag = -s
         propagators.append(u)
     return propagators[0], propagators[1]
 
@@ -236,8 +267,7 @@ def trajectory_ensemble(
     up, down = up.T, down.T
     g = np.abs(up) ** 2
     g += np.abs(down) ** 2
-    # A NaN g fails "g <= G_FLOOR" and is kept, so that it shows downstream.
-    keep = (ensemble.f != 0.0)[:, None] & ~(g <= G_FLOOR)
+    keep = _kept(ensemble.f, g)
     n_init, n_fin = np.nonzero(keep)
     g = g[keep]
     phi = np.empty((g.size, 2), dtype=complex)
@@ -247,6 +277,39 @@ def trajectory_ensemble(
     return TrajectoryOutcomes(
         phi=phi, weight=ensemble.f[n_init] * g, labels=np.stack((n_fin, n_init), axis=1)
     )
+
+
+def projection_outcomes(
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    ensemble: ThermalEnsemble,
+    spectra: tuple,
+    t: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up-projection u and weight of every trajectory outcome at time t.
+
+    The outcomes of ``trajectory_ensemble`` in its order and with its
+    keep rule, from the ``sector_spectra`` of params: u is |phi_up|^2 =
+    w_up |U_up|^2 / g and the weight f_n g, with |U_s|^2 = C_s^2 + S_s^2
+    and g = w_up |U_up|^2 + w_down |U_down|^2.  No complex propagator,
+    outcome state or label is formed.
+    """
+    tau = params.elapsed(t)
+    moduli = []
+    for spectrum, branch_weight in zip(spectra, (alphas.w_up, alphas.w_down)):
+        c, s = _cos_sin(spectrum, tau)
+        c *= c
+        s *= s
+        c += s
+        c *= branch_weight
+        # Transposed, row-major order runs over n_initial outer, n_final inner.
+        moduli.append(c.T)
+    up, down = moduli
+    g = up + down
+    keep = _kept(ensemble.f, g)
+    g_kept = g[keep]
+    weight = np.broadcast_to(ensemble.f[:, None], g.shape)[keep] * g_kept
+    return up[keep] / g_kept, weight
 
 
 def reduced_density_check(

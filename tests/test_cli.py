@@ -233,6 +233,22 @@ class TestRunAndEmit:
         assert t == 20.0
         assert hist.total() == pytest.approx(1.0, abs=1e-9)
 
+    def test_histogram_times_reuse_the_prepared_engine(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = parse_config(SMALL + "method = exact-universe\nhist_times = 5.0; 20.0; 40.0\n")
+        record = run_config(cfg)
+        assert len(calls) == 2
+        assert [t for t, _ in record.histograms] == [5.0, 20.0, 40.0]
+        for _, hist in record.histograms:
+            assert hist.total() == pytest.approx(1.0, abs=1e-9)
+
     def test_degenerate_grid_point_retried_one_ulp_later(self, monkeypatch):
         # A degenerate node must be retried one float ulp later and logged.
         # Exact grids run in blocks that cannot raise, so the poisoned
@@ -243,12 +259,17 @@ class TestRunAndEmit:
         real = obs.ENGINES["binomial"]
         poisoned = {"t": None}
 
-        def flaky(params, alphas, t, **options):
-            if poisoned["t"] is None:
-                poisoned["t"] = t
-            if t == poisoned["t"]:
-                raise DegenerateOutcomeError("node", t=t)
-            return real(params, alphas, t, **options)
+        def flaky(*run):
+            point = real(*run)
+
+            def flaky_point(t, seed):
+                if poisoned["t"] is None:
+                    poisoned["t"] = t
+                if t == poisoned["t"]:
+                    raise DegenerateOutcomeError("node", t=t)
+                return point(t, seed)
+
+            return flaky_point
 
         monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
         record = run_config(parse_config(SMALL + "method = binomial\n"))

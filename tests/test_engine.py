@@ -14,7 +14,9 @@ from centralspin.core import (
     SystemAmplitudes,
     dispersed_couplings,
 )
+from centralspin import engine
 from centralspin.engine import (
+    SAMPLE_CHUNK,
     DegenerateOutcomeError,
     binomial_log_counts,
     binomial_outcomes,
@@ -216,6 +218,55 @@ class TestSampling:
         assert np.all((dist.u >= 0.0) & (dist.u <= 1.0))
         # Deep in the collapsed regime nearly every draw is exactly classical.
         assert np.mean((dist.u == 0.0) | (dist.u == 1.0)) > 0.9
+
+
+class TestSamplerWork:
+    P = ModelParams(delta=0.1, h=dispersed_couplings(0.05, 0.3, 3))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_profiles_per_call(self, monkeypatch, workers):
+        calls = []
+        real = engine.branch_flip_profile
+
+        def counted(params, branch, t):
+            calls.append(branch)
+            return real(params, branch, t)
+
+        monkeypatch.setattr(engine, "branch_flip_profile", counted)
+        sample_outcomes(self.P, ALPHAS, 7.0, 3 * SAMPLE_CHUNK + 5, seed=3, workers=workers)
+        assert sorted(calls) == ["down", "up"]
+
+    def test_pool_bounded_by_chunks_and_cpus(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records its size and maps in the calling thread; starts no thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+        count = 10 * SAMPLE_CHUNK + 1  # 11 chunks
+        want = sample_outcomes(self.P, ALPHAS, 7.0, count, seed=9, workers=1).u
+        assert pools == []
+        for cpus, workers, size in ((4, 100_000, 4), (64, 100_000, 11), (64, 3, 3), (1, 8, None)):
+            pools.clear()
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+            got = sample_outcomes(self.P, ALPHAS, 7.0, count, seed=9, workers=workers).u
+            assert pools == ([] if size is None else [size])
+            assert np.array_equal(got, want)
+        pools.clear()
+        sample_outcomes(self.P, ALPHAS, 7.0, SAMPLE_CHUNK, seed=9, workers=8)
+        assert pools == []
 
 
 class TestWavefunction:

@@ -213,15 +213,42 @@ class TestGridEvaluator:
             assert np.array_equal(getattr(series, name), getattr(record.series, name))
         assert (series.sample_count, series.seed) == (record.series.sample_count, record.series.seed)
 
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("binomial", ModelParams(delta=0.1, h=(0.05,) * 30)),
+            ("sampled", ModelParams(delta=0.1, h=dispersed_couplings(0.05, 0.3, 6))),
+            ("exact-universe", ModelParams(delta=0.1, h=dispersed_couplings(0.05, 0.3, 3))),
+        ],
+    )
+    def test_every_point_goes_through_distribution_at(self, monkeypatch, method, params):
+        # A tracer times grid points through this name, so no point may bypass it.
+        seen = []
+        real = obs.distribution_at
+
+        def counted(*args, **kwargs):
+            seen.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(obs, "distribution_at", counted)
+        times = np.linspace(0.5, 30.5, 7)
+        evaluate_grid(params, ALPHAS, times, method=method, samples=500)
+        assert seen == times.tolist()
+
     def test_degenerate_point_retried_in_time_series(self, monkeypatch):
         real = obs.ENGINES["binomial"]
         times = np.linspace(1.0, 9.0, 5)
         poisoned = float(times[2])
 
-        def flaky(params, alphas, t, **options):
-            if t == poisoned:
-                raise DegenerateOutcomeError("node", t=t)
-            return real(params, alphas, t, **options)
+        def flaky(*run):
+            point = real(*run)
+
+            def flaky_point(t, seed):
+                if t == poisoned:
+                    raise DegenerateOutcomeError("node", t=t)
+                return point(t, seed)
+
+            return flaky_point
 
         monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
         params = ModelParams(delta=0.0, h=(0.05,) * 4)
@@ -234,8 +261,11 @@ class TestGridEvaluator:
         assert grid.retries == [(poisoned, bumped)]
 
     def test_point_degenerate_twice_raises_with_its_time(self, monkeypatch):
-        def always(params, alphas, t, **options):
-            raise DegenerateOutcomeError("node", t=t)
+        def always(*run):
+            def degenerate_point(t, seed):
+                raise DegenerateOutcomeError("node", t=t)
+
+            return degenerate_point
 
         monkeypatch.setitem(obs.ENGINES, "binomial", always)
         params = ModelParams(delta=0.0, h=(0.05,) * 4)

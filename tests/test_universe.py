@@ -10,8 +10,8 @@ from centralspin.core import (
     SystemAmplitudes,
     dispersed_couplings,
 )
-from centralspin.engine import enumerate_outcomes
-from centralspin.observables import class_probabilities, distribution_at
+from centralspin.engine import ProjectionDistribution, enumerate_outcomes
+from centralspin.observables import class_probabilities, distribution_at, evaluate_grid
 from centralspin.universe import (
     TrajectoryOutcome,
     _sector_propagators,
@@ -19,7 +19,9 @@ from centralspin.universe import (
     env_basis_state,
     pattern_between,
     phase_distance,
+    projection_outcomes,
     reduced_density_check,
+    sector_spectra,
     spins_of_index,
     thermal_ensemble,
     trajectory_ensemble,
@@ -332,3 +334,57 @@ class TestExactUniverseDistribution:
             oracle = class_probabilities(distribution_at(p, a, t, "exact-universe"))
             exact = class_probabilities(enumerate_outcomes(p, a, t))
             assert np.max(np.abs(np.subtract(oracle, exact))) <= 1e-9
+
+
+# One case per N: delta != 0 or 0, beta > 0 or 0, w_up at 0, 1 and in between.
+GRID_CASES = [
+    (ModelParams(delta=0.3, h=(0.7,), beta=0.5), 0.0),
+    (ModelParams(delta=-0.4, h=(0.2, -0.9)), 1.0),
+    (ModelParams(delta=0.2, h=(0.0, 0.6, -0.4), beta=1.3), 0.35),
+    (ModelParams(delta=0.0, h=dispersed_couplings(0.3, 0.5, 5), beta=0.7), 0.6),
+    (ModelParams(delta=0.05, h=dispersed_couplings(0.01, 0.02, 8), beta=0.2), 0.4),
+]
+# t = 0 first: there every outcome with n_final != n_initial is dropped by G_FLOOR.
+GRID_TIMES = np.array([0.0, 0.9, 3.7, 12.5, 66.7])
+
+
+def ensemble_masses(params, alphas, t, eps=1e-3):
+    """Class masses of the trajectory_ensemble outcomes at t, with u = |phi_up|^2."""
+    outs = trajectory_ensemble(params, alphas, thermal_ensemble(params), t)
+    u = np.abs(outs.phi[:, 0]) ** 2
+    return class_probabilities(ProjectionDistribution(u=u, weight=outs.weight, kind="exact"), eps)
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("params, w_up", GRID_CASES, ids=lambda c: getattr(c, "n_env", c))
+    def test_series_matches_trajectory_ensemble(self, params, w_up):
+        a = SystemAmplitudes.from_up_weight(w_up, 0.8)
+        s = evaluate_grid(params, a, GRID_TIMES, method="exact-universe").series
+        want = np.array([ensemble_masses(params, a, t) for t in GRID_TIMES]).T
+        assert np.max(np.abs(np.stack((s.p_up, s.p_down, s.p_q)) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("params, w_up", GRID_CASES, ids=lambda c: getattr(c, "n_env", c))
+    def test_outcomes_match_trajectory_ensemble_in_order(self, params, w_up):
+        a = SystemAmplitudes.from_up_weight(w_up, 0.8)
+        ens = thermal_ensemble(params)
+        spectra = sector_spectra(params)
+        for t in GRID_TIMES:
+            outs = trajectory_ensemble(params, a, ens, t)
+            u, weight = projection_outcomes(params, a, ens, spectra, t)
+            assert u.shape == weight.shape == outs.weight.shape
+            assert np.max(np.abs(u - np.abs(outs.phi[:, 0]) ** 2)) <= 1e-12
+            assert np.max(np.abs(weight - outs.weight)) <= 1e-12
+
+    def test_two_eigh_per_grid(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        params, w_up = GRID_CASES[3]
+        a = SystemAmplitudes.from_up_weight(w_up)
+        evaluate_grid(params, a, GRID_TIMES, method="exact-universe")
+        assert calls == [(32, 32), (32, 32)]

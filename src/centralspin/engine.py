@@ -95,23 +95,16 @@ def _log_branch_pair(params, alphas, t):
     return up, down, lw_up, lw_down
 
 
-def _u_from_logs(total_up, total_down):
-    """u = 1/(1 + exp(total_down - total_up)), exact 0/1 at infinite logits.
+def u_from_x(x):
+    """Up-projection u = 1/(1 + exp(x)) of x = log(w_down W_down) - log(w_up W_up).
 
-    total_* are log(|alpha|^2 W) per branch.  Callers must exclude the
-    degenerate case where both are -inf.
+    x is minus the logit of u.  u is exactly 0 at x = +inf (the up
+    branch weight vanishes) and exactly 1 at x = -inf (the down one
+    does).  x is NaN only where both branch weights vanish; callers
+    exclude that degenerate case.
     """
-    total_up = np.asarray(total_up, dtype=float)
-    total_down = np.asarray(total_down, dtype=float)
-    u = np.empty_like(total_up)
-    up_dead = np.isneginf(total_up)
-    down_dead = np.isneginf(total_down)
-    u[up_dead] = 0.0
-    u[down_dead] = 1.0
-    live = ~(up_dead | down_dead)
     with np.errstate(over="ignore"):
-        u[live] = 1.0 / (1.0 + np.exp(total_down[live] - total_up[live]))
-    return u
+        return 1.0 / (1.0 + np.exp(x))
 
 
 def pattern_projection(
@@ -131,7 +124,7 @@ def pattern_projection(
         raise DegenerateOutcomeError(
             f"both branch weights vanish for this pattern at t={t}", t=t
         )
-    return float(_u_from_logs(total_up, total_down))
+    return float(u_from_x(total_down - total_up))
 
 
 def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarray:
@@ -139,26 +132,40 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
 
     log_keep and log_flip are T x N; column c of the T x 2^N result is
     the pattern whose bit i is set when spin i+1 flipped.  Spin i
-    doubles the columns: the first half keeps it, the second flips it.
-    Each entry is the left-to-right sum over spins 1..N, so it equals
-    a spin-by-spin loop bit for bit; -inf factors stay -inf (no +inf
-    term exists, so inf - inf never occurs).
+    doubles the columns in place: the first 2^i keep it, the next 2^i
+    flip it.  Each entry is the left-to-right sum over spins 1..N, so it
+    equals a spin-by-spin loop bit for bit; -inf factors stay -inf (no
+    +inf term exists, so inf - inf never occurs).
+
+    The left-to-right order is load-bearing: ``_sample_chunk`` sums a
+    drawn pattern's logs in the same order, so a sampled u coincides
+    bit for bit with the enumerated u of its pattern, which the
+    sampler-vs-enumeration KS check (acceptance criterion 3) relies on.
+    A split into two half-patterns (meet in the middle) rounds
+    differently and must change the sampler's sum with it.
     """
-    acc = np.zeros((log_keep.shape[0], 1))
-    for i in range(log_keep.shape[1]):
-        acc = np.concatenate((acc + log_keep[:, i, None], acc + log_flip[:, i, None]), axis=1)
+    t, n = log_keep.shape
+    acc = np.empty((t, 1 << n))
+    acc[:, 0] = 0.0
+    for i in range(n):
+        width = 1 << i
+        np.add(acc[:, :width], log_flip[:, i, None], out=acc[:, width : 2 * width])
+        acc[:, :width] += log_keep[:, i, None]
     return acc
 
 
 def enumerate_block(
     params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray, cap: int = ENUMERATION_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
+    """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
-    Columns are pattern codes.  keep marks the atoms with weight at or
-    above 1e-300; u is exact 0/1 where one branch weight vanishes and
-    is meaningful on kept atoms only (a dropped atom may have both
-    branch weights zero).
+    Columns are pattern codes.  x = log(w_down W_down) - log(w_up W_up)
+    is minus the logit of u (``u_from_x`` gives u); keep marks the atoms
+    with weight at or above 1e-300.  x is meaningful on kept atoms only:
+    a dropped atom may have both branch weights zero and x NaN.
+
+    Three block-sized float arrays are alive at a time, plus a
+    half-block temporary while the down weights are added.
     """
     n = params.n_env
     if n > cap:
@@ -166,12 +173,22 @@ def enumerate_block(
     up, down, lw_up, lw_down = _log_branch_pair(params, alphas, times)
     log_wu = pattern_log_weights(up.log_keep, up.log_flip)
     log_wd = pattern_log_weights(down.log_keep, down.log_flip)
-    with np.errstate(over="ignore"):
-        weight = alphas.w_up * np.exp(log_wu) + alphas.w_down * np.exp(log_wd)
-    # In place, to save two block-sized temporaries; the sums are the same.
+    weight = np.exp(log_wu)
+    weight *= alphas.w_up
+    # The down weights go in one contiguous half of the block at a time.
+    flat_weight, flat_wd = weight.reshape(-1), log_wd.reshape(-1)
+    down_weight = np.empty(flat_weight.size // 2)
+    for part in (slice(None, down_weight.size), slice(down_weight.size, None)):
+        np.exp(flat_wd[part], out=down_weight)
+        down_weight *= alphas.w_down
+        flat_weight[part] += down_weight
+    del down_weight
+    # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
     log_wu += lw_up
     log_wd += lw_down
-    return _u_from_logs(log_wu, log_wd), weight, weight >= WEIGHT_FLOOR
+    with np.errstate(invalid="ignore"):
+        log_wd -= log_wu
+    return log_wd, weight, weight >= WEIGHT_FLOOR
 
 
 def enumerate_outcomes(
@@ -185,9 +202,9 @@ def enumerate_outcomes(
     (including exact zeros) are dropped and counted in ``dropped``.
     This is ``enumerate_block`` on the one-time block [t].
     """
-    u, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t]), cap))
+    x, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t]), cap))
     return ProjectionDistribution(
-        u=u[keep],
+        u=u_from_x(x[keep]),
         weight=weight[keep],
         kind="exact",
         pattern_codes=np.flatnonzero(keep),
@@ -201,27 +218,37 @@ def binomial_log_counts(n: int) -> np.ndarray:
     return lg[n] - lg - lg[::-1]
 
 
+def binomial_spin(params: ModelParams) -> ModelParams:
+    """The one-spin model that carries every spin's profile when all h_j are equal."""
+    if params.h.count(params.h[0]) != params.n_env:
+        raise ValueError("binomial reduction requires all couplings equal")
+    return ModelParams(params.delta, params.h[:1], params.beta, params.t0)
+
+
 def binomial_outcomes(
     params: ModelParams,
     alphas: SystemAmplitudes,
     t: float,
     *,
     log_counts: np.ndarray | None = None,
+    spin: ModelParams | None = None,
 ) -> ProjectionDistribution:
     """Exact distribution for equal couplings, indexed by flip count.
 
     With all h_j equal the branch weight depends only on how many spins
     flipped, so the 2^N patterns collapse onto N + 1 atoms with binomial
-    multiplicity.  Atoms whose u coincide within 1e-12 are merged;
-    flip_counts then records the smallest flip count of each merged
-    group.  Agrees with enumerate_outcomes exactly (after the same
-    merging) wherever both apply.  log_counts, when given, must be
-    ``binomial_log_counts(N)``; a grid passes it once for every point.
+    multiplicity, and one spin's profile serves them all.  Atoms whose u
+    coincide within 1e-12 are merged; flip_counts then records the
+    smallest flip count of each merged group.  Agrees with
+    enumerate_outcomes exactly (after the same merging) wherever both
+    apply.  log_counts and spin, when given, must be
+    ``binomial_log_counts(N)`` and ``binomial_spin(params)``; a grid
+    computes them once for every point.
     """
     n = params.n_env
-    if len(set(params.h)) != 1:
-        raise ValueError("binomial reduction requires all couplings equal")
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
+    if spin is None:
+        spin = binomial_spin(params)
+    up, down, lw_up, lw_down = _log_branch_pair(spin, alphas, t)
     k = np.arange(n + 1, dtype=np.int64)
 
     def log_w(profile):
@@ -239,7 +266,7 @@ def binomial_outcomes(
             log_count + log_wd
         )
     keep = weight >= WEIGHT_FLOOR
-    u = _u_from_logs(lw_up + log_wu[keep], lw_down + log_wd[keep])
+    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
     dist = ProjectionDistribution(
         u=u,
         weight=weight[keep],
@@ -253,29 +280,25 @@ def binomial_outcomes(
 def merge_by_u(dist: ProjectionDistribution, tol: float = U_MERGE_TOL) -> ProjectionDistribution:
     """Merge atoms whose u values coincide within tol (weights add).
 
-    The merged u is the weight-weighted mean of the group.  Pattern
-    codes are discarded (a merged atom has no single pattern); flip
-    counts keep the smallest member.
+    Sorted by u, a group ends where the next u exceeds the last by more
+    than tol.  The merged u is the weight-weighted mean of the group
+    (its first u when the group weighs nothing).  Pattern codes are
+    discarded (a merged atom has no single pattern); flip counts keep
+    the smallest member.
     """
     if dist.u.size == 0:
         return dist
     order = np.argsort(dist.u, kind="stable")
     u_sorted = dist.u[order]
     w_sorted = dist.weight[order]
-    boundaries = np.nonzero(np.diff(u_sorted) > tol)[0] + 1
-    groups = np.split(np.arange(u_sorted.size), boundaries)
-    u_out = np.empty(len(groups))
-    w_out = np.empty(len(groups))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(u_sorted) > tol)))
+    w_out = np.add.reduceat(w_sorted, starts)
+    uw_out = np.add.reduceat(u_sorted * w_sorted, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_out = np.where(w_out > 0, uw_out / w_out, u_sorted[starts])
     k_out = None
     if dist.flip_counts is not None:
-        k_sorted = dist.flip_counts[order]
-        k_out = np.empty(len(groups), dtype=np.int64)
-    for g, idx in enumerate(groups):
-        w = w_sorted[idx]
-        w_out[g] = np.sum(w)
-        u_out[g] = np.average(u_sorted[idx], weights=w) if w_out[g] > 0 else u_sorted[idx[0]]
-        if k_out is not None:
-            k_out[g] = np.min(k_sorted[idx])
+        k_out = np.minimum.reduceat(dist.flip_counts[order], starts)
     return ProjectionDistribution(
         u=u_out,
         weight=w_out,
@@ -307,7 +330,7 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
         col = flips[:, i]
         log_wu += np.where(col, up.log_flip[i], up.log_keep[i])
         log_wd += np.where(col, down.log_flip[i], down.log_keep[i])
-    return _u_from_logs(lw_up + log_wu, lw_down + log_wd)
+    return u_from_x((lw_down + log_wd) - (lw_up + log_wu))
 
 
 def _usable_cpus() -> int:

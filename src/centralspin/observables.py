@@ -21,9 +21,13 @@ DEFAULT_EPSILON = 1e-3
 HISTOGRAM_BINS = 200
 # Atoms per block of a grid evaluation: exact enumeration evaluates
 # max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
-# spread numpy's per-call cost at small N, while each block array stays
-# at 32 KiB (4096 float64).
-GRID_BLOCK_ATOMS = 4096
+# spread numpy's per-call cost at small N (8 times at N = 10), while
+# each block array stays at 64 KiB (8192 float64) and a block's peak,
+# about 3.5 such arrays, stays under what writing a run's files takes.
+GRID_BLOCK_ATOMS = 8192
+# Probes per round of the cutoff search in ``logit_cutoffs``.
+_CUTOFF_PROBES = 256
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
 
 def validate_error_threshold(eps: float) -> float:
@@ -97,26 +101,92 @@ def point_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _float_key(x: float) -> int:
+    """Integer key of a float64 that orders like the float (-0.0 and 0.0 share 0)."""
+    bits = int(np.array(x, dtype=float).view(np.int64))
+    return -(bits & _MAGNITUDE) if bits < 0 else bits
+
+
+def _last_passing(test, lo: float, hi: float) -> float:
+    """Largest float x in [lo, hi) with test(x), for a test that holds up to a cutoff and not after.
+
+    test maps a float64 array to a boolean array; it must hold at lo and
+    fail at hi, and lo and hi must have the same sign.  Each round
+    probes ``_CUTOFF_PROBES`` floats spread over the keys between.
+    """
+    lo_key, hi_key = _float_key(lo), _float_key(hi)
+    probes = np.arange(1, _CUTOFF_PROBES + 1)
+    while hi_key - lo_key > 1:
+        step = max((hi_key - lo_key) // (_CUTOFF_PROBES + 1), 1)
+        keys = np.minimum(lo_key + step * probes, hi_key)
+        holds = test(np.copysign(np.abs(keys).view(np.float64), keys))
+        first_fail = _CUTOFF_PROBES if holds.all() else int(np.argmin(holds))
+        if first_fail > 0:
+            lo_key = int(keys[first_fail - 1])
+        if first_fail < _CUTOFF_PROBES:
+            hi_key = int(keys[first_fail])
+    return float(np.copysign(np.abs(np.int64(lo_key)).view(np.float64), lo_key))
+
+
+def logit_cutoffs(eps: float) -> tuple[float, float]:
+    """(c_up, c_down): u >= 1 - eps exactly when x <= c_up, u <= eps exactly when x > c_down.
+
+    x is the argument of ``engine.u_from_x``, minus the logit of u.
+    That u is monotone non-increasing in x in float arithmetic, so each
+    class test on u is one comparison on x.  c_up is the largest float
+    that still counts as up and c_down the largest that does not yet
+    count as down, found by searching the floats with the very
+    expression of ``u_from_x``.  x = -inf is up and x = +inf is down; a
+    NaN x (both branch weights zero) is neither.  The search takes about
+    0.4 ms; a grid runs it once.
+    """
+    validate_error_threshold(eps)
+    # u(-800) = 1 and u(-0.0) = 0.5 < 1 - eps; u(0) = 0.5 > eps and u(710) = 0.
+    c_up = _last_passing(lambda x: engine.u_from_x(x) >= 1.0 - eps, -800.0, -0.0)
+    c_down = _last_passing(lambda x: engine.u_from_x(x) > eps, 0.0, 710.0)
+    return c_up, c_down
+
+
+def _row_sums(weight: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-row sums of the weights under a boolean mask, through the scratch array out.
+
+    The mask is copied in as 0/1 and multiplied in place, which needs
+    no cast buffer; each row is then one pairwise sum.
+    """
+    np.copyto(out, mask)
+    out *= weight
+    return out.sum(axis=1)
+
+
 def _exact_block(
-    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray, eps: float
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    times: np.ndarray,
+    cutoffs: tuple[float, float],
 ) -> tuple[np.ndarray, int]:
     """(3, T) class masses and the dropped-atom count of a time block, by one enumeration.
 
-    Per time row: the same u tests as ``class_probabilities`` and np.sum
-    over the kept atoms in pattern-code order, so every mass equals the
-    per-point ``enumerate_outcomes`` + ``class_probabilities`` value
-    bit for bit.
+    cutoffs are ``logit_cutoffs(eps)``: the class of every kept atom is
+    the one ``class_probabilities`` gives from its u.  Each row's masses
+    are one pairwise sum over the block row with the dropped and
+    off-class weights zeroed, so they match the per-point
+    ``enumerate_outcomes`` + ``class_probabilities`` values to a few
+    ulp, not bit for bit (that route sums only the kept class atoms).
     """
-    u, weight, keep = engine.enumerate_block(params, alphas, times)
+    x, weight, keep = engine.enumerate_block(params, alphas, times)
     if not np.all(np.any(keep, axis=1)):
         raise ValueError("empty distribution")
-    up = keep & (u >= 1.0 - eps)
-    down = keep & (u <= eps)
-    p_up = np.array([np.sum(w[m]) for w, m in zip(weight, up)])
-    p_down = np.array([np.sum(w[m]) for w, m in zip(weight, down)])
+    c_up, c_down = cutoffs
+    up = x <= c_up
+    up &= keep
+    down = x > c_down
+    down &= keep
+    # x is dead: it takes the weights of each class, zero elsewhere, in turn.
+    p_up = _row_sums(weight, up, out=x)
+    p_down = _row_sums(weight, down, out=x)
     # The complement can land a few ulp below zero; keep it in range.
     p_q = np.maximum(0.0, 1.0 - p_up - p_down)
-    return np.stack((p_up, p_down, p_q)), int(np.count_nonzero(~keep))
+    return np.stack((p_up, p_down, p_q)), keep.size - int(np.count_nonzero(keep))
 
 
 def _prepare_exact(params, alphas, samples, workers):
@@ -125,7 +195,10 @@ def _prepare_exact(params, alphas, samples, workers):
 
 def _prepare_binomial(params, alphas, samples, workers):
     log_counts = engine.binomial_log_counts(params.n_env)
-    return lambda t, seed: engine.binomial_outcomes(params, alphas, t, log_counts=log_counts)
+    spin = engine.binomial_spin(params)
+    return lambda t, seed: engine.binomial_outcomes(
+        params, alphas, t, log_counts=log_counts, spin=spin
+    )
 
 
 def _prepare_sampled(params, alphas, samples, workers):
@@ -164,8 +237,8 @@ def prepare(
 ):
     """Point function (t, seed) -> distribution of one run, from ``ENGINES[method]``.
 
-    Binomial computes its multiplicities here and exact-universe its
-    sector spectra.  The state lives as long as the caller holds the
+    Binomial computes its multiplicities and one-spin model here and
+    exact-universe its sector spectra.  The state lives as long as the caller holds the
     point function; nothing is cached across runs.
     """
     try:
@@ -222,7 +295,8 @@ def evaluate_grid(
     """Class probabilities over a time grid, with dropped atoms and degenerate retries.
 
     Exact enumeration evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N)
-    consecutive times at once.  The other methods are prepared once per
+    consecutive times at once and classifies each atom by comparing
+    x = -logit(u) with ``logit_cutoffs(eps)``.  The other methods are prepared once per
     grid by ``prepare`` (or share the point function ``prepared`` that
     the caller made for the same run) and then go through
     ``distribution_at`` one point at a time, sampled with the stream
@@ -238,10 +312,11 @@ def evaluate_grid(
     dropped = 0
     retries: list[tuple[float, float]] = []
     if method == "exact":
+        cutoffs = logit_cutoffs(eps)
         step = max(1, GRID_BLOCK_ATOMS >> params.n_env)
         for first in range(0, times.size, step):
             block = slice(first, first + step)
-            masses[:, block], count = _exact_block(params, alphas, times[block], eps)
+            masses[:, block], count = _exact_block(params, alphas, times[block], cutoffs)
             dropped += count
     else:
         if prepared is None:
@@ -286,8 +361,9 @@ def time_series(
     """Class probabilities over a time grid; deterministic under a fixed seed.
 
     The series of ``evaluate_grid``, the evaluator ``cli run`` uses too:
-    exact enumeration runs over blocks of times, with values equal bit
-    for bit to per-point ``distribution_at`` + ``class_probabilities``.
+    exact enumeration runs over blocks of times, with the same class for
+    every atom as per-point ``distribution_at`` + ``class_probabilities``
+    and masses within a few ulp of theirs.
     Sampled points use per-point streams derived from (seed, index) so
     the series does not depend on evaluation order or worker count.  A
     degenerate grid point is re-evaluated one float ulp later; if it is

@@ -20,11 +20,13 @@ from centralspin.engine import (
     DegenerateOutcomeError,
     binomial_log_counts,
     binomial_outcomes,
+    binomial_spin,
     enumerate_outcomes,
     merge_by_u,
     pattern_log_weights,
     pattern_projection,
     sample_outcomes,
+    u_from_x,
     wavefunction_of_pattern,
 )
 from centralspin.universe import (
@@ -171,6 +173,26 @@ class TestBinomial:
         dist = binomial_outcomes(p, ALPHAS, 150.0)
         assert np.all(np.isfinite(dist.u))
         assert np.all((dist.u >= 0.0) & (dist.u <= 1.0))
+
+    @pytest.mark.parametrize("n", [80, 100_000])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_one_spin_profile_equals_full_profile(self, n, delta):
+        p = ModelParams(delta=delta, h=(0.02,) * n)
+        for t in np.linspace(0.0, 600.0, 7):
+            got = binomial_outcomes(p, ALPHAS, float(t))
+            want = _binomial_full_profile(p, ALPHAS, float(t))
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.weight, want.weight)
+            assert np.array_equal(got.flip_counts, want.flip_counts)
+            assert got.dropped == want.dropped
+
+    def test_passed_spin_gives_the_same_distribution(self):
+        p = ModelParams(delta=0.1, h=(0.02,) * 80)
+        spin = binomial_spin(p)
+        assert spin.h == (0.02,) and (spin.delta, spin.beta, spin.t0) == (p.delta, p.beta, p.t0)
+        for t in (0.0, 37.5, 410.0):
+            a = binomial_outcomes(p, ALPHAS, t)
+            b = binomial_outcomes(p, ALPHAS, t, spin=spin)
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
 
 
 class TestSampling:
@@ -332,6 +354,89 @@ class TestMergeByU:
         dist = ProjectionDistribution(u=np.empty(0), weight=np.empty(0), kind="exact")
         assert len(merge_by_u(dist)) == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_group_loop(self, seed):
+        # Clustered u (groups of about a dozen atoms), exact 0/1 atoms and a zero-weight group.
+        rng = np.random.default_rng(seed)
+        size = 400
+        centers = rng.choice(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 30))), size)
+        u = np.clip(centers + rng.uniform(-4e-13, 4e-13, size) * (centers % 1 > 0), 0.0, 1.0)
+        weight = rng.uniform(0, 1, size) * (rng.uniform(0, 1, size) > 0.1)
+        weight[centers == centers[0]] = 0.0
+        dist = engine.ProjectionDistribution(
+            u=u, weight=weight / weight.sum(), kind="binomial",
+            flip_counts=rng.integers(0, 1000, size),
+        )
+        want_u, want_w, want_k, sizes = _merge_loop(dist, engine.U_MERGE_TOL)
+        assert np.any(want_w == 0.0) and want_u.size < size / 5
+        got = merge_by_u(dist)
+        assert got.u.size == want_u.size and np.array_equal(got.flip_counts, want_k)
+        # Two summation orders of n >= 0 terms differ by at most 2 (n - 1) eps of the
+        # sum, and u is the ratio of two such sums, so single atoms match exactly.
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got.weight - want_w) <= 2 * (sizes - 1) * eps * want_w)
+        assert np.all(np.abs(got.u - want_u) <= (4 * (sizes - 1) + 1) * eps * want_u)
+
+    def test_binomial_groups_equal_group_loop(self, monkeypatch):
+        p = ModelParams(delta=0.1, h=(0.02,) * 100_000)
+        for t in (0.0, 37.5, 410.0):
+            monkeypatch.setattr(engine, "merge_by_u", lambda dist, tol: dist)
+            raw = binomial_outcomes(p, ALPHAS, t)
+            monkeypatch.undo()
+            want_u, want_w, want_k, _ = _merge_loop(raw, engine.U_MERGE_TOL)
+            got = merge_by_u(raw)
+            assert np.array_equal(got.flip_counts, want_k)
+            assert np.all(np.abs(got.u - want_u) <= 4 * np.spacing(np.maximum(want_u, 1e-300)))
+            assert np.all(np.abs(got.weight - want_w) <= 4 * np.spacing(np.maximum(want_w, 1e-300)))
+
+
+def _merge_loop(dist, tol):
+    """Reference: the group-by-group merge, one Python iteration per group; also the group sizes."""
+    order = np.argsort(dist.u, kind="stable")
+    u_sorted, w_sorted, k_sorted = dist.u[order], dist.weight[order], dist.flip_counts[order]
+    groups = np.split(np.arange(u_sorted.size), np.nonzero(np.diff(u_sorted) > tol)[0] + 1)
+    u_out, w_out = np.empty(len(groups)), np.empty(len(groups))
+    k_out = np.empty(len(groups), dtype=np.int64)
+    for g, idx in enumerate(groups):
+        w = w_sorted[idx]
+        w_out[g] = np.sum(w)
+        u_out[g] = np.average(u_sorted[idx], weights=w) if w_out[g] > 0 else u_sorted[idx[0]]
+        k_out[g] = np.min(k_sorted[idx])
+    return u_out, w_out, k_out, np.array([idx.size for idx in groups])
+
+
+def _u_from_logs(total_up, total_down):
+    """Reference: u from the two branch log-weights, exact 0/1 set by masks."""
+    total_up = np.asarray(total_up, dtype=float)
+    total_down = np.asarray(total_down, dtype=float)
+    u = np.empty_like(total_up)
+    up_dead = np.isneginf(total_up)
+    down_dead = np.isneginf(total_down)
+    u[up_dead] = 0.0
+    u[down_dead] = 1.0
+    live = ~(up_dead | down_dead)
+    with np.errstate(over="ignore"):
+        u[live] = 1.0 / (1.0 + np.exp(total_down[live] - total_up[live]))
+    return u
+
+
+class TestUFromX:
+    def test_equals_masked_log_form_bitwise(self):
+        rng = np.random.default_rng(3)
+        size = 200_000
+        tu = rng.normal(0, 300, size) - rng.exponential(50, size)
+        td = rng.normal(0, 300, size) - rng.exponential(50, size)
+        # Dead branches, never both at once (that outcome is degenerate).
+        tu[rng.uniform(0, 1, size) < 0.05] = -math.inf
+        td[(rng.uniform(0, 1, size) < 0.05) & np.isfinite(tu)] = -math.inf
+        want = _u_from_logs(tu, td)
+        assert np.array_equal(u_from_x(td - tu), want)
+        assert set(want[np.isneginf(tu)]) == {0.0} and set(want[np.isneginf(td)]) == {1.0}
+
+    def test_scalars_equal_array_entries(self):
+        xs = np.array([-800.0, -30.0, -1e-3, 0.0, 2.5, 36.7, 709.0, 710.0, math.inf, -math.inf])
+        assert [float(u_from_x(float(x))) for x in xs] == u_from_x(xs).tolist()
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -389,3 +494,27 @@ class TestBinomialLogCounts:
             b = binomial_outcomes(p, ALPHAS, t, log_counts=counts)
             assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.flip_counts, b.flip_counts) and a.dropped == b.dropped
+
+
+def _binomial_full_profile(params, alphas, t):
+    """Reference: the binomial atoms from all N spins' profiles (every row equal)."""
+    n = params.n_env
+    up, down, lw_up, lw_down = engine._log_branch_pair(params, alphas, t)
+    k = np.arange(n + 1, dtype=np.int64)
+
+    def log_w(profile):
+        with np.errstate(invalid="ignore"):
+            keep_part = np.where(k < n, (n - k) * profile.log_keep[0], 0.0)
+            flip_part = np.where(k > 0, k * profile.log_flip[0], 0.0)
+        return keep_part + flip_part
+
+    log_wu, log_wd = log_w(up), log_w(down)
+    log_count = binomial_log_counts(n)
+    weight = alphas.w_up * np.exp(log_count + log_wu) + alphas.w_down * np.exp(log_count + log_wd)
+    keep = weight >= engine.WEIGHT_FLOOR
+    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
+    dist = engine.ProjectionDistribution(
+        u=u, weight=weight[keep], kind="binomial", flip_counts=k[keep],
+        dropped=int(np.count_nonzero(~keep)),
+    )
+    return merge_by_u(dist)

@@ -1,12 +1,14 @@
 """Classification, series assembly, revivals, histograms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centralspin import engine
 from centralspin import observables as obs
 from centralspin.cli import ExperimentConfig, run_config
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
@@ -160,25 +162,109 @@ def _per_point(params, alphas, times, method, eps=1e-3):
     return masses.T, sum(d.dropped for d in dists)
 
 
+class TestLogitCutoffs:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25, 0.4999, 1e-12])
+    def test_reproduce_the_u_tests(self, eps):
+        c_up, c_down = obs.logit_cutoffs(eps)
+        ulps = np.arange(-2000, 2001)
+        near = [(np.array(c).view(np.int64) + ulps).view(np.float64) for c in (c_up, c_down)]
+        x = np.concatenate(
+            near + [np.random.default_rng(7).normal(0.0, 40.0, 10**6), [math.inf, -math.inf, 0.0, -0.0]]
+        )
+        u = engine.u_from_x(x)
+        assert np.array_equal(x <= c_up, u >= 1.0 - eps)
+        assert np.array_equal(x > c_down, u <= eps)
+        # Each cutoff is the last float on its side.
+        assert engine.u_from_x(c_up) >= 1.0 - eps > engine.u_from_x(np.nextafter(c_up, math.inf))
+        assert engine.u_from_x(c_down) > eps >= engine.u_from_x(np.nextafter(c_down, math.inf))
+
+    def test_nan_is_in_neither_class(self):
+        c_up, c_down = obs.logit_cutoffs(1e-3)
+        assert not math.nan <= c_up and not math.nan > c_down
+
+    def test_rejects_bad_threshold(self):
+        with pytest.raises(ValueError):
+            obs.logit_cutoffs(0.5)
+
+
+class TestExactBlockMemory:
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_peak_of_one_block(self, n):
+        # Three block-sized float arrays, a half-block temporary and the small profiles.
+        times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        cutoffs = obs.logit_cutoffs(1e-3)
+        obs._exact_block(params, ALPHAS, times, cutoffs)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            obs._exact_block(params, ALPHAS, times, cutoffs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
+
+
+def _exact_grid_cases(n):
+    """A grid from t = 0 and (params, alphas) with one zero coupling, two deltas, three w_up.
+
+    The grid length is no multiple of the block wherever the block exceeds one time.
+    """
+    size = 7 if n >= 11 else 131
+    assert size % max(1, GRID_BLOCK_ATOMS >> n) != 0 or n >= 13
+    times = np.concatenate(([0.0], np.linspace(0.7, 350.0, size - 1)))
+    h = (0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]
+    cases = [
+        (ModelParams(delta=delta, h=h), SystemAmplitudes.from_up_weight(w_up))
+        for delta in (0.0, 0.3)
+        for w_up in (0.0, 0.4, 1.0)
+    ]
+    return times, cases
+
+
 class TestGridEvaluator:
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
-    def test_exact_blocks_equal_per_point_bitwise(self, n):
-        # t = 0 first; the length is no multiple of the block wherever the block exceeds 1.
-        size = 7 if n >= 11 else 131
-        assert size % max(1, GRID_BLOCK_ATOMS >> n) != 0 or n >= 12
-        times = np.concatenate(([0.0], np.linspace(0.7, 350.0, size - 1)))
-        h = (0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]  # one zero coupling
-        for delta in (0.0, 0.3):
-            params = ModelParams(delta=delta, h=h)
-            for w_up in (0.0, 0.4, 1.0):
-                alphas = SystemAmplitudes.from_up_weight(w_up)
-                grid = evaluate_grid(params, alphas, times, method="exact")
-                (p_up, p_down, p_q), dropped = _per_point(params, alphas, times, "exact")
-                s = grid.series
-                assert np.array_equal(s.p_up, p_up)
-                assert np.array_equal(s.p_down, p_down)
-                assert np.array_equal(s.p_q, p_q)
-                assert grid.dropped == dropped and grid.retries == []
+    def test_exact_blocks_equal_per_point_bitwise(self, n, monkeypatch):
+        # Block rows are independent: many times per block give the series of one time per block.
+        times, cases = _exact_grid_cases(n)
+        for params, alphas in cases:
+            grid = evaluate_grid(params, alphas, times, method="exact")
+            with monkeypatch.context() as patch:
+                patch.setattr(obs, "GRID_BLOCK_ATOMS", 1 << n)
+                single = evaluate_grid(params, alphas, times, method="exact")
+            for name in ("p_up", "p_down", "p_q"):
+                assert np.array_equal(getattr(grid.series, name), getattr(single.series, name))
+            assert grid.dropped == single.dropped and grid.retries == single.retries == []
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
+    def test_exact_blocks_match_per_point_route(self, n):
+        eps = 1e-3
+        c_up, c_down = obs.logit_cutoffs(eps)
+        times, cases = _exact_grid_cases(n)
+        for params, alphas in cases:
+            grid = evaluate_grid(params, alphas, times, eps, method="exact")
+            (p_up, p_down, p_q), dropped = _per_point(params, alphas, times, "exact", eps)
+            assert grid.dropped == dropped and grid.retries == []
+            s = grid.series
+            for got, want in ((s.p_up, p_up), (s.p_down, p_down), (s.p_q, p_q)):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            exact_up, exact_down = np.empty(times.size), np.empty(times.size)
+            for i, t in enumerate(times):
+                dist = enumerate_outcomes(params, alphas, float(t))
+                up, down = dist.u >= 1.0 - eps, dist.u <= eps
+                exact_up[i], exact_down[i] = math.fsum(dist.weight[up]), math.fsum(dist.weight[down])
+                # Every kept atom lands in the class its u gives.
+                x, _, keep = engine.enumerate_block(params, alphas, np.array([t]))
+                x_kept = x[keep]
+                assert np.array_equal(x_kept <= c_up, up) and np.array_equal(x_kept > c_down, down)
+            # Both routes stay within a few ulp of the exactly rounded sums.
+            for got, want, exact in ((s.p_up, p_up, exact_up), (s.p_down, p_down, exact_down)):
+                assert np.max(np.abs(want - exact)) <= 4 * np.finfo(float).eps
+                assert np.max(np.abs(got - exact)) <= 4 * np.finfo(float).eps
 
     def test_binomial_n80_equals_per_point(self):
         params = ModelParams(delta=0.1, h=(0.02,) * 80)

@@ -265,7 +265,7 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
 
     The engine is prepared once (``observables.prepare``) and its state
     serves the grid and every histogram time.  The grid goes through
-    ``observables.evaluate_grid``: if a grid point hits a degenerate
+    ``observables.time_series``: if a grid point hits a degenerate
     outcome (both branch weights exactly zero), the point is
     re-evaluated one float ulp later and the event is logged in the
     diagnostics.
@@ -277,11 +277,10 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
     start = time.perf_counter()
 
     prepared = observables.prepare(params, alphas, method, config.samples, config.workers)
-    evaluation = observables.evaluate_grid(
+    series = observables.time_series(
         params, alphas, config.grid(), config.epsilon, method, config.samples, config.seed,
         config.workers, prepared=prepared,
     )
-    series = evaluation.series
 
     histograms = []
     for k, t in enumerate(config.hist_times):
@@ -292,8 +291,8 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
         histograms.append((float(t), histogram(dist)))
 
     diagnostics = {
-        "dropped_atoms": evaluation.dropped,
-        "degenerate_retries": evaluation.retries,
+        "dropped_atoms": series.dropped,
+        "degenerate_retries": series.retries,
         "collapse_time_grid": first_collapse_time(series),
         "collapse_time_note": "first grid time with P_q < 0.01 (operational definition)",
     }
@@ -479,6 +478,10 @@ def main(argv=None) -> int:
             print("OK")
             return 0
         if args.command == "oracle-check":
+            if args.samples < 1:
+                raise ConfigError("samples: must be positive")
+            if args.seed < 0:
+                raise ConfigError("seed: must be non-negative")
             results = selfcheck.run_all(seed=args.seed, samples=args.samples)
             ok = True
             for r in results:

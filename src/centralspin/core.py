@@ -293,13 +293,25 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
         return FlipProfile(keep, flip, np.log(keep), np.log(flip))
 
 
-def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float:
-    """Sum over spins of log |G_j|^2 for one flip pattern, in spin order.
+def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float | np.ndarray:
+    """Sum over spins of log |G_j|^2 for flip patterns, left to right from spin 1.
 
-    flipped is a boolean length-N mask (True = spin flipped); exactly
-    -inf when any factor vanishes.
+    profile holds one time's length-N fields.  flipped is a boolean
+    length-N mask (True = spin flipped), giving a float, or an S x N
+    mask, giving the S sums.  Exactly -inf when any factor vanishes.
+
+    The order is load-bearing: ``engine.pattern_log_weights`` builds
+    every enumerated pattern's sum in the same order, starting from 0.
+    So a sampled or single-pattern u equals the enumerated u of its
+    pattern bit for bit, which the sampler-vs-enumeration KS check
+    (acceptance criterion 3) relies on.  A pairwise ``np.sum`` rounds
+    differently from N = 8 on.
     """
-    return float(np.sum(np.where(flipped, profile.log_flip, profile.log_keep)))
+    flipped = np.asarray(flipped, dtype=bool)
+    total = np.zeros(flipped.shape[:-1])
+    for i in range(flipped.shape[-1]):
+        total += np.where(flipped[..., i], profile.log_flip[i], profile.log_keep[i])
+    return float(total) if total.ndim == 0 else total
 
 
 def log_branch_weight(params: ModelParams, branch: str, t: float, pattern: FlipPattern) -> float:

@@ -107,6 +107,28 @@ def u_from_x(x):
         return 1.0 / (1.0 + np.exp(x))
 
 
+def _pattern_logit(
+    params: ModelParams, alphas: SystemAmplitudes, t: float, pattern: FlipPattern
+) -> float:
+    """x = log(w_down W_down) - log(w_up W_up) of one flip pattern at time t.
+
+    The branch totals are mixed as ``enumerate_block`` mixes them, so
+    ``u_from_x(x)`` is the enumerated u of the pattern bit for bit.  x is
+    NaN exactly when both totals are -inf; that raises
+    DegenerateOutcomeError.
+    """
+    if len(pattern) != params.n_env:
+        raise ValueError("pattern length does not match environment size")
+    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
+    flipped = pattern.flipped
+    x = (lw_down + pattern_log_weight(down, flipped)) - (lw_up + pattern_log_weight(up, flipped))
+    if math.isnan(x):
+        raise DegenerateOutcomeError(
+            f"both branch weights vanish for this pattern at t={t}", t=t
+        )
+    return x
+
+
 def pattern_projection(
     params: ModelParams, alphas: SystemAmplitudes, t: float, pattern: FlipPattern
 ) -> float:
@@ -115,16 +137,7 @@ def pattern_projection(
     Raises DegenerateOutcomeError when both branch weights are exactly
     zero (a measure-zero set of times); never returns NaN.
     """
-    if len(pattern) != params.n_env:
-        raise ValueError("pattern length does not match environment size")
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
-    total_up = lw_up + pattern_log_weight(up, pattern.flipped)
-    total_down = lw_down + pattern_log_weight(down, pattern.flipped)
-    if math.isinf(total_up) and math.isinf(total_down):
-        raise DegenerateOutcomeError(
-            f"both branch weights vanish for this pattern at t={t}", t=t
-        )
-    return float(u_from_x(total_down - total_up))
+    return float(u_from_x(_pattern_logit(params, alphas, t, pattern)))
 
 
 def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarray:
@@ -137,12 +150,12 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
     equals a spin-by-spin loop bit for bit; -inf factors stay -inf (no
     +inf term exists, so inf - inf never occurs).
 
-    The left-to-right order is load-bearing: ``_sample_chunk`` sums a
-    drawn pattern's logs in the same order, so a sampled u coincides
-    bit for bit with the enumerated u of its pattern, which the
-    sampler-vs-enumeration KS check (acceptance criterion 3) relies on.
-    A split into two half-patterns (meet in the middle) rounds
-    differently and must change the sampler's sum with it.
+    The left-to-right order is load-bearing: ``core.pattern_log_weight``
+    sums a sampled or single pattern's logs in the same order, so its u
+    coincides bit for bit with the enumerated u of the pattern, which
+    the sampler-vs-enumeration KS check (acceptance criterion 3) relies
+    on.  A split into two half-patterns (meet in the middle) rounds
+    differently and must change that sum with it.
     """
     t, n = log_keep.shape
     acc = np.empty((t, 1 << n))
@@ -320,16 +333,11 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     up, down, lw_up, lw_down = branches
-    n = up.flip.size
     branch_up = rng.random(size) < alphas.w_up
     flip_prob = np.where(branch_up[:, None], up.flip[None, :], down.flip[None, :])
-    flips = rng.random((size, n)) < flip_prob
-    log_wu = np.zeros(size)
-    log_wd = np.zeros(size)
-    for i in range(n):
-        col = flips[:, i]
-        log_wu += np.where(col, up.log_flip[i], up.log_keep[i])
-        log_wd += np.where(col, down.log_flip[i], down.log_keep[i])
+    flips = rng.random((size, up.flip.size)) < flip_prob
+    log_wu = pattern_log_weight(up, flips)
+    log_wd = pattern_log_weight(down, flips)
     return u_from_x((lw_down + log_wd) - (lw_up + log_wu))
 
 
@@ -400,39 +408,27 @@ def wavefunction_of_pattern(
 
     Unlike the squared weights, the complex branch amplitudes carry
     phases that depend on the initial orientations (each kept spin
-    contributes cos - i a s_j sin / omega).  Amplitude magnitudes are
-    assembled from logs so the result stays finite at large N.
+    contributes cos - i a s_j sin / omega).  The magnitudes are the
+    square roots of ``u_from_x`` at x and -x, with x the pattern's
+    minus-logit from log weights, so they stay finite at large N and
+    |phi_up|^2 is ``pattern_projection`` to a few ulp.
     """
     n = params.n_env
     spins = np.asarray(list(initial_spins), dtype=int)
     if spins.shape != (n,) or not np.all(np.abs(spins) == 1):
         raise ValueError("initial spins must be N values of +1/-1")
-    if len(pattern) != n:
-        raise ValueError("pattern length does not match environment size")
+    x = _pattern_logit(params, alphas, t, pattern)
 
-    def branch_log_and_phase(branch):
-        log_mag2 = pattern_log_weight(branch_flip_profile(params, branch, t), pattern.flipped)
+    def branch_phase(branch):
         phase = 0.0
         for j in range(1, n + 1):
             g = spin_amplitude(params, branch, j, t, int(spins[j - 1]), bool(pattern.flipped[j - 1]))
             if g != 0:
                 phase += math.atan2(g.imag, g.real)
-        return log_mag2, phase
+        return complex(math.cos(phase), math.sin(phase))
 
-    log_u2, phase_u = branch_log_and_phase("up")
-    log_d2, phase_d = branch_log_and_phase("down")
-    total_up = (math.log(alphas.w_up) if alphas.w_up > 0 else -math.inf) + log_u2
-    total_down = (math.log(alphas.w_down) if alphas.w_down > 0 else -math.inf) + log_d2
-    if math.isinf(total_up) and math.isinf(total_down):
-        raise DegenerateOutcomeError(
-            f"both branch amplitudes vanish for this outcome at t={t}", t=t
-        )
-    ref = max(total_up, total_down)
-    au = math.sqrt(math.exp(total_up - ref)) if total_up > -math.inf else 0.0
-    ad = math.sqrt(math.exp(total_down - ref)) if total_down > -math.inf else 0.0
-    norm = math.hypot(au, ad)
-    up_amp = (au / norm) * complex(math.cos(phase_u), math.sin(phase_u))
-    down_amp = (ad / norm) * complex(math.cos(phase_d), math.sin(phase_d))
+    up_amp = math.sqrt(u_from_x(x)) * branch_phase("up")
+    down_amp = math.sqrt(u_from_x(-x)) * branch_phase("down")
     phase_up_coeff = alphas.a_up / abs(alphas.a_up) if alphas.a_up != 0 else 1.0
     phase_down_coeff = alphas.a_down / abs(alphas.a_down) if alphas.a_down != 0 else 1.0
     return np.array([up_amp * phase_up_coeff, down_amp * phase_down_coeff], dtype=complex)

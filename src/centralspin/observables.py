@@ -9,7 +9,7 @@ closed), and as a surviving superposition otherwise.  P_q is defined as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -69,9 +69,23 @@ def class_probabilities(
     return p_up, p_down, max(0.0, 1.0 - p_up - p_down)
 
 
+def _check_grid(times: np.ndarray) -> None:
+    """A time grid must be 1-D, finite and strictly increasing."""
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
+
+
 @dataclass
 class ObservableSeries:
-    """Evolution of (P_up, P_down, P_q) over a strictly increasing time grid."""
+    """Evolution of (P_up, P_down, P_q) over a strictly increasing time grid.
+
+    dropped counts the atoms the grid's distributions dropped, and
+    retries lists each degenerate point's (t, t one ulp later).
+    """
 
     times: np.ndarray
     p_up: np.ndarray
@@ -83,13 +97,14 @@ class ObservableSeries:
     alphas: SystemAmplitudes
     sample_count: int | None = None
     seed: int | None = None
+    dropped: int = 0
+    retries: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
         m = self.times.size
         if not (self.p_up.size == self.p_down.size == self.p_q.size == m):
             raise ValueError("series arrays must have equal length")
-        if m > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
+        _check_grid(self.times)
         total = self.p_up + self.p_down + self.p_q
         if m and np.max(np.abs(total - 1.0)) > 1e-9:
             raise ValueError("class probabilities must sum to one")
@@ -271,16 +286,7 @@ def distribution_at(
     return prepared(t, seed)
 
 
-@dataclass
-class GridEvaluation:
-    """A grid's series, its dropped-atom count and its degenerate retries (t, t one ulp later)."""
-
-    series: ObservableSeries
-    dropped: int
-    retries: list[tuple[float, float]]
-
-
-def evaluate_grid(
+def time_series(
     params: ModelParams,
     alphas: SystemAmplitudes,
     times,
@@ -291,23 +297,31 @@ def evaluate_grid(
     workers: int = 1,
     *,
     prepared=None,
-) -> GridEvaluation:
-    """Class probabilities over a time grid, with dropped atoms and degenerate retries.
+) -> ObservableSeries:
+    """Class probabilities over a time grid; deterministic under a fixed seed.
 
-    Exact enumeration evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N)
-    consecutive times at once and classifies each atom by comparing
-    x = -logit(u) with ``logit_cutoffs(eps)``.  The other methods are prepared once per
-    grid by ``prepare`` (or share the point function ``prepared`` that
-    the caller made for the same run) and then go through
-    ``distribution_at`` one point at a time, sampled with the stream
-    ``point_seed(seed, i)`` of point i.  A point that raises
+    The one grid evaluator, which ``cli run`` uses too.  The grid is
+    checked (1-D, finite, strictly increasing) before any point is
+    evaluated.  Exact enumeration evaluates blocks of
+    max(1, GRID_BLOCK_ATOMS >> N) consecutive times at once and
+    classifies each atom by comparing x = -logit(u) with
+    ``logit_cutoffs(eps)``: every atom gets the class per-point
+    ``distribution_at`` + ``class_probabilities`` give it, and the
+    masses are within a few ulp of theirs.  The other methods are
+    prepared once per grid by ``prepare`` (or share the point function
+    ``prepared`` that the caller made for the same run) and then go
+    through ``distribution_at`` one point at a time, sampled with the
+    stream ``point_seed(seed, i)`` of point i, so the series does not
+    depend on evaluation order or worker count.  A point that raises
     DegenerateOutcomeError (both branch weights exactly zero) is
     re-evaluated one float ulp later and the pair (t, bumped) is logged
-    in ``retries``; degenerate again, it raises with its grid time
-    attached.  Exact blocks drop zero-weight atoms and never raise it.
+    in the series' ``retries``; degenerate again, it raises with its
+    grid time attached.  Exact blocks drop zero-weight atoms and never
+    raise it.
     """
     validate_error_threshold(eps)
     times = np.asarray(times, dtype=float)
+    _check_grid(times)
     masses = np.empty((3, times.size))
     dropped = 0
     retries: list[tuple[float, float]] = []
@@ -341,36 +355,10 @@ def evaluate_grid(
             masses[:, i] = class_probabilities(dist, eps)
             dropped += dist.dropped
     sampled = method == "sampled"
-    series = ObservableSeries(
+    return ObservableSeries(
         times, masses[0], masses[1], masses[2], eps, method, params, alphas,
-        samples if sampled else None, seed if sampled else None,
+        samples if sampled else None, seed if sampled else None, dropped, retries,
     )
-    return GridEvaluation(series, dropped, retries)
-
-
-def time_series(
-    params: ModelParams,
-    alphas: SystemAmplitudes,
-    times,
-    eps: float = DEFAULT_EPSILON,
-    method: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> ObservableSeries:
-    """Class probabilities over a time grid; deterministic under a fixed seed.
-
-    The series of ``evaluate_grid``, the evaluator ``cli run`` uses too:
-    exact enumeration runs over blocks of times, with the same class for
-    every atom as per-point ``distribution_at`` + ``class_probabilities``
-    and masses within a few ulp of theirs.
-    Sampled points use per-point streams derived from (seed, index) so
-    the series does not depend on evaluation order or worker count.  A
-    degenerate grid point is re-evaluated one float ulp later; if it is
-    degenerate again, DegenerateOutcomeError propagates with its time
-    attached.
-    """
-    return evaluate_grid(params, alphas, times, eps, method, samples, seed, workers).series
 
 
 def revival_times(params: ModelParams, m_max: int):

@@ -86,13 +86,9 @@ def check_branch_totals(seed: int) -> CheckResult:
         n = int(rng.integers(2, 13))
         params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=tuple(rng.uniform(-1, 1, n)))
         t = float(rng.uniform(0, 200))
-        codes = np.arange(2**n)
         for branch in ("up", "down"):
-            prof = branch_flip_profile(params, branch, t)
-            logw = np.zeros(2**n)
-            for i in range(n):
-                bit = ((codes >> i) & 1).astype(bool)
-                logw += np.where(bit, prof.log_flip[i], prof.log_keep[i])
+            prof = branch_flip_profile(params, branch, np.array([t]))
+            logw = engine.pattern_log_weights(prof.log_keep, prof.log_flip)
             total = float(np.sum(np.exp(logw)))
             worst = max(worst, abs(total - 1.0))
     return CheckResult(

@@ -216,29 +216,23 @@ def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (f != 0.0)[:, None] & ~(g <= G_FLOOR)
 
 
-def _sector_propagators(
-    params: ModelParams, t: float, cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i tau H) restricted to the system-up and system-down sectors."""
-    tau = params.elapsed(t)
-    propagators = []
-    for spectrum in sector_spectra(params, cap):
-        c, s = _cos_sin(spectrum, tau)
-        u = np.empty(c.shape, dtype=complex)
-        u.real = c
-        u.imag = -s
-        propagators.append(u)
-    return propagators[0], propagators[1]
-
-
 def _evolved_blocks(
     params: ModelParams, alphas: SystemAmplitudes, t: float, cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Up and down components of exp(-i tau H)|phi>|n>, indexed [n_final, n_initial]."""
-    up, down = _sector_propagators(params, t, cap)
-    up *= alphas.a_up
-    down *= alphas.a_down
-    return up, down
+    """Up and down components of exp(-i tau H)|phi>|n>, indexed [n_final, n_initial].
+
+    Each is a_S times the sector propagator U_s = C - i S.
+    """
+    tau = params.elapsed(t)
+    blocks = []
+    for spectrum, amplitude in zip(sector_spectra(params, cap), (alphas.a_up, alphas.a_down)):
+        c, s = _cos_sin(spectrum, tau)
+        block = np.empty(c.shape, dtype=complex)
+        block.real = c
+        block.imag = -s
+        block *= amplitude
+        blocks.append(block)
+    return blocks[0], blocks[1]
 
 
 def trajectory_ensemble(

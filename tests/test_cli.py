@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from centralspin import selfcheck
 from centralspin.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -321,3 +322,14 @@ class TestMain:
         assert main(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--samples", "0"], "samples"), (["--samples", "-3"], "samples"), (["--seed", "-1"], "seed")],
+    )
+    def test_oracle_check_bad_argument_exit_1(self, monkeypatch, capsys, flags, key):
+        calls = []
+        monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
+        assert main(["oracle-check", *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+        assert calls == []

@@ -18,6 +18,7 @@ from centralspin.core import (
     dispersed_couplings,
     last_dispersed_coupling,
     log_branch_weight,
+    pattern_log_weight,
     spin_amplitude,
     spin_spectral,
 )
@@ -249,6 +250,19 @@ class TestLogBranchWeight:
         p = ModelParams(delta=0.0, h=(0.3,))
         with pytest.raises(ValueError):
             log_branch_weight(p, "up", 1.0, FlipPattern([1, 1]))
+
+    @pytest.mark.parametrize("n", [1, 8, 13, 80])
+    def test_mask_block_equals_single_masks_bitwise(self, n):
+        rng = np.random.default_rng(70 + n)
+        p = ModelParams(delta=0.1, h=dispersed_couplings(0.01, 0.3, n))
+        profile = branch_flip_profile(p, "down", 41.3)
+        masks = rng.random((20, n)) < 0.5
+        masks[0] = False
+        got = pattern_log_weight(profile, masks)
+        assert got.shape == (20,)
+        for row, mask in zip(got, masks):
+            one = pattern_log_weight(profile, mask)
+            assert isinstance(one, float) and row == one
 
 
 class TestFlipPattern:

@@ -12,7 +12,9 @@ from centralspin.core import (
     FlipPattern,
     ModelParams,
     SystemAmplitudes,
+    branch_flip_profile,
     dispersed_couplings,
+    log_branch_weight,
 )
 from centralspin import engine
 from centralspin.engine import (
@@ -332,6 +334,49 @@ class TestWavefunction:
         a = SystemAmplitudes.from_up_weight(0.4)
         with pytest.raises(DegenerateOutcomeError):
             wavefunction_of_pattern(p, a, 1.0, (1,), FlipPattern([-1]))
+
+
+def _random_patterns(n, rng):
+    """A random point at N spins, its enumeration, and 20 of its kept pattern codes."""
+    p = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=tuple(rng.uniform(-1, 1, n)))
+    a = SystemAmplitudes.from_up_weight(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 6)))
+    t = float(rng.uniform(0, 200))
+    dist = enumerate_outcomes(p, a, t)
+    return p, a, t, dist, rng.choice(dist.u.size, 20, replace=False)
+
+
+class TestOneKernel:
+    """Single-pattern routes sum the pattern's logs as enumeration does."""
+
+    @pytest.mark.parametrize("n", range(8, 14))
+    def test_single_pattern_routes_equal_enumeration_bitwise(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(4):
+            p, a, t, dist, picks = _random_patterns(n, rng)
+            logs = {}
+            for branch in ("up", "down"):
+                prof = branch_flip_profile(p, branch, np.array([t]))
+                logs[branch] = pattern_log_weights(prof.log_keep, prof.log_flip)[0]
+            for i in picks:
+                code = int(dist.pattern_codes[i])
+                pat = FlipPattern.from_code(code, n)
+                assert pattern_projection(p, a, t, pat) == dist.u[i]
+                for branch, log_w in logs.items():
+                    assert log_branch_weight(p, branch, t, pat) == log_w[code]
+
+    @pytest.mark.parametrize("n", range(8, 14))
+    def test_wavefunction_magnitudes_match_projection(self, n):
+        rng = np.random.default_rng(600 + n)
+        for _ in range(2):
+            p, a, t, dist, picks = _random_patterns(n, rng)
+            for i in picks:
+                pat = FlipPattern.from_code(int(dist.pattern_codes[i]), n)
+                spins = tuple(int(s) for s in rng.choice([-1, 1], n))
+                phi = wavefunction_of_pattern(p, a, t, spins, pat)
+                u = pattern_projection(p, a, t, pat)
+                # Two ulp of 1: u is at most 1.
+                assert abs(abs(phi[0]) ** 2 - u) <= 2 * np.finfo(float).eps
+                assert abs(np.linalg.norm(phi) - 1.0) <= 1e-15
 
 
 class TestMergeByU:

@@ -24,7 +24,6 @@ from centralspin.observables import (
     class_probabilities,
     classify,
     distribution_at,
-    evaluate_grid,
     first_collapse_time,
     histogram,
     revival_times,
@@ -154,6 +153,35 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             time_series(p, ALPHAS, [2.0, 1.0], method="exact")
 
+    @pytest.mark.parametrize(
+        "method, times, message",
+        [
+            ("binomial", [[1.0, 2.0], [3.0, 4.0]], "1-D"),
+            ("exact", [[1.0, 2.0]], "1-D"),
+            ("exact", [1.0, math.nan, 3.0], "finite"),
+            ("binomial", [1.0, math.nan], "finite"),
+            ("sampled", [1.0, math.inf], "finite"),
+            ("exact", [1.0, 3.0, 2.0], "increasing"),
+            ("binomial", [1.0, 2.0, 2.0], "increasing"),
+        ],
+    )
+    def test_bad_grid_rejected_before_any_point(self, monkeypatch, method, times, message):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(obs, "distribution_at", counted(obs.distribution_at))
+        monkeypatch.setattr(engine, "enumerate_block", counted(engine.enumerate_block))
+        p = ModelParams(delta=0.0, h=(0.01,) * 4)
+        with pytest.raises(ValueError, match=message):
+            time_series(p, ALPHAS, times, method=method, samples=100)
+        assert calls == []
+
 
 def _per_point(params, alphas, times, method, eps=1e-3):
     """Reference: one distribution_at + class_probabilities per grid point."""
@@ -232,12 +260,12 @@ class TestGridEvaluator:
         # Block rows are independent: many times per block give the series of one time per block.
         times, cases = _exact_grid_cases(n)
         for params, alphas in cases:
-            grid = evaluate_grid(params, alphas, times, method="exact")
+            grid = time_series(params, alphas, times, method="exact")
             with monkeypatch.context() as patch:
                 patch.setattr(obs, "GRID_BLOCK_ATOMS", 1 << n)
-                single = evaluate_grid(params, alphas, times, method="exact")
+                single = time_series(params, alphas, times, method="exact")
             for name in ("p_up", "p_down", "p_q"):
-                assert np.array_equal(getattr(grid.series, name), getattr(single.series, name))
+                assert np.array_equal(getattr(grid, name), getattr(single, name))
             assert grid.dropped == single.dropped and grid.retries == single.retries == []
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
@@ -246,10 +274,9 @@ class TestGridEvaluator:
         c_up, c_down = obs.logit_cutoffs(eps)
         times, cases = _exact_grid_cases(n)
         for params, alphas in cases:
-            grid = evaluate_grid(params, alphas, times, eps, method="exact")
+            s = time_series(params, alphas, times, eps, method="exact")
             (p_up, p_down, p_q), dropped = _per_point(params, alphas, times, "exact", eps)
-            assert grid.dropped == dropped and grid.retries == []
-            s = grid.series
+            assert s.dropped == dropped and s.retries == []
             for got, want in ((s.p_up, p_up), (s.p_down, p_down), (s.p_q, p_q)):
                 assert np.max(np.abs(got - want)) <= 1e-15
             exact_up, exact_down = np.empty(times.size), np.empty(times.size)
@@ -269,12 +296,11 @@ class TestGridEvaluator:
     def test_binomial_n80_equals_per_point(self):
         params = ModelParams(delta=0.1, h=(0.02,) * 80)
         times = np.concatenate(([0.0], np.linspace(1.0, 600.0, 40)))
-        grid = evaluate_grid(params, ALPHAS, times, method="binomial")
+        s = time_series(params, ALPHAS, times, method="binomial")
         dists = [binomial_outcomes(params, ALPHAS, float(t)) for t in times]
         want = np.array([class_probabilities(d) for d in dists]).T
-        s = grid.series
         assert np.array_equal(np.stack((s.p_up, s.p_down, s.p_q)), want)
-        assert grid.dropped == sum(d.dropped for d in dists)
+        assert s.dropped == sum(d.dropped for d in dists)
 
     @pytest.mark.parametrize(
         "config",
@@ -318,7 +344,7 @@ class TestGridEvaluator:
 
         monkeypatch.setattr(obs, "distribution_at", counted)
         times = np.linspace(0.5, 30.5, 7)
-        evaluate_grid(params, ALPHAS, times, method=method, samples=500)
+        time_series(params, ALPHAS, times, method=method, samples=500)
         assert seen == times.tolist()
 
     def test_degenerate_point_retried_in_time_series(self, monkeypatch):
@@ -343,8 +369,7 @@ class TestGridEvaluator:
         want = time_series(params, ALPHAS, [bumped], method="binomial")
         assert series.p_q[2] == want.p_q[0]
         assert np.array_equal(series.times, times)
-        grid = evaluate_grid(params, ALPHAS, times, method="binomial")
-        assert grid.retries == [(poisoned, bumped)]
+        assert series.retries == [(poisoned, bumped)]
 
     def test_point_degenerate_twice_raises_with_its_time(self, monkeypatch):
         def always(*run):

@@ -11,10 +11,10 @@ from centralspin.core import (
     dispersed_couplings,
 )
 from centralspin.engine import ProjectionDistribution, enumerate_outcomes
-from centralspin.observables import class_probabilities, distribution_at, evaluate_grid
+from centralspin.observables import class_probabilities, distribution_at, time_series
 from centralspin.universe import (
     TrajectoryOutcome,
-    _sector_propagators,
+    _evolved_blocks,
     build_hamiltonian,
     env_basis_state,
     pattern_between,
@@ -250,12 +250,13 @@ class TestSectorPropagation:
     def test_matches_full_propagator(self, n):
         rng = np.random.default_rng(40 + n)
         p = ModelParams(delta=float(rng.uniform(-1, 1)), h=tuple(rng.uniform(-1, 1, n)))
+        a = SystemAmplitudes.from_up_weight(float(rng.uniform(0, 1)), float(rng.uniform(0, 6)))
         m = 2**n
         for t in (0.0, 0.7, 13.0):
             full = full_propagator(p, t)
-            up, down = _sector_propagators(p, t, universe.DEFAULT_CAP)
-            assert np.max(np.abs(full[:m, :m] - up)) <= 1e-12
-            assert np.max(np.abs(full[m:, m:] - down)) <= 1e-12
+            up, down = _evolved_blocks(p, a, t, universe.DEFAULT_CAP)
+            assert np.max(np.abs(a.a_up * full[:m, :m] - up)) <= 1e-12
+            assert np.max(np.abs(a.a_down * full[m:, m:] - down)) <= 1e-12
             assert np.max(np.abs(full[:m, m:])) <= 1e-12
             assert np.max(np.abs(full[m:, :m])) <= 1e-12
 
@@ -359,7 +360,7 @@ class TestGridPath:
     @pytest.mark.parametrize("params, w_up", GRID_CASES, ids=lambda c: getattr(c, "n_env", c))
     def test_series_matches_trajectory_ensemble(self, params, w_up):
         a = SystemAmplitudes.from_up_weight(w_up, 0.8)
-        s = evaluate_grid(params, a, GRID_TIMES, method="exact-universe").series
+        s = time_series(params, a, GRID_TIMES, method="exact-universe")
         want = np.array([ensemble_masses(params, a, t) for t in GRID_TIMES]).T
         assert np.max(np.abs(np.stack((s.p_up, s.p_down, s.p_q)) - want)) <= 1e-12
 
@@ -386,5 +387,5 @@ class TestGridPath:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         params, w_up = GRID_CASES[3]
         a = SystemAmplitudes.from_up_weight(w_up)
-        evaluate_grid(params, a, GRID_TIMES, method="exact-universe")
+        time_series(params, a, GRID_TIMES, method="exact-universe")
         assert calls == [(32, 32), (32, 32)]

@@ -37,6 +37,10 @@ BRANCHES = ("up", "down")
 
 NORM_TOL = 1e-12
 
+# Float64 elements in one block of scratch: the per-spin log terms of
+# ``pattern_log_weight`` and the sampler's rows of uniforms (512 KiB).
+LOG_SUM_BLOCK = 1 << 16
+
 
 class EnvironmentTooLarge(ValueError):
     """Exact construction refused beyond the configured environment-size cap."""
@@ -104,8 +108,11 @@ class ModelParams:
         return np.asarray(self.h, dtype=float)
 
     def elapsed(self, t):
-        """t - t0 for one time or an array of times; no time may precede t0."""
+        """t - t0 for one time or an array of times: finite, and none may precede t0."""
         tau = t - self.t0
+        finite = np.isfinite(tau)
+        if not np.all(finite):
+            raise ValueError(f"t - t0 must be finite, got {np.asarray(tau)[~finite].flat[0]}")
         if np.any(tau < 0):
             raise ValueError(f"t={np.min(t)} precedes the initial time t0={self.t0}")
         return tau
@@ -300,18 +307,37 @@ def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float | np.
     length-N mask (True = spin flipped), giving a float, or an S x N
     mask, giving the S sums.  Exactly -inf when any factor vanishes.
 
+    The sums run spin-major: spin i's S log terms are one row, and the
+    rows are added into a running total that starts at 0.  A row is
+    chosen exactly on the int64 bits of the two logs (keep bits, XOR the
+    keep-flip difference where the spin flipped), so -inf needs no
+    special case.  The rows are built in blocks of about LOG_SUM_BLOCK
+    elements (at least one row of S), so the scratch does not grow with N.  An S x N mask is
+    transposed once; a spin-major one (the transpose of a C-ordered
+    N x S array, as the sampler passes) is used without a copy.
+
     The order is load-bearing: ``engine.pattern_log_weights`` builds
     every enumerated pattern's sum in the same order, starting from 0.
     So a sampled or single-pattern u equals the enumerated u of its
     pattern bit for bit, which the sampler-vs-enumeration KS check
-    (acceptance criterion 3) relies on.  A pairwise ``np.sum`` rounds
-    differently from N = 8 on.
+    (acceptance criterion 3) relies on.  A pairwise ``np.sum`` or an
+    ``np.add.reduce`` over the spins rounds differently from N = 8 on.
     """
     flipped = np.asarray(flipped, dtype=bool)
-    total = np.zeros(flipped.shape[:-1])
-    for i in range(flipped.shape[-1]):
-        total += np.where(flipped[..., i], profile.log_flip[i], profile.log_keep[i])
-    return float(total) if total.ndim == 0 else total
+    spin_major = flipped[:, None] if flipped.ndim == 1 else np.ascontiguousarray(flipped.T)
+    n, s = spin_major.shape
+    keep_bits = profile.log_keep.view(np.int64)
+    toggle = keep_bits ^ profile.log_flip.view(np.int64)
+    k = max(1, min(n, LOG_SUM_BLOCK // s))
+    bits = np.empty((k, s), dtype=np.int64)
+    total = np.zeros(s)
+    for i in range(0, n, k):
+        rows = bits[: min(k, n - i)]
+        np.multiply(spin_major[i : i + k], toggle[i : i + k, None], out=rows)
+        rows ^= keep_bits[i : i + k, None]
+        for row in rows.view(np.float64):
+            total += row
+    return float(total[0]) if flipped.ndim == 1 else total
 
 
 def log_branch_weight(params: ModelParams, branch: str, t: float, pattern: FlipPattern) -> float:

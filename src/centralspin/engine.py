@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LOG_SUM_BLOCK,
     EnvironmentTooLarge,
     FlipPattern,
     ModelParams,
@@ -329,15 +330,33 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
     branches is the point's ``_log_branch_pair``.  The chunk stream is
     PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(chunk_index,));
     within a chunk the draw order is fixed: ``size`` uniforms pick the
-    mixture branch, then a (size, N) uniform block picks the flips.
+    mixture branch, then size x N uniforms, row by row, pick the flips.
+    The flip uniforms are drawn into a reused block of rows (about
+    LOG_SUM_BLOCK floats), each row's flip probabilities are gathered
+    from the two branch profiles by its branch index, and the compare
+    goes into one spin-major N x size bool mask that both branch
+    log-sums (``core.pattern_log_weight``) read.  So the scratch is one
+    byte per (sample, spin) plus a few blocks, and every draw and u is
+    the one a whole (size, N) block of uniforms would give.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     up, down, lw_up, lw_down = branches
-    branch_up = rng.random(size) < alphas.w_up
-    flip_prob = np.where(branch_up[:, None], up.flip[None, :], down.flip[None, :])
-    flips = rng.random((size, up.flip.size)) < flip_prob
-    log_wu = pattern_log_weight(up, flips)
-    log_wd = pattern_log_weight(down, flips)
+    n = up.flip.size
+    branch = (rng.random(size) < alphas.w_up).view(np.uint8)
+    flip_table = np.stack((down.flip, up.flip))
+    rows = max(1, min(size, LOG_SUM_BLOCK // n))
+    draws = np.empty((rows, n))
+    flip_prob = np.empty((rows, n))
+    block = np.empty((rows, n), dtype=bool)
+    flips = np.empty((n, size), dtype=bool)
+    for start in range(0, size, rows):
+        m = min(rows, size - start)
+        rng.random(out=draws[:m])
+        np.take(flip_table, branch[start : start + m], axis=0, out=flip_prob[:m], mode="clip")
+        np.less(draws[:m], flip_prob[:m], out=block[:m])
+        flips[:, start : start + m] = block[:m].T
+    log_wu = pattern_log_weight(up, flips.T)
+    log_wd = pattern_log_weight(down, flips.T)
     return u_from_x((lw_down + log_wd) - (lw_up + log_wu))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -143,6 +143,7 @@ def _last_passing(test, lo: float, hi: float) -> float:
     return float(np.copysign(np.abs(np.int64(lo_key)).view(np.float64), lo_key))
 
 
+@lru_cache(maxsize=16)
 def logit_cutoffs(eps: float) -> tuple[float, float]:
     """(c_up, c_down): u >= 1 - eps exactly when x <= c_up, u <= eps exactly when x > c_down.
 
@@ -153,7 +154,7 @@ def logit_cutoffs(eps: float) -> tuple[float, float]:
     count as down, found by searching the floats with the very
     expression of ``u_from_x``.  x = -inf is up and x = +inf is down; a
     NaN x (both branch weights zero) is neither.  The search takes about
-    0.4 ms; a grid runs it once.
+    0.4 ms; the result is memoized per eps for the life of the process.
     """
     validate_error_threshold(eps)
     # u(-800) = 1 and u(-0.0) = 0.5 < 1 - eps; u(0) = 0.5 > eps and u(710) = 0.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from centralspin.core import (
+    LOG_SUM_BLOCK,
     FlipPattern,
     ModelParams,
     SystemAmplitudes,
@@ -71,6 +72,16 @@ class TestModelParams:
         p = ModelParams(delta=0.0, h=(0.1,), t0=2.0)
         with pytest.raises(ValueError):
             p.elapsed(1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_elapsed_rejects_nonfinite(self, t):
+        p = ModelParams(delta=0.0, h=(0.1,), t0=2.0)
+        with pytest.raises(ValueError, match="finite"):
+            p.elapsed(t)
+        with pytest.raises(ValueError, match="finite"):
+            p.elapsed(np.array([3.0, t]))
+        with pytest.raises(ValueError, match="finite"):
+            branch_flip_profile(p, "up", t)
 
 
 class TestSystemAmplitudes:
@@ -263,6 +274,25 @@ class TestLogBranchWeight:
         for row, mask in zip(got, masks):
             one = pattern_log_weight(profile, mask)
             assert isinstance(one, float) and row == one
+
+    @pytest.mark.parametrize("n, samples", [(90, 1500), (3, 50_000)])
+    def test_spin_blocks_and_layouts_agree_row_by_row(self, n, samples):
+        # Both shapes span several blocks of LOG_SUM_BLOCK terms; the first
+        # spin is frozen on the down branch (delta = 0, h_1 = 0), so its
+        # flip log is -inf.
+        assert n * samples > 2 * LOG_SUM_BLOCK
+        rng = np.random.default_rng(n)
+        p = ModelParams(delta=0.0, h=(0.0,) + dispersed_couplings(0.02, 0.5, n)[1:])
+        profile = branch_flip_profile(p, "down", 77.7)
+        assert profile.log_flip[0] == -math.inf
+        masks = rng.random((samples, n)) < 0.3
+        masks[: samples // 2, 0] = False
+        got = pattern_log_weight(profile, masks)
+        spin_major = pattern_log_weight(profile, np.ascontiguousarray(masks.T).T)
+        assert np.array_equal(got.view(np.int64), spin_major.view(np.int64))
+        assert np.isneginf(got).sum() == np.count_nonzero(masks[:, 0])
+        singles = np.array([pattern_log_weight(profile, mask) for mask in masks])
+        assert np.array_equal(got.view(np.int64), singles.view(np.int64))
 
 
 class TestFlipPattern:

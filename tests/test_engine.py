@@ -1,6 +1,7 @@
 """Trajectory engine: enumeration, binomial reduction, exact sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centralspin.core import (
+    LOG_SUM_BLOCK,
     EnvironmentTooLarge,
     FlipPattern,
     ModelParams,
@@ -291,6 +293,96 @@ class TestSamplerWork:
         pools.clear()
         sample_outcomes(self.P, ALPHAS, 7.0, SAMPLE_CHUNK, seed=9, workers=8)
         assert pools == []
+
+
+def _whole_block_sample_chunk(branches, alphas, seed, chunk_index, size):
+    """Reference: one (size, N) block of flip uniforms and a per-spin np.where log-sum."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+    up, down, lw_up, lw_down = branches
+    branch_up = rng.random(size) < alphas.w_up
+    flip_prob = np.where(branch_up[:, None], up.flip[None, :], down.flip[None, :])
+    flips = rng.random((size, up.flip.size)) < flip_prob
+
+    def log_sum(profile):
+        total = np.zeros(size)
+        for i in range(flips.shape[1]):
+            total += np.where(flips[:, i], profile.log_flip[i], profile.log_keep[i])
+        return total
+
+    return u_from_x((lw_down + log_sum(down)) - (lw_up + log_sum(up)))
+
+
+class TestSampleChunk:
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 40, 80, 200, 1000])
+    def test_equals_whole_block_chunk_bitwise(self, n):
+        rng = np.random.default_rng(500 + n)
+        # (size, t, w_up, frozen): t = 0 gives log_flip = -inf on every spin;
+        # frozen makes spin 1 unable to flip on the down branch (delta = 0, h_1 = 0).
+        shapes = ((1, 0.0, None, False), (1025, None, 0.0, False), (5000, None, 1.0, False),
+                  (4097, None, None, True), (SAMPLE_CHUNK, None, None, False))
+        for size, t, w_up, frozen in shapes:
+            h = dispersed_couplings(rng.uniform(-1, 1), rng.uniform(0, 1), n)
+            delta = 0.0 if frozen else rng.uniform(-1, 1)
+            if frozen:
+                h = (0.0,) + h[1:]
+            p = ModelParams(delta=delta, h=h)
+            a = SystemAmplitudes.from_up_weight(rng.uniform(0, 1) if w_up is None else w_up)
+            branches = engine._log_branch_pair(p, a, rng.uniform(0, 500) if t is None else t)
+            seed, chunk = int(rng.integers(2**32)), int(rng.integers(100))
+            got = engine._sample_chunk(branches, a, seed, chunk, size)
+            want = _whole_block_sample_chunk(branches, a, seed, chunk, size)
+            assert got.shape == (size,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_every_sampled_u_is_an_enumerated_u(self):
+        p = ModelParams(delta=0.05, h=dispersed_couplings(0.01, 0.3, 10))
+        for t in (0.0, 35.0, 210.0):
+            exact = enumerate_outcomes(p, ALPHAS, t)
+            sampled = sample_outcomes(p, ALPHAS, t, 2 * SAMPLE_CHUNK + 77, seed=11)
+            assert np.all(np.isin(sampled.u.view(np.int64), exact.u.view(np.int64)))
+
+    @pytest.mark.parametrize("n", [80, 1000])
+    def test_peak_of_one_chunk(self, n):
+        # Three LOG_SUM_BLOCK-float blocks (uniforms, flip probabilities, log
+        # terms), one byte per (sample, spin) for the spin-major flip mask, up
+        # to eight chunk-long float arrays, and slack.
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        branches = engine._log_branch_pair(p, ALPHAS, 300.0)
+        engine._sample_chunk(branches, ALPHAS, 5, 2, SAMPLE_CHUNK)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine._sample_chunk(branches, ALPHAS, 5, 2, SAMPLE_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        bound = 3 * 8 * LOG_SUM_BLOCK + SAMPLE_CHUNK * n + 8 * 8 * SAMPLE_CHUNK + 64 * 1024
+        assert peak <= bound
+        assert bound <= 32 * 2**20
+
+
+class TestNonFiniteTimes:
+    P = ModelParams(delta=0.1, h=(0.02, 0.03))
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, t: sample_outcomes(p, ALPHAS, t, 10, seed=0),
+            lambda p, t: enumerate_outcomes(p, ALPHAS, t),
+            lambda p, t: binomial_outcomes(ModelParams(p.delta, p.h[:1] * 2), ALPHAS, t),
+            lambda p, t: pattern_projection(p, ALPHAS, t, FlipPattern([1, -1])),
+        ],
+        ids=["sample", "enumerate", "binomial", "projection"],
+    )
+    def test_rejected(self, call, t):
+        with pytest.raises(ValueError, match="finite") as info:
+            call(self.P, t)
+        assert not isinstance(info.value, DegenerateOutcomeError)
 
 
 class TestWavefunction:

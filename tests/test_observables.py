@@ -214,6 +214,11 @@ class TestLogitCutoffs:
         with pytest.raises(ValueError):
             obs.logit_cutoffs(0.5)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25, 0.4999, 1e-12])
+    def test_cached_equals_a_fresh_search(self, eps):
+        assert obs.logit_cutoffs(eps) == obs.logit_cutoffs.__wrapped__(eps)
+        assert obs.logit_cutoffs(eps) == obs.logit_cutoffs.__wrapped__(eps)
+
 
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])

@@ -43,7 +43,7 @@ class AnalyticCase:
         else:
             if self.params.nu != 0.0:
                 raise ValueError("nu_zero_const_h requires nu = 0 (delta = 1)")
-            if len(set(self.params.h)) != 1:
+            if not self.params.equal_couplings:
                 raise ValueError("nu_zero_const_h requires equal couplings")
 
 

@@ -48,9 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import observables, selfcheck, universe
+from . import engine, observables, selfcheck, universe
 from .core import ModelParams, SystemAmplitudes, dispersed_couplings, last_dispersed_coupling
-from .engine import ENUMERATION_CAP
 from .observables import (
     DEFAULT_EPSILON,
     ObservableSeries,
@@ -113,19 +112,19 @@ class ExperimentConfig:
             raise ConfigError("delta_h: the dispersed couplings overflow")
         if not 0.0 <= self.alpha_up_sq <= 1.0:
             raise ConfigError(f"alpha_up_sq: must lie in [0, 1], got {self.alpha_up_sq}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ConfigError(f"epsilon: must lie in (0, 0.5), got {self.epsilon}")
         if self.beta < 0:
             raise ConfigError("beta: must be non-negative")
         if self.steps < 1:
             raise ConfigError("steps: need at least one grid point")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end: must exceed t_start")
-        g = self.grid()
-        if not np.all(np.isfinite(g)):
-            raise ConfigError("t_end: the grid span overflows")
-        if self.steps > 1 and not np.all(np.diff(g) > 0.0):
-            raise ConfigError("steps: grid points are not strictly increasing at float resolution")
+        key = "epsilon"
+        try:
+            observables.validate_error_threshold(self.epsilon)
+            key = "steps"
+            observables.check_grid(g := self.grid())
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
         if g[0] < 0.0:
             raise ConfigError("t_start: the first grid point precedes the initial time 0")
         if any(t < 0.0 for t in self.hist_times):
@@ -138,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError("workers: must be positive")
         if self.method not in ("auto",) + observables.METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}")
-        if self.method == "exact" and self.n > ENUMERATION_CAP:
-            raise ConfigError(f"method: exact enumeration is capped at n = {ENUMERATION_CAP}")
+        if self.method == "exact" and self.n > engine.ENUMERATION_CAP:
+            raise ConfigError(f"method: exact enumeration is capped at n = {engine.ENUMERATION_CAP}")
         if self.method == "exact-universe" and self.n > universe.DEFAULT_CAP:
             raise ConfigError(f"method: the dense universe is capped at n = {universe.DEFAULT_CAP}")
         if self.method == "binomial" and not self._constant_couplings():
@@ -154,9 +153,9 @@ class ExperimentConfig:
         return last_dispersed_coupling(self.h[0], self.delta_h, self.n)
 
     def _constant_couplings(self) -> bool:
-        """``len(set(self.couplings())) == 1`` without expanding a scalar h."""
+        """``ModelParams.equal_couplings`` of ``params()`` without expanding a scalar h."""
         if len(self.h) == self.n:
-            return len(set(self.h)) == 1
+            return self.h.count(self.h[0]) == self.n
         return self._last_coupling() == self.h[0]
 
     def couplings(self) -> tuple[float, ...]:
@@ -179,7 +178,7 @@ class ExperimentConfig:
             return self.method
         if self.n <= 16:
             return "exact"
-        if len(set(self.couplings())) == 1:
+        if self._constant_couplings():
             return "binomial"
         return "sampled"
 
@@ -294,7 +293,9 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
         "dropped_atoms": series.dropped,
         "degenerate_retries": series.retries,
         "collapse_time_grid": first_collapse_time(series),
-        "collapse_time_note": "first grid time with P_q < 0.01 (operational definition)",
+        "collapse_time_note": (
+            f"first grid time with P_q < {observables.COLLAPSE_THRESHOLD} (operational definition)"
+        ),
     }
     return ResultRecord(
         config=config,

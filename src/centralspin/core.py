@@ -27,6 +27,7 @@ Everything in this module is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -96,6 +97,11 @@ class ModelParams:
         return len(self.h)
 
     @property
+    def equal_couplings(self) -> bool:
+        """True when every h_j equals h_1 (0.0 and -0.0 count as equal)."""
+        return self.h.count(self.h[0]) == self.n_env
+
+    @property
     def mu(self) -> float:
         return (1.0 + self.delta) / 2.0
 
@@ -126,6 +132,8 @@ class SystemAmplitudes:
     a_down: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a_up) and cmath.isfinite(self.a_down)):
+            raise ValueError(f"amplitudes must be finite, got {self.a_up!r}, {self.a_down!r}")
         norm = abs(self.a_up) ** 2 + abs(self.a_down) ** 2
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized: |a|^2 = {norm}")
@@ -135,6 +143,8 @@ class SystemAmplitudes:
         """State with |a_up|^2 = w_up and relative phase on the down amplitude."""
         if not 0.0 <= w_up <= 1.0:
             raise ValueError("up weight must lie in [0, 1]")
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
         return cls(math.sqrt(w_up), math.sqrt(1.0 - w_up) * complex(math.cos(phase), math.sin(phase)))
 
     @property
@@ -169,12 +179,13 @@ class FlipPattern:
     __slots__ = ("d",)
 
     def __init__(self, d: Iterable[int]):
-        arr = np.asarray(list(d) if not isinstance(d, np.ndarray) else d, dtype=np.int8)
+        # Checked before the int8 cast, which would turn 1.5 or 257 into 1.
+        arr = np.asarray(d if isinstance(d, np.ndarray) else list(d))
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("pattern must be a non-empty 1-d sequence")
         if not np.all((arr == 1) | (arr == -1)):
             raise ValueError("pattern entries must be +1 or -1")
-        self.d = arr
+        self.d = arr.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return self.d.size

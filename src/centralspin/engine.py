@@ -59,7 +59,7 @@ class ProjectionDistribution:
 
     kind is 'exact' (one atom per flip pattern), 'binomial' (atoms
     indexed by flip count, equal-u atoms merged) or 'sampled' (every
-    atom carries weight 1/sample_count).  pattern_codes, when present,
+    atom carries weight 1/len).  pattern_codes, when present,
     give the flip pattern of each atom as a bit code (bit i set = spin
     i+1 flipped).  dropped reports atoms removed for carrying weight
     below 1e-300; they are excluded from normalization checks.
@@ -68,8 +68,6 @@ class ProjectionDistribution:
     u: np.ndarray
     weight: np.ndarray
     kind: str
-    sample_count: int | None = None
-    seed: int | None = None
     pattern_codes: np.ndarray | None = None
     flip_counts: np.ndarray | None = None
     dropped: int = 0
@@ -169,7 +167,7 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
 
 
 def enumerate_block(
-    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray, cap: int = ENUMERATION_CAP
+    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
@@ -182,8 +180,8 @@ def enumerate_block(
     half-block temporary while the down weights are added.
     """
     n = params.n_env
-    if n > cap:
-        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {cap} (2^N atoms)")
+    if n > ENUMERATION_CAP:
+        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
     up, down, lw_up, lw_down = _log_branch_pair(params, alphas, times)
     log_wu = pattern_log_weights(up.log_keep, up.log_flip)
     log_wd = pattern_log_weights(down.log_keep, down.log_flip)
@@ -206,7 +204,7 @@ def enumerate_block(
 
 
 def enumerate_outcomes(
-    params: ModelParams, alphas: SystemAmplitudes, t: float, cap: int = ENUMERATION_CAP
+    params: ModelParams, alphas: SystemAmplitudes, t: float
 ) -> ProjectionDistribution:
     """Exact distribution with one atom per flip pattern (2^N of them).
 
@@ -216,7 +214,7 @@ def enumerate_outcomes(
     (including exact zeros) are dropped and counted in ``dropped``.
     This is ``enumerate_block`` on the one-time block [t].
     """
-    x, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t]), cap))
+    x, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t])))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],
@@ -234,7 +232,7 @@ def binomial_log_counts(n: int) -> np.ndarray:
 
 def binomial_spin(params: ModelParams) -> ModelParams:
     """The one-spin model that carries every spin's profile when all h_j are equal."""
-    if params.h.count(params.h[0]) != params.n_env:
+    if not params.equal_couplings:
         raise ValueError("binomial reduction requires all couplings equal")
     return ModelParams(params.delta, params.h[:1], params.beta, params.t0)
 
@@ -288,24 +286,24 @@ def binomial_outcomes(
         flip_counts=k[keep],
         dropped=int(np.count_nonzero(~keep)),
     )
-    return merge_by_u(dist, U_MERGE_TOL)
+    return merge_by_u(dist)
 
 
-def merge_by_u(dist: ProjectionDistribution, tol: float = U_MERGE_TOL) -> ProjectionDistribution:
-    """Merge atoms whose u values coincide within tol (weights add).
+def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:
+    """Merge atoms whose u values coincide within U_MERGE_TOL (weights add).
 
     Sorted by u, a group ends where the next u exceeds the last by more
-    than tol.  The merged u is the weight-weighted mean of the group
-    (its first u when the group weighs nothing).  Pattern codes are
-    discarded (a merged atom has no single pattern); flip counts keep
-    the smallest member.
+    than U_MERGE_TOL = 1e-12.  The merged u is the weight-weighted mean
+    of the group (its first u when the group weighs nothing).  Pattern
+    codes are discarded (a merged atom has no single pattern); flip
+    counts keep the smallest member.
     """
     if dist.u.size == 0:
         return dist
     order = np.argsort(dist.u, kind="stable")
     u_sorted = dist.u[order]
     w_sorted = dist.weight[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(u_sorted) > tol)))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(u_sorted) > U_MERGE_TOL)))
     w_out = np.add.reduceat(w_sorted, starts)
     uw_out = np.add.reduceat(u_sorted * w_sorted, starts)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -317,8 +315,6 @@ def merge_by_u(dist: ProjectionDistribution, tol: float = U_MERGE_TOL) -> Projec
         u=u_out,
         weight=w_out,
         kind=dist.kind,
-        sample_count=dist.sample_count,
-        seed=dist.seed,
         flip_counts=k_out,
         dropped=dist.dropped,
     )
@@ -406,13 +402,8 @@ def sample_outcomes(
             parts = list(pool.map(lambda job: _sample_chunk(branches, alphas, seed, *job), jobs))
     else:
         parts = [_sample_chunk(branches, alphas, seed, c, s) for c, s in jobs]
-    u = np.concatenate(parts)
     return ProjectionDistribution(
-        u=u,
-        weight=np.full(count, 1.0 / count),
-        kind="sampled",
-        sample_count=count,
-        seed=int(seed),
+        u=np.concatenate(parts), weight=np.full(count, 1.0 / count), kind="sampled"
     )
 
 
@@ -433,9 +424,11 @@ def wavefunction_of_pattern(
     |phi_up|^2 is ``pattern_projection`` to a few ulp.
     """
     n = params.n_env
-    spins = np.asarray(list(initial_spins), dtype=int)
-    if spins.shape != (n,) or not np.all(np.abs(spins) == 1):
+    # Checked before the int cast, which would turn 1.5 into 1.
+    spins = np.asarray(list(initial_spins))
+    if spins.shape != (n,) or not np.all((spins == 1) | (spins == -1)):
         raise ValueError("initial spins must be N values of +1/-1")
+    spins = spins.astype(int)
     x = _pattern_logit(params, alphas, t, pattern)
 
     def branch_phase(branch):

@@ -19,6 +19,8 @@ from .core import ModelParams, SystemAmplitudes, spin_spectral
 
 DEFAULT_EPSILON = 1e-3
 HISTOGRAM_BINS = 200
+# A series has collapsed at its first grid time with P_q below this.
+COLLAPSE_THRESHOLD = 0.01
 # Atoms per block of a grid evaluation: exact enumeration evaluates
 # max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
 # spread numpy's per-call cost at small N (8 times at N = 10), while
@@ -59,9 +61,8 @@ def class_probabilities(
     up_mask = dist.u >= 1.0 - eps
     down_mask = dist.u <= eps
     if dist.kind == "sampled":
-        n = dist.sample_count or len(dist)
-        p_up = np.count_nonzero(up_mask) / n
-        p_down = np.count_nonzero(down_mask) / n
+        p_up = np.count_nonzero(up_mask) / len(dist)
+        p_down = np.count_nonzero(down_mask) / len(dist)
     else:
         p_up = float(np.sum(dist.weight[up_mask]))
         p_down = float(np.sum(dist.weight[down_mask]))
@@ -69,7 +70,7 @@ def class_probabilities(
     return p_up, p_down, max(0.0, 1.0 - p_up - p_down)
 
 
-def _check_grid(times: np.ndarray) -> None:
+def check_grid(times: np.ndarray) -> None:
     """A time grid must be 1-D, finite and strictly increasing."""
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
@@ -83,20 +84,17 @@ def _check_grid(times: np.ndarray) -> None:
 class ObservableSeries:
     """Evolution of (P_up, P_down, P_q) over a strictly increasing time grid.
 
-    dropped counts the atoms the grid's distributions dropped, and
-    retries lists each degenerate point's (t, t one ulp later).
+    method is the engine that produced the masses, dropped counts the
+    atoms the grid's distributions dropped, and retries lists each
+    degenerate point's (t, t one ulp later).  The run's other inputs
+    (epsilon, model, sample count, seed) live with its caller.
     """
 
     times: np.ndarray
     p_up: np.ndarray
     p_down: np.ndarray
     p_q: np.ndarray
-    epsilon: float
     method: str
-    params: ModelParams
-    alphas: SystemAmplitudes
-    sample_count: int | None = None
-    seed: int | None = None
     dropped: int = 0
     retries: list[tuple[float, float]] = field(default_factory=list)
 
@@ -104,7 +102,7 @@ class ObservableSeries:
         m = self.times.size
         if not (self.p_up.size == self.p_down.size == self.p_q.size == m):
             raise ValueError("series arrays must have equal length")
-        _check_grid(self.times)
+        check_grid(self.times)
         total = self.p_up + self.p_down + self.p_q
         if m and np.max(np.abs(total - 1.0)) > 1e-9:
             raise ValueError("class probabilities must sum to one")
@@ -322,7 +320,7 @@ def time_series(
     """
     validate_error_threshold(eps)
     times = np.asarray(times, dtype=float)
-    _check_grid(times)
+    check_grid(times)
     masses = np.empty((3, times.size))
     dropped = 0
     retries: list[tuple[float, float]] = []
@@ -355,11 +353,7 @@ def time_series(
                     ) from err
             masses[:, i] = class_probabilities(dist, eps)
             dropped += dist.dropped
-    sampled = method == "sampled"
-    return ObservableSeries(
-        times, masses[0], masses[1], masses[2], eps, method, params, alphas,
-        samples if sampled else None, seed if sampled else None, dropped, retries,
-    )
+    return ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped, retries)
 
 
 def revival_times(params: ModelParams, m_max: int):
@@ -373,7 +367,7 @@ def revival_times(params: ModelParams, m_max: int):
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     m = np.arange(1, m_max + 1, dtype=float)
-    if len(set(params.h)) == 1:
+    if params.equal_couplings:
         omega = spin_spectral(params, "down", 1).omega
         if omega == 0.0:
             return np.empty(0)
@@ -385,14 +379,14 @@ def revival_times(params: ModelParams, m_max: int):
     return out
 
 
-def first_collapse_time(series: ObservableSeries, threshold: float = 0.01):
-    """Operational collapse time: first grid time with P_q below threshold.
+def first_collapse_time(series: ObservableSeries):
+    """Operational collapse time: first grid time with P_q below COLLAPSE_THRESHOLD.
 
     The underlying collapse timescale has no sharp definition; this
     grid-resolution proxy is labeled as such wherever it is reported.
     Returns None when the series never collapses.
     """
-    hits = np.nonzero(series.p_q < threshold)[0]
+    hits = np.nonzero(series.p_q < COLLAPSE_THRESHOLD)[0]
     return float(series.times[hits[0]]) if hits.size else None
 
 
@@ -414,13 +408,13 @@ class ProjectionHistogram:
         return self.mass_zero + self.mass_one + float(np.sum(self.bin_mass))
 
 
-def histogram(dist: engine.ProjectionDistribution, bins: int = HISTOGRAM_BINS) -> ProjectionHistogram:
+def histogram(dist: engine.ProjectionDistribution) -> ProjectionHistogram:
     if len(dist) == 0:
         raise ValueError("empty distribution")
     at_zero = dist.u == 0.0
     at_one = dist.u == 1.0
     interior = ~(at_zero | at_one)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     mass, _ = np.histogram(dist.u[interior], bins=edges, weights=dist.weight[interior])
     return ProjectionHistogram(
         mass_zero=float(np.sum(dist.weight[at_zero])),

@@ -13,7 +13,7 @@ zero, then diagonalizes each dense M x M sector block and propagates it
 on its own.  Nothing is factorized per spin, so the oracle shares no
 assumption with the engines it checks.
 
-Practical for small N only; the default cap is N = 12.  The dense real H
+Practical for small N only; the cap is N = 12.  The dense real H
 takes 8 * 4^(N+1) bytes (512 MiB at N = 12), the two complex sector
 propagators 32 * 4^N bytes together (another 512 MiB), and the outcome
 arrays 56 bytes per outcome for up to 4^N outcomes (896 MiB), plus eigh
@@ -136,7 +136,7 @@ def _spin_sums(n: int) -> np.ndarray:
     return (n - 2 * total).astype(float)
 
 
-def build_hamiltonian(params: ModelParams, cap: int = DEFAULT_CAP) -> np.ndarray:
+def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Dense Hermitian H = H_E + V_SE on the documented product basis.
 
     H_E = mu * sum_j sz_j and V_SE = sz_S * sum_j (h_j sx_j + nu sz_j);
@@ -144,11 +144,12 @@ def build_hamiltonian(params: ModelParams, cap: int = DEFAULT_CAP) -> np.ndarray
     matrix is returned as float64 (real symmetric is Hermitian).
     """
     n = params.n_env
-    if n > cap:
+    if n > DEFAULT_CAP:
         # H, the two sector propagators and the outcome arrays (module docstring).
         footprint = 8 * 4 ** (n + 1) + 32 * 4**n + 56 * 4**n
         raise EnvironmentTooLarge(
-            f"N={n} exceeds cap {cap}; a dense universe needs ~{footprint / 2 ** 30:.1f} GiB"
+            f"N={n} exceeds cap {DEFAULT_CAP}; "
+            f"a dense universe needs ~{footprint / 2 ** 30:.1f} GiB"
         )
     m = 2**n
     dim = 2 * m
@@ -182,7 +183,7 @@ def thermal_ensemble(params: ModelParams) -> ThermalEnsemble:
     return ThermalEnsemble(w / total, partition)
 
 
-def sector_spectra(params: ModelParams, cap: int = DEFAULT_CAP) -> tuple:
+def sector_spectra(params: ModelParams) -> tuple:
     """Eigenpairs (w, V) of the system-up and system-down sector blocks of H.
 
     Checks the cap, builds H, checks that both off-sector blocks are
@@ -190,7 +191,7 @@ def sector_spectra(params: ModelParams, cap: int = DEFAULT_CAP) -> tuple:
     on return.  The spectra depend on params alone, so a grid computes
     them once for all its times.
     """
-    h_mat = build_hamiltonian(params, cap)
+    h_mat = build_hamiltonian(params)
     m = 2 ** params.n_env
     # [H, sz_S] vanishes exactly when both off-sector blocks are zero.
     if np.any(h_mat[:m, m:]) or np.any(h_mat[m:, :m]):
@@ -217,7 +218,7 @@ def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _evolved_blocks(
-    params: ModelParams, alphas: SystemAmplitudes, t: float, cap: int
+    params: ModelParams, alphas: SystemAmplitudes, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Up and down components of exp(-i tau H)|phi>|n>, indexed [n_final, n_initial].
 
@@ -225,7 +226,7 @@ def _evolved_blocks(
     """
     tau = params.elapsed(t)
     blocks = []
-    for spectrum, amplitude in zip(sector_spectra(params, cap), (alphas.a_up, alphas.a_down)):
+    for spectrum, amplitude in zip(sector_spectra(params), (alphas.a_up, alphas.a_down)):
         c, s = _cos_sin(spectrum, tau)
         block = np.empty(c.shape, dtype=complex)
         block.real = c
@@ -240,7 +241,6 @@ def trajectory_ensemble(
     alphas: SystemAmplitudes,
     ensemble: ThermalEnsemble,
     t: float,
-    cap: int = DEFAULT_CAP,
 ) -> TrajectoryOutcomes:
     """All trajectory outcomes (n_final, n_initial) at time t.
 
@@ -256,7 +256,7 @@ def trajectory_ensemble(
     m = 2 ** params.n_env
     if ensemble.f.shape != (m,):
         raise ValueError("ensemble size does not match environment size")
-    up, down = _evolved_blocks(params, alphas, t, cap)
+    up, down = _evolved_blocks(params, alphas, t)
     # Transposed, row-major order runs over n_initial outer, n_final inner.
     up, down = up.T, down.T
     g = np.abs(up) ** 2
@@ -312,7 +312,6 @@ def reduced_density_check(
     alphas: SystemAmplitudes,
     ensemble: ThermalEnsemble,
     t: float,
-    cap: int = DEFAULT_CAP,
 ) -> float:
     """Max elementwise gap between Tr_E rho(t) and sum of P |phi><phi|.
 
@@ -320,7 +319,7 @@ def reduced_density_check(
     density matrix; the right side resums the supplied outcomes.  The
     two agree to roundoff (contract: <= 1e-9).
     """
-    up, down = _evolved_blocks(params, alphas, t, cap)
+    up, down = _evolved_blocks(params, alphas, t)
     columns = np.stack((up, down))
     rho_traced = np.einsum("anm,bnm,m->ab", columns, columns.conj(), ensemble.f)
     rho_ensemble = (outcomes.phi * outcomes.weight[:, None]).T @ outcomes.phi.conj()

@@ -1,11 +1,12 @@
 """Config parsing, presets, emission contracts, command-line behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from centralspin import selfcheck
+from centralspin import engine, observables, selfcheck, universe
 from centralspin.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -133,6 +134,46 @@ class TestValidateBoundary:
         parse_config("n = 3\nh = 0.2; 0.2; 0.2\nmethod = binomial\n")
         parse_config("n = 12\nh = 0.1\nmethod = exact-universe\n")
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5, -1e-3, math.nan, 0.7, 1e-3, 0.4999])
+    def test_epsilon_rejected_exactly_when_its_owner_rejects(self, eps):
+        text = config_text(f"epsilon = {eps!r}\n")
+        try:
+            observables.validate_error_threshold(eps)
+        except ValueError:
+            with pytest.raises(ConfigError, match="^epsilon: "):
+                parse_config(text)
+        else:
+            assert parse_config(text).epsilon == eps
+
+    @pytest.mark.parametrize(
+        "t_start, t_end, steps",
+        [
+            (10.0, 0.0, 5),
+            (1e16, 1.0000000000000004e16, 600),
+            (-1e308, 1e308, 600),
+            (1e16, 1.0000000000000008e16, 1),
+            (0.0, 400.0, 600),
+        ],
+        ids=["reversed", "spacing_below_ulp", "overflowing_span", "single_point", "default"],
+    )
+    def test_grid_rejected_exactly_when_its_owner_rejects(self, t_start, t_end, steps):
+        grid = ExperimentConfig(n=10, h=(0.01,), t_start=t_start, t_end=t_end, steps=steps).grid()
+        text = config_text(f"t_start = {t_start!r}\nt_end = {t_end!r}\nsteps = {steps}\n")
+        try:
+            observables.check_grid(grid)
+        except ValueError:
+            with pytest.raises(ConfigError, match="^(t_start|t_end|steps): "):
+                parse_config(text)
+        else:
+            assert np.array_equal(parse_config(text).grid(), grid)
+
+    def test_caps_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(engine, "ENUMERATION_CAP", 3)
+        monkeypatch.setattr(universe, "DEFAULT_CAP", 3)
+        for method in ("exact", "exact-universe"):
+            with pytest.raises(ConfigError, match="capped at n = 3"):
+                parse_config(f"n = 4\nh = 0.1\nmethod = {method}\n")
+
     def test_constant_coupling_detection_matches_expansion(self):
         underflowing = "n = 4\nh = 1e-300\ndelta_h = 1e-320\n"
         for text in (MINIMAL, MINIMAL + "delta_h = 0.02\n", underflowing):
@@ -151,6 +192,15 @@ class TestConfigBehavior:
         assert (
             parse_config("n = 80\nh = 0.01\ndelta_h = 0.02\n").resolved_method() == "sampled"
         )
+
+    def test_auto_resolution_does_not_expand_couplings(self, monkeypatch):
+        cfg = parse_config("n = 100000\nh = 0.01\n")
+
+        def expand(self):
+            raise AssertionError("couplings() expanded")
+
+        monkeypatch.setattr(ExperimentConfig, "couplings", expand)
+        assert cfg.resolved_method() == "binomial"
 
     def test_round_trip(self):
         for name in ("fig1", "fig2_top", "fig2_bottom", "fig3"):

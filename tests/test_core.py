@@ -73,6 +73,19 @@ class TestModelParams:
         with pytest.raises(ValueError):
             p.elapsed(1.0)
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            (0.0, -0.0),
+            (0.3,),
+            dispersed_couplings(1e-300, 1e-320, 4),
+            dispersed_couplings(0.01, 0.02, 10),
+        ],
+        ids=["signed_zeros", "single_spin", "underflowing_dispersion", "dispersed"],
+    )
+    def test_equal_couplings_is_one_distinct_value(self, h):
+        assert ModelParams(delta=0.0, h=h).equal_couplings == (len(set(h)) == 1)
+
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_elapsed_rejects_nonfinite(self, t):
         p = ModelParams(delta=0.0, h=(0.1,), t0=2.0)
@@ -98,6 +111,20 @@ class TestSystemAmplitudes:
     def test_up_weight_range(self):
         with pytest.raises(ValueError):
             SystemAmplitudes.from_up_weight(1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+    def test_rejects_nonfinite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SystemAmplitudes(bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            SystemAmplitudes(0.5, bad)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_phase(self, phase):
+        with pytest.raises(ValueError, match="finite"):
+            SystemAmplitudes.from_up_weight(0.4, phase)
+        with pytest.raises(ValueError, match="finite"):
+            SystemAmplitudes.from_up_weight(1.0, phase)
 
 
 class TestSpinSpectral:
@@ -303,6 +330,11 @@ class TestFlipPattern:
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             FlipPattern([1, 0, -1])
+
+    @pytest.mark.parametrize("d", [[1.5, -1.2], np.array([257, 255]), np.array([1.0, -0.5])])
+    def test_entries_checked_before_the_cast(self, d):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            FlipPattern(d)
 
     def test_flip_count(self):
         assert FlipPattern([1, -1, -1, 1]).flip_count == 2

@@ -138,6 +138,11 @@ class TestEnumeration:
         with pytest.raises(EnvironmentTooLarge):
             enumerate_outcomes(ModelParams(delta=0.0, h=(0.1,) * 21), ALPHAS, 1.0)
 
+    def test_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(engine, "ENUMERATION_CAP", 3)
+        with pytest.raises(EnvironmentTooLarge, match="N=4 exceeds enumeration cap 3"):
+            enumerate_outcomes(ModelParams(delta=0.0, h=(0.1,) * 4), ALPHAS, 1.0)
+
     def test_beta_never_enters(self):
         cold = ModelParams(delta=0.0, h=(0.01,) * 8, beta=1.0)
         hot = ModelParams(delta=0.0, h=(0.01,) * 8, beta=0.0)
@@ -210,7 +215,6 @@ class TestSampling:
         p = ModelParams(delta=0.0, h=(0.01,) * 12)
         dist = sample_outcomes(p, ALPHAS, 40.0, 1000, seed=1)
         assert np.all(dist.weight == 1.0 / 1000)
-        assert dist.sample_count == 1000 and dist.seed == 1
 
     def test_matches_enumeration_classes(self):
         from centralspin.observables import class_probabilities
@@ -427,6 +431,13 @@ class TestWavefunction:
         with pytest.raises(DegenerateOutcomeError):
             wavefunction_of_pattern(p, a, 1.0, (1,), FlipPattern([-1]))
 
+    @pytest.mark.parametrize("spins", [(1.5, -1.7), (1, -1.2), np.array([257, -1])])
+    def test_spins_checked_before_the_cast(self, spins):
+        p = ModelParams(delta=0.2, h=(0.3, 0.4))
+        a = SystemAmplitudes.from_up_weight(0.3, 1.0)
+        with pytest.raises(ValueError, match="initial spins"):
+            wavefunction_of_pattern(p, a, 2.0, spins, FlipPattern.none(2))
+
 
 def _random_patterns(n, rng):
     """A random point at N spins, its enumeration, and 20 of its kept pattern codes."""
@@ -517,7 +528,7 @@ class TestMergeByU:
     def test_binomial_groups_equal_group_loop(self, monkeypatch):
         p = ModelParams(delta=0.1, h=(0.02,) * 100_000)
         for t in (0.0, 37.5, 410.0):
-            monkeypatch.setattr(engine, "merge_by_u", lambda dist, tol: dist)
+            monkeypatch.setattr(engine, "merge_by_u", lambda dist: dist)
             raw = binomial_outcomes(p, ALPHAS, t)
             monkeypatch.undo()
             want_u, want_w, want_k, _ = _merge_loop(raw, engine.U_MERGE_TOL)

@@ -328,7 +328,6 @@ class TestGridEvaluator:
         )
         for name in ("times", "p_up", "p_down", "p_q"):
             assert np.array_equal(getattr(series, name), getattr(record.series, name))
-        assert (series.sample_count, series.seed) == (record.series.sample_count, record.series.seed)
 
     @pytest.mark.parametrize(
         "method, params",
@@ -418,19 +417,15 @@ class TestRevivalTimes:
 
 class TestSeriesValidation:
     def test_length_mismatch(self):
-        p = ModelParams(delta=0.0, h=(0.01,))
         with pytest.raises(ValueError):
             ObservableSeries(
-                np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0]), np.array([1.0]),
-                1e-3, "exact", p, ALPHAS,
+                np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0]), np.array([1.0]), "exact"
             )
 
     def test_sum_violation(self):
-        p = ModelParams(delta=0.0, h=(0.01,))
         with pytest.raises(ValueError):
             ObservableSeries(
-                np.array([0.0]), np.array([0.5]), np.array([0.5]), np.array([0.5]),
-                1e-3, "exact", p, ALPHAS,
+                np.array([0.0]), np.array([0.5]), np.array([0.5]), np.array([0.5]), "exact"
             )
 
 

@@ -96,8 +96,12 @@ class TestBuildHamiltonian:
     def test_cap_enforced(self):
         with pytest.raises(EnvironmentTooLarge):
             build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 13))
-        # Overridable cap.
-        build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 5), cap=5)
+
+    def test_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(universe, "DEFAULT_CAP", 4)
+        with pytest.raises(EnvironmentTooLarge, match="N=5 exceeds cap 4"):
+            build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 5))
+        assert build_hamiltonian(ModelParams(delta=0.0, h=(0.1,) * 4)).shape == (32, 32)
 
     def test_cap_message_states_footprint(self):
         # 8*4^14 (H) + 32*4^13 (propagators) + 56*4^13 (outcomes) = 7.5 GiB.
@@ -254,7 +258,7 @@ class TestSectorPropagation:
         m = 2**n
         for t in (0.0, 0.7, 13.0):
             full = full_propagator(p, t)
-            up, down = _evolved_blocks(p, a, t, universe.DEFAULT_CAP)
+            up, down = _evolved_blocks(p, a, t)
             assert np.max(np.abs(a.a_up * full[:m, :m] - up)) <= 1e-12
             assert np.max(np.abs(a.a_down * full[m:, m:] - down)) <= 1e-12
             assert np.max(np.abs(full[:m, m:])) <= 1e-12
@@ -263,8 +267,8 @@ class TestSectorPropagation:
     def test_off_sector_entry_raises(self, monkeypatch):
         real = universe.build_hamiltonian
 
-        def leaky(params, cap=universe.DEFAULT_CAP):
-            h_mat = real(params, cap)
+        def leaky(params):
+            h_mat = real(params)
             m = 2**params.n_env
             h_mat[0, m] = h_mat[m, 0] = 1e-3
             return h_mat

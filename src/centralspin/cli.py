@@ -371,12 +371,10 @@ def _series_csv(record: ResultRecord) -> str:
         f"{s.method},{n_samples},{cfg.seed},{cfg.n},{cfg.delta!r},"
         f"{cfg.h_spec()},{cfg.epsilon!r}"
     )
+    rows = zip(s.times.tolist(), s.p_up.tolist(), s.p_down.tolist(), s.p_q.tolist())
     lines = [CSV_COLUMNS]
-    for i in range(s.times.size):
-        lines.append(
-            f"{float(s.times[i])!r},{float(s.p_up[i])!r},"
-            f"{float(s.p_down[i])!r},{float(s.p_q[i])!r},{fixed}"
-        )
+    lines += [f"{t!r},{up!r},{down!r},{q!r},{fixed}" for t, up, down, q in rows]
+    del rows  # the column lists go before the join, which copies every line once more
     return "\n".join(lines) + "\n"
 
 

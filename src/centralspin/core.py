@@ -51,7 +51,9 @@ def dispersed_couplings(h: float, delta_h: float, n: int) -> tuple[float, ...]:
     """Vertical couplings spread over [h, h + delta_h): h_j = h + (j-1)*delta_h/n."""
     if n < 1:
         raise ValueError("need at least one environment spin")
-    return tuple(h + (j - 1) * delta_h / n for j in range(1, n + 1))
+    # The same three float operations per coupling as the scalar formula, at C speed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple((h + np.arange(n) * delta_h / n).tolist())
 
 
 def last_dispersed_coupling(h: float, delta_h: float, n: int) -> float:
@@ -81,13 +83,13 @@ class ModelParams:
     t0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(float(x) for x in self.h))
+        object.__setattr__(self, "h", tuple(map(float, self.h)))
         if len(self.h) < 1:
             raise ValueError("need at least one environment spin")
         for name in ("delta", "beta", "t0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not all(math.isfinite(x) for x in self.h):
+        if not all(map(math.isfinite, self.h)):
             raise ValueError("couplings must be finite")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")

@@ -25,6 +25,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +86,49 @@ class ProjectionDistribution:
         return float(np.sum(self.weight))
 
 
-def _log_branch_pair(params, alphas, t):
-    """Log branch weights' ingredients shared by every engine route."""
-    up = branch_flip_profile(params, "up", t)
-    down = branch_flip_profile(params, "down", t)
+def _log_mixture_weights(alphas: SystemAmplitudes) -> tuple[float, float]:
+    """(log w_up, log w_down), -inf for a vanishing weight."""
     lw_up = math.log(alphas.w_up) if alphas.w_up > 0 else -math.inf
     lw_down = math.log(alphas.w_down) if alphas.w_down > 0 else -math.inf
-    return up, down, lw_up, lw_down
+    return lw_up, lw_down
+
+
+def _log_branch_pair(params, alphas, t):
+    """Both branch profiles and log mixture weights, for one pattern, binomial and sampling."""
+    up = branch_flip_profile(params, "up", t)
+    down = branch_flip_profile(params, "down", t)
+    return (up, down) + _log_mixture_weights(alphas)
+
+
+class BranchLogRows(NamedTuple):
+    """Both branches' per-spin log factors at T times, each T x N (row k is time k).
+
+    The input of ``enumerate_block``.  ``rows`` takes a block of
+    consecutive times out of a longer table without copying.
+    """
+
+    up_keep: np.ndarray
+    up_flip: np.ndarray
+    down_keep: np.ndarray
+    down_flip: np.ndarray
+
+    def rows(self, block: slice) -> "BranchLogRows":
+        # A list, not a generator: star-unpacking a generator resizes a
+        # tuple, which then stays in CPython's tuple free list, one per
+        # call, and counts toward a run's tracemalloc peak.
+        return BranchLogRows(*[field[block] for field in self])
+
+
+def branch_log_rows(params: ModelParams, times: np.ndarray) -> BranchLogRows:
+    """``BranchLogRows`` at a 1-D array of times, one ``branch_flip_profile`` call per branch.
+
+    Row k is bit for bit the profile at times[k] alone, so any split of
+    a grid into tables gives the same rows.  Only the log fields are
+    kept.
+    """
+    up = branch_flip_profile(params, "up", times)
+    down = branch_flip_profile(params, "down", times)
+    return BranchLogRows(up.log_keep, up.log_flip, down.log_keep, down.log_flip)
 
 
 def u_from_x(x):
@@ -143,11 +180,18 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
     """Log-weights of all 2^N flip patterns at each of T times, by subset doubling.
 
     log_keep and log_flip are T x N; column c of the T x 2^N result is
-    the pattern whose bit i is set when spin i+1 flipped.  Spin i
-    doubles the columns in place: the first 2^i keep it, the next 2^i
-    flip it.  Each entry is the left-to-right sum over spins 1..N, so it
-    equals a spin-by-spin loop bit for bit; -inf factors stay -inf (no
-    +inf term exists, so inf - inf never occurs).
+    the pattern whose bit i is set when spin i+1 flipped.  The doubling
+    runs in a pattern-major 2^N x T layout, where spin i doubles the
+    rows in place: rows [0, 2^i) keep it, rows [2^i, 2^(i+1)) flip it.
+    Both halves are contiguous and disjoint, so numpy adds them with no
+    overlap copy, and each half adds the spin's T factors as one
+    contiguous row.  One transposing copy returns the row-major T x 2^N
+    array (at T = 1 both layouts are the same memory and nothing is
+    copied), so a call holds at most two result-sized arrays.  The
+    layout moves where a sum is stored, not how it is formed: each
+    entry is still the left-to-right sum over spins 1..N, so it equals
+    a spin-by-spin loop bit for bit; -inf factors stay -inf (no +inf
+    term exists, so inf - inf never occurs).
 
     The left-to-right order is load-bearing: ``core.pattern_log_weight``
     sums a sampled or single pattern's logs in the same order, so its u
@@ -157,34 +201,40 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
     differently and must change that sum with it.
     """
     t, n = log_keep.shape
-    acc = np.empty((t, 1 << n))
-    acc[:, 0] = 0.0
+    keep, flip = np.ascontiguousarray(log_keep.T), np.ascontiguousarray(log_flip.T)
+    acc = np.empty((1 << n, t))
+    acc[0] = 0.0
     for i in range(n):
         width = 1 << i
-        np.add(acc[:, :width], log_flip[:, i, None], out=acc[:, width : 2 * width])
-        acc[:, :width] += log_keep[:, i, None]
-    return acc
+        np.add(acc[:width], flip[i], out=acc[width : 2 * width])
+        acc[:width] += keep[i]
+    return np.ascontiguousarray(acc.T)
 
 
 def enumerate_block(
-    params: ModelParams, alphas: SystemAmplitudes, times: np.ndarray
+    alphas: SystemAmplitudes, rows: BranchLogRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
-    Columns are pattern codes.  x = log(w_down W_down) - log(w_up W_up)
-    is minus the logit of u (``u_from_x`` gives u); keep marks the atoms
-    with weight at or above 1e-300.  x is meaningful on kept atoms only:
-    a dropped atom may have both branch weights zero and x NaN.
+    rows are both branches' T x N log factors at the block's times
+    (``branch_log_rows``, or a block of a longer table).  Columns are
+    pattern codes.  x = log(w_down W_down) - log(w_up W_up) is minus the
+    logit of u (``u_from_x`` gives u); keep marks the atoms with weight
+    at or above 1e-300.  x is meaningful on kept atoms only: a dropped
+    atom may have both branch weights zero and x NaN.
 
-    Three block-sized float arrays are alive at a time, plus a
-    half-block temporary while the down weights are added.
+    Memory: three block-sized float arrays at a time, plus a half-block
+    temporary while the down weights are added.  The up log-weights
+    stay alive while the down ones are doubled, and a doubling holds
+    two block-sized arrays for T > 1 (the pattern-major accumulator and
+    its transposed copy) and one at T = 1.
     """
-    n = params.n_env
+    n = rows.up_keep.shape[1]
     if n > ENUMERATION_CAP:
         raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, times)
-    log_wu = pattern_log_weights(up.log_keep, up.log_flip)
-    log_wd = pattern_log_weights(down.log_keep, down.log_flip)
+    lw_up, lw_down = _log_mixture_weights(alphas)
+    log_wu = pattern_log_weights(rows.up_keep, rows.up_flip)
+    log_wd = pattern_log_weights(rows.down_keep, rows.down_flip)
     weight = np.exp(log_wu)
     weight *= alphas.w_up
     # The down weights go in one contiguous half of the block at a time.
@@ -214,7 +264,8 @@ def enumerate_outcomes(
     (including exact zeros) are dropped and counted in ``dropped``.
     This is ``enumerate_block`` on the one-time block [t].
     """
-    x, weight, keep = (a[0] for a in enumerate_block(params, alphas, np.array([t])))
+    rows = branch_log_rows(params, np.array([t]))
+    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],
@@ -226,7 +277,7 @@ def enumerate_outcomes(
 
 def binomial_log_counts(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n, from math.lgamma; independent of time."""
-    lg = np.array([math.lgamma(v + 1) for v in range(n + 1)])
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     return lg[n] - lg - lg[::-1]
 
 

@@ -26,7 +26,17 @@ COLLAPSE_THRESHOLD = 0.01
 # spread numpy's per-call cost at small N (8 times at N = 10), while
 # each block array stays at 64 KiB (8192 float64) and a block's peak,
 # about 3.5 such arrays, stays under what writing a run's files takes.
+# A block's profile rows are sliced from its chunk's table (below).
 GRID_BLOCK_ATOMS = 8192
+# Profile entries (times x N) per chunk of an exact grid: both branches'
+# log profiles are built by one call each for a chunk of whole blocks
+# with at most this many entries, or for one block where a block alone
+# has more (N < 10).  From N = 10 on, the table's four fields then take
+# at most 8 KiB next to a block's arrays, so neither the table nor a
+# run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
+# (24 times), which takes the figure presets' profile calls from two
+# per block to two per three blocks.
+PROFILE_CHUNK_ENTRIES = 256
 # Probes per round of the cutoff search in ``logit_cutoffs``.
 _CUTOFF_PROBES = 256
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
@@ -173,21 +183,21 @@ def _row_sums(weight: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 def _exact_block(
-    params: ModelParams,
     alphas: SystemAmplitudes,
-    times: np.ndarray,
+    rows: engine.BranchLogRows,
     cutoffs: tuple[float, float],
 ) -> tuple[np.ndarray, int]:
     """(3, T) class masses and the dropped-atom count of a time block, by one enumeration.
 
-    cutoffs are ``logit_cutoffs(eps)``: the class of every kept atom is
-    the one ``class_probabilities`` gives from its u.  Each row's masses
+    rows are the block's ``engine.BranchLogRows``.  cutoffs are
+    ``logit_cutoffs(eps)``: the class of every kept atom is the one
+    ``class_probabilities`` gives from its u.  Each row's masses
     are one pairwise sum over the block row with the dropped and
     off-class weights zeroed, so they match the per-point
     ``enumerate_outcomes`` + ``class_probabilities`` values to a few
     ulp, not bit for bit (that route sums only the kept class atoms).
     """
-    x, weight, keep = engine.enumerate_block(params, alphas, times)
+    x, weight, keep = engine.enumerate_block(alphas, rows)
     if not np.all(np.any(keep, axis=1)):
         raise ValueError("empty distribution")
     c_up, c_down = cutoffs
@@ -302,11 +312,13 @@ def time_series(
     The one grid evaluator, which ``cli run`` uses too.  The grid is
     checked (1-D, finite, strictly increasing) before any point is
     evaluated.  Exact enumeration evaluates blocks of
-    max(1, GRID_BLOCK_ATOMS >> N) consecutive times at once and
-    classifies each atom by comparing x = -logit(u) with
-    ``logit_cutoffs(eps)``: every atom gets the class per-point
-    ``distribution_at`` + ``class_probabilities`` give it, and the
-    masses are within a few ulp of theirs.  The other methods are
+    max(1, GRID_BLOCK_ATOMS >> N) consecutive times at once, slices
+    each block's profile rows from a table built once per chunk of
+    blocks (``PROFILE_CHUNK_ENTRIES``), and classifies each atom by
+    comparing x = -logit(u) with ``logit_cutoffs(eps)``: every atom
+    gets the class per-point ``distribution_at`` +
+    ``class_probabilities`` give it, and the masses are within a few
+    ulp of theirs.  The other methods are
     prepared once per grid by ``prepare`` (or share the point function
     ``prepared`` that the caller made for the same run) and then go
     through ``distribution_at`` one point at a time, sampled with the
@@ -327,10 +339,14 @@ def time_series(
     if method == "exact":
         cutoffs = logit_cutoffs(eps)
         step = max(1, GRID_BLOCK_ATOMS >> params.n_env)
-        for first in range(0, times.size, step):
-            block = slice(first, first + step)
-            masses[:, block], count = _exact_block(params, alphas, times[block], cutoffs)
-            dropped += count
+        chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * params.n_env))
+        for start in range(0, times.size, chunk):
+            table = engine.branch_log_rows(params, times[start : start + chunk])
+            for first in range(0, table.up_keep.shape[0], step):
+                block = slice(start + first, start + first + step)
+                rows = table.rows(slice(first, first + step))
+                masses[:, block], count = _exact_block(alphas, rows, cutoffs)
+                dropped += count
     else:
         if prepared is None:
             prepared = prepare(params, alphas, method, samples, workers)

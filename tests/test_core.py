@@ -44,6 +44,18 @@ class TestModelParams:
         h = dispersed_couplings(0.01, 0.02, 10)
         assert h == pytest.approx(tuple(0.01 + (j - 1) * 0.002 for j in range(1, 11)))
 
+    def test_dispersed_couplings_equal_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(11)
+        cases = [(0.01, 0.02, 10), (0.3, 0.0, 7), (0.2, -0.7, 9), (-0.0, -0.5, 3), (0.4, 0.3, 1)]
+        for _ in range(50):
+            cases.append((rng.uniform(-10, 10), rng.uniform(-5, 5), int(rng.integers(1, 500))))
+        cases += [(rng.normal(), 0.0, int(rng.integers(1, 50))) for _ in range(5)]
+        for h, delta_h, n in cases:
+            got = dispersed_couplings(h, delta_h, n)
+            want = [h + (j - 1) * delta_h / n for j in range(1, n + 1)]
+            assert all(type(x) is float for x in got)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
     def test_last_dispersed_coupling_is_last_of_expansion(self):
         for h, delta_h, n in ((0.01, 0.02, 10), (0.3, -0.7, 7), (1e-300, 1e-320, 4), (0.2, 0.0, 1)):
             assert last_dispersed_coupling(h, delta_h, n) == dispersed_couplings(h, delta_h, n)[-1]

@@ -627,9 +627,21 @@ class TestSubsetDoubling:
             assert np.array_equal(got[row], want)
         assert np.isneginf(got[1]).sum() == 2 ** (n - 1)
 
+    @pytest.mark.parametrize("t", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 5, 10, 13])
+    def test_pattern_major_doubling_equals_spin_loop_bitwise(self, t, n):
+        rng = np.random.default_rng(1000 * t + n)
+        log_keep = np.log(rng.uniform(0.0, 1.0, (t, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (t, n)))
+        log_flip[0, n - 1] = -math.inf
+        got = pattern_log_weights(log_keep, log_flip)
+        assert got.shape == (t, 2**n) and got.flags.c_contiguous
+        for row in range(t):
+            assert np.array_equal(got[row], _bit_loop_log_weights(log_keep[row], log_flip[row]))
+
 
 class TestBinomialLogCounts:
-    @pytest.mark.parametrize("n", [1, 2, 80, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 80, 1000, 10**5])
     def test_equals_lgamma_formula_bitwise(self, n):
         want = [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in range(n + 1)]
         assert np.array_equal(binomial_log_counts(n), np.array(want))

@@ -20,6 +20,7 @@ from centralspin.engine import (
 )
 from centralspin.observables import (
     GRID_BLOCK_ATOMS,
+    PROFILE_CHUNK_ENTRIES,
     ObservableSeries,
     class_probabilities,
     classify,
@@ -223,23 +224,72 @@ class TestLogitCutoffs:
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
     def test_peak_of_one_block(self, n):
-        # Three block-sized float arrays, a half-block temporary and the small profiles.
+        # Three block-sized float arrays and a half-block temporary.
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        rows = engine.branch_log_rows(params, times)
         cutoffs = obs.logit_cutoffs(1e-3)
-        obs._exact_block(params, ALPHAS, times, cutoffs)
+        obs._exact_block(ALPHAS, rows, cutoffs)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            obs._exact_block(params, ALPHAS, times, cutoffs)
+            obs._exact_block(ALPHAS, rows, cutoffs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
+
+
+def _chunk_times(n):
+    step = max(1, GRID_BLOCK_ATOMS >> n)
+    return step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
+
+
+def _series_peak(params, times):
+    """tracemalloc peak of one exact time_series, above what was allocated before it."""
+    time_series(params, ALPHAS, times, method="exact")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        time_series(params, ALPHAS, times, method="exact")
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestProfileChunks:
+    def test_peak_does_not_grow_with_grid_length(self):
+        n = 10
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        chunk = _chunk_times(n)
+        short = _series_peak(params, np.linspace(1.0, 100.0, chunk))
+        long = _series_peak(params, np.linspace(1.0, 100.0, 20 * chunk))
+        # The long grid's own masses, 3 floats per time (10.7 KiB), are all that may grow.
+        assert long - short <= 16 * 1024
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 13])
+    def test_two_profile_calls_per_chunk(self, n, monkeypatch):
+        calls = []
+
+        def counted(params, branch, t):
+            calls.append((branch, np.size(t)))
+            return real(params, branch, t)
+
+        real = engine.branch_flip_profile
+        monkeypatch.setattr(engine, "branch_flip_profile", counted)
+        chunk = _chunk_times(n)
+        size = 3 * chunk + 1
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        time_series(params, ALPHAS, np.linspace(1.0, 100.0, size), method="exact")
+        assert calls == [("up", chunk), ("down", chunk)] * 3 + [("up", 1), ("down", 1)]
 
 
 def _exact_grid_cases(n):
@@ -262,12 +312,14 @@ def _exact_grid_cases(n):
 class TestGridEvaluator:
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
     def test_exact_blocks_equal_per_point_bitwise(self, n, monkeypatch):
-        # Block rows are independent: many times per block give the series of one time per block.
+        # Block and chunk rows are independent: many times per block and blocks per chunk
+        # give the series of one time per block and one block per chunk.
         times, cases = _exact_grid_cases(n)
         for params, alphas in cases:
             grid = time_series(params, alphas, times, method="exact")
             with monkeypatch.context() as patch:
                 patch.setattr(obs, "GRID_BLOCK_ATOMS", 1 << n)
+                patch.setattr(obs, "PROFILE_CHUNK_ENTRIES", 1)
                 single = time_series(params, alphas, times, method="exact")
             for name in ("p_up", "p_down", "p_q"):
                 assert np.array_equal(getattr(grid, name), getattr(single, name))
@@ -290,7 +342,8 @@ class TestGridEvaluator:
                 up, down = dist.u >= 1.0 - eps, dist.u <= eps
                 exact_up[i], exact_down[i] = math.fsum(dist.weight[up]), math.fsum(dist.weight[down])
                 # Every kept atom lands in the class its u gives.
-                x, _, keep = engine.enumerate_block(params, alphas, np.array([t]))
+                rows = engine.branch_log_rows(params, np.array([t]))
+                x, _, keep = engine.enumerate_block(alphas, rows)
                 x_kept = x[keep]
                 assert np.array_equal(x_kept <= c_up, up) and np.array_equal(x_kept > c_down, down)
             # Both routes stay within a few ulp of the exactly rounded sums.

@@ -31,7 +31,6 @@ from .observables import (
     time_series,
 )
 from .universe import (
-    EnvBasisState,
     ThermalEnsemble,
     TrajectoryOutcome,
     TrajectoryOutcomes,
@@ -44,7 +43,6 @@ from .universe import (
 
 __all__ = [
     "DegenerateOutcomeError",
-    "EnvBasisState",
     "EnvironmentTooLarge",
     "FlipPattern",
     "ModelParams",

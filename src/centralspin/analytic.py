@@ -1,7 +1,6 @@
 """Closed-form special cases in which the superposition never collapses.
 
-Two parameter choices admit exact solutions and serve as ground truth
-in tests:
+Two parameter choices admit exact solutions:
 
 * all vertical couplings zero with the bath in its ground state: the
   trajectory is deterministic, the two system amplitudes just rotate
@@ -12,39 +11,19 @@ in tests:
   parity split; in the large-N limit the split is 1/2 each except at
   the recovery times m*pi/sqrt(mu^2 + h^2), where the initial state
   returns with certainty.
+
+The functions below are these solutions, as reference values for the
+tests; each checks only the inputs its own formula needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelParams, SystemAmplitudes
 from .universe import TrajectoryOutcome
-
-ANALYTIC_KINDS = ("zero_h_zero_T", "nu_zero_const_h")
-
-
-@dataclass(frozen=True)
-class AnalyticCase:
-    """A parameter regime with a known closed-form solution."""
-
-    kind: str
-    params: ModelParams
-
-    def __post_init__(self):
-        if self.kind not in ANALYTIC_KINDS:
-            raise ValueError(f"unknown analytic case {self.kind!r}")
-        if self.kind == "zero_h_zero_T":
-            if any(h != 0.0 for h in self.params.h):
-                raise ValueError("zero_h_zero_T requires all couplings zero")
-        else:
-            if self.params.nu != 0.0:
-                raise ValueError("nu_zero_const_h requires nu = 0 (delta = 1)")
-            if not self.params.equal_couplings:
-                raise ValueError("nu_zero_const_h requires equal couplings")
 
 
 def zero_h_phase_rate(params: ModelParams) -> float:

@@ -49,7 +49,14 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, observables, selfcheck, universe
-from .core import ModelParams, SystemAmplitudes, dispersed_couplings, last_dispersed_coupling
+from .core import (
+    BRANCHES,
+    ModelParams,
+    SystemAmplitudes,
+    branch_flip_profile,
+    dispersed_couplings,
+    last_dispersed_coupling,
+)
 from .observables import (
     DEFAULT_EPSILON,
     ObservableSeries,
@@ -129,6 +136,15 @@ class ExperimentConfig:
             raise ConfigError("t_start: the first grid point precedes the initial time 0")
         if any(t < 0.0 for t in self.hist_times):
             raise ConfigError("hist_times: every time must be at or after the initial time 0")
+        # branch_flip_profile rejects a phase omega * t that overflows.  omega grows with |h_j|
+        # and dispersed couplings are monotone, so h_1 or h_N at the last time decides it.
+        spin = ModelParams(self.delta, (max(self.h + (self._last_coupling(),), key=abs),))
+        t_last = float(max((g[-1], *self.hist_times)))
+        try:
+            for branch in BRANCHES:
+                branch_flip_profile(spin, branch, t_last)
+        except ValueError as err:
+            raise ConfigError(f"delta, h: {err} at t = {t_last!r}") from None
         if self.samples < 1:
             raise ConfigError("samples: must be positive")
         if self.seed < 0:
@@ -145,6 +161,8 @@ class ExperimentConfig:
             raise ConfigError("method: binomial needs all couplings equal")
         if any(c in self.label for c in _LABEL_FORBIDDEN):
             raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
+        if "\0" in self.out:
+            raise ConfigError(f"out: a path cannot hold a NUL byte, got {self.out!r}")
         return self
 
     def _last_coupling(self) -> float:
@@ -188,21 +206,6 @@ class ExperimentConfig:
         if self.delta_h != 0.0:
             return f"{self.h[0]!r}:{self.delta_h!r}"
         return repr(self.h[0])
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            if f.name == "preset":
-                continue
-            value = getattr(self, f.name)
-            if f.name in ("h", "hist_times"):
-                if f.name == "hist_times" and not value:
-                    continue
-                value = ";".join(repr(v) for v in value)
-            elif f.name == "label" and not value:
-                continue
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 _INT_KEYS = {"n", "steps", "samples", "seed", "workers"}

@@ -291,7 +291,9 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     t is one time, giving length-N fields, or a 1-D array of T times,
     giving T x N fields whose row k is bit-identical to the profile at
     t[k].  keep + flip = 1 to a few ulp for every spin (asserted at
-    1e-12 in the tests); logs of exact zeros are -inf.
+    1e-12 in the tests); logs of exact zeros are -inf.  Raises
+    ValueError when a phase omega * (t - t0) overflows: its sine and
+    cosine would be NaN.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -299,17 +301,22 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     tau = params.elapsed(times)
     a, _ = branch_axis(params, branch)
     h = params.h_array
-    omega = np.hypot(a, h)
-    arg = omega * tau[..., None]
-    s2 = np.sin(arg) ** 2
-    c2 = np.cos(arg) ** 2
-    # omega == 0 only when a == h_j == 0: that spin is frozen (keep 1, flip 0).
-    safe = np.where(omega > 0.0, omega, 1.0)
-    ratio = np.where(omega > 0.0, (a / safe) ** 2, 1.0)
-    one_minus = np.where(omega > 0.0, (h / safe) ** 2, 0.0)
-    keep = c2 + ratio * s2
-    flip = one_minus * s2
-    with np.errstate(divide="ignore"):
+    # Only omega and the phase can overflow, and the check below rejects that; past
+    # it every value is finite, and log(0) = -inf is the one error left to silence.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = np.hypot(a, h)
+        arg = omega * tau[..., None]
+        if not np.isfinite(arg).all():
+            raise ValueError(f"phase omega * (t - t0) must be finite on the {branch} branch")
+        s2 = np.sin(arg) ** 2
+        c2 = np.cos(arg) ** 2
+        # omega == 0 only when a == h_j == 0: that spin is frozen (keep 1, flip 0).
+        moving = omega > 0.0
+        safe = np.where(moving, omega, 1.0)
+        ratio = np.where(moving, (a / safe) ** 2, 1.0)
+        one_minus = np.where(moving, (h / safe) ** 2, 0.0)
+        keep = c2 + ratio * s2
+        flip = one_minus * s2
         return FlipProfile(keep, flip, np.log(keep), np.log(flip))
 
 

@@ -58,19 +58,19 @@ class DegenerateOutcomeError(ValueError):
 class ProjectionDistribution:
     """Distribution of the up-projection u at one time, as parallel arrays.
 
-    kind is 'exact' (one atom per flip pattern), 'binomial' (atoms
-    indexed by flip count, equal-u atoms merged) or 'sampled' (every
-    atom carries weight 1/len).  pattern_codes, when present,
-    give the flip pattern of each atom as a bit code (bit i set = spin
-    i+1 flipped).  dropped reports atoms removed for carrying weight
-    below 1e-300; they are excluded from normalization checks.
+    kind is 'exact' (one atom per flip pattern), 'binomial' (one atom
+    per flip count, equal-u atoms merged) or 'sampled' (every atom
+    carries weight 1/len).  pattern_codes, when present, give the flip
+    pattern of each atom as a bit code (bit i set = spin i+1 flipped);
+    only ``enumerate_outcomes`` fills them.  dropped reports atoms
+    removed for carrying weight below 1e-300; they are excluded from
+    normalization checks.
     """
 
     u: np.ndarray
     weight: np.ndarray
     kind: str
     pattern_codes: np.ndarray | None = None
-    flip_counts: np.ndarray | None = None
     dropped: int = 0
 
     def __post_init__(self):
@@ -301,11 +301,10 @@ def binomial_outcomes(
     With all h_j equal the branch weight depends only on how many spins
     flipped, so the 2^N patterns collapse onto N + 1 atoms with binomial
     multiplicity, and one spin's profile serves them all.  Atoms whose u
-    coincide within 1e-12 are merged; flip_counts then records the
-    smallest flip count of each merged group.  Agrees with
-    enumerate_outcomes exactly (after the same merging) wherever both
-    apply.  log_counts and spin, when given, must be
-    ``binomial_log_counts(N)`` and ``binomial_spin(params)``; a grid
+    coincide within 1e-12 are merged, so an atom no longer names one
+    flip count.  Agrees with enumerate_outcomes exactly (after the same
+    merging) wherever both apply.  log_counts and spin, when given, must
+    be ``binomial_log_counts(N)`` and ``binomial_spin(params)``; a grid
     computes them once for every point.
     """
     n = params.n_env
@@ -334,7 +333,6 @@ def binomial_outcomes(
         u=u,
         weight=weight[keep],
         kind="binomial",
-        flip_counts=k[keep],
         dropped=int(np.count_nonzero(~keep)),
     )
     return merge_by_u(dist)
@@ -346,8 +344,7 @@ def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:
     Sorted by u, a group ends where the next u exceeds the last by more
     than U_MERGE_TOL = 1e-12.  The merged u is the weight-weighted mean
     of the group (its first u when the group weighs nothing).  Pattern
-    codes are discarded (a merged atom has no single pattern); flip
-    counts keep the smallest member.
+    codes are discarded (a merged atom has no single pattern).
     """
     if dist.u.size == 0:
         return dist
@@ -359,14 +356,10 @@ def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:
     uw_out = np.add.reduceat(u_sorted * w_sorted, starts)
     with np.errstate(invalid="ignore", divide="ignore"):
         u_out = np.where(w_out > 0, uw_out / w_out, u_sorted[starts])
-    k_out = None
-    if dist.flip_counts is not None:
-        k_out = np.minimum.reduceat(dist.flip_counts[order], starts)
     return ProjectionDistribution(
         u=u_out,
         weight=w_out,
         kind=dist.kind,
-        flip_counts=k_out,
         dropped=dist.dropped,
     )
 

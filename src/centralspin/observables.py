@@ -37,8 +37,6 @@ GRID_BLOCK_ATOMS = 8192
 # (24 times), which takes the figure presets' profile calls from two
 # per block to two per three blocks.
 PROFILE_CHUNK_ENTRIES = 256
-# Probes per round of the cutoff search in ``logit_cutoffs``.
-_CUTOFF_PROBES = 256
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
 
@@ -130,25 +128,26 @@ def _float_key(x: float) -> int:
     return -(bits & _MAGNITUDE) if bits < 0 else bits
 
 
+def _key_float(key: int) -> float:
+    """The float64 of a ``_float_key`` (key 0 gives 0.0)."""
+    return math.copysign(float(np.int64(abs(key)).view(np.float64)), key)
+
+
 def _last_passing(test, lo: float, hi: float) -> float:
     """Largest float x in [lo, hi) with test(x), for a test that holds up to a cutoff and not after.
 
-    test maps a float64 array to a boolean array; it must hold at lo and
-    fail at hi, and lo and hi must have the same sign.  Each round
-    probes ``_CUTOFF_PROBES`` floats spread over the keys between.
+    test maps one float to a bool; it must hold at lo and fail at hi.
+    Plain bisection over the integer keys between them (``_float_key``)
+    takes at most 64 tests.
     """
     lo_key, hi_key = _float_key(lo), _float_key(hi)
-    probes = np.arange(1, _CUTOFF_PROBES + 1)
     while hi_key - lo_key > 1:
-        step = max((hi_key - lo_key) // (_CUTOFF_PROBES + 1), 1)
-        keys = np.minimum(lo_key + step * probes, hi_key)
-        holds = test(np.copysign(np.abs(keys).view(np.float64), keys))
-        first_fail = _CUTOFF_PROBES if holds.all() else int(np.argmin(holds))
-        if first_fail > 0:
-            lo_key = int(keys[first_fail - 1])
-        if first_fail < _CUTOFF_PROBES:
-            hi_key = int(keys[first_fail])
-    return float(np.copysign(np.abs(np.int64(lo_key)).view(np.float64), lo_key))
+        mid = (lo_key + hi_key) // 2
+        if test(_key_float(mid)):
+            lo_key = mid
+        else:
+            hi_key = mid
+    return _key_float(lo_key)
 
 
 @lru_cache(maxsize=16)
@@ -162,12 +161,13 @@ def logit_cutoffs(eps: float) -> tuple[float, float]:
     count as down, found by searching the floats with the very
     expression of ``u_from_x``.  x = -inf is up and x = +inf is down; a
     NaN x (both branch weights zero) is neither.  The search takes about
-    0.4 ms; the result is memoized per eps for the life of the process.
+    1-2 ms; the result is memoized per eps for the life of the process.
     """
     validate_error_threshold(eps)
-    # u(-800) = 1 and u(-0.0) = 0.5 < 1 - eps; u(0) = 0.5 > eps and u(710) = 0.
-    c_up = _last_passing(lambda x: engine.u_from_x(x) >= 1.0 - eps, -800.0, -0.0)
-    c_down = _last_passing(lambda x: engine.u_from_x(x) > eps, 0.0, 710.0)
+    # u(-800) = 1 and u(710) = 0 bound both searches.  At x = 0, u = 0.5 may
+    # still count as up: 1 - eps rounds to 0.5 for the largest eps < 0.5.
+    c_up = _last_passing(lambda x: engine.u_from_x(x) >= 1.0 - eps, -800.0, 710.0)
+    c_down = _last_passing(lambda x: engine.u_from_x(x) > eps, -800.0, 710.0)
     return c_up, c_down
 
 
@@ -262,8 +262,8 @@ def prepare(
     """Point function (t, seed) -> distribution of one run, from ``ENGINES[method]``.
 
     Binomial computes its multiplicities and one-spin model here and
-    exact-universe its sector spectra.  The state lives as long as the caller holds the
-    point function; nothing is cached across runs.
+    exact-universe its sector spectra.  The state lives as long as the
+    caller holds the point function; nothing is cached across runs.
     """
     try:
         engine_prepare = ENGINES[method]

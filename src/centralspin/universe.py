@@ -47,20 +47,10 @@ G_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
-class EnvBasisState:
-    """One product eigenstate of the bath Hamiltonian."""
-
-    index: int
-    spins: tuple[int, ...]
-    energy: float
-
-
-@dataclass(frozen=True)
 class ThermalEnsemble:
-    """Initial bath occupation f_n = exp(-beta E_n) / Z over the product basis."""
+    """Initial bath occupation f_n = exp(-beta E_n) / Z over the product basis; Z is not kept."""
 
     f: np.ndarray
-    partition: float
 
     def __post_init__(self):
         if abs(float(np.sum(self.f)) - 1.0) > 1e-9 or np.any(self.f < 0):
@@ -110,14 +100,6 @@ class TrajectoryOutcomes:
 def spins_of_index(index: int, n: int) -> tuple[int, ...]:
     """Spin orientations (s_1 .. s_N) of env basis index; spin j at bit N - j."""
     return tuple(1 if ((index >> (n - j)) & 1) == 0 else -1 for j in range(1, n + 1))
-
-
-def env_basis_state(params: ModelParams, index: int) -> EnvBasisState:
-    n = params.n_env
-    if not 0 <= index < 2**n:
-        raise IndexError(f"basis index {index} outside 0..{2**n - 1}")
-    spins = spins_of_index(index, n)
-    return EnvBasisState(index, spins, params.mu * sum(spins))
 
 
 def pattern_between(n_initial: int, n_final: int, n: int) -> FlipPattern:
@@ -177,10 +159,7 @@ def thermal_ensemble(params: ModelParams) -> ThermalEnsemble:
     shift = logw - np.max(logw)
     w = np.exp(shift)
     total = float(np.sum(w))
-    log_z = float(np.max(logw) + np.log(total))
-    with np.errstate(over="ignore"):
-        partition = float(np.exp(log_z))
-    return ThermalEnsemble(w / total, partition)
+    return ThermalEnsemble(w / total)
 
 
 def sector_spectra(params: ModelParams) -> tuple:

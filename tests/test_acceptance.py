@@ -23,7 +23,12 @@ from centralspin.engine import (
 )
 from centralspin.observables import class_probabilities, point_seed, time_series
 from centralspin.selfcheck import group_universe_by_pattern, ks_distance
-from centralspin.universe import phase_distance, thermal_ensemble, trajectory_ensemble
+from centralspin.universe import (
+    phase_distance,
+    reduced_density_check,
+    thermal_ensemble,
+    trajectory_ensemble,
+)
 
 BORN = SystemAmplitudes.from_up_weight(0.4)
 EPS = 1e-3
@@ -54,16 +59,10 @@ def test_criterion_1_density_matrix_identity():
         ensemble = thermal_ensemble(params)
         for t in (0.5, 5.0, 50.0):
             outs = trajectory_ensemble(params, alphas, ensemble, t)
-            worst = max(worst, reduced_density_check_cached(outs, params, alphas, ensemble, t))
+            worst = max(worst, reduced_density_check(outs, params, alphas, ensemble, t))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     assert verdict("1", ok, f"max deviation {worst:.2e}, runtime {elapsed:.2f}s")
-
-
-def reduced_density_check_cached(outs, params, alphas, ensemble, t):
-    from centralspin.universe import reduced_density_check
-
-    return reduced_density_check(outs, params, alphas, ensemble, t)
 
 
 def test_criterion_2_schrodinger_limit():

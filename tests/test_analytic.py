@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from centralspin.analytic import (
-    AnalyticCase,
     flip_parity_split,
     nu_zero_solution,
     recovery_times,
@@ -131,21 +130,3 @@ class TestNuZeroCase:
             dist = enumerate_outcomes(p, ALPHAS, t)
             assert np.max(np.abs(dist.u - 0.4)) <= 1e-12
             assert class_probabilities(dist, 1e-3) == (0.0, 0.0, 1.0)
-
-
-class TestAnalyticCase:
-    def test_zero_h_kind_validates(self):
-        AnalyticCase("zero_h_zero_T", ModelParams(delta=0.3, h=(0.0, 0.0)))
-        with pytest.raises(ValueError):
-            AnalyticCase("zero_h_zero_T", ModelParams(delta=0.3, h=(0.1,)))
-
-    def test_nu_zero_kind_validates(self):
-        AnalyticCase("nu_zero_const_h", ModelParams(delta=1.0, h=(0.5, 0.5)))
-        with pytest.raises(ValueError):
-            AnalyticCase("nu_zero_const_h", ModelParams(delta=0.5, h=(0.5, 0.5)))
-        with pytest.raises(ValueError):
-            AnalyticCase("nu_zero_const_h", ModelParams(delta=1.0, h=(0.5, 0.6)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AnalyticCase("magic", ModelParams(delta=0.0, h=(0.1,)))

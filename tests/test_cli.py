@@ -94,6 +94,10 @@ RUN_REJECTS = {
     "binomial_dispersed": "delta_h = 0.02\nmethod = binomial\n",
     "label_escapes_out": "label = ../escape\n",
     "label_has_separator": "label = sub/name\n",
+    "out_has_nul": "out = sub\0name\n",
+    # At the last grid time delta = 1e307 overflows the down-branch phase, h = 1e307 both.
+    "overflowing_phase_delta": "delta = 1e307\n",
+    "overflowing_phase_coupling": "h = 1e307\n",
 }
 
 
@@ -201,14 +205,6 @@ class TestConfigBehavior:
 
         monkeypatch.setattr(ExperimentConfig, "couplings", expand)
         assert cfg.resolved_method() == "binomial"
-
-    def test_round_trip(self):
-        for name in ("fig1", "fig2_top", "fig2_bottom", "fig3"):
-            for cfg in _preset_configs(name):
-                rebuilt = parse_config(cfg.to_text())
-                assert rebuilt == ExperimentConfig(
-                    **{k: v for k, v in cfg.__dict__.items() if k != "preset"}
-                )
 
     def test_preset_parameters_match_captions(self):
         fig1 = _preset_configs("fig1")

@@ -192,7 +192,8 @@ def _per_point(params, alphas, times, method, eps=1e-3):
 
 
 class TestLogitCutoffs:
-    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25, 0.4999, 1e-12])
+    # The last eps: the largest below 0.5, for which 1 - eps rounds to 0.5, so u = 0.5 is up.
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25, 0.4999, 1e-12, 0.49999999999999994])
     def test_reproduce_the_u_tests(self, eps):
         c_up, c_down = obs.logit_cutoffs(eps)
         ulps = np.arange(-2000, 2001)

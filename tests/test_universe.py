@@ -16,7 +16,6 @@ from centralspin.universe import (
     TrajectoryOutcome,
     _evolved_blocks,
     build_hamiltonian,
-    env_basis_state,
     pattern_between,
     phase_distance,
     projection_outcomes,
@@ -116,12 +115,6 @@ class TestBasisBookkeeping:
         assert spins_of_index(0b100, 3) == (-1, 1, 1)
         assert spins_of_index(0b001, 3) == (1, 1, -1)
 
-    def test_env_basis_state_energy(self):
-        p = ModelParams(delta=0.5, h=(0.0, 0.0))
-        st = env_basis_state(p, 0b10)
-        assert st.spins == (-1, 1)
-        assert st.energy == pytest.approx(0.0)
-
     def test_pattern_between(self):
         pat = pattern_between(0b101, 0b001, 3)
         assert pat.d.tolist() == [-1, 1, 1]
@@ -132,7 +125,6 @@ class TestThermalEnsemble:
         p = ModelParams(delta=0.2, h=(0.1, 0.1), beta=0.0)
         ens = thermal_ensemble(p)
         np.testing.assert_allclose(ens.f, 0.25)
-        assert ens.partition == pytest.approx(4.0)
 
     def test_cold_bath_concentrates_on_ground_state(self):
         p = ModelParams(delta=0.2, h=(0.1, 0.1), beta=80.0)

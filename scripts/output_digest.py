@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every output file of a fixed set of runs.
+
+Usage:
+    python scripts/output_digest.py [--keep DIR]
+
+The runs: the four figure presets, the configs of the four benchmark
+workloads (read from perfbench/workloads.py) at seeds 0 and 7, and one
+run with histogram times per method.  Each run's records are written in
+both formats with ``cli.emit_results``; one line per file, sorted by
+path, reads "<sha256>  <path>".  Two checkouts with the same lines
+write byte-identical files.  The files go to a temporary directory,
+or to DIR with --keep.  Takes a few seconds on a 2-core machine.
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from centralspin.cli import (  # noqa: E402
+    PRESET_NAMES,
+    ExperimentConfig,
+    emit_results,
+    run_config,
+    run_preset,
+)
+from workloads import WORKLOADS  # noqa: E402
+
+FORMATS = ("csv", "json")
+WORKLOAD_SEEDS = (0, 7)
+HIST_TIMES = (0.0, 123.4, 400.0)
+
+
+def _hist_configs() -> list[ExperimentConfig]:
+    """One short grid with three histogram times per method."""
+    base = dict(n=6, h=(0.01,), delta=0.01, alpha_up_sq=0.4, steps=40, hist_times=HIST_TIMES)
+    return [
+        ExperimentConfig(
+            **base, method=method, samples=20_000, workers=2 if method == "sampled" else 1,
+            label=f"hist_{method}",
+        ).validate()
+        for method in ("exact", "binomial", "sampled", "exact-universe")
+    ]
+
+
+def write_outputs(out: Path) -> None:
+    """Run every config of the set and write its records under ``out``."""
+    for name in PRESET_NAMES:
+        records = run_preset(name)
+        for fmt in FORMATS:
+            emit_results(records, out / "presets", fmt)
+    for name, workload in WORKLOADS.items():
+        for seed in WORKLOAD_SEEDS:
+            records = [run_config(c) for c in workload.configs(seed)]
+            for fmt in FORMATS:
+                emit_results(records, out / f"{name}_seed{seed}", fmt)
+    records = [run_config(c) for c in _hist_configs()]
+    for fmt in FORMATS:
+        emit_results(records, out / "hist_times", fmt)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, default=None, help="write the files here and keep them")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as scratch:
+        out = args.keep or Path(scratch)
+        write_outputs(out)
+        for path in sorted(out.rglob("*")):
+            if path.suffix in (".csv", ".json"):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

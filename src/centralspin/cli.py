@@ -157,6 +157,14 @@ class ExperimentConfig:
             raise ConfigError(f"method: exact enumeration is capped at n = {engine.ENUMERATION_CAP}")
         if self.method == "exact-universe" and self.n > universe.DEFAULT_CAP:
             raise ConfigError(f"method: the dense universe is capped at n = {universe.DEFAULT_CAP}")
+        # Gershgorin: a sector row holds one diagonal entry of at most n * max(1, |delta|) and
+        # n off-diagonal entries of at most max |h_j|, which bounds every eigenvalue |w|.
+        bound = self.n * (max(1.0, abs(self.delta)) + abs(spin.h[0]))
+        if self.method == "exact-universe" and not math.isfinite(bound * t_last):
+            raise ConfigError(
+                f"delta, h: the sector phase t * w may overflow at t = {t_last!r} "
+                f"(|w| up to {bound!r})"
+            )
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
         if any(c in self.label for c in _LABEL_FORBIDDEN):
@@ -438,7 +446,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
-    return replace(config, **updates).validate() if updates else config
+    # run_config validates the result.
+    return replace(config, **updates)
 
 
 def _add_common_flags(sub):

@@ -176,22 +176,92 @@ def pattern_projection(
     return float(u_from_x(_pattern_logit(params, alphas, t, pattern)))
 
 
-def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarray:
+class BlockWorkspace:
+    """The arrays ``enumerate_block`` writes a block of T times at N spins into.
+
+    Three float buffers of T * 2^N entries hold every block-sized array
+    of a block; a grid allocates them once (``block_workspace``) and
+    reuses them for every block.  Views on the buffers:
+
+    * acc: the 2^N x T pattern-major doubling accumulator, whose bytes
+      read as T x 2^N are the pattern weights (``weight``);
+    * log_up, log_down: T x 2^N branch log-weights; log_down becomes x;
+    * keep, up, down: T x 2^N bool masks in the bytes of log_up, written
+      once x is formed.
+
+    ``sized(T')`` gives the views of a shorter final block on the same
+    buffers; a block of the full T uses the views built here.
+    """
+
+    def __init__(self, buffers: tuple, n: int, times: int):
+        self.buffers, self.n, self.times = buffers, n, times
+        acc, log_up, log_down = (b[: times << n] for b in buffers)
+        shape = (times, 1 << n)
+        self.acc = acc.reshape(1 << n, times)
+        self.weight = acc.reshape(shape)
+        self.log_up = log_up.reshape(shape)
+        self.log_down = log_down.reshape(shape)
+        self.keep, self.up, self.down = log_up.view(bool)[: 3 * acc.size].reshape((3,) + shape)
+
+    def sized(self, times: int) -> "BlockWorkspace":
+        """Views for a block of ``times`` times, at most the workspace's own T."""
+        if times == self.times:
+            return self
+        return BlockWorkspace(self.buffers, self.n, times)
+
+
+def block_workspace(n: int, times: int) -> BlockWorkspace:
+    """A ``BlockWorkspace`` for blocks of up to ``times`` times at N = n.
+
+    The enumeration cap is checked before anything is allocated.
+    """
+    if n > ENUMERATION_CAP:
+        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
+    size = times << n
+    return BlockWorkspace((np.empty(size), np.empty(size), np.empty(size)), n, times)
+
+
+def _double(acc: np.ndarray, keep: np.ndarray, flip: np.ndarray, start: int) -> np.ndarray:
+    """Continue the subset doubling of the pattern-major acc from spin start + 1.
+
+    acc is 2^N x T with rows [0, 2^start) holding the sums over spins
+    1..start; keep and flip are the N x T spin-major log factors.  Spin
+    i + 1 doubles the rows in place: rows [0, 2^i) keep it, rows
+    [2^i, 2^(i+1)) flip it.  Both halves are contiguous and disjoint,
+    so numpy adds them with no overlap copy.
+    """
+    for i in range(start, keep.shape[0]):
+        width = 1 << i
+        np.add(acc[:width], flip[i], out=acc[width : 2 * width])
+        acc[:width] += keep[i]
+    return acc
+
+
+def pattern_log_weights(
+    log_keep: np.ndarray,
+    log_flip: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    acc: np.ndarray | None = None,
+    prefix: np.ndarray | None = None,
+) -> np.ndarray:
     """Log-weights of all 2^N flip patterns at each of T times, by subset doubling.
 
     log_keep and log_flip are T x N; column c of the T x 2^N result is
     the pattern whose bit i is set when spin i+1 flipped.  The doubling
-    runs in a pattern-major 2^N x T layout, where spin i doubles the
-    rows in place: rows [0, 2^i) keep it, rows [2^i, 2^(i+1)) flip it.
-    Both halves are contiguous and disjoint, so numpy adds them with no
-    overlap copy, and each half adds the spin's T factors as one
-    contiguous row.  One transposing copy returns the row-major T x 2^N
-    array (at T = 1 both layouts are the same memory and nothing is
-    copied), so a call holds at most two result-sized arrays.  The
-    layout moves where a sum is stored, not how it is formed: each
-    entry is still the left-to-right sum over spins 1..N, so it equals
-    a spin-by-spin loop bit for bit; -inf factors stay -inf (no +inf
-    term exists, so inf - inf never occurs).
+    runs in a pattern-major 2^N x T accumulator (``_double``), and one
+    transposing copy writes the row-major result; at T = 1 both layouts
+    are the same memory, so the doubling runs in the result itself and
+    nothing is copied.  out (T x 2^N) and acc (2^N x T, used for T > 1)
+    are allocated when not given.  prefix, when given, is the 2^k x T
+    pattern-major table of the sums over spins 1..k at the same times
+    (such as a slice of ``low_spin_table``); the doubling starts from it
+    at spin k + 1.
+
+    The layout moves where a sum is stored, not how it is formed: each
+    entry is still the left-to-right sum over spins 1..N, from a prefix
+    or not, so it equals a spin-by-spin loop bit for bit; -inf factors
+    stay -inf (no +inf term exists, so inf - inf never occurs).
 
     The left-to-right order is load-bearing: ``core.pattern_log_weight``
     sums a sampled or single pattern's logs in the same order, so its u
@@ -201,18 +271,43 @@ def pattern_log_weights(log_keep: np.ndarray, log_flip: np.ndarray) -> np.ndarra
     differently and must change that sum with it.
     """
     t, n = log_keep.shape
-    keep, flip = np.ascontiguousarray(log_keep.T), np.ascontiguousarray(log_flip.T)
-    acc = np.empty((1 << n, t))
+    if out is None:
+        out = np.empty((t, 1 << n))
+    if t == 1:
+        acc = out.reshape(1 << n, 1)
+    elif acc is None:
+        acc = np.empty((1 << n, t))
+    if prefix is None:
+        acc[0] = 0.0
+        start = 0
+    else:
+        acc[: prefix.shape[0]] = prefix
+        start = prefix.shape[0].bit_length() - 1
+    _double(acc, log_keep.T, log_flip.T, start)
+    if t > 1:
+        np.copyto(out, acc.T)
+    return out
+
+
+def low_spin_table(rows: BranchLogRows, k: int) -> np.ndarray:
+    """Sums over spins 1..k of all 2^k low patterns of both branches, at the rows' C times.
+
+    One pattern-major 2^k x 2C doubling, returned as 2^k x 2 x C:
+    [:, 0] is the up branch and [:, 1] the down one, and a block's
+    columns of either are the ``prefix`` of its ``pattern_log_weights``.
+    """
+    keep = np.concatenate((rows.up_keep[:, :k], rows.down_keep[:, :k])).T
+    flip = np.concatenate((rows.up_flip[:, :k], rows.down_flip[:, :k])).T
+    acc = np.empty((1 << k, keep.shape[1]))
     acc[0] = 0.0
-    for i in range(n):
-        width = 1 << i
-        np.add(acc[:width], flip[i], out=acc[width : 2 * width])
-        acc[:width] += keep[i]
-    return np.ascontiguousarray(acc.T)
+    return _double(acc, keep, flip, 0).reshape(1 << k, 2, -1)
 
 
 def enumerate_block(
-    alphas: SystemAmplitudes, rows: BranchLogRows
+    alphas: SystemAmplitudes,
+    rows: BranchLogRows,
+    workspace: BlockWorkspace,
+    prefix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
@@ -223,34 +318,42 @@ def enumerate_block(
     at or above 1e-300.  x is meaningful on kept atoms only: a dropped
     atom may have both branch weights zero and x NaN.
 
-    Memory: three block-sized float arrays at a time, plus a half-block
-    temporary while the down weights are added.  The up log-weights
-    stay alive while the down ones are doubled, and a doubling holds
-    two block-sized arrays for T > 1 (the pattern-major accumulator and
-    its transposed copy) and one at T = 1.
+    Every block-sized array is a view of workspace (a ``BlockWorkspace``
+    of T times at the rows' N), so a block allocates nothing that grows
+    with 2^N, and the next block overwrites the three results.  The
+    weights and x are formed one contiguous half of the block at a
+    time, and each half's down weights go to memory that is free by
+    then: the weights' second half, then the up logs' first half.  So
+    the workspace is three block arrays, and numpy's own buffer for the
+    broadcast adds of a T > 1 doubling (up to half a block) stays within
+    3.5.  prefix, when given, is the block's 2^k x 2 x T slice of
+    ``low_spin_table``: both doublings continue from it at spin k + 1.
     """
-    n = rows.up_keep.shape[1]
-    if n > ENUMERATION_CAP:
-        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
+    ws = workspace
     lw_up, lw_down = _log_mixture_weights(alphas)
-    log_wu = pattern_log_weights(rows.up_keep, rows.up_flip)
-    log_wd = pattern_log_weights(rows.down_keep, rows.down_flip)
-    weight = np.exp(log_wu)
-    weight *= alphas.w_up
-    # The down weights go in one contiguous half of the block at a time.
-    flat_weight, flat_wd = weight.reshape(-1), log_wd.reshape(-1)
-    down_weight = np.empty(flat_weight.size // 2)
-    for part in (slice(None, down_weight.size), slice(down_weight.size, None)):
-        np.exp(flat_wd[part], out=down_weight)
+    up_prefix, down_prefix = (None, None) if prefix is None else (prefix[:, 0], prefix[:, 1])
+    log_wu = pattern_log_weights(
+        rows.up_keep, rows.up_flip, ws.log_up, acc=ws.acc, prefix=up_prefix
+    )
+    log_wd = pattern_log_weights(
+        rows.down_keep, rows.down_flip, ws.log_down, acc=ws.acc, prefix=down_prefix
+    )
+    # The accumulator is free from here on and takes the weights.
+    flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, log_wu, log_wd))
+    half = flat_weight.size // 2
+    first, second = slice(None, half), slice(half, None)
+    for part, spare in ((first, flat_weight[second]), (second, flat_wu[first])):
+        down_weight = np.exp(flat_wd[part], out=spare)
         down_weight *= alphas.w_down
-        flat_weight[part] += down_weight
-    del down_weight
-    # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
-    log_wu += lw_up
-    log_wd += lw_down
-    with np.errstate(invalid="ignore"):
-        log_wd -= log_wu
-    return log_wd, weight, weight >= WEIGHT_FLOOR
+        weight = np.exp(flat_wu[part], out=flat_weight[part])
+        weight *= alphas.w_up
+        weight += down_weight
+        # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
+        flat_wu[part] += lw_up
+        flat_wd[part] += lw_down
+        with np.errstate(invalid="ignore"):
+            flat_wd[part] -= flat_wu[part]
+    return log_wd, ws.weight, np.greater_equal(ws.weight, WEIGHT_FLOOR, out=ws.keep)
 
 
 def enumerate_outcomes(
@@ -262,10 +365,12 @@ def enumerate_outcomes(
     amplitudes depend only on d_j, so the result is independent of the
     bath occupation and of beta.  Atoms with weight below 1e-300
     (including exact zeros) are dropped and counted in ``dropped``.
-    This is ``enumerate_block`` on the one-time block [t].
+    This is ``enumerate_block`` on the one-time block [t], in a
+    workspace of its own.
     """
+    workspace = block_workspace(params.n_env, 1)
     rows = branch_log_rows(params, np.array([t]))
-    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows))
+    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows, workspace))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],

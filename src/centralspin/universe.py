@@ -182,10 +182,15 @@ def _cos_sin(spectrum, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(C, S) = (V cos(tau w) V^T, V sin(tau w) V^T), so exp(-i tau H_s) = C - i S.
 
     H is real symmetric, so each sector block has real eigenvectors and
-    its propagator is formed as these two real products.
+    its propagator is formed as these two real products.  Raises
+    ValueError when a phase tau * w overflows.
     """
     w, v = spectrum
-    return (v * np.cos(tau * w)) @ v.T, (v * np.sin(tau * w)) @ v.T
+    with np.errstate(over="ignore"):
+        phase = tau * w
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"phase tau * w must be finite; it overflows at tau = {tau!r}")
+    return (v * np.cos(phase)) @ v.T, (v * np.sin(phase)) @ v.T
 
 
 def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from centralspin.cli import (
     parse_config,
     run_config,
 )
+from centralspin.core import ModelParams
 
 MINIMAL = "n = 10\nh = 0.01\ndelta = 0\nalpha_up_sq = 0.4\n"
 
@@ -98,6 +99,8 @@ RUN_REJECTS = {
     # At the last grid time delta = 1e307 overflows the down-branch phase, h = 1e307 both.
     "overflowing_phase_delta": "delta = 1e307\n",
     "overflowing_phase_coupling": "h = 1e307\n",
+    # Each spin's phase is finite, but a sector eigenvalue of about n * h times t is not.
+    "overflowing_universe_phase": "n = 4\nh = 2.5e305\nmethod = exact-universe\nsteps = 3\n",
 }
 
 
@@ -124,6 +127,28 @@ class TestValidateBoundary:
         path.write_text(MINIMAL)
         assert main(["run", str(path), "--seed", "-1", "--out", str(tmp_path)]) == 1
 
+    def test_overridden_samples_rejected_with_its_message(self, tmp_path, capsys):
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL)
+        assert main(["run", str(path), "--samples", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: samples: must be positive\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_run_validates_twice(self, tmp_path, monkeypatch):
+        # Once when the file is parsed and once in run_config, which sees the overrides.
+        calls = []
+        real = ExperimentConfig.validate
+
+        def counted(self):
+            calls.append(self.seed)
+            return real(self)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL + "steps = 2\n")
+        assert main(["run", str(path), "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [0, 3]
+
     def test_boundary_values_accepted(self):
         # A first grid point at t0, a histogram at t0, equal explicit
         # couplings for binomial and dotted labels are all fine.
@@ -137,6 +162,16 @@ class TestValidateBoundary:
             parse_config(config_text(f"label = {label}\n"))
         parse_config("n = 3\nh = 0.2; 0.2; 0.2\nmethod = binomial\n")
         parse_config("n = 12\nh = 0.1\nmethod = exact-universe\n")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_universe_phase_bound_holds(self, seed):
+        # validate bounds every sector eigenvalue by n * (max(1, |delta|) + max |h_j|).
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        params = ModelParams(delta=float(rng.normal(0.0, 3.0)), h=tuple(rng.normal(0.0, 2.0, n)))
+        bound = n * (max(1.0, abs(params.delta)) + max(map(abs, params.h)))
+        for w, _ in universe.sector_spectra(params):
+            assert np.max(np.abs(w)) <= bound * (1 + 1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, -1e-3, math.nan, 0.7, 1e-3, 0.4999])
     def test_epsilon_rejected_exactly_when_its_owner_rejects(self, eps):

@@ -640,6 +640,79 @@ class TestSubsetDoubling:
             assert np.array_equal(got[row], _bit_loop_log_weights(log_keep[row], log_flip[row]))
 
 
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_prefix_continued_doubling_equals_spin_loop_bitwise(self, t, n):
+        rng = np.random.default_rng(10 * t + n)
+        log_keep = np.log(rng.uniform(0.0, 1.0, (t, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (t, n)))
+        log_flip[0, n - 1] = -math.inf
+        want = [_bit_loop_log_weights(log_keep[row], log_flip[row]) for row in range(t)]
+        for k in sorted({0, 1, n // 2, n}):
+            prefix = pattern_log_weights(log_keep[:, :k], log_flip[:, :k]).T
+            got = pattern_log_weights(log_keep, log_flip, prefix=prefix)
+            assert all(np.array_equal(got[row], want[row]) for row in range(t))
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_low_spin_table_continues_both_branches_bitwise(self, n):
+        # Columns [first, first + 2) of the table are the prefix of a block of two times.
+        rng = np.random.default_rng(n)
+        c, first = 5, 2
+        rows = engine.BranchLogRows(*np.log(rng.uniform(0.0, 1.0, (4, c, n))))
+        block = rows.rows(slice(first, first + 2))
+        for k in sorted({0, 1, n // 2, n}):
+            low = engine.low_spin_table(rows, k)
+            assert low.shape == (2**k, 2, c)
+            for branch, (keep, flip) in enumerate((block[:2], block[2:])):
+                got = pattern_log_weights(keep, flip, prefix=low[:, branch, first : first + 2])
+                for row in range(2):
+                    assert np.array_equal(got[row], _bit_loop_log_weights(keep[row], flip[row]))
+
+
+class TestBlockWorkspace:
+    @pytest.mark.parametrize("n", [3, 10, 14])
+    def test_a_used_workspace_gives_a_fresh_ones_result(self, n):
+        # Other times, the other w_up and a frozen spin leave nothing behind in the buffers.
+        t = max(1, 8192 >> n)
+        params = ModelParams(delta=0.01, h=(0.0,) + dispersed_couplings(0.05, 0.4, n)[1:])
+        rows = engine.branch_log_rows(params, np.linspace(0.0, 90.0, t))
+        other = engine.branch_log_rows(params, np.linspace(7.0, 400.0, t))
+        for w_up in (0.0, 0.4, 1.0):
+            alphas = SystemAmplitudes.from_up_weight(w_up)
+            fresh = engine.enumerate_block(alphas, rows, engine.block_workspace(n, t))
+            used = engine.block_workspace(n, t)
+            engine.enumerate_block(SystemAmplitudes.from_up_weight(1.0 - w_up), other, used)
+            got = engine.enumerate_block(alphas, rows, used)
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_short_block_views_share_the_buffers(self):
+        ws = engine.block_workspace(4, 3)
+        short = ws.sized(2)
+        assert ws.sized(3) is ws
+        assert short.weight.shape == short.keep.shape == (2, 16)
+        assert short.buffers is ws.buffers
+        for name in ("acc", "weight", "log_up", "log_down", "keep", "up", "down"):
+            assert any(np.shares_memory(getattr(short, name), b) for b in ws.buffers)
+
+    def test_cap_checked_before_any_allocation(self):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(EnvironmentTooLarge):
+                engine.block_workspace(21, 1)
+            with pytest.raises(EnvironmentTooLarge):
+                enumerate_outcomes(ModelParams(delta=0.0, h=(0.1,) * 21), ALPHAS, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestBinomialLogCounts:
     @pytest.mark.parametrize("n", [1, 2, 80, 1000, 10**5])
     def test_equals_lgamma_formula_bitwise(self, n):

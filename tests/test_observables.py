@@ -225,19 +225,19 @@ class TestLogitCutoffs:
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
     def test_peak_of_one_block(self, n):
-        # Three block-sized float arrays and a half-block temporary.
+        # Three block-sized float arrays and a half-block one: the workspace, built in the measure.
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         rows = engine.branch_log_rows(params, times)
         cutoffs = obs.logit_cutoffs(1e-3)
-        obs._exact_block(ALPHAS, rows, cutoffs)
+        obs._exact_block(ALPHAS, rows, cutoffs, engine.block_workspace(n, times.size))
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            obs._exact_block(ALPHAS, rows, cutoffs)
+            obs._exact_block(ALPHAS, rows, cutoffs, engine.block_workspace(n, times.size))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -293,6 +293,91 @@ class TestProfileChunks:
         assert calls == [("up", chunk), ("down", chunk)] * 3 + [("up", 1), ("down", 1)]
 
 
+def _one_time_blocks(params, alphas, times, patch):
+    """The exact series with one time per block and one block per chunk."""
+    with patch.context() as one:
+        one.setattr(obs, "GRID_BLOCK_ATOMS", 1 << params.n_env)
+        one.setattr(obs, "PROFILE_CHUNK_ENTRIES", 1)
+        return time_series(params, alphas, times, method="exact")
+
+
+def _assert_same_series(a, b):
+    for name in ("p_up", "p_down", "p_q"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.dropped == b.dropped and a.retries == b.retries
+
+
+class TestGridWorkspace:
+    @pytest.mark.parametrize("n", [14, 16, 18])
+    def test_large_n_grids_equal_one_time_blocks_bitwise(self, n, monkeypatch):
+        # The default blocks (one time) and blocks of three times over 7 times, whose last block
+        # is one time short of a view of its own, give the one-time-per-block series.
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        times = np.linspace(1.0, 350.0, 7)
+        want = _one_time_blocks(params, ALPHAS, times, monkeypatch)
+        _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
+        with monkeypatch.context() as patch:
+            patch.setattr(obs, "GRID_BLOCK_ATOMS", 3 << n)
+            _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
+
+    @pytest.mark.parametrize("sizes", [(10, 12), (14, 11), (5, 13)])
+    def test_grids_run_back_to_back_keep_no_stale_data(self, sizes, monkeypatch):
+        times = np.concatenate(([0.0], np.linspace(0.7, 350.0, 29)))
+        cases = [
+            (ModelParams(delta=0.3, h=(0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]), w_up)
+            for n in sizes
+            for w_up in (0.0, 0.4, 1.0)
+        ]
+        cases = [(params, SystemAmplitudes.from_up_weight(w_up)) for params, w_up in cases]
+        want = [_one_time_blocks(params, alphas, times, monkeypatch) for params, alphas in cases]
+        for _ in range(2):
+            for (params, alphas), series in zip(cases, want):
+                _assert_same_series(time_series(params, alphas, times, method="exact"), series)
+
+    @pytest.mark.parametrize("n", [3, 10, 14])
+    def test_one_workspace_per_grid(self, n, monkeypatch):
+        built = []
+
+        def counted(n_env, times):
+            built.append(times)
+            return real(n_env, times)
+
+        real = engine.block_workspace
+        monkeypatch.setattr(engine, "block_workspace", counted)
+        step = max(1, GRID_BLOCK_ATOMS >> n)
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        for size in sorted({1, max(1, step - 1), step, step + 1, 3 * _chunk_times(n) + 1}):
+            built.clear()
+            time_series(params, ALPHAS, np.linspace(1.0, 100.0, size), method="exact")
+            assert built == [min(step, size)]
+
+    def test_low_spin_table_is_the_largest_within_its_bound(self):
+        for n in range(1, 21):
+            step = max(1, GRID_BLOCK_ATOMS >> n)
+            for times in sorted({1, step, _chunk_times(n), 1000, 5000}):
+                k = obs._low_spins(n, times)
+                assert (2 << k) * times <= obs.LOW_SPIN_ENTRIES or k == 0
+                assert k == n or (4 << k) * times > obs.LOW_SPIN_ENTRIES
+
+    def test_over_cap_grid_raises_before_allocating(self):
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 21))
+        times = np.linspace(1.0, 100.0, 6)
+        obs.logit_cutoffs(1e-3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(engine.EnvironmentTooLarge, match="N=21"):
+                time_series(params, ALPHAS, times, method="exact")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 def _exact_grid_cases(n):
     """A grid from t = 0 and (params, alphas) with one zero coupling, two deltas, three w_up.
 
@@ -344,7 +429,7 @@ class TestGridEvaluator:
                 exact_up[i], exact_down[i] = math.fsum(dist.weight[up]), math.fsum(dist.weight[down])
                 # Every kept atom lands in the class its u gives.
                 rows = engine.branch_log_rows(params, np.array([t]))
-                x, _, keep = engine.enumerate_block(alphas, rows)
+                x, _, keep = engine.enumerate_block(alphas, rows, engine.block_workspace(n, 1))
                 x_kept = x[keep]
                 assert np.array_equal(x_kept <= c_up, up) and np.array_equal(x_kept > c_down, down)
             # Both routes stay within a few ulp of the exactly rounded sums.

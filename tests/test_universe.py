@@ -272,6 +272,19 @@ class TestSectorPropagation:
             trajectory_ensemble(p, a, thermal_ensemble(p), 1.0)
 
 
+    def test_overflowing_phase_raises(self):
+        # Every per-spin phase is finite at t = 333, but tau * w reaches about 4 * 2.5e305 * 333.
+        p = ModelParams(delta=0.0, h=(2.5e305,) * 4)
+        a = SystemAmplitudes.from_up_weight(0.4)
+        ensemble, spectra = thermal_ensemble(p), sector_spectra(p)
+        u, weight = projection_outcomes(p, a, ensemble, spectra, 1.0)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(weight))
+        with pytest.raises(ValueError, match=r"phase tau \* w must be finite"):
+            projection_outcomes(p, a, ensemble, spectra, 333.0)
+        with pytest.raises(ValueError, match=r"phase tau \* w must be finite"):
+            trajectory_ensemble(p, a, ensemble, 333.0)
+
+
 class TestOutcomeArrays:
     def test_matches_reference_double_loop(self):
         # A frozen spin (h = 0) gives exactly-zero amplitudes and a cold

@@ -25,7 +25,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +43,13 @@ ENUMERATION_CAP = 20
 WEIGHT_FLOOR = 1e-300
 U_MERGE_TOL = 1e-12
 SAMPLE_CHUNK = 8192
+# Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
+# through it in tiles of budget // N draws (one tile up to N = 512).
+SAMPLE_MASK_BYTES = 4 << 20
 
 
 class DegenerateOutcomeError(ValueError):
     """Both branch weights vanished: the outcome state is undefined at this time."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
 
 
 @dataclass
@@ -100,35 +98,18 @@ def _log_branch_pair(params, alphas, t):
     return (up, down) + _log_mixture_weights(alphas)
 
 
-class BranchLogRows(NamedTuple):
-    """Both branches' per-spin log factors at T times, each T x N (row k is time k).
+def branch_log_rows(params: ModelParams, times: np.ndarray) -> np.ndarray:
+    """Both branches' per-spin log factors at a 1-D array of T times, as one (2, 2, T, N) table.
 
-    The input of ``enumerate_block``.  ``rows`` takes a block of
-    consecutive times out of a longer table without copying.
-    """
-
-    up_keep: np.ndarray
-    up_flip: np.ndarray
-    down_keep: np.ndarray
-    down_flip: np.ndarray
-
-    def rows(self, block: slice) -> "BranchLogRows":
-        # A list, not a generator: star-unpacking a generator resizes a
-        # tuple, which then stays in CPython's tuple free list, one per
-        # call, and counts toward a run's tracemalloc peak.
-        return BranchLogRows(*[field[block] for field in self])
-
-
-def branch_log_rows(params: ModelParams, times: np.ndarray) -> BranchLogRows:
-    """``BranchLogRows`` at a 1-D array of times, one ``branch_flip_profile`` call per branch.
-
-    Row k is bit for bit the profile at times[k] alone, so any split of
-    a grid into tables gives the same rows.  Only the log fields are
-    kept.
+    table[b] is (log_keep, log_flip) of ``core.BRANCHES[b]``, each T x N
+    with row k at times[k]; a block of consecutive times is the view
+    table[:, :, block].  One ``branch_flip_profile`` call per branch,
+    and row k is bit for bit the profile at times[k] alone, so any split
+    of a grid into tables gives the same rows.
     """
     up = branch_flip_profile(params, "up", times)
     down = branch_flip_profile(params, "down", times)
-    return BranchLogRows(up.log_keep, up.log_flip, down.log_keep, down.log_flip)
+    return np.stack(((up.log_keep, up.log_flip), (down.log_keep, down.log_flip)))
 
 
 def u_from_x(x):
@@ -151,7 +132,8 @@ def _pattern_logit(
     The branch totals are mixed as ``enumerate_block`` mixes them, so
     ``u_from_x(x)`` is the enumerated u of the pattern bit for bit.  x is
     NaN exactly when both totals are -inf; that raises
-    DegenerateOutcomeError.
+    DegenerateOutcomeError.  Only the single-pattern APIs get here: the
+    grid engines drop or never draw a pattern with both weights zero.
     """
     if len(pattern) != params.n_env:
         raise ValueError("pattern length does not match environment size")
@@ -159,9 +141,7 @@ def _pattern_logit(
     flipped = pattern.flipped
     x = (lw_down + pattern_log_weight(down, flipped)) - (lw_up + pattern_log_weight(up, flipped))
     if math.isnan(x):
-        raise DegenerateOutcomeError(
-            f"both branch weights vanish for this pattern at t={t}", t=t
-        )
+        raise DegenerateOutcomeError(f"both branch weights vanish for this pattern at t={t}")
     return x
 
 
@@ -289,15 +269,15 @@ def pattern_log_weights(
     return out
 
 
-def low_spin_table(rows: BranchLogRows, k: int) -> np.ndarray:
-    """Sums over spins 1..k of all 2^k low patterns of both branches, at the rows' C times.
+def low_spin_table(table: np.ndarray, k: int) -> np.ndarray:
+    """Sums over spins 1..k of all 2^k low patterns of both branches, at a table's C times.
 
-    One pattern-major 2^k x 2C doubling, returned as 2^k x 2 x C:
-    [:, 0] is the up branch and [:, 1] the down one, and a block's
-    columns of either are the ``prefix`` of its ``pattern_log_weights``.
+    table is a ``branch_log_rows`` table.  One pattern-major 2^k x 2C
+    doubling, returned as 2^k x 2 x C: [:, 0] is the up branch and
+    [:, 1] the down one, and a block's columns of either are the
+    ``prefix`` of its ``pattern_log_weights``.
     """
-    keep = np.concatenate((rows.up_keep[:, :k], rows.down_keep[:, :k])).T
-    flip = np.concatenate((rows.up_flip[:, :k], rows.down_flip[:, :k])).T
+    keep, flip = (np.concatenate(table[:, field, :, :k]).T for field in (0, 1))
     acc = np.empty((1 << k, keep.shape[1]))
     acc[0] = 0.0
     return _double(acc, keep, flip, 0).reshape(1 << k, 2, -1)
@@ -305,18 +285,19 @@ def low_spin_table(rows: BranchLogRows, k: int) -> np.ndarray:
 
 def enumerate_block(
     alphas: SystemAmplitudes,
-    rows: BranchLogRows,
+    rows: np.ndarray,
     workspace: BlockWorkspace,
     prefix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
-    rows are both branches' T x N log factors at the block's times
-    (``branch_log_rows``, or a block of a longer table).  Columns are
-    pattern codes.  x = log(w_down W_down) - log(w_up W_up) is minus the
-    logit of u (``u_from_x`` gives u); keep marks the atoms with weight
-    at or above 1e-300.  x is meaningful on kept atoms only: a dropped
-    atom may have both branch weights zero and x NaN.
+    rows is the (2, 2, T, N) table of both branches' log factors at the
+    block's times (``branch_log_rows``, or the view of a block of a
+    longer table).  Columns are pattern codes.  x = log(w_down W_down) -
+    log(w_up W_up) is minus the logit of u (``u_from_x`` gives u); keep
+    marks the atoms with weight at or above 1e-300.  x is meaningful on
+    kept atoms only: a dropped atom may have both branch weights zero
+    and x NaN.
 
     Every block-sized array is a view of workspace (a ``BlockWorkspace``
     of T times at the rows' N), so a block allocates nothing that grows
@@ -332,12 +313,8 @@ def enumerate_block(
     ws = workspace
     lw_up, lw_down = _log_mixture_weights(alphas)
     up_prefix, down_prefix = (None, None) if prefix is None else (prefix[:, 0], prefix[:, 1])
-    log_wu = pattern_log_weights(
-        rows.up_keep, rows.up_flip, ws.log_up, acc=ws.acc, prefix=up_prefix
-    )
-    log_wd = pattern_log_weights(
-        rows.down_keep, rows.down_flip, ws.log_down, acc=ws.acc, prefix=down_prefix
-    )
+    log_wu = pattern_log_weights(*rows[0], ws.log_up, acc=ws.acc, prefix=up_prefix)
+    log_wd = pattern_log_weights(*rows[1], ws.log_down, acc=ws.acc, prefix=down_prefix)
     # The accumulator is free from here on and takes the weights.
     flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, log_wu, log_wd))
     half = flat_weight.size // 2
@@ -476,33 +453,42 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
     PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(chunk_index,));
     within a chunk the draw order is fixed: ``size`` uniforms pick the
     mixture branch, then size x N uniforms, row by row, pick the flips.
-    The flip uniforms are drawn into a reused block of rows (about
-    LOG_SUM_BLOCK floats), each row's flip probabilities are gathered
-    from the two branch profiles by its branch index, and the compare
-    goes into one spin-major N x size bool mask that both branch
-    log-sums (``core.pattern_log_weight``) read.  So the scratch is one
-    byte per (sample, spin) plus a few blocks, and every draw and u is
-    the one a whole (size, N) block of uniforms would give.
+    The draws go through in tiles of at most SAMPLE_MASK_BYTES // N
+    patterns.  Within a tile the flip uniforms are drawn into a reused
+    block of rows (about LOG_SUM_BLOCK floats), each row's flip
+    probabilities are gathered from the two branch profiles by its
+    branch index, and the compare goes into the tile's spin-major N x
+    cols bool mask that both branch log-sums (``core.pattern_log_weight``)
+    read.  So the scratch is the mask, at most SAMPLE_MASK_BYTES, plus a
+    few blocks, whatever N is, and every draw and u is the one a whole
+    (size, N) block of uniforms would give.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     up, down, lw_up, lw_down = branches
     n = up.flip.size
     branch = (rng.random(size) < alphas.w_up).view(np.uint8)
     flip_table = np.stack((down.flip, up.flip))
-    rows = max(1, min(size, LOG_SUM_BLOCK // n))
+    cols = max(1, min(size, SAMPLE_MASK_BYTES // n))
+    rows = max(1, min(cols, LOG_SUM_BLOCK // n))
     draws = np.empty((rows, n))
     flip_prob = np.empty((rows, n))
     block = np.empty((rows, n), dtype=bool)
-    flips = np.empty((n, size), dtype=bool)
-    for start in range(0, size, rows):
-        m = min(rows, size - start)
-        rng.random(out=draws[:m])
-        np.take(flip_table, branch[start : start + m], axis=0, out=flip_prob[:m], mode="clip")
-        np.less(draws[:m], flip_prob[:m], out=block[:m])
-        flips[:, start : start + m] = block[:m].T
-    log_wu = pattern_log_weight(up, flips.T)
-    log_wd = pattern_log_weight(down, flips.T)
-    return u_from_x((lw_down + log_wd) - (lw_up + log_wu))
+    mask = np.empty(n * cols, dtype=bool)
+    tiles = []
+    for tile in range(0, size, cols):
+        width = min(cols, size - tile)
+        flips = mask[: n * width].reshape(n, width)
+        for start in range(0, width, rows):
+            m = min(rows, width - start)
+            picks = branch[tile + start : tile + start + m]
+            rng.random(out=draws[:m])
+            np.take(flip_table, picks, axis=0, out=flip_prob[:m], mode="clip")
+            np.less(draws[:m], flip_prob[:m], out=block[:m])
+            flips[:, start : start + m] = block[:m].T
+        log_wu = pattern_log_weight(up, flips.T)
+        log_wd = pattern_log_weight(down, flips.T)
+        tiles.append(u_from_x((lw_down + log_wd) - (lw_up + log_wu)))
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 
 
 def _usable_cpus() -> int:

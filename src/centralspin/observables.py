@@ -9,8 +9,8 @@ closed), and as a surviving superposition otherwise.  P_q is defined as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +36,7 @@ GRID_BLOCK_ATOMS = 8192
 # Profile entries (times x N) per chunk of an exact grid: both branches'
 # log profiles are built by one call each for a chunk of whole blocks
 # with at most this many entries, or for one block where a block alone
-# has more (N < 10).  From N = 10 on, the table's four fields then take
+# has more (N < 10).  From N = 10 on, the (2, 2, C, N) table then takes
 # at most 8 KiB next to a block's arrays, so neither the table nor a
 # run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
 # (24 times), which takes the figure presets' profile calls from two
@@ -103,9 +103,8 @@ def check_grid(times: np.ndarray) -> None:
 class ObservableSeries:
     """Evolution of (P_up, P_down, P_q) over a strictly increasing time grid.
 
-    method is the engine that produced the masses, dropped counts the
-    atoms the grid's distributions dropped, and retries lists each
-    degenerate point's (t, t one ulp later).  The run's other inputs
+    method is the engine that produced the masses and dropped counts
+    the atoms the grid's distributions dropped.  The run's other inputs
     (epsilon, model, sample count, seed) live with its caller.
     """
 
@@ -115,7 +114,6 @@ class ObservableSeries:
     p_q: np.ndarray
     method: str
     dropped: int = 0
-    retries: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
         m = self.times.size
@@ -195,18 +193,18 @@ def _row_sums(weight: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def _exact_block(
     alphas: SystemAmplitudes,
-    rows: engine.BranchLogRows,
+    rows: np.ndarray,
     cutoffs: tuple[float, float],
     workspace: engine.BlockWorkspace,
     prefix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """(3, T) class masses and the dropped-atom count of a time block, by one enumeration.
 
-    rows are the block's ``engine.BranchLogRows``, workspace its
-    ``engine.BlockWorkspace`` and prefix its slice of the chunk's
-    ``engine.low_spin_table`` (``engine.enumerate_block``).  cutoffs are
-    ``logit_cutoffs(eps)``: the class of every kept atom is the one
-    ``class_probabilities`` gives from its u.  Each row's masses
+    rows is the block's view of its chunk's ``engine.branch_log_rows``
+    table, workspace its ``engine.BlockWorkspace`` and prefix its slice
+    of the chunk's ``engine.low_spin_table`` (``engine.enumerate_block``).
+    cutoffs are ``logit_cutoffs(eps)``: the class of every kept atom is
+    the one ``class_probabilities`` gives from its u.  Each row's masses
     are one pairwise sum over the block row with the dropped and
     off-class weights zeroed, so they match the per-point
     ``enumerate_outcomes`` + ``class_probabilities`` values to a few
@@ -334,9 +332,11 @@ def time_series(
     evaluated.  Exact enumeration checks the enumeration cap and
     allocates one block workspace for the grid (``engine.block_workspace``),
     then evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N) consecutive
-    times at once in it.  Each block slices its profile rows and its
-    low-spin prefix from two tables built once per chunk of blocks
-    (``PROFILE_CHUNK_ENTRIES``, ``LOW_SPIN_ENTRIES``), and classifies each atom by
+    times at once in it.  Each block's profile rows are a view of its
+    chunk's (2, 2, C, N) table (``engine.branch_log_rows``), and its
+    low-spin prefix a slice of the chunk's ``engine.low_spin_table``;
+    both are built once per chunk of blocks (``PROFILE_CHUNK_ENTRIES``,
+    ``LOW_SPIN_ENTRIES``).  Each block classifies each atom by
     comparing x = -logit(u) with ``logit_cutoffs(eps)``: every atom
     gets the class per-point ``distribution_at`` +
     ``class_probabilities`` give it, and the masses are within a few
@@ -345,19 +345,15 @@ def time_series(
     ``prepared`` that the caller made for the same run) and then go
     through ``distribution_at`` one point at a time, sampled with the
     stream ``point_seed(seed, i)`` of point i, so the series does not
-    depend on evaluation order or worker count.  A point that raises
-    DegenerateOutcomeError (both branch weights exactly zero) is
-    re-evaluated one float ulp later and the pair (t, bumped) is logged
-    in the series' ``retries``; degenerate again, it raises with its
-    grid time attached.  Exact blocks drop zero-weight atoms and never
-    raise it.
+    depend on evaluation order or worker count.  No grid point is
+    degenerate: exact blocks, binomial and the oracle drop atoms with
+    both branch weights zero, and the sampler never draws one.
     """
     validate_error_threshold(eps)
     times = np.asarray(times, dtype=float)
     check_grid(times)
     masses = np.empty((3, times.size))
     dropped = 0
-    retries: list[tuple[float, float]] = []
     if method == "exact":
         n = params.n_env
         step = max(1, GRID_BLOCK_ATOMS >> n)
@@ -366,12 +362,12 @@ def time_series(
         chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
         for start in range(0, times.size, chunk):
             table = engine.branch_log_rows(params, times[start : start + chunk])
-            size = table.up_keep.shape[0]
+            size = table.shape[2]
             low = engine.low_spin_table(table, _low_spins(n, size))
             for first in range(0, size, step):
                 span = slice(first, first + step)
-                rows = table.rows(span)
-                block = workspace.sized(rows.up_keep.shape[0])
+                rows = table[:, :, span]
+                block = workspace.sized(rows.shape[2])
                 masses[:, start + first : start + first + step], count = _exact_block(
                     alphas, rows, cutoffs, block, low[:, :, span]
                 )
@@ -379,26 +375,14 @@ def time_series(
     else:
         if prepared is None:
             prepared = prepare(params, alphas, method, samples, workers)
-        at = partial(
-            distribution_at, params, alphas, method=method, samples=samples, workers=workers,
-            prepared=prepared,
-        )
         for i, t in enumerate(times.tolist()):
             stream = point_seed(seed, i) if method == "sampled" else seed
-            try:
-                dist = at(t, seed=stream)
-            except engine.DegenerateOutcomeError:
-                bumped = float(np.nextafter(t, np.inf))
-                retries.append((t, bumped))
-                try:
-                    dist = at(bumped, seed=stream)
-                except engine.DegenerateOutcomeError as err:
-                    raise engine.DegenerateOutcomeError(
-                        f"degenerate outcome at grid time t={t}: {err}", t=t
-                    ) from err
+            dist = distribution_at(
+                params, alphas, t, method, samples, stream, workers, prepared=prepared
+            )
             masses[:, i] = class_probabilities(dist, eps)
             dropped += dist.dropped
-    return ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped, retries)
+    return ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped)
 
 
 def revival_times(params: ModelParams, m_max: int):

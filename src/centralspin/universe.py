@@ -299,9 +299,9 @@ def reduced_density_check(
 ) -> float:
     """Max elementwise gap between Tr_E rho(t) and sum of P |phi><phi|.
 
-    The left side is a direct partial trace of the evolved universe
-    density matrix; the right side resums the supplied outcomes.  The
-    two agree to roundoff (contract: <= 1e-9).
+    The left side traces the environment directly out of the evolved
+    universe density matrix; the right side resums the supplied
+    outcomes.  The two agree to roundoff (contract: <= 1e-9).
     """
     up, down = _evolved_blocks(params, alphas, t)
     columns = np.stack((up, down))

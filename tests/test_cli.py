@@ -331,36 +331,6 @@ class TestRunAndEmit:
         for _, hist in record.histograms:
             assert hist.total() == pytest.approx(1.0, abs=1e-9)
 
-    def test_degenerate_grid_point_retried_one_ulp_later(self, monkeypatch):
-        # A degenerate node must be retried one float ulp later and logged.
-        # Exact grids run in blocks that cannot raise, so the poisoned
-        # engine is binomial, which the evaluator calls point by point.
-        import centralspin.observables as obs
-        from centralspin.engine import DegenerateOutcomeError
-
-        real = obs.ENGINES["binomial"]
-        poisoned = {"t": None}
-
-        def flaky(*run):
-            point = real(*run)
-
-            def flaky_point(t, seed):
-                if poisoned["t"] is None:
-                    poisoned["t"] = t
-                if t == poisoned["t"]:
-                    raise DegenerateOutcomeError("node", t=t)
-                return point(t, seed)
-
-            return flaky_point
-
-        monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
-        record = run_config(parse_config(SMALL + "method = binomial\n"))
-        retries = record.diagnostics["degenerate_retries"]
-        assert len(retries) == 1
-        before, after = retries[0]
-        assert after == np.nextafter(before, np.inf)
-        assert record.series.times.size == 6
-
 
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from centralspin.core import (
 from centralspin import engine
 from centralspin.engine import (
     SAMPLE_CHUNK,
+    SAMPLE_MASK_BYTES,
     DegenerateOutcomeError,
     binomial_log_counts,
     binomial_outcomes,
@@ -368,6 +369,44 @@ class TestSampleChunk:
         assert bound <= 32 * 2**20
 
 
+class TestSampleTiles:
+    @pytest.mark.parametrize("n", [1, 80, 1000])
+    def test_tiles_equal_one_untiled_chunk_bitwise(self, n, monkeypatch):
+        # 509 draws per tile divides no chunk size; the default budget tiles N = 1000 in two.
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.3, n))
+        branches = engine._log_branch_pair(p, ALPHAS, 300.0)
+        for size in (1, 1025, SAMPLE_CHUNK):
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "SAMPLE_MASK_BYTES", 1 << 62)
+                want = engine._sample_chunk(branches, ALPHAS, 7, 3, size)
+            for budget in (509 * n, SAMPLE_MASK_BYTES):
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "SAMPLE_MASK_BYTES", budget)
+                    got = engine._sample_chunk(branches, ALPHAS, 7, 3, size)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_mask_bounded_at_large_n(self):
+        # The flip mask stays within its budget where N x 1025 bytes would not (20 MB):
+        # three LOG_SUM_BLOCK-float blocks and a bool one, the flip table and toggle bits
+        # (3 N floats), eight chunk-long float arrays, and slack.
+        n, size = 20_000, 1025
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        branches = engine._log_branch_pair(p, ALPHAS, 300.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine._sample_chunk(branches, ALPHAS, 5, 2, size)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        bound = SAMPLE_MASK_BYTES + 25 * LOG_SUM_BLOCK + 3 * 8 * n + 8 * 8 * size + 64 * 1024
+        assert peak <= bound < size * n
+
+
 class TestNonFiniteTimes:
     P = ModelParams(delta=0.1, h=(0.02, 0.03))
     # At a finite time the down-branch phase delta * t overflows.
@@ -658,12 +697,12 @@ class TestSubsetDoubling:
         # Columns [first, first + 2) of the table are the prefix of a block of two times.
         rng = np.random.default_rng(n)
         c, first = 5, 2
-        rows = engine.BranchLogRows(*np.log(rng.uniform(0.0, 1.0, (4, c, n))))
-        block = rows.rows(slice(first, first + 2))
+        rows = np.log(rng.uniform(0.0, 1.0, (2, 2, c, n)))
+        block = rows[:, :, first : first + 2]
         for k in sorted({0, 1, n // 2, n}):
             low = engine.low_spin_table(rows, k)
             assert low.shape == (2**k, 2, c)
-            for branch, (keep, flip) in enumerate((block[:2], block[2:])):
+            for branch, (keep, flip) in enumerate(block):
                 got = pattern_log_weights(keep, flip, prefix=low[:, branch, first : first + 2])
                 for row in range(2):
                     assert np.array_equal(got[row], _bit_loop_log_weights(keep[row], flip[row]))

@@ -12,12 +12,7 @@ from centralspin import engine
 from centralspin import observables as obs
 from centralspin.cli import ExperimentConfig, run_config
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
-from centralspin.engine import (
-    DegenerateOutcomeError,
-    ProjectionDistribution,
-    binomial_outcomes,
-    enumerate_outcomes,
-)
+from centralspin.engine import ProjectionDistribution, binomial_outcomes, enumerate_outcomes
 from centralspin.observables import (
     GRID_BLOCK_ATOMS,
     PROFILE_CHUNK_ENTRIES,
@@ -304,7 +299,7 @@ def _one_time_blocks(params, alphas, times, patch):
 def _assert_same_series(a, b):
     for name in ("p_up", "p_down", "p_q"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.dropped == b.dropped and a.retries == b.retries
+    assert a.dropped == b.dropped
 
 
 class TestGridWorkspace:
@@ -409,7 +404,7 @@ class TestGridEvaluator:
                 single = time_series(params, alphas, times, method="exact")
             for name in ("p_up", "p_down", "p_q"):
                 assert np.array_equal(getattr(grid, name), getattr(single, name))
-            assert grid.dropped == single.dropped and grid.retries == single.retries == []
+            assert grid.dropped == single.dropped
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
     def test_exact_blocks_match_per_point_route(self, n):
@@ -419,7 +414,7 @@ class TestGridEvaluator:
         for params, alphas in cases:
             s = time_series(params, alphas, times, eps, method="exact")
             (p_up, p_down, p_q), dropped = _per_point(params, alphas, times, "exact", eps)
-            assert s.dropped == dropped and s.retries == []
+            assert s.dropped == dropped
             for got, want in ((s.p_up, p_up), (s.p_down, p_down), (s.p_q, p_q)):
                 assert np.max(np.abs(got - want)) <= 1e-15
             exact_up, exact_down = np.empty(times.size), np.empty(times.size)
@@ -469,6 +464,36 @@ class TestGridEvaluator:
             assert np.array_equal(getattr(series, name), getattr(record.series, name))
 
     @pytest.mark.parametrize(
+        "method, h",
+        [
+            ("exact", (0.0, 0.05, 0.1)),
+            ("binomial", (0.0,) * 6),
+            ("sampled", (0.0, 0.05, 0.1)),
+            ("exact-universe", (0.0, 0.05, 0.1)),
+        ],
+    )
+    def test_degenerate_patterns_never_reach_a_grid_point(self, method, h):
+        # At delta = 0 a spin with h = 0 never flips on either branch, so every pattern that
+        # flips it has both branch weights zero; at t = 0 so has every pattern with a flip.
+        # The grid also holds the down-branch node times of the other spins.
+        nodes = [m * math.pi / c for c in h if c > 0 for m in (0.5, 1.0, 1.5)]
+        times = np.unique([0.0, 5.0, 100.0] + nodes)
+        params = ModelParams(delta=0.0, h=h)
+        for w_up in (0.0, 0.4, 1.0):
+            alphas = SystemAmplitudes.from_up_weight(w_up)
+            s = time_series(params, alphas, times, method=method, samples=2000, seed=3)
+            masses = np.stack((s.p_up, s.p_down, s.p_q))
+            assert np.all(np.isfinite(masses))
+            assert np.max(np.abs(masses.sum(axis=0) - 1.0)) <= 1e-12
+            # The count engines drop those patterns; the sampler and the oracle never list them.
+            assert s.dropped > 0 if method in ("exact", "binomial") else s.dropped == 0
+            config = ExperimentConfig(
+                n=len(h), h=h, alpha_up_sq=w_up, t_end=times[-1], steps=4, method=method,
+                samples=2000, hist_times=(0.0, times[1]),
+            )
+            assert run_config(config).diagnostics["degenerate_retries"] == []
+
+    @pytest.mark.parametrize(
         "method, params",
         [
             ("binomial", ModelParams(delta=0.1, h=(0.05,) * 30)),
@@ -489,43 +514,6 @@ class TestGridEvaluator:
         times = np.linspace(0.5, 30.5, 7)
         time_series(params, ALPHAS, times, method=method, samples=500)
         assert seen == times.tolist()
-
-    def test_degenerate_point_retried_in_time_series(self, monkeypatch):
-        real = obs.ENGINES["binomial"]
-        times = np.linspace(1.0, 9.0, 5)
-        poisoned = float(times[2])
-
-        def flaky(*run):
-            point = real(*run)
-
-            def flaky_point(t, seed):
-                if t == poisoned:
-                    raise DegenerateOutcomeError("node", t=t)
-                return point(t, seed)
-
-            return flaky_point
-
-        monkeypatch.setitem(obs.ENGINES, "binomial", flaky)
-        params = ModelParams(delta=0.0, h=(0.05,) * 4)
-        series = time_series(params, ALPHAS, times, method="binomial")
-        bumped = float(np.nextafter(poisoned, np.inf))
-        want = time_series(params, ALPHAS, [bumped], method="binomial")
-        assert series.p_q[2] == want.p_q[0]
-        assert np.array_equal(series.times, times)
-        assert series.retries == [(poisoned, bumped)]
-
-    def test_point_degenerate_twice_raises_with_its_time(self, monkeypatch):
-        def always(*run):
-            def degenerate_point(t, seed):
-                raise DegenerateOutcomeError("node", t=t)
-
-            return degenerate_point
-
-        monkeypatch.setitem(obs.ENGINES, "binomial", always)
-        params = ModelParams(delta=0.0, h=(0.05,) * 4)
-        with pytest.raises(DegenerateOutcomeError) as info:
-            time_series(params, ALPHAS, [3.0, 4.0], method="binomial")
-        assert info.value.t == 3.0
 
 
 class TestRevivalTimes:

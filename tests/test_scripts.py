@@ -1,0 +1,48 @@
+"""The scripts under scripts/ still run against the package."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_born_convergence_runs():
+    done = _run_script("born_convergence.py")
+    assert done.returncode == 0, done.stderr
+    # A header line and one line per bath size of the ladder.
+    assert len(done.stdout.splitlines()) == 8
+
+
+def test_reproduce_figures_writes_every_listed_file(tmp_path):
+    done = _run_script("reproduce_figures.py", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    paths = done.stdout.splitlines()
+    assert paths and all(Path(p).is_file() and Path(p).parent == tmp_path for p in paths)
+
+
+def test_output_digest_builds_its_configs(monkeypatch):
+    # Importing the script puts src/ and perfbench/ on sys.path; the monkeypatch undoes it.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    configs = digest._hist_configs()
+    assert [c.method for c in configs] == ["exact", "binomial", "sampled", "exact-universe"]
+    for workload in digest.WORKLOADS.values():
+        for seed in digest.WORKLOAD_SEEDS:
+            configs += workload.configs(seed)
+    for config in configs:
+        config.validate()

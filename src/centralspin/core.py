@@ -212,12 +212,12 @@ class FlipPattern:
 
     @classmethod
     def from_code(cls, code: int, n: int) -> "FlipPattern":
-        """Bit i of ``code`` set means spin j = i+1 flipped."""
-        bits = (code >> np.arange(n)) & 1
-        return cls(np.where(bits == 1, -1, 1).astype(np.int8))
+        """Bit i of ``code`` set means spin j = i+1 flipped; a Python int, so any N."""
+        return cls([-1 if (code >> i) & 1 else 1 for i in range(n)])
 
     def code(self) -> int:
-        return int(np.sum((self.d == -1) * (1 << np.arange(len(self)))))
+        """The inverse of ``from_code``: a Python int, distinct for every pattern at any N."""
+        return sum(1 << i for i in np.flatnonzero(self.flipped).tolist())
 
 
 def branch_axis(params: ModelParams, branch: str) -> tuple[float, float]:
@@ -332,32 +332,40 @@ def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float | np.
     chosen exactly on the int64 bits of the two logs (keep bits, XOR the
     keep-flip difference where the spin flipped), so -inf needs no
     special case.  The rows are built in blocks of about LOG_SUM_BLOCK
-    elements (at least one row of S), so the scratch does not grow with N.  An S x N mask is
+    elements (at least two rows of S), so the scratch does not grow with N.  An S x N mask is
     transposed once; a spin-major one (the transpose of a C-ordered
-    N x S array, as the sampler passes) is used without a copy.
+    N x S array, as the sampler passes) is used without a copy.  Row 0
+    of each block holds the running total, and one ``np.add.reduce``
+    over axis 0 of the C-ordered block adds the rows to it in order.
 
     The order is load-bearing: ``engine.pattern_log_weights`` builds
     every enumerated pattern's sum in the same order, starting from 0.
     So a sampled or single-pattern u equals the enumerated u of its
     pattern bit for bit, which the sampler-vs-enumeration KS check
     (acceptance criterion 3) relies on.  A pairwise ``np.sum`` or an
-    ``np.add.reduce`` over the spins rounds differently from N = 8 on.
+    ``np.add.reduce`` over the spins rounds differently from N = 8 on;
+    numpy reduces a one-column block that way too, so a single column
+    is summed as two equal ones.
     """
     flipped = np.asarray(flipped, dtype=bool)
     spin_major = flipped[:, None] if flipped.ndim == 1 else np.ascontiguousarray(flipped.T)
-    n, s = spin_major.shape
+    s = spin_major.shape[1]
+    if s == 1:
+        spin_major = np.repeat(spin_major, 2, axis=1)
+    n, width = spin_major.shape
     keep_bits = profile.log_keep.view(np.int64)
     toggle = keep_bits ^ profile.log_flip.view(np.int64)
-    k = max(1, min(n, LOG_SUM_BLOCK // s))
-    bits = np.empty((k, s), dtype=np.int64)
-    total = np.zeros(s)
+    k = max(1, min(n, LOG_SUM_BLOCK // width - 1))
+    bits = np.empty((k + 1, width), dtype=np.int64)
+    block = bits.view(np.float64)
+    total = np.zeros(width)
     for i in range(0, n, k):
-        rows = bits[: min(k, n - i)]
-        np.multiply(spin_major[i : i + k], toggle[i : i + k, None], out=rows)
-        rows ^= keep_bits[i : i + k, None]
-        for row in rows.view(np.float64):
-            total += row
-    return float(total[0]) if flipped.ndim == 1 else total
+        m = min(k, n - i)
+        np.multiply(spin_major[i : i + k], toggle[i : i + k, None], out=bits[1 : m + 1])
+        bits[1 : m + 1] ^= keep_bits[i : i + k, None]
+        block[0] = total
+        np.add.reduce(block[: m + 1], axis=0, out=total)
+    return float(total[0]) if flipped.ndim == 1 else total[:s]
 
 
 def log_branch_weight(params: ModelParams, branch: str, t: float, pattern: FlipPattern) -> float:

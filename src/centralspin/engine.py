@@ -46,6 +46,33 @@ SAMPLE_CHUNK = 8192
 # Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
 # through it in tiles of budget // N draws (one tile up to N = 512).
 SAMPLE_MASK_BYTES = 4 << 20
+# Atoms per block of a grid evaluation: exact enumeration evaluates
+# max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
+# spread numpy's per-call cost at small N (8 times at N = 10), while
+# each block array stays at 64 KiB (8192 float64).  A grid allocates one
+# block workspace of three such arrays (``BlockWorkspace``), of
+# min(block, grid length) times, and every block writes into it: the
+# arrays are allocated and their pages faulted in once per grid, not
+# once per block (2 MiB each at N = 18, where a block is one time).  A
+# block's peak, the workspace and numpy's buffer for the doubling's
+# broadcast adds, stays at about 3.5 block arrays.  A block's profile
+# rows are sliced from its chunk's table (below).
+GRID_BLOCK_ATOMS = 8192
+# Profile entries (times x N) per chunk of an exact grid: both branches'
+# log profiles are built by one call each for a chunk of whole blocks
+# with at most this many entries, or for one block where a block alone
+# has more (N < 10).  From N = 10 on, the (2, 2, C, N) table then takes
+# at most 8 KiB next to a block's arrays, so neither the table nor a
+# run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
+# (24 times), which takes the figure presets' profile calls from two
+# per block to two per three blocks.
+PROFILE_CHUNK_ENTRIES = 256
+# Entries of a chunk's low-spin table (``low_spin_table``, 16 KiB):
+# each chunk doubles spins 1..k of both branches once at its C times, k
+# the largest with 2^k * 2C entries within this bound (k = 5 at N = 10,
+# C = 24; k = 6 at N = 18, C = 14), and each block continues its
+# doubling from spin k + 1, two numpy calls fewer per spin and branch.
+LOW_SPIN_ENTRIES = 2048
 
 
 class DegenerateOutcomeError(ValueError):
@@ -283,11 +310,16 @@ def low_spin_table(table: np.ndarray, k: int) -> np.ndarray:
     return _double(acc, keep, flip, 0).reshape(1 << k, 2, -1)
 
 
+def _low_spins(n: int, times: int) -> int:
+    """Spins k of a chunk's low-spin table: the largest k <= n with 2^k * 2 * times <= the bound."""
+    return min(n, max(0, (LOW_SPIN_ENTRIES // (2 * times)).bit_length() - 1))
+
+
 def enumerate_block(
     alphas: SystemAmplitudes,
     rows: np.ndarray,
     workspace: BlockWorkspace,
-    prefix: np.ndarray | None = None,
+    prefix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
 
@@ -307,14 +339,14 @@ def enumerate_block(
     then: the weights' second half, then the up logs' first half.  So
     the workspace is three block arrays, and numpy's own buffer for the
     broadcast adds of a T > 1 doubling (up to half a block) stays within
-    3.5.  prefix, when given, is the block's 2^k x 2 x T slice of
-    ``low_spin_table``: both doublings continue from it at spin k + 1.
+    3.5.  prefix is the block's 2^k x 2 x T slice of ``low_spin_table``
+    (any k from 0 to N gives the same bits): both doublings continue
+    from it at spin k + 1.
     """
     ws = workspace
     lw_up, lw_down = _log_mixture_weights(alphas)
-    up_prefix, down_prefix = (None, None) if prefix is None else (prefix[:, 0], prefix[:, 1])
-    log_wu = pattern_log_weights(*rows[0], ws.log_up, acc=ws.acc, prefix=up_prefix)
-    log_wd = pattern_log_weights(*rows[1], ws.log_down, acc=ws.acc, prefix=down_prefix)
+    log_wu = pattern_log_weights(*rows[0], ws.log_up, acc=ws.acc, prefix=prefix[:, 0])
+    log_wd = pattern_log_weights(*rows[1], ws.log_down, acc=ws.acc, prefix=prefix[:, 1])
     # The accumulator is free from here on and takes the weights.
     flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, log_wu, log_wd))
     half = flat_weight.size // 2
@@ -343,11 +375,13 @@ def enumerate_outcomes(
     bath occupation and of beta.  Atoms with weight below 1e-300
     (including exact zeros) are dropped and counted in ``dropped``.
     This is ``enumerate_block`` on the one-time block [t], in a
-    workspace of its own.
+    workspace and with a low-spin table of its own.
     """
-    workspace = block_workspace(params.n_env, 1)
+    n = params.n_env
+    workspace = block_workspace(n, 1)
     rows = branch_log_rows(params, np.array([t]))
-    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows, workspace))
+    low = low_spin_table(rows, _low_spins(n, 1))
+    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows, workspace, low))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],
@@ -355,6 +389,65 @@ def enumerate_outcomes(
         pattern_codes=np.flatnonzero(keep),
         dropped=int(np.count_nonzero(~keep)),
     )
+
+
+def exact_class_masses(
+    params: ModelParams,
+    alphas: SystemAmplitudes,
+    times: np.ndarray,
+    cutoffs: tuple[float, float],
+) -> tuple[np.ndarray, int]:
+    """(3, T) class masses (P_up, P_down, P_q) and the dropped-atom count of a grid, by enumeration.
+
+    times is a checked 1-D grid and cutoffs are
+    ``observables.logit_cutoffs(eps)``: an atom is up when x <= c_up and
+    down when x > c_down, which is the class its u gives.  The
+    enumeration cap is checked and one ``BlockWorkspace`` allocated
+    before anything else; the grid then runs in blocks of
+    max(1, GRID_BLOCK_ATOMS >> N) consecutive times.  Each chunk of
+    blocks (``PROFILE_CHUNK_ENTRIES``) builds one ``branch_log_rows``
+    table and one ``low_spin_table`` (``LOW_SPIN_ENTRIES``), and each
+    block is ``enumerate_block`` on its view of both.  Each row's masses
+    are one pairwise sum over the block row with the dropped and
+    off-class weights zeroed, so they match the per-point
+    ``enumerate_outcomes`` + ``observables.class_probabilities`` values
+    to a few ulp, not bit for bit (that route sums only the kept class
+    atoms).  Rows are independent: the bits do not depend on the block
+    or chunk size.
+    """
+    n = params.n_env
+    step = max(1, GRID_BLOCK_ATOMS >> n)
+    workspace = block_workspace(n, min(step, times.size))
+    c_up, c_down = cutoffs
+    masses = np.empty((3, times.size))
+    dropped = 0
+    chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
+    for start in range(0, times.size, chunk):
+        table = branch_log_rows(params, times[start : start + chunk])
+        size = table.shape[2]
+        low = low_spin_table(table, _low_spins(n, size))
+        for first in range(0, size, step):
+            span = slice(first, first + step)
+            rows = table[:, :, span]
+            ws = workspace.sized(rows.shape[2])
+            x, weight, keep = enumerate_block(alphas, rows, ws, low[:, :, span])
+            if not np.all(np.any(keep, axis=1)):
+                raise ValueError("empty distribution")
+            dropped += keep.size - int(np.count_nonzero(keep))
+            up = np.less_equal(x, c_up, out=ws.up)
+            up &= keep
+            down = np.greater(x, c_down, out=ws.down)
+            down &= keep
+            # x is dead: it takes the weights of each class, zero elsewhere, in turn.
+            # The mask is copied in as 0/1 and multiplied in place, which needs no
+            # cast buffer; each row is then one pairwise sum.
+            for mass, mask in zip(masses[:2, start + first : start + first + step], (up, down)):
+                np.copyto(x, mask)
+                x *= weight
+                x.sum(axis=1, out=mass)
+    # The complement can land a few ulp below zero; keep it in range.
+    np.maximum(0.0, 1.0 - masses[0] - masses[1], out=masses[2])
+    return masses, dropped
 
 
 def binomial_log_counts(n: int) -> np.ndarray:
@@ -474,7 +567,7 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
     flip_prob = np.empty((rows, n))
     block = np.empty((rows, n), dtype=bool)
     mask = np.empty(n * cols, dtype=bool)
-    tiles = []
+    u = np.empty(size)
     for tile in range(0, size, cols):
         width = min(cols, size - tile)
         flips = mask[: n * width].reshape(n, width)
@@ -487,8 +580,8 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
             flips[:, start : start + m] = block[:m].T
         log_wu = pattern_log_weight(up, flips.T)
         log_wd = pattern_log_weight(down, flips.T)
-        tiles.append(u_from_x((lw_down + log_wd) - (lw_up + log_wu)))
-    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
+        u[tile : tile + width] = u_from_x((lw_down + log_wd) - (lw_up + log_wu))
+    return u
 
 
 def _usable_cpus() -> int:

@@ -21,33 +21,6 @@ DEFAULT_EPSILON = 1e-3
 HISTOGRAM_BINS = 200
 # A series has collapsed at its first grid time with P_q below this.
 COLLAPSE_THRESHOLD = 0.01
-# Atoms per block of a grid evaluation: exact enumeration evaluates
-# max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
-# spread numpy's per-call cost at small N (8 times at N = 10), while
-# each block array stays at 64 KiB (8192 float64).  A grid allocates one
-# block workspace of three such arrays (``engine.BlockWorkspace``), of
-# min(block, grid length) times, and every block writes into it: the
-# arrays are allocated and their pages faulted in once per grid, not
-# once per block (2 MiB each at N = 18, where a block is one time).  A
-# block's peak, the workspace and numpy's buffer for the doubling's
-# broadcast adds, stays at about 3.5 block arrays.  A block's profile
-# rows are sliced from its chunk's table (below).
-GRID_BLOCK_ATOMS = 8192
-# Profile entries (times x N) per chunk of an exact grid: both branches'
-# log profiles are built by one call each for a chunk of whole blocks
-# with at most this many entries, or for one block where a block alone
-# has more (N < 10).  From N = 10 on, the (2, 2, C, N) table then takes
-# at most 8 KiB next to a block's arrays, so neither the table nor a
-# run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
-# (24 times), which takes the figure presets' profile calls from two
-# per block to two per three blocks.
-PROFILE_CHUNK_ENTRIES = 256
-# Entries of a chunk's low-spin table (``engine.low_spin_table``, 16 KiB):
-# each chunk doubles spins 1..k of both branches once at its C times, k
-# the largest with 2^k * 2C entries within this bound (k = 5 at N = 10,
-# C = 24; k = 6 at N = 18, C = 14), and each block continues its
-# doubling from spin k + 1, two numpy calls fewer per spin and branch.
-LOW_SPIN_ENTRIES = 2048
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
 
@@ -180,57 +153,6 @@ def logit_cutoffs(eps: float) -> tuple[float, float]:
     return c_up, c_down
 
 
-def _row_sums(weight: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-row sums of the weights under a boolean mask, through the scratch array out.
-
-    The mask is copied in as 0/1 and multiplied in place, which needs
-    no cast buffer; each row is then one pairwise sum.
-    """
-    np.copyto(out, mask)
-    out *= weight
-    return out.sum(axis=1)
-
-
-def _exact_block(
-    alphas: SystemAmplitudes,
-    rows: np.ndarray,
-    cutoffs: tuple[float, float],
-    workspace: engine.BlockWorkspace,
-    prefix: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """(3, T) class masses and the dropped-atom count of a time block, by one enumeration.
-
-    rows is the block's view of its chunk's ``engine.branch_log_rows``
-    table, workspace its ``engine.BlockWorkspace`` and prefix its slice
-    of the chunk's ``engine.low_spin_table`` (``engine.enumerate_block``).
-    cutoffs are ``logit_cutoffs(eps)``: the class of every kept atom is
-    the one ``class_probabilities`` gives from its u.  Each row's masses
-    are one pairwise sum over the block row with the dropped and
-    off-class weights zeroed, so they match the per-point
-    ``enumerate_outcomes`` + ``class_probabilities`` values to a few
-    ulp, not bit for bit (that route sums only the kept class atoms).
-    """
-    x, weight, keep = engine.enumerate_block(alphas, rows, workspace, prefix)
-    if not np.all(np.any(keep, axis=1)):
-        raise ValueError("empty distribution")
-    c_up, c_down = cutoffs
-    up = np.less_equal(x, c_up, out=workspace.up)
-    up &= keep
-    down = np.greater(x, c_down, out=workspace.down)
-    down &= keep
-    # x is dead: it takes the weights of each class, zero elsewhere, in turn.
-    p_up = _row_sums(weight, up, out=x)
-    p_down = _row_sums(weight, down, out=x)
-    # The complement can land a few ulp below zero; keep it in range.
-    p_q = np.maximum(0.0, 1.0 - p_up - p_down)
-    return np.stack((p_up, p_down, p_q)), keep.size - int(np.count_nonzero(keep))
-
-
-def _low_spins(n: int, times: int) -> int:
-    """Spins k of a chunk's low-spin table: the largest k <= n with 2^k * 2 * times <= the bound."""
-    return min(n, max(0, (LOW_SPIN_ENTRIES // (2 * times)).bit_length() - 1))
-
-
 def _prepare_exact(params, alphas, samples, workers):
     return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
 
@@ -329,18 +251,11 @@ def time_series(
 
     The one grid evaluator, which ``cli run`` uses too.  The grid is
     checked (1-D, finite, strictly increasing) before any point is
-    evaluated.  Exact enumeration checks the enumeration cap and
-    allocates one block workspace for the grid (``engine.block_workspace``),
-    then evaluates blocks of max(1, GRID_BLOCK_ATOMS >> N) consecutive
-    times at once in it.  Each block's profile rows are a view of its
-    chunk's (2, 2, C, N) table (``engine.branch_log_rows``), and its
-    low-spin prefix a slice of the chunk's ``engine.low_spin_table``;
-    both are built once per chunk of blocks (``PROFILE_CHUNK_ENTRIES``,
-    ``LOW_SPIN_ENTRIES``).  Each block classifies each atom by
-    comparing x = -logit(u) with ``logit_cutoffs(eps)``: every atom
-    gets the class per-point ``distribution_at`` +
-    ``class_probabilities`` give it, and the masses are within a few
-    ulp of theirs.  The other methods are
+    evaluated.  Exact enumeration is one ``engine.exact_class_masses``
+    call, which classifies each atom by comparing x = -logit(u) with
+    ``logit_cutoffs(eps)``: every atom gets the class per-point
+    ``distribution_at`` + ``class_probabilities`` give it, and the
+    masses are within a few ulp of theirs.  The other methods are
     prepared once per grid by ``prepare`` (or share the point function
     ``prepared`` that the caller made for the same run) and then go
     through ``distribution_at`` one point at a time, sampled with the
@@ -352,27 +267,11 @@ def time_series(
     validate_error_threshold(eps)
     times = np.asarray(times, dtype=float)
     check_grid(times)
-    masses = np.empty((3, times.size))
-    dropped = 0
     if method == "exact":
-        n = params.n_env
-        step = max(1, GRID_BLOCK_ATOMS >> n)
-        workspace = engine.block_workspace(n, min(step, times.size))
-        cutoffs = logit_cutoffs(eps)
-        chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
-        for start in range(0, times.size, chunk):
-            table = engine.branch_log_rows(params, times[start : start + chunk])
-            size = table.shape[2]
-            low = engine.low_spin_table(table, _low_spins(n, size))
-            for first in range(0, size, step):
-                span = slice(first, first + step)
-                rows = table[:, :, span]
-                block = workspace.sized(rows.shape[2])
-                masses[:, start + first : start + first + step], count = _exact_block(
-                    alphas, rows, cutoffs, block, low[:, :, span]
-                )
-                dropped += count
+        masses, dropped = engine.exact_class_masses(params, alphas, times, logit_cutoffs(eps))
     else:
+        masses = np.empty((3, times.size))
+        dropped = 0
         if prepared is None:
             prepared = prepare(params, alphas, method, samples, workers)
         for i, t in enumerate(times.tolist()):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from centralspin import core
 from centralspin.core import (
     LOG_SUM_BLOCK,
     FlipPattern,
+    FlipProfile,
     ModelParams,
     SystemAmplitudes,
     branch_axis,
@@ -334,10 +336,54 @@ class TestLogBranchWeight:
         assert np.array_equal(got.view(np.int64), singles.view(np.int64))
 
 
+def _spin_loop_sums(log_keep, log_flip, masks):
+    """Reference: each pattern's logs added spin by spin from spin 1, starting at 0."""
+    out = []
+    for mask in masks:
+        total = 0.0
+        for keep, flip, flipped in zip(log_keep.tolist(), log_flip.tolist(), mask.tolist()):
+            total += flip if flipped else keep
+        out.append(total)
+    return np.array(out)
+
+
+class TestLogSumOrder:
+    @pytest.mark.parametrize("block", [LOG_SUM_BLOCK, 64])
+    @pytest.mark.parametrize("n, samples", [(1, 3), (9, 1), (13, 2), (40, 7), (300, 20), (80, 1025)])
+    def test_equals_a_spin_by_spin_loop_bitwise(self, n, samples, block, monkeypatch):
+        # A block of 64 terms splits every case past N = 64 / S into several blocks of spins;
+        # -inf keep and flip logs sit at the first, a middle and the last spin.
+        monkeypatch.setattr(core, "LOG_SUM_BLOCK", block)
+        rng = np.random.default_rng(100 * n + samples)
+        log_keep = np.log(rng.uniform(0.0, 1.0, n))
+        log_flip = np.log(rng.uniform(0.0, 1.0, n))
+        log_flip[0] = log_keep[n // 2] = log_flip[n - 1] = -math.inf
+        profile = FlipProfile(np.exp(log_keep), np.exp(log_flip), log_keep, log_flip)
+        masks = rng.random((samples, n)) < 0.3
+        masks[0] = False
+        want = _spin_loop_sums(log_keep, log_flip, masks)
+        got = pattern_log_weight(profile, masks)
+        assert got.shape == (samples,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        singles = np.array([pattern_log_weight(profile, mask) for mask in masks])
+        assert np.array_equal(singles.view(np.int64), want.view(np.int64))
+
+
 class TestFlipPattern:
     def test_code_roundtrip(self):
         for code in (0, 1, 5, 12, 31):
             assert FlipPattern.from_code(code, 5).code() == code
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 80, 200])
+    def test_code_roundtrip_past_64_spins(self, n):
+        rng = np.random.default_rng(n)
+        codes = {0, 1, 1 << (n - 1), (1 << n) - 1, int(rng.integers(0, 2**62)) << (n - 63)}
+        for code in codes:
+            pattern = FlipPattern.from_code(code, n)
+            assert pattern.code() == code
+            assert pattern.flipped.tolist() == [bool((code >> i) & 1) for i in range(n)]
+        # The two patterns that collided at -2^63 and at 0 from N = 64 on stay distinct.
+        assert FlipPattern.from_code(1 << (n - 1), n).code() != FlipPattern.none(n).code()
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):

@@ -716,12 +716,13 @@ class TestBlockWorkspace:
         params = ModelParams(delta=0.01, h=(0.0,) + dispersed_couplings(0.05, 0.4, n)[1:])
         rows = engine.branch_log_rows(params, np.linspace(0.0, 90.0, t))
         other = engine.branch_log_rows(params, np.linspace(7.0, 400.0, t))
+        low, other_low = (engine.low_spin_table(r, engine._low_spins(n, t)) for r in (rows, other))
         for w_up in (0.0, 0.4, 1.0):
             alphas = SystemAmplitudes.from_up_weight(w_up)
-            fresh = engine.enumerate_block(alphas, rows, engine.block_workspace(n, t))
+            fresh = engine.enumerate_block(alphas, rows, engine.block_workspace(n, t), low)
             used = engine.block_workspace(n, t)
-            engine.enumerate_block(SystemAmplitudes.from_up_weight(1.0 - w_up), other, used)
-            got = engine.enumerate_block(alphas, rows, used)
+            engine.enumerate_block(SystemAmplitudes.from_up_weight(1.0 - w_up), other, used, other_low)
+            got = engine.enumerate_block(alphas, rows, used, low)
             for a, b in zip(got, fresh):
                 assert np.array_equal(a, b, equal_nan=True)
 

@@ -12,10 +12,14 @@ from centralspin import engine
 from centralspin import observables as obs
 from centralspin.cli import ExperimentConfig, run_config
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
-from centralspin.engine import ProjectionDistribution, binomial_outcomes, enumerate_outcomes
-from centralspin.observables import (
+from centralspin.engine import (
     GRID_BLOCK_ATOMS,
     PROFILE_CHUNK_ENTRIES,
+    ProjectionDistribution,
+    binomial_outcomes,
+    enumerate_outcomes,
+)
+from centralspin.observables import (
     ObservableSeries,
     class_probabilities,
     classify,
@@ -219,20 +223,24 @@ class TestLogitCutoffs:
 
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
-    def test_peak_of_one_block(self, n):
+    def test_peak_of_one_block(self, n, monkeypatch):
         # Three block-sized float arrays and a half-block one: the workspace, built in the measure.
+        # The chunk's profile and low-spin tables are built before it (TestProfileChunks bounds them).
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
-        rows = engine.branch_log_rows(params, times)
         cutoffs = obs.logit_cutoffs(1e-3)
-        obs._exact_block(ALPHAS, rows, cutoffs, engine.block_workspace(n, times.size))
+        table = engine.branch_log_rows(params, times)
+        low = engine.low_spin_table(table, engine._low_spins(n, times.size))
+        monkeypatch.setattr(engine, "branch_log_rows", lambda *args: table)
+        monkeypatch.setattr(engine, "low_spin_table", lambda *args: low)
+        engine.exact_class_masses(params, ALPHAS, times, cutoffs)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            obs._exact_block(ALPHAS, rows, cutoffs, engine.block_workspace(n, times.size))
+            engine.exact_class_masses(params, ALPHAS, times, cutoffs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -291,8 +299,8 @@ class TestProfileChunks:
 def _one_time_blocks(params, alphas, times, patch):
     """The exact series with one time per block and one block per chunk."""
     with patch.context() as one:
-        one.setattr(obs, "GRID_BLOCK_ATOMS", 1 << params.n_env)
-        one.setattr(obs, "PROFILE_CHUNK_ENTRIES", 1)
+        one.setattr(engine, "GRID_BLOCK_ATOMS", 1 << params.n_env)
+        one.setattr(engine, "PROFILE_CHUNK_ENTRIES", 1)
         return time_series(params, alphas, times, method="exact")
 
 
@@ -312,7 +320,7 @@ class TestGridWorkspace:
         want = _one_time_blocks(params, ALPHAS, times, monkeypatch)
         _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
         with monkeypatch.context() as patch:
-            patch.setattr(obs, "GRID_BLOCK_ATOMS", 3 << n)
+            patch.setattr(engine, "GRID_BLOCK_ATOMS", 3 << n)
             _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
 
     @pytest.mark.parametrize("sizes", [(10, 12), (14, 11), (5, 13)])
@@ -350,9 +358,9 @@ class TestGridWorkspace:
         for n in range(1, 21):
             step = max(1, GRID_BLOCK_ATOMS >> n)
             for times in sorted({1, step, _chunk_times(n), 1000, 5000}):
-                k = obs._low_spins(n, times)
-                assert (2 << k) * times <= obs.LOW_SPIN_ENTRIES or k == 0
-                assert k == n or (4 << k) * times > obs.LOW_SPIN_ENTRIES
+                k = engine._low_spins(n, times)
+                assert (2 << k) * times <= engine.LOW_SPIN_ENTRIES or k == 0
+                assert k == n or (4 << k) * times > engine.LOW_SPIN_ENTRIES
 
     def test_over_cap_grid_raises_before_allocating(self):
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 21))
@@ -399,8 +407,8 @@ class TestGridEvaluator:
         for params, alphas in cases:
             grid = time_series(params, alphas, times, method="exact")
             with monkeypatch.context() as patch:
-                patch.setattr(obs, "GRID_BLOCK_ATOMS", 1 << n)
-                patch.setattr(obs, "PROFILE_CHUNK_ENTRIES", 1)
+                patch.setattr(engine, "GRID_BLOCK_ATOMS", 1 << n)
+                patch.setattr(engine, "PROFILE_CHUNK_ENTRIES", 1)
                 single = time_series(params, alphas, times, method="exact")
             for name in ("p_up", "p_down", "p_q"):
                 assert np.array_equal(getattr(grid, name), getattr(single, name))
@@ -424,7 +432,8 @@ class TestGridEvaluator:
                 exact_up[i], exact_down[i] = math.fsum(dist.weight[up]), math.fsum(dist.weight[down])
                 # Every kept atom lands in the class its u gives.
                 rows = engine.branch_log_rows(params, np.array([t]))
-                x, _, keep = engine.enumerate_block(alphas, rows, engine.block_workspace(n, 1))
+                low = engine.low_spin_table(rows, engine._low_spins(n, 1))
+                x, _, keep = engine.enumerate_block(alphas, rows, engine.block_workspace(n, 1), low)
                 x_kept = x[keep]
                 assert np.array_equal(x_kept <= c_up, up) and np.array_equal(x_kept > c_down, down)
             # Both routes stay within a few ulp of the exactly rounded sums.

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -23,3 +24,14 @@ def test_library_example_and_exports():
     assert ast.literal_eval(printed.getvalue().strip()) == pytest.approx((0.4, 0.6, 0.0), abs=1e-6)
     missing = [name for name in centralspin.__all__ if not hasattr(centralspin, name)]
     assert not missing, f"centralspin.__all__ names missing attributes: {missing}"
+
+
+def test_module_names_in_backticks_resolve():
+    names = set(re.findall(r"`(core|engine|observables|universe)\.(\w+)", README.read_text()))
+    assert names
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(names)
+        if not hasattr(importlib.import_module(f"centralspin.{module}"), attr)
+    ]
+    assert not missing, f"README names attributes the package lacks: {missing}"

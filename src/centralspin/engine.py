@@ -247,28 +247,26 @@ def _double(acc: np.ndarray, keep: np.ndarray, flip: np.ndarray, start: int) -> 
 def pattern_log_weights(
     log_keep: np.ndarray,
     log_flip: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    acc: np.ndarray | None = None,
-    prefix: np.ndarray | None = None,
+    out: np.ndarray,
+    acc: np.ndarray,
+    prefix: np.ndarray,
 ) -> np.ndarray:
-    """Log-weights of all 2^N flip patterns at each of T times, by subset doubling.
+    """Log-weights of all 2^N flip patterns at each of T times, by subset doubling, into out.
 
-    log_keep and log_flip are T x N; column c of the T x 2^N result is
-    the pattern whose bit i is set when spin i+1 flipped.  The doubling
-    runs in a pattern-major 2^N x T accumulator (``_double``), and one
-    transposing copy writes the row-major result; at T = 1 both layouts
-    are the same memory, so the doubling runs in the result itself and
-    nothing is copied.  out (T x 2^N) and acc (2^N x T, used for T > 1)
-    are allocated when not given.  prefix, when given, is the 2^k x T
+    log_keep and log_flip are T x N; column c of the T x 2^N result out
+    is the pattern whose bit i is set when spin i+1 flipped.  The
+    doubling runs in the pattern-major 2^N x T accumulator acc
+    (``_double``), and one transposing copy writes the row-major result;
+    at T = 1 both layouts are the same memory, so the doubling runs in
+    out itself and acc is not touched.  prefix is the 2^k x T
     pattern-major table of the sums over spins 1..k at the same times
     (such as a slice of ``low_spin_table``); the doubling starts from it
-    at spin k + 1.
+    at spin k + 1.  A k = 0 prefix is one row of zeros, np.zeros((1, T)).
 
     The layout moves where a sum is stored, not how it is formed: each
-    entry is still the left-to-right sum over spins 1..N, from a prefix
-    or not, so it equals a spin-by-spin loop bit for bit; -inf factors
-    stay -inf (no +inf term exists, so inf - inf never occurs).
+    entry is still the left-to-right sum over spins 1..N, from any k, so
+    it equals a spin-by-spin loop bit for bit; -inf factors stay -inf
+    (no +inf term exists, so inf - inf never occurs).
 
     The left-to-right order is load-bearing: ``core.pattern_log_weight``
     sums a sampled or single pattern's logs in the same order, so its u
@@ -278,19 +276,10 @@ def pattern_log_weights(
     differently and must change that sum with it.
     """
     t, n = log_keep.shape
-    if out is None:
-        out = np.empty((t, 1 << n))
     if t == 1:
         acc = out.reshape(1 << n, 1)
-    elif acc is None:
-        acc = np.empty((1 << n, t))
-    if prefix is None:
-        acc[0] = 0.0
-        start = 0
-    else:
-        acc[: prefix.shape[0]] = prefix
-        start = prefix.shape[0].bit_length() - 1
-    _double(acc, log_keep.T, log_flip.T, start)
+    acc[: prefix.shape[0]] = prefix
+    _double(acc, log_keep.T, log_flip.T, prefix.shape[0].bit_length() - 1)
     if t > 1:
         np.copyto(out, acc.T)
     return out
@@ -345,8 +334,8 @@ def enumerate_block(
     """
     ws = workspace
     lw_up, lw_down = _log_mixture_weights(alphas)
-    log_wu = pattern_log_weights(*rows[0], ws.log_up, acc=ws.acc, prefix=prefix[:, 0])
-    log_wd = pattern_log_weights(*rows[1], ws.log_down, acc=ws.acc, prefix=prefix[:, 1])
+    log_wu = pattern_log_weights(*rows[0], ws.log_up, ws.acc, prefix[:, 0])
+    log_wd = pattern_log_weights(*rows[1], ws.log_down, ws.acc, prefix[:, 1])
     # The accumulator is free from here on and takes the weights.
     flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, log_wu, log_wd))
     half = flat_weight.size // 2

@@ -86,11 +86,10 @@ def check_branch_totals(seed: int) -> CheckResult:
         n = int(rng.integers(2, 13))
         params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=tuple(rng.uniform(-1, 1, n)))
         t = float(rng.uniform(0, 200))
-        for branch in ("up", "down"):
-            prof = branch_flip_profile(params, branch, np.array([t]))
-            logw = engine.pattern_log_weights(prof.log_keep, prof.log_flip)
-            total = float(np.sum(np.exp(logw)))
-            worst = max(worst, abs(total - 1.0))
+        # All weight on one branch: the enumerated weights are that branch's pattern weights.
+        for w_up in (1.0, 0.0):
+            dist = engine.enumerate_outcomes(params, SystemAmplitudes.from_up_weight(w_up), t)
+            worst = max(worst, abs(dist.total_weight() - 1.0))
     return CheckResult(
         "branch weight total over all patterns", worst <= 1e-9, f"max |sum-1| = {worst:.2e}"
     )

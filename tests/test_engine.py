@@ -503,7 +503,7 @@ class TestOneKernel:
             logs = {}
             for branch in ("up", "down"):
                 prof = branch_flip_profile(p, branch, np.array([t]))
-                logs[branch] = pattern_log_weights(prof.log_keep, prof.log_flip)[0]
+                logs[branch] = _doubling(prof.log_keep, prof.log_flip, np.zeros((1, 1)))[0]
             for i in picks:
                 code = int(dist.pattern_codes[i])
                 pat = FlipPattern.from_code(code, n)
@@ -650,6 +650,12 @@ def _bit_loop_log_weights(log_keep, log_flip):
     return acc
 
 
+def _doubling(log_keep, log_flip, prefix):
+    """``pattern_log_weights`` into fresh out and acc buffers, continued from prefix."""
+    t, n = log_keep.shape
+    return pattern_log_weights(log_keep, log_flip, np.empty((t, 2**n)), np.empty((2**n, t)), prefix)
+
+
 class TestSubsetDoubling:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_bit_loop_bitwise(self, n):
@@ -659,7 +665,7 @@ class TestSubsetDoubling:
         # Exact zeros: a frozen spin in row 1, a certain flip in row 2.
         log_flip[1, n // 2] = -math.inf
         log_keep[2, n - 1] = -math.inf
-        got = pattern_log_weights(log_keep, log_flip)
+        got = _doubling(log_keep, log_flip, np.zeros((1, 3)))
         assert got.shape == (3, 2**n)
         for row in range(3):
             want = _bit_loop_log_weights(log_keep[row], log_flip[row])
@@ -673,7 +679,7 @@ class TestSubsetDoubling:
         log_keep = np.log(rng.uniform(0.0, 1.0, (t, n)))
         log_flip = np.log(rng.uniform(0.0, 1.0, (t, n)))
         log_flip[0, n - 1] = -math.inf
-        got = pattern_log_weights(log_keep, log_flip)
+        got = _doubling(log_keep, log_flip, np.zeros((1, t)))
         assert got.shape == (t, 2**n) and got.flags.c_contiguous
         for row in range(t):
             assert np.array_equal(got[row], _bit_loop_log_weights(log_keep[row], log_flip[row]))
@@ -688,8 +694,8 @@ class TestSubsetDoubling:
         log_flip[0, n - 1] = -math.inf
         want = [_bit_loop_log_weights(log_keep[row], log_flip[row]) for row in range(t)]
         for k in sorted({0, 1, n // 2, n}):
-            prefix = pattern_log_weights(log_keep[:, :k], log_flip[:, :k]).T
-            got = pattern_log_weights(log_keep, log_flip, prefix=prefix)
+            prefix = _doubling(log_keep[:, :k], log_flip[:, :k], np.zeros((1, t))).T
+            got = _doubling(log_keep, log_flip, prefix)
             assert all(np.array_equal(got[row], want[row]) for row in range(t))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
@@ -703,7 +709,7 @@ class TestSubsetDoubling:
             low = engine.low_spin_table(rows, k)
             assert low.shape == (2**k, 2, c)
             for branch, (keep, flip) in enumerate(block):
-                got = pattern_log_weights(keep, flip, prefix=low[:, branch, first : first + 2])
+                got = _doubling(keep, flip, low[:, branch, first : first + 2])
                 for row in range(2):
                     assert np.array_equal(got[row], _bit_loop_log_weights(keep[row], flip[row]))
 

@@ -192,7 +192,11 @@ def _per_point(params, alphas, times, method, eps=1e-3):
 
 class TestLogitCutoffs:
     # The last eps: the largest below 0.5, for which 1 - eps rounds to 0.5, so u = 0.5 is up.
-    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25, 0.4999, 1e-12, 0.49999999999999994])
+    # The smallest subnormal eps, and 2^-54, for which 1 - eps rounds to 1.
+    @pytest.mark.parametrize(
+        "eps",
+        [1e-3, 1e-6, 0.25, 0.4999, 1e-12, 0.49999999999999994, 5e-324, 2.0**-54, 1e-300, 0.1],
+    )
     def test_reproduce_the_u_tests(self, eps):
         c_up, c_down = obs.logit_cutoffs(eps)
         ulps = np.arange(-2000, 2001)
@@ -206,6 +210,12 @@ class TestLogitCutoffs:
         # Each cutoff is the last float on its side.
         assert engine.u_from_x(c_up) >= 1.0 - eps > engine.u_from_x(np.nextafter(c_up, math.inf))
         assert engine.u_from_x(c_down) > eps >= engine.u_from_x(np.nextafter(c_down, math.inf))
+
+    # A threshold at zero, at the smallest subnormal and on the float just below a power of two.
+    @pytest.mark.parametrize("cut", [0.0, 5e-324, -5e-324, np.nextafter(2.0, 0.0), -np.nextafter(0.5, 0.0)])
+    def test_bisection_ends_on_the_last_passing_float(self, cut):
+        got = obs._last_passing(lambda x: x <= cut, -800.0, 710.0)
+        assert got == cut and math.copysign(1.0, got) == math.copysign(1.0, cut)
 
     def test_nan_is_in_neither_class(self):
         c_up, c_down = obs.logit_cutoffs(1e-3)

@@ -46,3 +46,20 @@ def test_output_digest_builds_its_configs(monkeypatch):
             configs += workload.configs(seed)
     for config in configs:
         config.validate()
+
+
+def test_code_lines_total_is_the_sum_of_its_files():
+    done = _run_script("code_lines.py")
+    assert done.returncode == 0, done.stderr
+    *files, total = (line.split("  ") for line in done.stdout.splitlines())
+    assert total[1] == "total" and files
+    assert {name for _, name in files} == {p.name for p in (ROOT / "src" / "centralspin").glob("*.py")}
+    assert int(total[0]) == sum(int(count) for count, _ in files) > 0
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = '"""Module\ndoc."""\n\n# comment\nX = """not a\ndocstring"""\n\n\ndef f():\n    """Doc."""\n    return (1,\n            2)  # two lines\n'
+    assert counter.code_lines(source) == 5

@@ -48,9 +48,17 @@ class EnvironmentTooLarge(ValueError):
 
 
 def dispersed_couplings(h: float, delta_h: float, n: int) -> tuple[float, ...]:
-    """Vertical couplings spread over [h, h + delta_h): h_j = h + (j-1)*delta_h/n."""
+    """Vertical couplings spread over [h, h + delta_h): h_j = h + (j-1)*delta_h/n.
+
+    For delta_h = 0 every (j-1)*delta_h/n is a zero with the sign of
+    delta_h, so all N couplings are the one float h + delta_h / n, the
+    same bits as the formula (-0.0 + 0.0 is +0.0); the tuple then holds
+    N references to that one object.
+    """
     if n < 1:
         raise ValueError("need at least one environment spin")
+    if delta_h == 0.0:
+        return (float(h) + float(delta_h) / n,) * n
     # The same three float operations per coupling as the scalar formula, at C speed.
     with np.errstate(over="ignore", invalid="ignore"):
         return tuple((h + np.arange(n) * delta_h / n).tolist())

@@ -470,34 +470,53 @@ def binomial_outcomes(
     merging) wherever both apply.  log_counts and spin, when given, must
     be ``binomial_log_counts(N)`` and ``binomial_spin(params)``; a grid
     computes them once for every point.
+
+    A point holds at most four N + 1 float arrays besides log_counts.
+    One float ``arange`` holds k, and its reversed view is N - k exactly;
+    both branches' log weights (N - k) log keep + k log flip are built in
+    place from it, the down branch's in the k buffer.  A spare buffer
+    holds one term of each sum and then the mixed weight; the down
+    branch's weighted term takes the fourth buffer, freed before the
+    merge.  The zero-count term of each sum is 0.0 (not 0 * -inf), and
+    every entry takes the same IEEE operations as the closed form
+    (n - k) * log keep + k * log flip, so the atoms are its bits.
     """
     n = params.n_env
     if spin is None:
         spin = binomial_spin(params)
     up, down, lw_up, lw_down = _log_branch_pair(spin, alphas, t)
-    k = np.arange(n + 1, dtype=np.int64)
-
-    def log_w(profile):
-        # 0 * (-inf) would be nan; the where() masks those slots out.
-        with np.errstate(invalid="ignore"):
-            keep_part = np.where(k < n, (n - k) * profile.log_keep[0], 0.0)
-            flip_part = np.where(k > 0, k * profile.log_flip[0], 0.0)
-        return keep_part + flip_part
-
-    log_wu = log_w(up)
-    log_wd = log_w(down)
     log_count = binomial_log_counts(n) if log_counts is None else log_counts
+    k = np.arange(n + 1, dtype=float)
+    log_wu = np.empty_like(k)
+    spare = np.empty_like(k)
+    # 0 * (-inf) would be nan; the zero-count slot is overwritten with 0.0.
+    with np.errstate(invalid="ignore"):
+        np.multiply(k[::-1], up.log_keep[0], out=log_wu)
+        log_wu[n] = 0.0
+        np.multiply(k, up.log_flip[0], out=spare)
+        spare[0] = 0.0
+        log_wu += spare
+        np.multiply(k[::-1], down.log_keep[0], out=spare)
+        spare[n] = 0.0
+        log_wd = np.multiply(k, down.log_flip[0], out=k)
+        log_wd[0] = 0.0
+        np.add(spare, log_wd, out=log_wd)
     with np.errstate(over="ignore"):
-        weight = alphas.w_up * np.exp(log_count + log_wu) + alphas.w_down * np.exp(
-            log_count + log_wd
-        )
+        weight = np.add(log_count, log_wu, out=spare)
+        np.exp(weight, out=weight)
+        weight *= alphas.w_up
+        down_part = np.add(log_count, log_wd)
+        np.exp(down_part, out=down_part)
+        down_part *= alphas.w_down
+        weight += down_part
+    del down_part
     keep = weight >= WEIGHT_FLOOR
     u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
     dist = ProjectionDistribution(
         u=u,
         weight=weight[keep],
         kind="binomial",
-        dropped=int(np.count_nonzero(~keep)),
+        dropped=keep.size - int(np.count_nonzero(keep)),
     )
     return merge_by_u(dist)
 

@@ -10,6 +10,7 @@ CheckResult so callers can print one line per check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,11 @@ import numpy as np
 from . import engine, universe
 from .core import ModelParams, SystemAmplitudes, branch_flip_profile, dispersed_couplings
 from .observables import class_probabilities
+
+# Two-sided level of the sampler's class check, 2 * (1 - Phi(3)): a 3-sigma bound.
+CLASS_ALPHA = 0.0027
+# The sampler's KS bound at 20,000 draws.
+KS_BOUND = 0.01
 
 
 @dataclass(frozen=True)
@@ -144,26 +150,48 @@ def check_binomial_vs_enumeration(seed: int) -> CheckResult:
     )
 
 
+def binomial_two_sided_p(count: int, samples: int, p: float) -> float:
+    """Exact two-sided tail of ``count`` under Binomial(samples, p).
+
+    Twice the smaller of P(X <= count) and P(X >= count), at most 1; the
+    terms come from ``engine.binomial_log_counts``.  At p = 0 or 1 the
+    count is certain, so the tail is 1 there and 0 elsewhere.
+    """
+    if not 0.0 < p < 1.0:
+        return 1.0 if count == (samples if p >= 1.0 else 0) else 0.0
+    k = np.arange(samples + 1, dtype=float)
+    log_pmf = engine.binomial_log_counts(samples) + k * math.log(p) + (samples - k) * math.log1p(-p)
+    pmf = np.exp(log_pmf)
+    return min(1.0, 2.0 * min(float(pmf[: count + 1].sum()), float(pmf[count:].sum())))
+
+
 def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
+    """Sampled class counts and u law against the enumerated ones.
+
+    Each class count must have an exact two-sided binomial tail of at
+    least CLASS_ALPHA, the level of a normal 3-sigma bound, which also
+    holds where samples * P is far below 1.  The KS distance shrinks as
+    1/sqrt(samples), so its bound is KS_BOUND at the default 20,000
+    draws, scaled by sqrt(20,000 / samples).
+    """
     params = ModelParams(delta=0.0, h=(0.01,) * 10)
     alphas = SystemAmplitudes.from_up_weight(0.4)
     eps = 1e-3
-    worst_sigma, worst_ks = 0.0, 0.0
+    ks_bound = KS_BOUND * math.sqrt(20_000 / samples)
+    least_tail, worst_ks = 1.0, 0.0
     for t in (50.0, 120.0, 200.0, 330.0):
         exact = engine.enumerate_outcomes(params, alphas, t)
         sampled = engine.sample_outcomes(params, alphas, t, samples, seed)
         p_exact = class_probabilities(exact, eps)
         p_emp = class_probabilities(sampled, eps)
         for pe, pm in zip(p_exact, p_emp):
-            bound = 3.0 * np.sqrt(pe * (1.0 - pe) / samples)
-            gap = abs(pe - pm)
-            worst_sigma = max(worst_sigma, gap - bound)
+            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), samples, pe))
         worst_ks = max(worst_ks, ks_distance(sampled.u, exact.u, exact.weight))
-    ok = worst_sigma <= 0.0 and worst_ks <= 0.01
+    ok = least_tail >= CLASS_ALPHA and worst_ks <= ks_bound
     return CheckResult(
-        "sampler vs enumeration (classes within 3 sigma, KS <= 0.01)",
+        f"sampler vs enumeration (class tails >= {CLASS_ALPHA}, KS <= {ks_bound:.4f})",
         ok,
-        f"worst class excess = {worst_sigma:.2e}, worst KS = {worst_ks:.4f}",
+        f"least class tail = {least_tail:.2e}, worst KS = {worst_ks:.4f}",
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from centralspin.cli import (
     parse_config,
     run_config,
 )
-from centralspin.core import ModelParams
+from centralspin.core import ModelParams, SystemAmplitudes
 
 MINIMAL = "n = 10\nh = 0.01\ndelta = 0\nalpha_up_sq = 0.4\n"
 
@@ -241,6 +242,23 @@ class TestConfigBehavior:
         monkeypatch.setattr(ExperimentConfig, "couplings", expand)
         assert cfg.resolved_method() == "binomial"
 
+    def test_constant_h_params_hold_one_shared_float(self):
+        # The coupling tuple is N pointers to one float, not N floats.
+        n = 10**5
+        config = ExperimentConfig(n=n, h=(0.01,))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            params = config.params()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert params.n_env == n and params.equal_couplings
+        assert retained < 8 * n + 64 * 1024
+
     def test_preset_parameters_match_captions(self):
         fig1 = _preset_configs("fig1")
         assert [c.n for c in fig1] == [2, 10, 80]
@@ -384,3 +402,39 @@ class TestMain:
         assert main(["oracle-check", *flags]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
         assert calls == []
+
+
+class TestSamplerCheck:
+    @pytest.mark.parametrize(
+        "count, samples, p",
+        [(1, 20_000, 1.8e-6), (0, 20_000, 1.8e-6), (8300, 20_000, 0.4), (7790, 20_000, 0.4),
+         (1210, 2000, 0.6), (0, 10, 0.5), (10, 10, 0.5), (1, 1, 0.3)],
+    )
+    def test_two_sided_tail_matches_scipy(self, count, samples, p):
+        from scipy.stats import binom
+
+        want = min(1.0, 2.0 * min(binom.cdf(count, samples, p), binom.sf(count - 1, samples, p)))
+        assert selfcheck.binomial_two_sided_p(count, samples, p) == pytest.approx(want, rel=1e-9)
+
+    def test_certain_counts(self):
+        assert selfcheck.binomial_two_sided_p(0, 50, 0.0) == 1.0
+        assert selfcheck.binomial_two_sided_p(1, 50, 0.0) == 0.0
+        assert selfcheck.binomial_two_sided_p(50, 50, 1.0) == 1.0
+        assert selfcheck.binomial_two_sided_p(49, 50, 1.0) == 0.0
+
+    @pytest.mark.parametrize("seed, samples", [(20268809, 20_000), (20260809, 2000)])
+    def test_rare_class_and_few_draws_pass(self, seed, samples):
+        # oracle-check --seed 20268809 drew one quantum-class sample at P_q = 1.8e-6, and
+        # --samples 2000 a KS distance of 0.020: both failed the normal 3-sigma and fixed
+        # 0.01 bounds on a correct sampler.
+        assert selfcheck.check_sampler_vs_enumeration(seed + 4, samples).ok
+
+    def test_biased_sampler_fails(self, monkeypatch):
+        draw = engine.sample_outcomes
+
+        def biased(params, alphas, t, samples, seed, workers=1):
+            shifted = SystemAmplitudes.from_up_weight(alphas.w_up + 0.02)
+            return draw(params, shifted, t, samples, seed, workers)
+
+        monkeypatch.setattr(engine, "sample_outcomes", biased)
+        assert not selfcheck.check_sampler_vs_enumeration(20260813, 20_000).ok

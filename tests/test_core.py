@@ -58,6 +58,17 @@ class TestModelParams:
             assert all(type(x) is float for x in got)
             assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
+    @pytest.mark.parametrize("h", [0.01, 0.0, -0.0, 5e-324, -1e300])
+    @pytest.mark.parametrize("delta_h", [0.0, -0.0])
+    def test_constant_couplings_are_one_shared_float(self, h, delta_h):
+        # The arange formula's bits, sign of zero included (-0.0 + 0.0 is +0.0).
+        for n in (1, 7, 1000):
+            got = dispersed_couplings(h, delta_h, n)
+            want = (h + np.arange(n) * delta_h / n).tolist()
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+            assert type(got[0]) is float and all(x is got[0] for x in got)
+            assert all(x is got[0] for x in ModelParams(delta=0.0, h=got).h)
+
     def test_last_dispersed_coupling_is_last_of_expansion(self):
         for h, delta_h, n in ((0.01, 0.02, 10), (0.3, -0.7, 7), (1e-300, 1e-320, 4), (0.2, 0.0, 1)):
             assert last_dispersed_coupling(h, delta_h, n) == dispersed_couplings(h, delta_h, n)[-1]

@@ -204,6 +204,29 @@ class TestBinomial:
             assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
 
 
+class TestBinomialMemory:
+    def test_peak_of_one_point_at_large_n(self):
+        # A grid's point at N = 1e5, with the grid's multiplicities and one-spin model:
+        # four N + 1 float arrays (k, the two log weights, the mixture) and the kept
+        # atoms' merge stay below five.
+        n = 100_000
+        p = ModelParams(delta=0.0, h=(0.01,) * n)
+        log_counts, spin = binomial_log_counts(n), binomial_spin(p)
+        for t in (np.arange(6) + 0.5) * 400.0 / 6:
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                binomial_outcomes(p, ALPHAS, float(t), log_counts=log_counts, spin=spin)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak < 5 * 8 * (n + 1)
+
+
 class TestSampling:
     def test_initial_time_all_samples_equal(self):
         p = ModelParams(delta=0.0, h=(0.01,) * 12)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,17 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
     assert done.returncode == 0, done.stderr
     paths = done.stdout.splitlines()
     assert paths and all(Path(p).is_file() and Path(p).parent == tmp_path for p in paths)
+
+
+def test_output_digest_prints_one_digest_per_file():
+    # Four presets, four workloads at two seeds and the histogram runs, in csv and json.
+    done = _run_script("output_digest.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 102
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert len(set(paths)) == len(paths) and paths == sorted(paths)
 
 
 def test_output_digest_builds_its_configs(monkeypatch):

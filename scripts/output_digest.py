@@ -5,8 +5,10 @@ Usage:
     python scripts/output_digest.py [--keep DIR]
 
 The runs: the four figure presets, the configs of the four benchmark
-workloads (read from perfbench/workloads.py) at seeds 0 and 7, and one
-run with histogram times per method.  Each run's records are written in
+workloads (read from perfbench/workloads.py) at seeds 0 and 7, one
+run with histogram times per method, and two coupling specs that auto
+sends to binomial: an explicit list of equal couplings and signed-zero
+couplings (h = -0.0, delta_h = -0.0).  Each run's records are written in
 both formats with ``cli.emit_results``; one line per file, sorted by
 path, reads "<sha256>  <path>".  Two checkouts with the same lines
 write byte-identical files.  The files go to a temporary directory,
@@ -48,6 +50,15 @@ def _hist_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _coupling_configs() -> list[ExperimentConfig]:
+    """An explicit equal h list and signed-zero dispersed couplings, both at N = 20."""
+    base = dict(n=20, delta=0.01, alpha_up_sq=0.4, steps=40)
+    return [
+        ExperimentConfig(**base, h=(0.01,) * 20, label="h_list").validate(),
+        ExperimentConfig(**base, h=(-0.0,), delta_h=-0.0, label="h_signed_zero").validate(),
+    ]
+
+
 def write_outputs(out: Path) -> None:
     """Run every config of the set and write its records under ``out``."""
     for name in PRESET_NAMES:
@@ -59,9 +70,10 @@ def write_outputs(out: Path) -> None:
             records = [run_config(c) for c in workload.configs(seed)]
             for fmt in FORMATS:
                 emit_results(records, out / f"{name}_seed{seed}", fmt)
-    records = [run_config(c) for c in _hist_configs()]
-    for fmt in FORMATS:
-        emit_results(records, out / "hist_times", fmt)
+    for name, configs in (("hist_times", _hist_configs()), ("couplings", _coupling_configs())):
+        records = [run_config(c) for c in configs]
+        for fmt in FORMATS:
+            emit_results(records, out / name, fmt)
 
 
 def main() -> int:

@@ -30,27 +30,26 @@ def zero_h_phase_rate(params: ModelParams) -> float:
     """Effective counter-rotation rate E for the zero-coupling ground-state case.
 
     With h_j = 0 the bath configuration is frozen and the branches
-    accumulate phases exp(-i tau (mu +- nu) M) with M the total bath
+    accumulate phases exp(-i t (mu +- nu) M) with M the total bath
     orientation; stripping the global part leaves
-    a_up e^{-i tau E} |up> + a_down e^{+i tau E} |down> with E = nu * M.
+    a_up e^{-i t E} |up> + a_down e^{+i t E} |down> with E = nu * M.
     At zero temperature M = -N * sign(mu) (all spins aligned against
     the splitting), so E = -nu * N for mu > 0.
     """
-    if any(h != 0.0 for h in params.h):
+    if np.any(params.h != 0.0):
         raise ValueError("zero-coupling solution requires all h_j = 0")
     m_gs = -params.n_env if params.mu > 0 else params.n_env
     return params.nu * m_gs
 
 
-def zero_h_solution(alphas: SystemAmplitudes, e_gs: float, t: float, t0: float = 0.0) -> TrajectoryOutcome:
-    """Deterministic state a_up e^{-i tau E}|up> + a_down e^{i tau E}|down>, weight 1.
+def zero_h_solution(alphas: SystemAmplitudes, e_gs: float, t: float) -> TrajectoryOutcome:
+    """Deterministic state a_up e^{-i t E}|up> + a_down e^{i t E}|down>, weight 1.
 
     The phase parameter is supplied by the caller; for a ground-state
     bath the physically matching value is zero_h_phase_rate(params).
     """
-    tau = t - t0
     phi = np.array(
-        [alphas.a_up * np.exp(-1j * tau * e_gs), alphas.a_down * np.exp(1j * tau * e_gs)],
+        [alphas.a_up * np.exp(-1j * t * e_gs), alphas.a_down * np.exp(1j * t * e_gs)],
         dtype=complex,
     )
     return TrajectoryOutcome(phi=phi, weight=1.0, labels=None)

@@ -130,7 +130,7 @@ class ExperimentConfig:
             observables.validate_error_threshold(self.epsilon)
             key = "steps"
             observables.check_grid(g := self.grid())
-        except ValueError as err:
+        except (ValueError, MemoryError) as err:
             raise ConfigError(f"{key}: {err}") from None
         if g[0] < 0.0:
             raise ConfigError("t_start: the first grid point precedes the initial time 0")
@@ -138,7 +138,8 @@ class ExperimentConfig:
             raise ConfigError("hist_times: every time must be at or after the initial time 0")
         # branch_flip_profile rejects a phase omega * t that overflows.  omega grows with |h_j|
         # and dispersed couplings are monotone, so h_1 or h_N at the last time decides it.
-        spin = ModelParams(self.delta, (max(self.h + (self._last_coupling(),), key=abs),))
+        h_max = max(self.h + (self._last_coupling(),), key=abs)
+        spin = ModelParams(self.delta, (h_max,))
         t_last = float(max((g[-1], *self.hist_times)))
         try:
             for branch in BRANCHES:
@@ -159,7 +160,7 @@ class ExperimentConfig:
             raise ConfigError(f"method: the dense universe is capped at n = {universe.DEFAULT_CAP}")
         # Gershgorin: a sector row holds one diagonal entry of at most n * max(1, |delta|) and
         # n off-diagonal entries of at most max |h_j|, which bounds every eigenvalue |w|.
-        bound = self.n * (max(1.0, abs(self.delta)) + abs(spin.h[0]))
+        bound = self.n * (max(1.0, abs(self.delta)) + abs(h_max))
         if self.method == "exact-universe" and not math.isfinite(bound * t_last):
             raise ConfigError(
                 f"delta, h: the sector phase t * w may overflow at t = {t_last!r} "
@@ -184,9 +185,9 @@ class ExperimentConfig:
             return self.h.count(self.h[0]) == self.n
         return self._last_coupling() == self.h[0]
 
-    def couplings(self) -> tuple[float, ...]:
+    def couplings(self) -> np.ndarray:
         if len(self.h) == self.n:
-            return self.h
+            return np.array(self.h)
         return dispersed_couplings(self.h[0], self.delta_h, self.n)
 
     def params(self) -> ModelParams:

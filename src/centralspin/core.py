@@ -47,21 +47,16 @@ class EnvironmentTooLarge(ValueError):
     """Exact construction refused beyond the configured environment-size cap."""
 
 
-def dispersed_couplings(h: float, delta_h: float, n: int) -> tuple[float, ...]:
+def dispersed_couplings(h: float, delta_h: float, n: int) -> np.ndarray:
     """Vertical couplings spread over [h, h + delta_h): h_j = h + (j-1)*delta_h/n.
 
-    For delta_h = 0 every (j-1)*delta_h/n is a zero with the sign of
-    delta_h, so all N couplings are the one float h + delta_h / n, the
-    same bits as the formula (-0.0 + 0.0 is +0.0); the tuple then holds
-    N references to that one object.
+    A float64 array holding the scalar formula's bits for every j, sign
+    of zero included; an overflow gives inf, which ``ModelParams`` rejects.
     """
     if n < 1:
         raise ValueError("need at least one environment spin")
-    if delta_h == 0.0:
-        return (float(h) + float(delta_h) / n,) * n
-    # The same three float operations per coupling as the scalar formula, at C speed.
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple((h + np.arange(n) * delta_h / n).tolist())
+        return h + np.arange(n) * delta_h / n
 
 
 def last_dispersed_coupling(h: float, delta_h: float, n: int) -> float:
@@ -75,41 +70,43 @@ def last_dispersed_coupling(h: float, delta_h: float, n: int) -> float:
     return h + (n - 1) * delta_h / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Immutable central-spin universe: detuning, couplings, bath size, temperature.
+    """Immutable central-spin universe: detuning, couplings, bath temperature.
 
     delta is mu - nu with mu + nu = 1 enforced by construction, so
-    mu = (1 + delta)/2 and nu = (1 - delta)/2.  beta is the inverse
-    temperature of the initial bath ensemble and t0 the reference time
-    from which elapsed times are measured.
+    mu = (1 + delta)/2 and nu = (1 - delta)/2.  h holds the N couplings
+    as one read-only 1-D float64 array, copied from the argument.  beta
+    is the inverse temperature of the initial bath ensemble.  Times are
+    measured from the initial time 0.
     """
 
     delta: float
-    h: tuple[float, ...]
+    h: np.ndarray
     beta: float = 0.0
-    t0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(map(float, self.h)))
-        if len(self.h) < 1:
-            raise ValueError("need at least one environment spin")
-        for name in ("delta", "beta", "t0"):
+        h = np.array(self.h, dtype=np.float64)
+        if h.ndim != 1 or h.size < 1:
+            raise ValueError("need at least one environment spin, as a 1-d sequence of couplings")
+        if not np.isfinite(h).all():
+            raise ValueError("couplings must be finite")
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
+        for name in ("delta", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not all(map(math.isfinite, self.h)):
-            raise ValueError("couplings must be finite")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
 
     @property
     def n_env(self) -> int:
-        return len(self.h)
+        return self.h.size
 
     @property
     def equal_couplings(self) -> bool:
         """True when every h_j equals h_1 (0.0 and -0.0 count as equal)."""
-        return self.h.count(self.h[0]) == self.n_env
+        return bool((self.h == self.h[0]).all())
 
     @property
     def mu(self) -> float:
@@ -119,19 +116,15 @@ class ModelParams:
     def nu(self) -> float:
         return (1.0 - self.delta) / 2.0
 
-    @property
-    def h_array(self) -> np.ndarray:
-        return np.asarray(self.h, dtype=float)
-
-    def elapsed(self, t):
-        """t - t0 for one time or an array of times: finite, and none may precede t0."""
-        tau = t - self.t0
-        finite = np.isfinite(tau)
+    @staticmethod
+    def elapsed(t):
+        """t, one time or an array of times since the initial time 0, checked finite and >= 0."""
+        finite = np.isfinite(t)
         if not np.all(finite):
-            raise ValueError(f"t - t0 must be finite, got {np.asarray(tau)[~finite].flat[0]}")
-        if np.any(tau < 0):
-            raise ValueError(f"t={np.min(t)} precedes the initial time t0={self.t0}")
-        return tau
+            raise ValueError(f"t must be finite, got {np.asarray(t)[~finite].flat[0]}")
+        if np.any(t < 0):
+            raise ValueError(f"t={np.min(t)} precedes the initial time 0")
+        return t
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,7 @@ def spin_spectral(params: ModelParams, branch: str, j: int) -> SpinSpectral:
     if not 1 <= j <= params.n_env:
         raise IndexError(f"spin index {j} outside 1..{params.n_env}")
     a, _ = branch_axis(params, branch)
-    hj = params.h[j - 1]
+    hj = float(params.h[j - 1])
     omega = math.hypot(a, hj)
     ratio = (a / omega) ** 2 if omega > 0.0 else 1.0
     return SpinSpectral(branch, omega, ratio)
@@ -274,7 +267,7 @@ def spin_amplitude(
         raise IndexError(f"spin index {j} outside 1..{params.n_env}")
     tau = params.elapsed(t)
     a, b_sign = branch_axis(params, branch)
-    b = b_sign * params.h[j - 1]
+    b = b_sign * float(params.h[j - 1])
     omega = math.hypot(a, b)
     if omega == 0.0:
         return 0.0 + 0.0j if flipped else 1.0 + 0.0j
@@ -294,13 +287,13 @@ class FlipProfile(NamedTuple):
 
 
 def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
-    """Squared per-spin amplitudes of a branch at elapsed time t - t0.
+    """Squared per-spin amplitudes of a branch at time t.
 
     t is one time, giving length-N fields, or a 1-D array of T times,
     giving T x N fields whose row k is bit-identical to the profile at
     t[k].  keep + flip = 1 to a few ulp for every spin (asserted at
     1e-12 in the tests); logs of exact zeros are -inf.  Raises
-    ValueError when a phase omega * (t - t0) overflows: its sine and
+    ValueError when a phase omega * t overflows: its sine and
     cosine would be NaN.
     """
     times = np.asarray(t, dtype=float)
@@ -308,14 +301,14 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
         raise ValueError("t must be one time or a 1-D array of times")
     tau = params.elapsed(times)
     a, _ = branch_axis(params, branch)
-    h = params.h_array
+    h = params.h
     # Only omega and the phase can overflow, and the check below rejects that; past
     # it every value is finite, and log(0) = -inf is the one error left to silence.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = np.hypot(a, h)
         arg = omega * tau[..., None]
         if not np.isfinite(arg).all():
-            raise ValueError(f"phase omega * (t - t0) must be finite on the {branch} branch")
+            raise ValueError(f"phase omega * t must be finite on the {branch} branch")
         s2 = np.sin(arg) ** 2
         c2 = np.cos(arg) ** 2
         # omega == 0 only when a == h_j == 0: that spin is frozen (keep 1, flip 0).

@@ -449,7 +449,7 @@ def binomial_spin(params: ModelParams) -> ModelParams:
     """The one-spin model that carries every spin's profile when all h_j are equal."""
     if not params.equal_couplings:
         raise ValueError("binomial reduction requires all couplings equal")
-    return ModelParams(params.delta, params.h[:1], params.beta, params.t0)
+    return ModelParams(params.delta, params.h[:1], params.beta)
 
 
 def binomial_outcomes(

@@ -19,10 +19,9 @@ from . import engine, universe
 from .core import ModelParams, SystemAmplitudes, branch_flip_profile, dispersed_couplings
 from .observables import class_probabilities
 
-# Two-sided level of the sampler's class check, 2 * (1 - Phi(3)): a 3-sigma bound.
+# Level of the sampler check, 2 * (1 - Phi(3)): a 3-sigma bound.  Its 12 class
+# tails share it, and so do its 4 KS distances.
 CLASS_ALPHA = 0.0027
-# The sampler's KS bound at 20,000 draws.
-KS_BOUND = 0.01
 
 
 @dataclass(frozen=True)
@@ -168,18 +167,23 @@ def binomial_two_sided_p(count: int, samples: int, p: float) -> float:
 def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
     """Sampled class counts and u law against the enumerated ones.
 
-    Each class count must have an exact two-sided binomial tail of at
-    least CLASS_ALPHA, the level of a normal 3-sigma bound, which also
-    holds where samples * P is far below 1.  The KS distance shrinks as
-    1/sqrt(samples), so its bound is KS_BOUND at the default 20,000
-    draws, scaled by sqrt(20,000 / samples).
+    Four times, three classes each: every class count must have an
+    exact two-sided binomial tail of at least CLASS_ALPHA / 12, which
+    also holds where samples * P is far below 1.  Every KS distance must
+    be at most sqrt(ln(8 / CLASS_ALPHA) / (2 samples)): by the
+    Dvoretzky-Kiefer-Wolfowitz-Massart inequality, which holds for any
+    law, a correct sampler exceeds it with probability at most
+    CLASS_ALPHA / 4 (0.0141 at 20,000 draws).
     """
     params = ModelParams(delta=0.0, h=(0.01,) * 10)
     alphas = SystemAmplitudes.from_up_weight(0.4)
     eps = 1e-3
-    ks_bound = KS_BOUND * math.sqrt(20_000 / samples)
+    times = (50.0, 120.0, 200.0, 330.0)
+    tail_bound = CLASS_ALPHA / (3 * len(times))
+    # DKW-Massart: P(KS > eps) <= 2 exp(-2 samples eps^2), set to CLASS_ALPHA / len(times).
+    ks_bound = math.sqrt(math.log(2 * len(times) / CLASS_ALPHA) / (2 * samples))
     least_tail, worst_ks = 1.0, 0.0
-    for t in (50.0, 120.0, 200.0, 330.0):
+    for t in times:
         exact = engine.enumerate_outcomes(params, alphas, t)
         sampled = engine.sample_outcomes(params, alphas, t, samples, seed)
         p_exact = class_probabilities(exact, eps)
@@ -187,9 +191,9 @@ def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
         for pe, pm in zip(p_exact, p_emp):
             least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), samples, pe))
         worst_ks = max(worst_ks, ks_distance(sampled.u, exact.u, exact.weight))
-    ok = least_tail >= CLASS_ALPHA and worst_ks <= ks_bound
+    ok = least_tail >= tail_bound and worst_ks <= ks_bound
     return CheckResult(
-        f"sampler vs enumeration (class tails >= {CLASS_ALPHA}, KS <= {ks_bound:.4f})",
+        f"sampler vs enumeration (class tails >= {tail_bound:.2e}, KS <= {ks_bound:.4f})",
         ok,
         f"least class tail = {least_tail:.2e}, worst KS = {worst_ks:.4f}",
     )

@@ -146,7 +146,7 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     env = np.arange(m)
     for j in range(1, n + 1):
         partner = env ^ (1 << (n - j))
-        hj = params.h[j - 1]
+        hj = float(params.h[j - 1])
         h_mat[env, partner] += hj
         h_mat[m + env, m + partner] += -hj
     return h_mat

@@ -44,7 +44,8 @@ finite_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 class TestModelParams:
     def test_dispersed_couplings_rule(self):
         h = dispersed_couplings(0.01, 0.02, 10)
-        assert h == pytest.approx(tuple(0.01 + (j - 1) * 0.002 for j in range(1, 11)))
+        assert h.dtype == np.float64 and h.shape == (10,)
+        assert h == pytest.approx([0.01 + (j - 1) * 0.002 for j in range(1, 11)])
 
     def test_dispersed_couplings_equal_scalar_formula_bitwise(self):
         rng = np.random.default_rng(11)
@@ -52,22 +53,23 @@ class TestModelParams:
         for _ in range(50):
             cases.append((rng.uniform(-10, 10), rng.uniform(-5, 5), int(rng.integers(1, 500))))
         cases += [(rng.normal(), 0.0, int(rng.integers(1, 50))) for _ in range(5)]
+        # Signed zeros, the least subnormal and a huge h, each with delta_h = 0.02.
+        cases += [(h, 0.02, n) for h in (0.01, 0.0, -0.0, 5e-324, -1e300) for n in (1, 7, 1000)]
         for h, delta_h, n in cases:
             got = dispersed_couplings(h, delta_h, n)
             want = [h + (j - 1) * delta_h / n for j in range(1, n + 1)]
-            assert all(type(x) is float for x in got)
-            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
     @pytest.mark.parametrize("h", [0.01, 0.0, -0.0, 5e-324, -1e300])
     @pytest.mark.parametrize("delta_h", [0.0, -0.0])
     def test_constant_couplings_are_one_shared_float(self, h, delta_h):
-        # The arange formula's bits, sign of zero included (-0.0 + 0.0 is +0.0).
+        # Every coupling has the bits of the one float h + delta_h / n, sign of zero
+        # included (-0.0 + 0.0 is +0.0), and ModelParams keeps them.
         for n in (1, 7, 1000):
-            got = dispersed_couplings(h, delta_h, n)
-            want = (h + np.arange(n) * delta_h / n).tolist()
-            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
-            assert type(got[0]) is float and all(x is got[0] for x in got)
-            assert all(x is got[0] for x in ModelParams(delta=0.0, h=got).h)
+            got = ModelParams(delta=0.0, h=dispersed_couplings(h, delta_h, n))
+            one = np.float64(h + delta_h / n)
+            assert np.array_equal(got.h.view(np.int64), np.full(n, one).view(np.int64))
+            assert got.equal_couplings
 
     def test_last_dispersed_coupling_is_last_of_expansion(self):
         for h, delta_h, n in ((0.01, 0.02, 10), (0.3, -0.7, 7), (1e-300, 1e-320, 4), (0.2, 0.0, 1)):
@@ -90,13 +92,31 @@ class TestModelParams:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ModelParams(delta=float("nan"), h=(0.1,))
-        with pytest.raises(ValueError):
-            ModelParams(delta=0.0, h=(float("inf"),))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(delta=0.0, h=(0.1, bad, 0.2))
+
+    @pytest.mark.parametrize("h", [(), np.empty(0), [[0.1, 0.2]], np.zeros((3, 1)), 0.1])
+    def test_rejects_couplings_that_are_not_one_nonempty_row(self, h):
+        with pytest.raises(ValueError, match="at least one environment spin"):
+            ModelParams(delta=0.0, h=h)
+
+    def test_couplings_are_a_read_only_copy(self):
+        source = np.array([0.1, 0.2, 0.3])
+        p = ModelParams(delta=0.0, h=source)
+        source[0] = 9.0
+        assert p.h.dtype == np.float64 and p.h.tolist() == [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError, match="read-only"):
+            p.h[0] = 1.0
+        assert ModelParams(delta=0.0, h=[1, 2]).h.dtype == np.float64
 
     def test_elapsed_rejects_past(self):
-        p = ModelParams(delta=0.0, h=(0.1,), t0=2.0)
-        with pytest.raises(ValueError):
-            p.elapsed(1.0)
+        p = ModelParams(delta=0.0, h=(0.1,))
+        for t in (-1.0, -5e-324, np.array([2.0, -0.5])):
+            with pytest.raises(ValueError, match="precedes the initial time 0"):
+                p.elapsed(t)
+            with pytest.raises(ValueError, match="precedes the initial time 0"):
+                branch_flip_profile(p, "up", t)
 
     @pytest.mark.parametrize(
         "h",
@@ -113,7 +133,7 @@ class TestModelParams:
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_elapsed_rejects_nonfinite(self, t):
-        p = ModelParams(delta=0.0, h=(0.1,), t0=2.0)
+        p = ModelParams(delta=0.0, h=(0.1,))
         with pytest.raises(ValueError, match="finite"):
             p.elapsed(t)
         with pytest.raises(ValueError, match="finite"):
@@ -259,7 +279,7 @@ class TestBlockProfile:
     def test_rows_equal_scalar_profiles_bitwise(self):
         # A frozen spin (delta = 0, h = 0 on the down branch) and t = 0
         # give exact zeros, hence -inf logs.
-        p = ModelParams(delta=0.0, h=(0.0, 0.01, 0.37, 2.5), t0=0.0)
+        p = ModelParams(delta=0.0, h=(0.0, 0.01, 0.37, 2.5))
         times = np.array([0.0, 0.3, 17.0, 1800.0 / 7])
         for branch in ("up", "down"):
             block = branch_flip_profile(p, branch, times)
@@ -269,9 +289,10 @@ class TestBlockProfile:
                     assert got.shape == (4, 4) and np.array_equal(got[k], want)
 
     def test_block_time_before_t0_rejected(self):
-        p = ModelParams(delta=0.0, h=(0.1,), t0=1.0)
+        # t0 = 0, the initial time of every evolution.
+        p = ModelParams(delta=0.0, h=(0.1,))
         with pytest.raises(ValueError, match="precedes"):
-            branch_flip_profile(p, "up", np.array([2.0, 0.5]))
+            branch_flip_profile(p, "up", np.array([2.0, -0.5]))
 
 
 class TestLogBranchWeight:
@@ -334,7 +355,7 @@ class TestLogBranchWeight:
         # flip log is -inf.
         assert n * samples > 2 * LOG_SUM_BLOCK
         rng = np.random.default_rng(n)
-        p = ModelParams(delta=0.0, h=(0.0,) + dispersed_couplings(0.02, 0.5, n)[1:])
+        p = ModelParams(delta=0.0, h=np.concatenate(([0.0], dispersed_couplings(0.02, 0.5, n)[1:])))
         profile = branch_flip_profile(p, "down", 77.7)
         assert profile.log_flip[0] == -math.inf
         masks = rng.random((samples, n)) < 0.3

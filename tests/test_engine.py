@@ -197,7 +197,7 @@ class TestBinomial:
     def test_passed_spin_gives_the_same_distribution(self):
         p = ModelParams(delta=0.1, h=(0.02,) * 80)
         spin = binomial_spin(p)
-        assert spin.h == (0.02,) and (spin.delta, spin.beta, spin.t0) == (p.delta, p.beta, p.t0)
+        assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
         for t in (0.0, 37.5, 410.0):
             a = binomial_outcomes(p, ALPHAS, t)
             b = binomial_outcomes(p, ALPHAS, t, spin=spin)
@@ -351,7 +351,7 @@ class TestSampleChunk:
             h = dispersed_couplings(rng.uniform(-1, 1), rng.uniform(0, 1), n)
             delta = 0.0 if frozen else rng.uniform(-1, 1)
             if frozen:
-                h = (0.0,) + h[1:]
+                h[0] = 0.0
             p = ModelParams(delta=delta, h=h)
             a = SystemAmplitudes.from_up_weight(rng.uniform(0, 1) if w_up is None else w_up)
             branches = engine._log_branch_pair(p, a, rng.uniform(0, 500) if t is None else t)
@@ -445,7 +445,7 @@ class TestNonFiniteTimes:
         [
             lambda p, t: sample_outcomes(p, ALPHAS, t, 10, seed=0),
             lambda p, t: enumerate_outcomes(p, ALPHAS, t),
-            lambda p, t: binomial_outcomes(ModelParams(p.delta, p.h[:1] * 2), ALPHAS, t),
+            lambda p, t: binomial_outcomes(ModelParams(p.delta, p.h[[0, 0]]), ALPHAS, t),
             lambda p, t: pattern_projection(p, ALPHAS, t, FlipPattern([1, -1])),
         ],
         ids=["sample", "enumerate", "binomial", "projection"],
@@ -742,7 +742,7 @@ class TestBlockWorkspace:
     def test_a_used_workspace_gives_a_fresh_ones_result(self, n):
         # Other times, the other w_up and a frozen spin leave nothing behind in the buffers.
         t = max(1, 8192 >> n)
-        params = ModelParams(delta=0.01, h=(0.0,) + dispersed_couplings(0.05, 0.4, n)[1:])
+        params = ModelParams(delta=0.01, h=np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, n)[1:])))
         rows = engine.branch_log_rows(params, np.linspace(0.0, 90.0, t))
         other = engine.branch_log_rows(params, np.linspace(7.0, 400.0, t))
         low, other_low = (engine.low_spin_table(r, engine._low_spins(n, t)) for r in (rows, other))

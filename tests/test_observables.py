@@ -337,7 +337,7 @@ class TestGridWorkspace:
     def test_grids_run_back_to_back_keep_no_stale_data(self, sizes, monkeypatch):
         times = np.concatenate(([0.0], np.linspace(0.7, 350.0, 29)))
         cases = [
-            (ModelParams(delta=0.3, h=(0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]), w_up)
+            (ModelParams(delta=0.3, h=np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, n)[1:]))), w_up)
             for n in sizes
             for w_up in (0.0, 0.4, 1.0)
         ]
@@ -399,7 +399,7 @@ def _exact_grid_cases(n):
     size = 7 if n >= 11 else 131
     assert size % max(1, GRID_BLOCK_ATOMS >> n) != 0 or n >= 13
     times = np.concatenate(([0.0], np.linspace(0.7, 350.0, size - 1)))
-    h = (0.0,) + dispersed_couplings(0.05, 0.4, n)[1:]
+    h = np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, n)[1:]))
     cases = [
         (ModelParams(delta=delta, h=h), SystemAmplitudes.from_up_weight(w_up))
         for delta in (0.0, 0.3)

@@ -12,7 +12,9 @@ Bernoulli distributions, which gives three exact routes to the
 distribution of the up-projection u = w_up W_up / (w_up W_up + w_down W_down):
 
 * enumerate all 2^N patterns (N <= 20),
-* reduce to flip counts when all h_j are equal (N + 1 atoms, any N),
+* reduce to flip counts when all h_j are equal (N + 1 atoms, any N; a
+  point evaluates only the O(sqrt N) counts a tail bound lets reach
+  1e-300, ``binomial_spans``),
 * draw patterns directly from the mixture (any N, exact sampling).
 
 All pattern weights accumulate in log domain; u is evaluated through
@@ -32,6 +34,7 @@ from .core import (
     LOG_SUM_BLOCK,
     EnvironmentTooLarge,
     FlipPattern,
+    FlipProfile,
     ModelParams,
     SystemAmplitudes,
     branch_flip_profile,
@@ -41,6 +44,10 @@ from .core import (
 
 ENUMERATION_CAP = 20
 WEIGHT_FLOOR = 1e-300
+# Nats by which a binomial term outside its branch's flip-count span
+# (``binomial_spans``) is proven to lie under WEIGHT_FLOOR / 2: e^8, about
+# 3000, against a float error of about 1e-8 nats in a computed log weight.
+WINDOW_MARGIN = 8.0
 U_MERGE_TOL = 1e-12
 SAMPLE_CHUNK = 8192
 # Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
@@ -452,6 +459,54 @@ def binomial_spin(params: ModelParams) -> ModelParams:
     return ModelParams(params.delta, params.h[:1], params.beta)
 
 
+def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int] | None:
+    """The flip counts [lo, hi] of one branch's terms that can reach the weight floor, or None.
+
+    With keep and flip the one-spin floats, s = keep + flip and p = flip / s,
+    the count-k term is weight * s^n * Bin(k; n, p).  The Chernoff bound
+    Bin(k; n, p) <= exp(-n D(k/n || p)), relaxed by Pinsker's inequality
+    D >= 2 (k/n - p)^2 (Chernoff 1952, Hoeffding 1963), puts it at most
+    exp(-2 (k - np)^2 / n).  So outside |k - np| <= r, r^2 = n / 2 *
+    (log weight + n log s - log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN), the
+    term is below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN).  A zero weight
+    or a negative radicand leaves no count.
+    """
+    if weight == 0.0:
+        return None
+    keep, flip = float(profile.keep[0]), float(profile.flip[0])
+    s = keep + flip
+    radicand = n / 2 * (
+        math.log(weight) + n * math.log(s) - math.log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN
+    )
+    if radicand < 0.0:
+        return None
+    center, r = n * (flip / s), math.sqrt(radicand)
+    return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
+
+
+def binomial_spans(
+    n: int, alphas: SystemAmplitudes, up: FlipProfile, down: FlipProfile
+) -> list[tuple[int, int]]:
+    """Ascending, disjoint spans [lo, hi] of the flip counts whose weight can reach 1e-300.
+
+    up and down are the one-spin profiles of both branches at one time.
+    Each branch with positive weight gives one span (``_branch_span``);
+    overlapping or adjacent spans are merged.  A count outside every span
+    has both terms below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN), so its
+    weight is below the floor by that margin.  One branch weighs at least
+    1/2 and keep + flip = 1 to a few ulp, so its radicand is positive for
+    any N below about 10^18: there is always a span.
+    """
+    spans = sorted(
+        span
+        for span in (_branch_span(n, alphas.w_up, up), _branch_span(n, alphas.w_down, down))
+        if span is not None
+    )
+    if len(spans) == 2 and spans[1][0] <= spans[0][1] + 1:
+        spans = [(spans[0][0], max(spans[0][1], spans[1][1]))]
+    return spans
+
+
 def binomial_outcomes(
     params: ModelParams,
     alphas: SystemAmplitudes,
@@ -468,57 +523,73 @@ def binomial_outcomes(
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
     merging) wherever both apply.  log_counts and spin, when given, must
-    be ``binomial_log_counts(N)`` and ``binomial_spin(params)``; a grid
-    computes them once for every point.
+    be ``binomial_log_counts(N)`` (shape (N + 1,), else ValueError) and
+    ``binomial_spin(params)``; a grid computes them once for every point.
 
-    A point holds at most four N + 1 float arrays besides log_counts.
-    One float ``arange`` holds k, and its reversed view is N - k exactly;
-    both branches' log weights (N - k) log keep + k log flip are built in
-    place from it, the down branch's in the k buffer.  A spare buffer
-    holds one term of each sum and then the mixed weight; the down
-    branch's weighted term takes the fourth buffer, freed before the
-    merge.  The zero-count term of each sum is 0.0 (not 0 * -inf), and
-    every entry takes the same IEEE operations as the closed form
-    (n - k) * log keep + k * log flip, so the atoms are its bits.
+    Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
+    of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
+    bound proves that every other count's term lies under 1e-300 / 2 by
+    WINDOW_MARGIN = 8 nats on each branch, far more than the float error
+    of a computed log weight (about 1e-8 nats at N = 10^6), so the full
+    range would drop it too; it is counted in ``dropped`` without being
+    computed.
+
+    Each span is evaluated on its own (``_span_atoms``), in four float
+    arrays of its length besides log_counts, all freed before the merge
+    of the kept atoms.  One holds k in ascending order and one N - k,
+    both exact.  The k buffer takes the down branch's log weight
+    (N - k) log keep + k log flip, and the N - k buffer its keep term and
+    then its weighted term; the up branch's log weight takes the third,
+    and its flip term and then the mixed weight the fourth.  The
+    zero-count term of each sum is 0.0 (not 0 * -inf), and every kept
+    entry takes the same IEEE operations as the closed form
+    (n - k) * log keep + k * log flip over all N + 1 counts, so u,
+    weight, ``dropped`` and the merge are its bits.
     """
     n = params.n_env
     if spin is None:
         spin = binomial_spin(params)
-    up, down, lw_up, lw_down = _log_branch_pair(spin, alphas, t)
-    log_count = binomial_log_counts(n) if log_counts is None else log_counts
-    k = np.arange(n + 1, dtype=float)
-    log_wu = np.empty_like(k)
-    spare = np.empty_like(k)
-    # 0 * (-inf) would be nan; the zero-count slot is overwritten with 0.0.
+    if log_counts is None:
+        log_counts = binomial_log_counts(n)
+    elif log_counts.shape != (n + 1,):
+        raise ValueError(f"log_counts has shape {log_counts.shape}, not ({n + 1},)")
+    branches = _log_branch_pair(spin, alphas, t)
+    spans = binomial_spans(n, alphas, *branches[:2])
+    parts = [_span_atoms(n, alphas, branches, log_counts, lo, hi) for lo, hi in spans]
+    u, weight = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return merge_by_u(
+        ProjectionDistribution(u=u, weight=weight, kind="binomial", dropped=n + 1 - u.size)
+    )
+
+
+def _span_atoms(n, alphas, branches, log_counts, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(u, weight) of the kept flip counts k = lo..hi of ``binomial_outcomes``, ascending in k."""
+    up, down, lw_up, lw_down = branches
+    n_minus_k = np.arange(n - lo, n - hi - 1, -1, dtype=float)
+    k = np.arange(lo, hi + 1, dtype=float)
+    # 0 * (-inf) would be nan; the keep terms at k = N and the flip terms at k = 0 are set to 0.0.
     with np.errstate(invalid="ignore"):
-        np.multiply(k[::-1], up.log_keep[0], out=log_wu)
-        log_wu[n] = 0.0
-        np.multiply(k, up.log_flip[0], out=spare)
-        spare[0] = 0.0
-        log_wu += spare
-        np.multiply(k[::-1], down.log_keep[0], out=spare)
-        spare[n] = 0.0
+        log_wu = np.multiply(n_minus_k, up.log_keep[0])
+        flip_up = np.multiply(k, up.log_flip[0])
         log_wd = np.multiply(k, down.log_flip[0], out=k)
-        log_wd[0] = 0.0
-        np.add(spare, log_wd, out=log_wd)
+        keep_down = np.multiply(n_minus_k, down.log_keep[0], out=n_minus_k)
+        if hi == n:
+            log_wu[-1] = keep_down[-1] = 0.0
+        if lo == 0:
+            flip_up[0] = log_wd[0] = 0.0
+        log_wu += flip_up
+        log_wd += keep_down
+    log_count = log_counts[lo : hi + 1]
     with np.errstate(over="ignore"):
-        weight = np.add(log_count, log_wu, out=spare)
+        weight = np.add(log_count, log_wu, out=flip_up)
         np.exp(weight, out=weight)
         weight *= alphas.w_up
-        down_part = np.add(log_count, log_wd)
-        np.exp(down_part, out=down_part)
-        down_part *= alphas.w_down
-        weight += down_part
-    del down_part
+        down_weight = np.add(log_count, log_wd, out=keep_down)
+        np.exp(down_weight, out=down_weight)
+        down_weight *= alphas.w_down
+        weight += down_weight
     keep = weight >= WEIGHT_FLOOR
-    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
-    dist = ProjectionDistribution(
-        u=u,
-        weight=weight[keep],
-        kind="binomial",
-        dropped=keep.size - int(np.count_nonzero(keep)),
-    )
-    return merge_by_u(dist)
+    return u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep])), weight[keep]
 
 
 def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:

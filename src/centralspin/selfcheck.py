@@ -3,9 +3,10 @@
 Every closed-form route is pitted against an independent one: the
 factorized enumeration against the dense-universe oracle, the binomial
 reduction against enumeration, the sampler against enumeration (class
-masses and Kolmogorov-Smirnov distance), plus the sum rules, bath-
-independence and worker-invariance contracts.  Each check returns a
-CheckResult so callers can print one line per check.
+masses and Kolmogorov-Smirnov distance), plus the sum rules (the
+binomial one at N up to 10^5), bath-independence and worker-invariance
+contracts.  Each check returns a CheckResult so callers can print one
+line per check.
 """
 
 from __future__ import annotations
@@ -149,6 +150,28 @@ def check_binomial_vs_enumeration(seed: int) -> CheckResult:
     )
 
 
+def check_binomial_total_weight(seed: int) -> CheckResult:
+    """|sum w - 1| of binomial points at N = 10^3 and 10^5, w_up 0, 0.4 and 1.
+
+    There ``engine.binomial_outcomes`` evaluates only its flip-count
+    spans (``engine.binomial_spans``), so a span that cut off weight
+    would show here; at N <= 12 the spans cover every count.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (1000, 100_000):
+        params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=np.full(n, rng.uniform(0.3, 1)))
+        log_counts, spin = engine.binomial_log_counts(n), engine.binomial_spin(params)
+        for w_up in (0.0, 0.4, 1.0):
+            alphas = SystemAmplitudes.from_up_weight(w_up)
+            t = float(rng.uniform(0, 400))
+            dist = engine.binomial_outcomes(params, alphas, t, log_counts=log_counts, spin=spin)
+            worst = max(worst, abs(dist.total_weight() - 1.0))
+    return CheckResult(
+        "binomial weight total (N = 1e3, 1e5)", worst <= 1e-9, f"max |sum-1| = {worst:.2e}"
+    )
+
+
 def binomial_two_sided_p(count: int, samples: int, p: float) -> float:
     """Exact two-sided tail of ``count`` under Binomial(samples, p).
 
@@ -239,6 +262,7 @@ def run_all(seed: int = 20260809, samples: int = 20_000) -> list[CheckResult]:
         check_branch_totals(seed + 1),
         check_universe_vs_enumeration(seed + 2),
         check_binomial_vs_enumeration(seed + 3),
+        check_binomial_total_weight(seed + 7),
         check_sampler_vs_enumeration(seed + 4, samples),
         check_beta_independence(seed + 5, samples),
         check_worker_invariance(seed + 6, samples),

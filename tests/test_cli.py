@@ -406,6 +406,7 @@ class TestMain:
         assert main(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "binomial weight total (N = 1e3, 1e5)" in out
 
     @pytest.mark.parametrize(
         "flags, key",
@@ -462,3 +463,18 @@ class TestSamplerCheck:
 
         monkeypatch.setattr(engine, "sample_outcomes", biased)
         assert not selfcheck.check_sampler_vs_enumeration(20260813, 20_000).ok
+
+
+class TestBinomialTotalCheck:
+    SEED = 20260809 + 7  # the seed oracle-check gives this check by default
+
+    def test_passes(self):
+        result = selfcheck.check_binomial_total_weight(self.SEED)
+        assert result.ok, result.detail
+
+    def test_too_narrow_window_fails(self, monkeypatch):
+        # A margin of -690 nats puts each span's bound near the weight of the whole
+        # branch, so the spans shrink to about one standard deviation and cut weight.
+        monkeypatch.setattr(engine, "WINDOW_MARGIN", -690.0)
+        result = selfcheck.check_binomial_total_weight(self.SEED)
+        assert not result.ok, result.detail

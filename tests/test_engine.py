@@ -14,6 +14,7 @@ from centralspin.core import (
     FlipPattern,
     ModelParams,
     SystemAmplitudes,
+    branch_axis,
     branch_flip_profile,
     dispersed_couplings,
     log_branch_weight,
@@ -225,6 +226,122 @@ class TestBinomialMemory:
                 if not tracing:
                     tracemalloc.stop()
             assert peak < 5 * 8 * (n + 1)
+
+    def test_peak_of_one_point_follows_its_spans(self):
+        # At N = 1e6 only the spans are evaluated, two disjoint ones here (about 6% of the
+        # counts): four float arrays per span, then the kept atoms' merge, whatever N is
+        # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
+        n = 10**6
+        p = ModelParams(delta=0.0, h=np.full(n, 0.01))
+        log_counts, spin = binomial_log_counts(n), binomial_spin(p)
+        t = 200.0
+        up, down, _, _ = engine._log_branch_pair(spin, ALPHAS, t)
+        length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
+        assert length < (n + 1) / 10
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dist = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts, spin=spin)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert dist.dropped > n - length
+        assert peak < 6 * 8 * length
+
+
+def _node_times(params, branch, count):
+    """The first ``count`` times m pi / omega at which every spin of a branch keeps its state."""
+    a, _ = branch_axis(params, branch)
+    omega = math.hypot(a, float(params.h[0]))
+    return [m * math.pi / omega for m in range(1, count + 1)] if omega > 0 else []
+
+
+def _span_kind(n, alphas, up, down):
+    """'single', 'overlapping' or 'disjoint': how a point's branch spans combine."""
+    branches = ((alphas.w_up, up), (alphas.w_down, down))
+    if None in [engine._branch_span(n, w, profile) for w, profile in branches]:
+        return "single"
+    return "disjoint" if len(engine.binomial_spans(n, alphas, up, down)) == 2 else "overlapping"
+
+
+class TestBinomialSpans:
+    """Only the flip counts in ``binomial_spans`` are evaluated, with the full range's bits."""
+
+    @pytest.mark.parametrize(
+        # At N = 1e3 the two branches' radii add up to more than N, so no spans are disjoint.
+        "n, kinds",
+        [(10**3, {"single", "overlapping"}), (10**4, {"single", "overlapping", "disjoint"}),
+         (10**5, {"single", "overlapping", "disjoint"})],
+    )
+    def test_bits_match_full_profile(self, n, kinds):
+        rng = np.random.default_rng(n)
+        log_counts = binomial_log_counts(n)
+        seen = set()
+        for h in (0.0, 0.01, 0.5, 10.0):
+            for delta in (0.0, 0.01, 0.1):
+                p = ModelParams(delta=delta, h=np.full(n, h))
+                spin = binomial_spin(p)
+                times = [0.0, float(rng.uniform(0, 600))] + _node_times(p, "down", 2)
+                for w_up in (0.0, 0.4, 1.0):
+                    alphas = SystemAmplitudes.from_up_weight(w_up)
+                    for t in times:
+                        got = binomial_outcomes(p, alphas, t, log_counts=log_counts, spin=spin)
+                        want = _binomial_full_profile(p, alphas, t, log_counts)
+                        assert np.array_equal(got.u, want.u), (h, delta, w_up, t)
+                        assert np.array_equal(got.weight, want.weight), (h, delta, w_up, t)
+                        assert got.dropped == want.dropped, (h, delta, w_up, t)
+                        up, down, _, _ = engine._log_branch_pair(spin, alphas, t)
+                        seen.add(_span_kind(n, alphas, up, down))
+        assert seen == kinds
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_every_kept_count_lies_in_a_span(self, n):
+        rng = np.random.default_rng(n + 1)
+        log_counts = binomial_log_counts(n)
+        for _ in range(12):
+            h = np.full(n, rng.choice([0.01, 0.5, 10.0]))
+            p = ModelParams(delta=float(rng.uniform(-1, 1)), h=h)
+            alphas = SystemAmplitudes.from_up_weight(float(rng.choice([0.0, 0.4, 1.0])))
+            t = float(rng.choice([0.0, rng.uniform(0, 600)] + _node_times(p, "down", 1)))
+            _, weight = _binomial_full_weights(p, alphas, t, log_counts)
+            kept = np.flatnonzero(weight >= engine.WEIGHT_FLOOR)
+            up, down, _, _ = engine._log_branch_pair(binomial_spin(p), alphas, t)
+            spans = engine.binomial_spans(n, alphas, up, down)
+            inside = np.zeros(n + 1, dtype=bool)
+            for lo, hi in spans:
+                inside[lo : hi + 1] = True
+            assert kept.size and np.all(inside[kept])
+            # Ascending and disjoint, with a gap between two spans.
+            assert all(lo <= hi for lo, hi in spans)
+            assert len(spans) < 2 or spans[0][1] + 1 < spans[1][0]
+
+    def test_full_range_at_small_n(self):
+        # At N = 80 each branch's radius is above N, so every count is evaluated.
+        n = 80
+        p = binomial_spin(ModelParams(delta=0.1, h=np.full(n, 0.5)))
+        for t in (0.0, 37.5, 410.0):
+            up, down, _, _ = engine._log_branch_pair(p, ALPHAS, t)
+            assert engine.binomial_spans(n, ALPHAS, up, down) == [(0, n)]
+
+    def test_zero_weight_branch_has_no_span(self):
+        n = 10**4
+        spin = binomial_spin(ModelParams(delta=0.1, h=np.full(n, 0.5)))
+        up, down, _, _ = engine._log_branch_pair(spin, ALPHAS, 3.0)
+        assert engine._branch_span(n, 0.0, up) is None
+        lo, hi = engine._branch_span(n, 1.0, up)
+        assert lo <= n * up.flip[0] <= hi
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_log_counts_of_wrong_length_rejected(self, extra):
+        n = 1000
+        p = ModelParams(delta=0.0, h=np.full(n, 0.5))
+        wrong = rf"log_counts has shape \({n + 1 + extra},\), not \(1001,\)"
+        with pytest.raises(ValueError, match=wrong):
+            binomial_outcomes(p, ALPHAS, 3.0, log_counts=binomial_log_counts(n + extra))
 
 
 class TestSampling:
@@ -798,8 +915,8 @@ class TestBinomialLogCounts:
             assert a.dropped == b.dropped
 
 
-def _binomial_full_profile(params, alphas, t):
-    """Reference: the binomial atoms from all N spins' profiles (every row equal)."""
+def _binomial_full_weights(params, alphas, t, log_counts):
+    """Reference: every flip count's (x, weight) from all N spins' profiles (every row equal)."""
     n = params.n_env
     up, down, lw_up, lw_down = engine._log_branch_pair(params, alphas, t)
     k = np.arange(n + 1, dtype=np.int64)
@@ -811,12 +928,19 @@ def _binomial_full_profile(params, alphas, t):
         return keep_part + flip_part
 
     log_wu, log_wd = log_w(up), log_w(down)
-    log_count = binomial_log_counts(n)
-    weight = alphas.w_up * np.exp(log_count + log_wu) + alphas.w_down * np.exp(log_count + log_wd)
+    weight = alphas.w_up * np.exp(log_counts + log_wu) + alphas.w_down * np.exp(log_counts + log_wd)
+    with np.errstate(invalid="ignore"):
+        return (lw_down + log_wd) - (lw_up + log_wu), weight
+
+
+def _binomial_full_profile(params, alphas, t, log_counts=None):
+    """Reference: the binomial atoms over all N + 1 counts, from all N spins' profiles."""
+    if log_counts is None:
+        log_counts = binomial_log_counts(params.n_env)
+    x, weight = _binomial_full_weights(params, alphas, t, log_counts)
     keep = weight >= engine.WEIGHT_FLOOR
-    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
     dist = engine.ProjectionDistribution(
-        u=u, weight=weight[keep], kind="binomial",
+        u=u_from_x(x[keep]), weight=weight[keep], kind="binomial",
         dropped=int(np.count_nonzero(~keep)),
     )
     return merge_by_u(dist)

@@ -61,10 +61,7 @@ from .observables import (
     DEFAULT_EPSILON,
     ObservableSeries,
     ProjectionHistogram,
-    distribution_at,
     first_collapse_time,
-    histogram,
-    point_seed,
 )
 
 PRESET_NAMES = ("fig1", "fig2_top", "fig2_bottom", "fig3")
@@ -166,6 +163,12 @@ class ExperimentConfig:
                 f"delta, h: the sector phase t * w may overflow at t = {t_last!r} "
                 f"(|w| up to {bound!r})"
             )
+        # universe.thermal_ensemble's log-weights -beta * (mu * s), s the bath's spin sum, are
+        # largest in magnitude at s = +-n.
+        if self.method == "exact-universe" and not all(
+            math.isfinite(-self.beta * (spin.mu * s)) for s in (float(self.n), float(-self.n))
+        ):
+            raise ConfigError(f"beta: the thermal log-weights -beta * E overflow at n = {self.n}")
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
         if any(c in self.label for c in _LABEL_FORBIDDEN):
@@ -272,34 +275,19 @@ class ResultRecord:
 
 
 def run_config(config: ExperimentConfig) -> ResultRecord:
-    """Evaluate one config over its grid and its histogram times.
+    """Evaluate one config over its grid and its histogram times (``observables.evaluate``).
 
-    The engine is prepared once (``observables.prepare``) and its state
-    serves the grid, which goes through ``observables.time_series``, and
-    every histogram time.  No grid engine meets a degenerate outcome
-    (both branch weights exactly zero), so the ``degenerate_retries``
-    diagnostic is always an empty list; it stays in the JSON record,
-    whose readers expect the key.
+    No grid engine meets a degenerate outcome (both branch weights
+    exactly zero), so the ``degenerate_retries`` diagnostic is always an
+    empty list; it stays in the JSON record, whose readers expect the
+    key.
     """
     config.validate()
-    params = config.params()
-    alphas = config.alphas()
-    method = config.resolved_method()
     start = time.perf_counter()
-
-    prepared = observables.prepare(params, alphas, method, config.samples, config.workers)
-    series = observables.time_series(
-        params, alphas, config.grid(), config.epsilon, method, config.samples, config.seed,
-        config.workers, prepared=prepared,
+    series, histograms = observables.evaluate(
+        config.params(), config.alphas(), config.grid(), config.hist_times, config.epsilon,
+        config.resolved_method(), config.samples, config.seed, config.workers,
     )
-
-    histograms = []
-    for k, t in enumerate(config.hist_times):
-        dist = distribution_at(
-            params, alphas, float(t), method, config.samples,
-            point_seed(config.seed, 1_000_000 + k), config.workers, prepared=prepared,
-        )
-        histograms.append((float(t), histogram(dist)))
 
     diagnostics = {
         "dropped_atoms": series.dropped,
@@ -501,12 +489,19 @@ def main(argv=None) -> int:
                 ok &= r.ok
             return 0 if ok else 2
         if args.command == "run":
-            config = _apply_overrides(parse_config(Path(args.config).read_text()), args)
-            records = [run_config(config)]
+            configs = [_apply_overrides(parse_config(Path(args.config).read_text()), args)]
         else:
             configs = [_apply_overrides(c, args) for c in _preset_configs(args.name)]
+        out_dir = configs[0].out
+        # An unusable out is bad input: it fails here, before anything is evaluated.
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"out: {err}") from None
+        if args.command == "run":
+            records = [run_config(configs[0])]
+        else:
             records = run_preset(args.name, configs)
-        out_dir = args.out or records[0].config.out
         paths = emit_results(records, out_dir, args.format)
         for record, path in zip(records, paths):
             print(

@@ -93,7 +93,8 @@ class ObservableSeries:
             raise ValueError("series arrays must have equal length")
         check_grid(self.times)
         total = self.p_up + self.p_down + self.p_q
-        if m and np.max(np.abs(total - 1.0)) > 1e-9:
+        # Written so that a NaN total fails it.
+        if m and not np.max(np.abs(total - 1.0)) <= 1e-9:
             raise ValueError("class probabilities must sum to one")
 
 
@@ -204,27 +205,69 @@ def prepare(
     return engine_prepare(params, alphas, samples, workers)
 
 
-def distribution_at(
+def distribution_at(prepared, t: float, seed: int = 0) -> engine.ProjectionDistribution:
+    """Projection distribution at one time from the point function ``prepare`` returned.
+
+    A one-time caller writes ``distribution_at(prepare(params, alphas,
+    method), t)``.  It stays a named module function, not a bare call of
+    ``prepared``, because every grid and histogram point of ``evaluate``
+    goes through this name: perfbench's tracer times each point by
+    wrapping ``observables.distribution_at``, and tests count points by
+    monkeypatching it.
+    """
+    return prepared(t, seed)
+
+
+def evaluate(
     params: ModelParams,
     alphas: SystemAmplitudes,
-    t: float,
-    method: str,
+    times,
+    hist_times=(),
+    eps: float = DEFAULT_EPSILON,
+    method: str = "exact",
     samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    *,
-    prepared=None,
-) -> engine.ProjectionDistribution:
-    """Projection distribution at one time via the engine ``ENGINES[method]``.
+):
+    """(series, [(t, histogram)]) of one run: class masses over a grid and P(u) at hist_times.
 
-    prepared, when given, is the point function ``prepare`` returned for
-    the same params, alphas, method, samples and workers, so that a run
-    does its time-independent work once for all its points; without it
-    the engine is prepared for this one call.
+    The one run evaluator; deterministic under a fixed seed.  eps and the
+    grid (1-D, finite, strictly increasing) are checked before any point
+    is evaluated, then the engine is prepared once (``prepare``) and its
+    point function serves the grid and every histogram time.  Exact
+    enumeration evaluates its grid in one ``engine.exact_class_masses``
+    call, which classifies each atom by comparing x = -logit(u) with
+    ``logit_cutoffs(eps)``: every atom gets the class per-point
+    ``distribution_at`` + ``class_probabilities`` give it, and the
+    masses are within a few ulp of theirs.  The other methods go through
+    ``distribution_at`` one grid point at a time, sampled with the
+    stream ``point_seed(seed, i)`` of point i, so the series does not
+    depend on evaluation order or worker count.  Histogram time k is one
+    ``distribution_at`` with the stream ``point_seed(seed, 1_000_000 + k)``
+    for every method.  No grid point is degenerate: exact blocks,
+    binomial and the oracle drop atoms with both branch weights zero,
+    and the sampler never draws one.
     """
-    if prepared is None:
-        prepared = prepare(params, alphas, method, samples, workers)
-    return prepared(t, seed)
+    validate_error_threshold(eps)
+    times = np.asarray(times, dtype=float)
+    check_grid(times)
+    prepared = prepare(params, alphas, method, samples, workers)
+    if method == "exact":
+        masses, dropped = engine.exact_class_masses(params, alphas, times, logit_cutoffs(eps))
+    else:
+        masses = np.empty((3, times.size))
+        dropped = 0
+        for i, t in enumerate(times.tolist()):
+            stream = point_seed(seed, i) if method == "sampled" else seed
+            dist = distribution_at(prepared, t, stream)
+            masses[:, i] = class_probabilities(dist, eps)
+            dropped += dist.dropped
+    series = ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped)
+    histograms = [
+        (float(t), histogram(distribution_at(prepared, float(t), point_seed(seed, 1_000_000 + k))))
+        for k, t in enumerate(hist_times)
+    ]
+    return series, histograms
 
 
 def time_series(
@@ -236,44 +279,9 @@ def time_series(
     samples: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    *,
-    prepared=None,
 ) -> ObservableSeries:
-    """Class probabilities over a time grid; deterministic under a fixed seed.
-
-    The one grid evaluator, which ``cli run`` uses too.  The grid is
-    checked (1-D, finite, strictly increasing) before any point is
-    evaluated.  Exact enumeration is one ``engine.exact_class_masses``
-    call, which classifies each atom by comparing x = -logit(u) with
-    ``logit_cutoffs(eps)``: every atom gets the class per-point
-    ``distribution_at`` + ``class_probabilities`` give it, and the
-    masses are within a few ulp of theirs.  The other methods are
-    prepared once per grid by ``prepare`` (or share the point function
-    ``prepared`` that the caller made for the same run) and then go
-    through ``distribution_at`` one point at a time, sampled with the
-    stream ``point_seed(seed, i)`` of point i, so the series does not
-    depend on evaluation order or worker count.  No grid point is
-    degenerate: exact blocks, binomial and the oracle drop atoms with
-    both branch weights zero, and the sampler never draws one.
-    """
-    validate_error_threshold(eps)
-    times = np.asarray(times, dtype=float)
-    check_grid(times)
-    if method == "exact":
-        masses, dropped = engine.exact_class_masses(params, alphas, times, logit_cutoffs(eps))
-    else:
-        masses = np.empty((3, times.size))
-        dropped = 0
-        if prepared is None:
-            prepared = prepare(params, alphas, method, samples, workers)
-        for i, t in enumerate(times.tolist()):
-            stream = point_seed(seed, i) if method == "sampled" else seed
-            dist = distribution_at(
-                params, alphas, t, method, samples, stream, workers, prepared=prepared
-            )
-            masses[:, i] = class_probabilities(dist, eps)
-            dropped += dist.dropped
-    return ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped)
+    """Class probabilities over a time grid: the series of ``evaluate`` with no histogram times."""
+    return evaluate(params, alphas, times, (), eps, method, samples, seed, workers)[0]
 
 
 def revival_times(params: ModelParams, m_max: int):

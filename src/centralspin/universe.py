@@ -53,7 +53,8 @@ class ThermalEnsemble:
     f: np.ndarray
 
     def __post_init__(self):
-        if abs(float(np.sum(self.f)) - 1.0) > 1e-9 or np.any(self.f < 0):
+        # Written so that a NaN weight fails it.
+        if not (abs(float(np.sum(self.f)) - 1.0) <= 1e-9 and np.all(self.f >= 0)):
             raise ValueError("occupation weights must be a probability vector")
 
 
@@ -153,10 +154,18 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
 
 
 def thermal_ensemble(params: ModelParams) -> ThermalEnsemble:
-    """Thermal bath occupation at inverse temperature params.beta."""
+    """Thermal bath occupation at inverse temperature params.beta.
+
+    Raises ValueError when a log-weight -beta * E overflows, which
+    ``cli.ExperimentConfig.validate`` checks at the extreme energies.
+    """
     energies = params.mu * _spin_sums(params.n_env)
-    logw = -params.beta * energies
-    shift = logw - np.max(logw)
+    with np.errstate(over="ignore"):
+        logw = -params.beta * energies
+        if not np.all(np.isfinite(logw)):
+            raise ValueError(f"thermal log-weights -beta * E overflow at beta = {params.beta!r}")
+        # A shift that overflows to -inf is the exact zero-weight limit.
+        shift = logw - np.max(logw)
     w = np.exp(shift)
     total = float(np.sum(w))
     return ThermalEnsemble(w / total)

@@ -102,6 +102,10 @@ RUN_REJECTS = {
     "overflowing_phase_coupling": "h = 1e307\n",
     # Each spin's phase is finite, but a sector eigenvalue of about n * h times t is not.
     "overflowing_universe_phase": "n = 4\nh = 2.5e305\nmethod = exact-universe\nsteps = 3\n",
+    # The thermal log-weight -beta * mu * n overflows (mu = 0.5), so the occupations would be NaN.
+    "overflowing_thermal_weights": (
+        "n = 4\nh = 0.1\nbeta = 1e308\nmethod = exact-universe\nsteps = 2\n"
+    ),
 }
 
 
@@ -148,6 +152,33 @@ class TestValidateBoundary:
         err = capsys.readouterr().err
         assert err.count("config error: steps: Unable to allocate a grid of 1000000000000 times\n") == 2
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_largest_finite_thermal_weights_run(self, tmp_path):
+        # At n = 3 every log-weight is finite: a one-hot ensemble, finite masses, no warning.
+        path = tmp_path / "cold.conf"
+        path.write_text("n = 3\nh = 0.1\nbeta = 1e308\nmethod = exact-universe\nsteps = 2\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "nan" not in (tmp_path / "out" / "run.csv").read_text()
+
+    @pytest.mark.parametrize("how", ["run_config_out", "run_flag", "preset_flag"])
+    def test_out_that_is_a_file_exits_1_before_evaluating(self, tmp_path, monkeypatch, capsys, how):
+        def never(*args, **kwargs):
+            raise AssertionError("prepared an engine for a run whose output directory is unusable")
+
+        # Every evaluation prepares its engine first.
+        monkeypatch.setattr(observables, "prepare", never)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL + (f"out = {taken}\n" if how == "run_config_out" else ""))
+        argv = {
+            "run_config_out": ["run", str(path)],
+            "run_flag": ["run", str(path), "--out", str(taken)],
+            "preset_flag": ["preset", "fig1", "--out", str(taken)],
+        }[how]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: out:")
+        assert taken.read_text() == "a file\n"
 
     def test_run_validates_twice(self, tmp_path, monkeypatch):
         # Once when the file is parsed and once in run_config, which sees the overrides.

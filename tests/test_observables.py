@@ -185,7 +185,8 @@ class TestTimeSeries:
 
 def _per_point(params, alphas, times, method, eps=1e-3):
     """Reference: one distribution_at + class_probabilities per grid point."""
-    dists = [distribution_at(params, alphas, float(t), method) for t in times]
+    prepared = obs.prepare(params, alphas, method)
+    dists = [distribution_at(prepared, float(t)) for t in times]
     masses = np.array([class_probabilities(d, eps) for d in dists])
     return masses.T, sum(d.dropped for d in dists)
 
@@ -258,6 +259,38 @@ class TestExactBlockMemory:
         assert peak <= 3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
 
 
+def _peak(call):
+    """tracemalloc peak of call(), above what was allocated before it; a first call warms up."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestExactGridMemory:
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_peak_of_a_one_block_grid_as_it_runs(self, n):
+        # The block bound plus the chunk's profile table and low-spin table at their budgets.
+        times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        cutoffs = obs.logit_cutoffs(1e-3)
+        peak = _peak(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
+        bound = (
+            3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
+            + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
+        )
+        assert bound == 270_336
+        assert peak <= bound
+
+
 def _chunk_times(n):
     step = max(1, GRID_BLOCK_ATOMS >> n)
     return step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
@@ -265,18 +298,7 @@ def _chunk_times(n):
 
 def _series_peak(params, times):
     """tracemalloc peak of one exact time_series, above what was allocated before it."""
-    time_series(params, ALPHAS, times, method="exact")
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        time_series(params, ALPHAS, times, method="exact")
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    return _peak(lambda: time_series(params, ALPHAS, times, method="exact"))
 
 
 class TestProfileChunks:
@@ -521,18 +543,19 @@ class TestGridEvaluator:
         ],
     )
     def test_every_point_goes_through_distribution_at(self, monkeypatch, method, params):
-        # A tracer times grid points through this name, so no point may bypass it.
+        # A tracer times grid and histogram points through this name, so no point may bypass it.
         seen = []
         real = obs.distribution_at
 
-        def counted(*args, **kwargs):
-            seen.append(args[2])
-            return real(*args, **kwargs)
+        def counted(prepared, t, seed=0):
+            seen.append(t)
+            return real(prepared, t, seed)
 
         monkeypatch.setattr(obs, "distribution_at", counted)
         times = np.linspace(0.5, 30.5, 7)
-        time_series(params, ALPHAS, times, method=method, samples=500)
-        assert seen == times.tolist()
+        hist_times = (0.0, 12.25, 3.0)
+        obs.evaluate(params, ALPHAS, times, hist_times, method=method, samples=500)
+        assert seen == times.tolist() + list(hist_times)
 
 
 class TestRevivalTimes:
@@ -572,6 +595,13 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             ObservableSeries(
                 np.array([0.0]), np.array([0.5]), np.array([0.5]), np.array([0.5]), "exact"
+            )
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="sum to one"):
+            ObservableSeries(
+                np.array([0.0, 1.0]), np.array([0.5, math.nan]), np.array([0.5, math.nan]),
+                np.array([0.0, math.nan]), "exact-universe",
             )
 
 

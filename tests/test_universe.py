@@ -11,7 +11,7 @@ from centralspin.core import (
     dispersed_couplings,
 )
 from centralspin.engine import ProjectionDistribution, enumerate_outcomes
-from centralspin.observables import class_probabilities, distribution_at, time_series
+from centralspin.observables import class_probabilities, distribution_at, prepare, time_series
 from centralspin.universe import (
     TrajectoryOutcome,
     _evolved_blocks,
@@ -135,6 +135,23 @@ class TestThermalEnsemble:
     def test_normalized(self):
         p = ModelParams(delta=-0.3, h=(0.4, 0.2, 0.9), beta=1.7)
         assert float(np.sum(thermal_ensemble(p).f)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_log_weights_raise(self):
+        # -beta * E overflows to +-inf at |E| = 2, so the shifted log-weights would be NaN.
+        p = ModelParams(delta=0.0, h=(0.1,) * 4, beta=1e308)
+        with pytest.raises(ValueError, match="overflow"):
+            thermal_ensemble(p)
+
+    def test_overflowing_shift_is_the_zero_weight_limit(self):
+        # Every log-weight is finite at n = 3; only the shift of the highest energy overflows.
+        p = ModelParams(delta=0.0, h=(0.1,) * 3, beta=1e308)
+        want = np.zeros(8)
+        want[0b111] = 1.0
+        assert np.array_equal(thermal_ensemble(p).f, want)
+
+    def test_nan_occupation_rejected(self):
+        with pytest.raises(ValueError, match="probability vector"):
+            universe.ThermalEnsemble(np.array([np.nan, 0.5, 0.5]))
 
 
 class TestTrajectoryEnsemble:
@@ -340,8 +357,9 @@ class TestExactUniverseDistribution:
     def test_class_masses_match_enumeration_n8(self):
         p = ModelParams(delta=0.0, h=dispersed_couplings(0.01, 0.02, 8))
         a = SystemAmplitudes.from_up_weight(0.4)
+        prepared = prepare(p, a, "exact-universe")
         for t in (66.7, 200.0, 333.3):
-            oracle = class_probabilities(distribution_at(p, a, t, "exact-universe"))
+            oracle = class_probabilities(distribution_at(prepared, t))
             exact = class_probabilities(enumerate_outcomes(p, a, t))
             assert np.max(np.abs(np.subtract(oracle, exact))) <= 1e-9
 

@@ -6,12 +6,14 @@ Usage:
 
 The runs: the four figure presets, the configs of the four benchmark
 workloads (read from perfbench/workloads.py) at seeds 0 and 7, one
-run with histogram times per method, and two coupling specs that auto
-sends to binomial: an explicit list of equal couplings and signed-zero
-couplings (h = -0.0, delta_h = -0.0).  Each run's records are written in
-both formats with ``cli.emit_results``; one line per file, sorted by
-path, reads "<sha256>  <path>".  Two checkouts with the same lines
-write byte-identical files.  The files go to a temporary directory,
+run with histogram times per method, two coupling specs that auto
+sends to binomial (an explicit list of equal couplings and signed-zero
+couplings, h = -0.0 and delta_h = -0.0), and one-point dispersed exact
+runs at N = 17 and N = 20, whose time is enumerated in several tiles.
+Each run's records are written in both formats with
+``cli.emit_results``; one line per file, sorted by path, reads
+"<sha256>  <path>".  Two checkouts with the same lines write
+byte-identical files.  The files go to a temporary directory,
 or to DIR with --keep.  Takes a few seconds on a 2-core machine.
 """
 
@@ -59,6 +61,15 @@ def _coupling_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _tile_configs() -> list[ExperimentConfig]:
+    """One dispersed exact point (t = 100) at N = 17 and N = 20: 4 and 32 tiles of patterns."""
+    base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
+    return [
+        ExperimentConfig(**base, n=n, t_end=200.0, steps=1, label=f"exact_n{n}").validate()
+        for n in (17, 20)
+    ]
+
+
 def write_outputs(out: Path) -> None:
     """Run every config of the set and write its records under ``out``."""
     for name in PRESET_NAMES:
@@ -70,7 +81,11 @@ def write_outputs(out: Path) -> None:
             records = [run_config(c) for c in workload.configs(seed)]
             for fmt in FORMATS:
                 emit_results(records, out / f"{name}_seed{seed}", fmt)
-    for name, configs in (("hist_times", _hist_configs()), ("couplings", _coupling_configs())):
+    for name, configs in (
+        ("hist_times", _hist_configs()),
+        ("couplings", _coupling_configs()),
+        ("tiles", _tile_configs()),
+    ):
         records = [run_config(c) for c in configs]
         for fmt in FORMATS:
             emit_results(records, out / name, fmt)

@@ -275,14 +275,18 @@ class ResultRecord:
 
 
 def run_config(config: ExperimentConfig) -> ResultRecord:
-    """Evaluate one config over its grid and its histogram times (``observables.evaluate``).
+    """Validate one config, then evaluate it over its grid and its histogram times.
 
-    No grid engine meets a degenerate outcome (both branch weights
-    exactly zero), so the ``degenerate_retries`` diagnostic is always an
-    empty list; it stays in the JSON record, whose readers expect the
-    key.
+    The evaluation is one ``observables.evaluate`` call.  No grid engine
+    meets a degenerate outcome (both branch weights exactly zero), so
+    the ``degenerate_retries`` diagnostic is always an empty list; it
+    stays in the JSON record, whose readers expect the key.
     """
-    config.validate()
+    return _evaluate(config.validate())
+
+
+def _evaluate(config: ExperimentConfig) -> ResultRecord:
+    """``run_config`` of a config that has passed ``validate``."""
     start = time.perf_counter()
     series, histograms = observables.evaluate(
         config.params(), config.alphas(), config.grid(), config.hist_times, config.epsilon,
@@ -347,14 +351,17 @@ def _preset_configs(name: str) -> list[ExperimentConfig]:
 def run_preset(name: str, configs: list[ExperimentConfig] | None = None) -> list[ResultRecord]:
     """Run one figure preset; sweep values beyond the quoted endpoints,
     grids and sample counts are package defaults and labeled as such."""
-    records = []
-    for config in configs if configs is not None else _preset_configs(name):
-        record = run_config(config)
-        record.diagnostics["preset_defaults_note"] = (
-            "time grid, sample count and intermediate sweep values are package defaults"
-        )
-        records.append(record)
-    return records
+    configs = configs if configs is not None else _preset_configs(name)
+    return [_evaluate_preset(config.validate()) for config in configs]
+
+
+def _evaluate_preset(config: ExperimentConfig) -> ResultRecord:
+    """``_evaluate`` of one preset config, with the note that labels its defaults."""
+    record = _evaluate(config)
+    record.diagnostics["preset_defaults_note"] = (
+        "time grid, sample count and intermediate sweep values are package defaults"
+    )
+    return record
 
 
 def _record_name(record: ResultRecord) -> str:
@@ -435,7 +442,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
-    # run_config validates the result.
+    # main validates the result before it creates the output directory.
     return replace(config, **updates)
 
 
@@ -492,16 +499,17 @@ def main(argv=None) -> int:
             configs = [_apply_overrides(parse_config(Path(args.config).read_text()), args)]
         else:
             configs = [_apply_overrides(c, args) for c in _preset_configs(args.name)]
+        # The overrides are checked first, so a rejected config creates no directory.  A
+        # run's file config was validated when parsed: this is its second and last check.
+        configs = [config.validate() for config in configs]
         out_dir = configs[0].out
         # An unusable out is bad input: it fails here, before anything is evaluated.
         try:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as err:
             raise ConfigError(f"out: {err}") from None
-        if args.command == "run":
-            records = [run_config(configs[0])]
-        else:
-            records = run_preset(args.name, configs)
+        evaluate = _evaluate if args.command == "run" else _evaluate_preset
+        records = [evaluate(config) for config in configs]
         paths = emit_results(records, out_dir, args.format)
         for record, path in zip(records, paths):
             print(

@@ -53,17 +53,17 @@ SAMPLE_CHUNK = 8192
 # Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
 # through it in tiles of budget // N draws (one tile up to N = 512).
 SAMPLE_MASK_BYTES = 4 << 20
-# Atoms per block of a grid evaluation: exact enumeration evaluates
-# max(1, GRID_BLOCK_ATOMS >> N) grid times at once.  Enough times to
-# spread numpy's per-call cost at small N (8 times at N = 10), while
-# each block array stays at 64 KiB (8192 float64).  A grid allocates one
-# block workspace of three such arrays (``BlockWorkspace``), of
-# min(block, grid length) times, and every block writes into it: the
-# arrays are allocated and their pages faulted in once per grid, not
-# once per block (2 MiB each at N = 18, where a block is one time).  A
-# block's peak, the workspace and numpy's buffer for the doubling's
-# broadcast adds, stays at about 3.5 block arrays.  A block's profile
-# rows are sliced from its chunk's table (below).
+# Atoms per block of a grid evaluation up to N = TILE_BITS: exact
+# enumeration evaluates max(1, GRID_BLOCK_ATOMS >> N) grid times at once.
+# Enough times to spread numpy's per-call cost at small N (8 times at
+# N = 10), while each block array stays at 64 KiB (8192 float64) up to
+# N = 13.  A grid allocates one block workspace of three such arrays
+# (``BlockWorkspace``), of min(block, grid length) times, and every
+# block writes into it: the arrays are allocated and their pages faulted
+# in once per grid, not once per block.  A block's peak, the workspace
+# and numpy's buffer for the doubling's broadcast adds, stays at about
+# 3.5 block arrays.  A block's profile rows are sliced from its chunk's
+# table (below).  Above TILE_BITS a block is one time, evaluated in tiles.
 GRID_BLOCK_ATOMS = 8192
 # Profile entries (times x N) per chunk of an exact grid: both branches'
 # log profiles are built by one call each for a chunk of whole blocks
@@ -80,6 +80,14 @@ PROFILE_CHUNK_ENTRIES = 256
 # C = 24; k = 6 at N = 18, C = 14), and each block continues its
 # doubling from spin k + 1, two numpy calls fewer per spin and branch.
 LOW_SPIN_ENTRIES = 2048
+# Pattern bits of a tile of an exact grid.  Above N = TILE_BITS a grid
+# time's 2^N patterns are enumerated in 2^(N - TILE_BITS) tiles of
+# 2^TILE_BITS consecutive pattern codes (``_tiled_masses``), so the
+# grid's arrays are five tile arrays of 256 KiB, within a 2 MiB L2
+# cache, whatever N is.  A time's class masses are its tile sums
+# combined in numpy's own pairwise tree (``tile_tree_sum``), so the bits
+# do not depend on this constant (any value from 7 up gives them).
+TILE_BITS = 15
 
 
 class DegenerateOutcomeError(ValueError):
@@ -195,7 +203,9 @@ class BlockWorkspace:
 
     Three float buffers of T * 2^N entries hold every block-sized array
     of a block; a grid allocates them once (``block_workspace``) and
-    reuses them for every block.  Views on the buffers:
+    reuses them for every block.  Above N = TILE_BITS an exact grid's
+    workspace holds one tile, T = 1 at N = TILE_BITS, and every tile of
+    every time writes into it (``_tiled_masses``).  Views on the buffers:
 
     * acc: the 2^N x T pattern-major doubling accumulator, whose bytes
       read as T x 2^N are the pattern weights (``weight``);
@@ -224,13 +234,17 @@ class BlockWorkspace:
         return BlockWorkspace(self.buffers, self.n, times)
 
 
+def _check_enumeration_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
+
+
 def block_workspace(n: int, times: int) -> BlockWorkspace:
     """A ``BlockWorkspace`` for blocks of up to ``times`` times at N = n.
 
     The enumeration cap is checked before anything is allocated.
     """
-    if n > ENUMERATION_CAP:
-        raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
+    _check_enumeration_cap(n)
     size = times << n
     return BlockWorkspace((np.empty(size), np.empty(size), np.empty(size)), n, times)
 
@@ -340,11 +354,17 @@ def enumerate_block(
     from it at spin k + 1.
     """
     ws = workspace
+    pattern_log_weights(*rows[0], ws.log_up, ws.acc, prefix[:, 0])
+    pattern_log_weights(*rows[1], ws.log_down, ws.acc, prefix[:, 1])
+    return _mix_block(alphas, ws)
+
+
+def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
+    """(x, weight, keep) of ``enumerate_block`` from the branch log-weights in ws.log_up and log_down."""
     lw_up, lw_down = _log_mixture_weights(alphas)
-    log_wu = pattern_log_weights(*rows[0], ws.log_up, ws.acc, prefix[:, 0])
-    log_wd = pattern_log_weights(*rows[1], ws.log_down, ws.acc, prefix[:, 1])
+    log_wd = ws.log_down
     # The accumulator is free from here on and takes the weights.
-    flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, log_wu, log_wd))
+    flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, ws.log_up, log_wd))
     half = flat_weight.size // 2
     first, second = slice(None, half), slice(half, None)
     for part, spare in ((first, flat_weight[second]), (second, flat_wu[first])):
@@ -399,51 +419,126 @@ def exact_class_masses(
     ``observables.logit_cutoffs(eps)``: an atom is up when x <= c_up and
     down when x > c_down, which is the class its u gives.  The
     enumeration cap is checked and one ``BlockWorkspace`` allocated
-    before anything else; the grid then runs in blocks of
-    max(1, GRID_BLOCK_ATOMS >> N) consecutive times.  Each chunk of
-    blocks (``PROFILE_CHUNK_ENTRIES``) builds one ``branch_log_rows``
-    table and one ``low_spin_table`` (``LOW_SPIN_ENTRIES``), and each
-    block is ``enumerate_block`` on its view of both.  Each row's masses
-    are one pairwise sum over the block row with the dropped and
-    off-class weights zeroed, so they match the per-point
+    before anything else.  Up to N = TILE_BITS the grid runs in blocks
+    of max(1, GRID_BLOCK_ATOMS >> N) consecutive times, each
+    ``enumerate_block`` in the workspace; above it each time runs in
+    tiles of 2^TILE_BITS patterns (``_tiled_masses``) in a one-tile
+    workspace.  Each chunk of blocks (``PROFILE_CHUNK_ENTRIES``) builds
+    one ``branch_log_rows`` table and one ``low_spin_table``
+    (``LOW_SPIN_ENTRIES``), and a block or time takes its view of both.
+    Each row's masses are one pairwise sum over the row with the dropped
+    and off-class weights zeroed (``_class_sums``), or the same sum
+    formed tile by tile, so they match the per-point
     ``enumerate_outcomes`` + ``observables.class_probabilities`` values
     to a few ulp, not bit for bit (that route sums only the kept class
-    atoms).  Rows are independent: the bits do not depend on the block
-    or chunk size.
+    atoms).  Rows are independent: the bits do not depend on the block,
+    chunk or tile size.
     """
     n = params.n_env
-    step = max(1, GRID_BLOCK_ATOMS >> n)
-    workspace = block_workspace(n, min(step, times.size))
-    c_up, c_down = cutoffs
+    _check_enumeration_cap(n)
+    tiled = n > TILE_BITS
+    bits = TILE_BITS if tiled else n
+    step = 1 if tiled else max(1, GRID_BLOCK_ATOMS >> n)
+    workspace = block_workspace(bits, min(step, times.size))
+    # Both branches' sums over spins 1..TILE_BITS at one time, which every tile continues.
+    base = np.empty((2, 1, 1 << bits)) if tiled else None
     masses = np.empty((3, times.size))
     dropped = 0
     chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
     for start in range(0, times.size, chunk):
         table = branch_log_rows(params, times[start : start + chunk])
         size = table.shape[2]
-        low = low_spin_table(table, _low_spins(n, size))
+        low = low_spin_table(table, min(bits, _low_spins(n, size)))
         for first in range(0, size, step):
             span = slice(first, first + step)
-            rows = table[:, :, span]
-            ws = workspace.sized(rows.shape[2])
-            x, weight, keep = enumerate_block(alphas, rows, ws, low[:, :, span])
-            if not np.all(np.any(keep, axis=1)):
-                raise ValueError("empty distribution")
-            dropped += keep.size - int(np.count_nonzero(keep))
-            up = np.less_equal(x, c_up, out=ws.up)
-            up &= keep
-            down = np.greater(x, c_down, out=ws.down)
-            down &= keep
-            # x is dead: it takes the weights of each class, zero elsewhere, in turn.
-            # The mask is copied in as 0/1 and multiplied in place, which needs no
-            # cast buffer; each row is then one pairwise sum.
-            for mass, mask in zip(masses[:2, start + first : start + first + step], (up, down)):
-                np.copyto(x, mask)
-                x *= weight
-                x.sum(axis=1, out=mass)
+            rows, prefix = table[:, :, span], low[:, :, span]
+            out = masses[:2, start + first : start + first + step]
+            if tiled:
+                dropped += _tiled_masses(alphas, rows, workspace, prefix, base, cutoffs, out)
+            else:
+                ws = workspace.sized(rows.shape[2])
+                x, weight, keep = enumerate_block(alphas, rows, ws, prefix)
+                if not np.all(np.any(keep, axis=1)):
+                    raise ValueError("empty distribution")
+                dropped += keep.size - int(np.count_nonzero(keep))
+                _class_sums(x, weight, keep, ws, cutoffs, out)
     # The complement can land a few ulp below zero; keep it in range.
     np.maximum(0.0, 1.0 - masses[0] - masses[1], out=masses[2])
     return masses, dropped
+
+
+def _class_sums(x, weight, keep, ws: BlockWorkspace, cutoffs, out: np.ndarray) -> None:
+    """Each row's up and down class masses of a block's (x, weight, keep), into out (2 x T).
+
+    Uses ws.up and ws.down for the class masks, and x, which is dead
+    once they are formed, for each class's weights in turn.
+    """
+    c_up, c_down = cutoffs
+    up = np.less_equal(x, c_up, out=ws.up)
+    up &= keep
+    down = np.greater(x, c_down, out=ws.down)
+    down &= keep
+    # x takes the weights of each class, zero elsewhere, in turn.  The mask is copied in
+    # as 0/1 and multiplied in place, which needs no cast buffer; each row is then one
+    # pairwise sum.
+    for mass, mask in zip(out, (up, down)):
+        np.copyto(x, mask)
+        x *= weight
+        x.sum(axis=1, out=mass)
+
+
+def _tiled_masses(alphas, rows, ws: BlockWorkspace, prefix, base, cutoffs, out) -> int:
+    """One time's up and down masses above N = B = TILE_BITS, into out (2 x 1); its dropped count.
+
+    rows is the time's (2, 2, 1, N) ``branch_log_rows`` view, prefix its
+    2^k x 2 x 1 low-spin slice, ws a one-time workspace of B pattern
+    bits and base a 2 x 1 x 2^B buffer.  Both branches' sums over spins
+    1..B are doubled once into base.  Tile j holds the pattern codes
+    [j 2^B, (j + 1) 2^B), whose spins B + 1..N are the bits of j: each
+    branch adds their log factors to its base one spin at a time, as
+    scalars, which is the left-to-right sum the whole-time doubling
+    forms.  ``enumerate_block``'s mixing and ``_class_sums`` then run on
+    the tile.
+
+    numpy's row sum is the pairwise sum 0.0 + pairwise(row), whose tree
+    halves a 2^N row down to 128-entry leaves; the tile sums, combined
+    in that tree in code order (``tile_tree_sum``), are its subtrees, and
+    0.0 + s = s for the non-negative masses.  So masses and the dropped
+    count are the whole-time block's bits.
+    """
+    bits = ws.n
+    high = rows.shape[3] - bits
+    for branch in range(2):
+        log_keep, log_flip = rows[branch, :, :, :bits]
+        pattern_log_weights(log_keep, log_flip, base[branch], ws.acc, prefix[:, branch])
+    # [branch][keep, flip][s]: the log factors of spin B + 1 + s, which bit s of a tile sets.
+    factors = rows[:, :, 0, bits:].tolist()
+    sums = np.empty((2, 1 << high))
+    kept = 0
+    for tile in range(1 << high):
+        for log, start, (stays, flips) in zip((ws.log_up, ws.log_down), base, factors):
+            np.add(start, flips[0] if tile & 1 else stays[0], out=log)
+            for s in range(1, high):
+                log += flips[s] if tile >> s & 1 else stays[s]
+        x, weight, keep = _mix_block(alphas, ws)
+        kept += int(np.count_nonzero(keep))
+        _class_sums(x, weight, keep, ws, cutoffs, sums[:, tile : tile + 1])
+    if kept == 0:
+        raise ValueError("empty distribution")
+    out[:, 0] = tile_tree_sum(sums)
+    return (sums.shape[1] << bits) - kept
+
+
+def tile_tree_sum(sums: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, whose length is a power of two, as a balanced binary tree in order.
+
+    Adjacent entries are added level by level, so a row's 2^m tile sums
+    of 2^b >= 128 entries each combine into numpy's own pairwise sum of
+    the whole row, bit for bit.
+    """
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return sums[..., 0]
 
 
 def binomial_log_counts(n: int) -> np.ndarray:

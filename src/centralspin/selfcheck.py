@@ -172,17 +172,19 @@ def check_binomial_total_weight(seed: int) -> CheckResult:
     )
 
 
-def binomial_two_sided_p(count: int, samples: int, p: float) -> float:
+def binomial_two_sided_p(count: int, p: float, log_counts: np.ndarray) -> float:
     """Exact two-sided tail of ``count`` under Binomial(samples, p).
 
-    Twice the smaller of P(X <= count) and P(X >= count), at most 1; the
-    terms come from ``engine.binomial_log_counts``.  At p = 0 or 1 the
+    log_counts is ``engine.binomial_log_counts(samples)``, which a caller
+    with many tails at one sample count builds once.  Twice the smaller
+    of P(X <= count) and P(X >= count), at most 1.  At p = 0 or 1 the
     count is certain, so the tail is 1 there and 0 elsewhere.
     """
+    samples = log_counts.size - 1
     if not 0.0 < p < 1.0:
         return 1.0 if count == (samples if p >= 1.0 else 0) else 0.0
     k = np.arange(samples + 1, dtype=float)
-    log_pmf = engine.binomial_log_counts(samples) + k * math.log(p) + (samples - k) * math.log1p(-p)
+    log_pmf = log_counts + k * math.log(p) + (samples - k) * math.log1p(-p)
     pmf = np.exp(log_pmf)
     return min(1.0, 2.0 * min(float(pmf[: count + 1].sum()), float(pmf[count:].sum())))
 
@@ -206,13 +208,14 @@ def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
     # DKW-Massart: P(KS > eps) <= 2 exp(-2 samples eps^2), set to CLASS_ALPHA / len(times).
     ks_bound = math.sqrt(math.log(2 * len(times) / CLASS_ALPHA) / (2 * samples))
     least_tail, worst_ks = 1.0, 0.0
+    log_counts = engine.binomial_log_counts(samples)
     for t in times:
         exact = engine.enumerate_outcomes(params, alphas, t)
         sampled = engine.sample_outcomes(params, alphas, t, samples, seed)
         p_exact = class_probabilities(exact, eps)
         p_emp = class_probabilities(sampled, eps)
         for pe, pm in zip(p_exact, p_emp):
-            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), samples, pe))
+            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), pe, log_counts))
         worst_ks = max(worst_ks, ks_distance(sampled.u, exact.u, exact.weight))
     ok = least_tail >= tail_bound and worst_ks <= ks_bound
     return CheckResult(

@@ -132,6 +132,16 @@ class TestValidateBoundary:
         path.write_text(MINIMAL)
         assert main(["run", str(path), "--seed", "-1", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    def test_rejected_override_creates_no_directory(self, tmp_path, capsys, command):
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL)
+        out = tmp_path / "o3"
+        target = [str(path)] if command == "run" else ["fig1"]
+        assert main([command, *target, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: seed: must be non-negative\n"
+        assert not out.exists()
+
     def test_overridden_samples_rejected_with_its_message(self, tmp_path, capsys):
         path = tmp_path / "ok.conf"
         path.write_text(MINIMAL)
@@ -181,7 +191,8 @@ class TestValidateBoundary:
         assert taken.read_text() == "a file\n"
 
     def test_run_validates_twice(self, tmp_path, monkeypatch):
-        # Once when the file is parsed and once in run_config, which sees the overrides.
+        # Once when the file is parsed and once in main, which sees the overrides before it
+        # creates the output directory; the evaluation does not validate again.
         calls = []
         real = ExperimentConfig.validate
 
@@ -461,13 +472,15 @@ class TestSamplerCheck:
         from scipy.stats import binom
 
         want = min(1.0, 2.0 * min(binom.cdf(count, samples, p), binom.sf(count - 1, samples, p)))
-        assert selfcheck.binomial_two_sided_p(count, samples, p) == pytest.approx(want, rel=1e-9)
+        got = selfcheck.binomial_two_sided_p(count, p, engine.binomial_log_counts(samples))
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_certain_counts(self):
-        assert selfcheck.binomial_two_sided_p(0, 50, 0.0) == 1.0
-        assert selfcheck.binomial_two_sided_p(1, 50, 0.0) == 0.0
-        assert selfcheck.binomial_two_sided_p(50, 50, 1.0) == 1.0
-        assert selfcheck.binomial_two_sided_p(49, 50, 1.0) == 0.0
+        log_counts = engine.binomial_log_counts(50)
+        assert selfcheck.binomial_two_sided_p(0, 0.0, log_counts) == 1.0
+        assert selfcheck.binomial_two_sided_p(1, 0.0, log_counts) == 0.0
+        assert selfcheck.binomial_two_sided_p(50, 1.0, log_counts) == 1.0
+        assert selfcheck.binomial_two_sided_p(49, 1.0, log_counts) == 0.0
 
     @pytest.mark.parametrize(
         "seed, samples",
@@ -484,6 +497,14 @@ class TestSamplerCheck:
         assert result.ok, result.detail
         ks_bound = {20_000: "0.0141", 2000: "0.0447"}[samples]
         assert f"class tails >= 2.25e-04, KS <= {ks_bound}" in result.name
+
+    def test_one_log_count_table_per_check(self, monkeypatch):
+        # The 12 class tails share one lgamma table of samples + 1 entries.
+        built = []
+        real = engine.binomial_log_counts
+        monkeypatch.setattr(engine, "binomial_log_counts", lambda n: built.append(n) or real(n))
+        assert selfcheck.check_sampler_vs_enumeration(20260813, 2000).ok
+        assert built == [2000]
 
     def test_biased_sampler_fails(self, monkeypatch):
         draw = engine.sample_outcomes

@@ -291,6 +291,61 @@ class TestExactGridMemory:
         assert peak <= bound
 
 
+class TestExactGridTiles:
+    @pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+    def test_masses_do_not_depend_on_the_tile_size(self, n, monkeypatch):
+        # Dispersed couplings with one zero coupling, whose flip weighs exactly 0, so half the
+        # patterns are dropped at every time and all but one at t = 0 (whole tiles keep
+        # nothing); and equal couplings with all weight on the up branch.  TILE_BITS = n is
+        # one whole-time block per time, or several times per block up to N = 13.
+        times = np.array([0.0, 0.7, 37.0, 350.0])
+        h = np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, n)[1:]))
+        cases = [
+            (ModelParams(delta=0.3, h=h), ALPHAS),
+            (ModelParams(delta=0.01, h=(0.01,) * n), SystemAmplitudes.from_up_weight(1.0)),
+        ]
+        cutoffs = obs.logit_cutoffs(1e-3)
+        for case, (params, alphas) in enumerate(cases):
+            results = []
+            for bits in range(8, n + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "TILE_BITS", bits)
+                    masses, dropped = engine.exact_class_masses(params, alphas, times, cutoffs)
+                results.append((masses.tobytes(), dropped))
+            assert results == [results[-1]] * len(results)
+            assert case == 1 or results[0][1] > 1 << n
+
+    def test_tile_tree_equals_numpy_row_sum(self):
+        # Two rows per size, as the two class masses: exponents over [-60, 60] and over
+        # [-1000, 1000], 30% zeros.  Tiles from numpy's 128-entry pairwise leaf to the row.
+        rng = np.random.default_rng(2021)
+        running_differs = 0
+        for m in range(8, 21):
+            size = 1 << m
+            x = np.ldexp(rng.random((2, size)), rng.integers(-60, 61, (2, size)) * [[1], [16]])
+            x[rng.random((2, size)) < 0.3] = 0.0
+            want = x.sum(axis=1)
+            for bits in range(7, m + 1):
+                tiles = x.reshape(-1, 1 << bits).sum(axis=1).reshape(2, -1)
+                assert engine.tile_tree_sum(tiles).tobytes() == want.tobytes()
+                running_differs += np.cumsum(tiles, axis=1)[:, -1].tobytes() != want.tobytes()
+        # A running sum of the tiles rounds differently, so the test tells the orders apart.
+        assert running_differs > 0
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_peak_of_a_one_time_grid_is_five_tile_arrays(self, n):
+        # The workspace's three tile arrays and both branches' bases, the same at every N above
+        # TILE_BITS, plus the allowance of TestExactGridMemory for the profile and low-spin
+        # tables.  A whole-time block took three arrays of 8 * 2^N bytes: 6 MiB at N = 18.
+        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        cutoffs = obs.logit_cutoffs(1e-3)
+        peak = _peak(lambda: engine.exact_class_masses(params, ALPHAS, np.array([100.0]), cutoffs))
+        tile = 8 << engine.TILE_BITS
+        bound = 5 * tile + 16 * 1024 + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
+        assert bound == 1_351_680
+        assert peak <= bound
+
+
 def _chunk_times(n):
     step = max(1, GRID_BLOCK_ATOMS >> n)
     return step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
@@ -329,8 +384,9 @@ class TestProfileChunks:
 
 
 def _one_time_blocks(params, alphas, times, patch):
-    """The exact series with one time per block and one block per chunk."""
+    """The exact series with one whole time per block and one block per chunk."""
     with patch.context() as one:
+        one.setattr(engine, "TILE_BITS", params.n_env)
         one.setattr(engine, "GRID_BLOCK_ATOMS", 1 << params.n_env)
         one.setattr(engine, "PROFILE_CHUNK_ENTRIES", 1)
         return time_series(params, alphas, times, method="exact")
@@ -345,14 +401,16 @@ def _assert_same_series(a, b):
 class TestGridWorkspace:
     @pytest.mark.parametrize("n", [14, 16, 18])
     def test_large_n_grids_equal_one_time_blocks_bitwise(self, n, monkeypatch):
-        # The default blocks (one time) and blocks of three times over 7 times, whose last block
-        # is one time short of a view of its own, give the one-time-per-block series.
+        # The default layout (one time per block at N = 14, tiles above TILE_BITS) and whole-time
+        # blocks of three times over 7 times, whose last block is one time short of a view of
+        # its own, give the series of one whole time per block.
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         times = np.linspace(1.0, 350.0, 7)
         want = _one_time_blocks(params, ALPHAS, times, monkeypatch)
         _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "GRID_BLOCK_ATOMS", 3 << n)
+            patch.setattr(engine, "TILE_BITS", n)
             _assert_same_series(time_series(params, ALPHAS, times, method="exact"), want)
 
     @pytest.mark.parametrize("sizes", [(10, 12), (14, 11), (5, 13)])
@@ -369,7 +427,7 @@ class TestGridWorkspace:
             for (params, alphas), series in zip(cases, want):
                 _assert_same_series(time_series(params, alphas, times, method="exact"), series)
 
-    @pytest.mark.parametrize("n", [3, 10, 14])
+    @pytest.mark.parametrize("n", [3, 10, 14, 16])
     def test_one_workspace_per_grid(self, n, monkeypatch):
         built = []
 

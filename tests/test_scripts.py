@@ -35,11 +35,12 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 
 def test_output_digest_prints_one_digest_per_file():
-    # Four presets, four workloads at two seeds, the histogram and coupling runs, in csv and json.
+    # Four presets, four workloads at two seeds, the histogram, coupling and tiled exact runs,
+    # in csv and json.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 106
+    assert len(lines) == 110
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -57,6 +58,9 @@ def test_output_digest_builds_its_configs(monkeypatch):
     assert [c.resolved_method() for c in coupling_configs] == ["binomial", "binomial"]
     assert [c.h_spec() for c in coupling_configs] == [";".join(["0.01"] * 20), "-0.0"]
     configs += coupling_configs
+    tile_configs = digest._tile_configs()
+    assert [(c.n, c.steps, c.method) for c in tile_configs] == [(17, 1, "exact"), (20, 1, "exact")]
+    configs += tile_configs
     for workload in digest.WORKLOADS.values():
         for seed in digest.WORKLOAD_SEEDS:
             configs += workload.configs(seed)

@@ -348,11 +348,10 @@ def _preset_configs(name: str) -> list[ExperimentConfig]:
     raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
-def run_preset(name: str, configs: list[ExperimentConfig] | None = None) -> list[ResultRecord]:
+def run_preset(name: str) -> list[ResultRecord]:
     """Run one figure preset; sweep values beyond the quoted endpoints,
     grids and sample counts are package defaults and labeled as such."""
-    configs = configs if configs is not None else _preset_configs(name)
-    return [_evaluate_preset(config.validate()) for config in configs]
+    return [_evaluate_preset(config.validate()) for config in _preset_configs(name)]
 
 
 def _evaluate_preset(config: ExperimentConfig) -> ResultRecord:

@@ -9,7 +9,8 @@ workloads (read from perfbench/workloads.py) at seeds 0 and 7, one
 run with histogram times per method, two coupling specs that auto
 sends to binomial (an explicit list of equal couplings and signed-zero
 couplings, h = -0.0 and delta_h = -0.0), and one-point dispersed exact
-runs at N = 17 and N = 20, whose time is enumerated in several tiles.
+runs at N = 15, 16, 17 and 20: the largest N whose time is one tile of
+patterns, then two, four and 32 tiles.
 Each run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
 "<sha256>  <path>".  Two checkouts with the same lines write
@@ -62,11 +63,11 @@ def _coupling_configs() -> list[ExperimentConfig]:
 
 
 def _tile_configs() -> list[ExperimentConfig]:
-    """One dispersed exact point (t = 100) at N = 17 and N = 20: 4 and 32 tiles of patterns."""
+    """One dispersed exact point (t = 100) at N = 15, 16, 17 and 20: 1, 2, 4 and 32 tiles of patterns."""
     base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
     return [
         ExperimentConfig(**base, n=n, t_end=200.0, steps=1, label=f"exact_n{n}").validate()
-        for n in (17, 20)
+        for n in (15, 16, 17, 20)
     ]
 
 

@@ -53,8 +53,8 @@ SAMPLE_CHUNK = 8192
 # Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
 # through it in tiles of budget // N draws (one tile up to N = 512).
 SAMPLE_MASK_BYTES = 4 << 20
-# Atoms per block of a grid evaluation up to N = TILE_BITS: exact
-# enumeration evaluates max(1, GRID_BLOCK_ATOMS >> N) grid times at once.
+# Atoms per tile of a grid block: exact enumeration evaluates
+# max(1, GRID_BLOCK_ATOMS >> B) grid times at once, B = min(N, TILE_BITS).
 # Enough times to spread numpy's per-call cost at small N (8 times at
 # N = 10), while each block array stays at 64 KiB (8192 float64) up to
 # N = 13.  A grid allocates one block workspace of three such arrays
@@ -63,7 +63,7 @@ SAMPLE_MASK_BYTES = 4 << 20
 # in once per grid, not once per block.  A block's peak, the workspace
 # and numpy's buffer for the doubling's broadcast adds, stays at about
 # 3.5 block arrays.  A block's profile rows are sliced from its chunk's
-# table (below).  Above TILE_BITS a block is one time, evaluated in tiles.
+# table (below).
 GRID_BLOCK_ATOMS = 8192
 # Profile entries (times x N) per chunk of an exact grid: both branches'
 # log profiles are built by one call each for a chunk of whole blocks
@@ -80,13 +80,13 @@ PROFILE_CHUNK_ENTRIES = 256
 # C = 24; k = 6 at N = 18, C = 14), and each block continues its
 # doubling from spin k + 1, two numpy calls fewer per spin and branch.
 LOW_SPIN_ENTRIES = 2048
-# Pattern bits of a tile of an exact grid.  Above N = TILE_BITS a grid
-# time's 2^N patterns are enumerated in 2^(N - TILE_BITS) tiles of
-# 2^TILE_BITS consecutive pattern codes (``_tiled_masses``), so the
-# grid's arrays are five tile arrays of 256 KiB, within a 2 MiB L2
-# cache, whatever N is.  A time's class masses are its tile sums
-# combined in numpy's own pairwise tree (``tile_tree_sum``), so the bits
-# do not depend on this constant (any value from 7 up gives them).
+# Pattern bits B of a tile of an exact grid, at most N.  A block of T
+# times runs in 2^(N - B) tiles of 2^B consecutive pattern codes
+# (``_block_masses``), one tile up to N = TILE_BITS.  Above it a block is
+# one time and the grid's arrays are five tile arrays of 256 KiB, within
+# a 2 MiB L2 cache, whatever N is.  A row's class masses are its tile
+# sums combined in numpy's own pairwise tree (``tile_tree_sum``), so the
+# bits do not depend on this constant (any value from 7 up gives them).
 TILE_BITS = 15
 
 
@@ -203,9 +203,9 @@ class BlockWorkspace:
 
     Three float buffers of T * 2^N entries hold every block-sized array
     of a block; a grid allocates them once (``block_workspace``) and
-    reuses them for every block.  Above N = TILE_BITS an exact grid's
-    workspace holds one tile, T = 1 at N = TILE_BITS, and every tile of
-    every time writes into it (``_tiled_masses``).  Views on the buffers:
+    reuses them for every block.  An exact grid's workspace holds one
+    tile of B = min(N, TILE_BITS) pattern bits, and every tile of every
+    block writes into it (``_block_masses``).  Views on the buffers:
 
     * acc: the 2^N x T pattern-major doubling accumulator, whose bytes
       read as T x 2^N are the pattern weights (``weight``);
@@ -418,30 +418,28 @@ def exact_class_masses(
     times is a checked 1-D grid and cutoffs are
     ``observables.logit_cutoffs(eps)``: an atom is up when x <= c_up and
     down when x > c_down, which is the class its u gives.  The
-    enumeration cap is checked and one ``BlockWorkspace`` allocated
-    before anything else.  Up to N = TILE_BITS the grid runs in blocks
-    of max(1, GRID_BLOCK_ATOMS >> N) consecutive times, each
-    ``enumerate_block`` in the workspace; above it each time runs in
-    tiles of 2^TILE_BITS patterns (``_tiled_masses``) in a one-tile
-    workspace.  Each chunk of blocks (``PROFILE_CHUNK_ENTRIES``) builds
-    one ``branch_log_rows`` table and one ``low_spin_table``
-    (``LOW_SPIN_ENTRIES``), and a block or time takes its view of both.
-    Each row's masses are one pairwise sum over the row with the dropped
-    and off-class weights zeroed (``_class_sums``), or the same sum
-    formed tile by tile, so they match the per-point
-    ``enumerate_outcomes`` + ``observables.class_probabilities`` values
-    to a few ulp, not bit for bit (that route sums only the kept class
-    atoms).  Rows are independent: the bits do not depend on the block,
-    chunk or tile size.
+    enumeration cap is checked and one ``BlockWorkspace`` of B =
+    min(N, TILE_BITS) pattern bits allocated before anything else.  The
+    grid runs in blocks of max(1, GRID_BLOCK_ATOMS >> B) consecutive
+    times, and each block's 2^N patterns in 2^(N - B) tiles of 2^B
+    (``_block_masses``): one tile up to N = TILE_BITS.  Each chunk of
+    blocks (``PROFILE_CHUNK_ENTRIES``) builds one ``branch_log_rows``
+    table and one ``low_spin_table`` (``LOW_SPIN_ENTRIES``), and a block
+    takes its view of both.  Each row's masses are one pairwise sum over
+    the row with the dropped and off-class weights zeroed, formed tile by
+    tile, so they match the per-point ``enumerate_outcomes`` +
+    ``observables.class_probabilities`` values to a few ulp, not bit for
+    bit (that route sums only the kept class atoms).  Rows are
+    independent: the bits do not depend on the block, chunk or tile size.
     """
     n = params.n_env
     _check_enumeration_cap(n)
-    tiled = n > TILE_BITS
-    bits = TILE_BITS if tiled else n
-    step = 1 if tiled else max(1, GRID_BLOCK_ATOMS >> n)
+    bits = min(n, TILE_BITS)
+    step = max(1, GRID_BLOCK_ATOMS >> bits)
     workspace = block_workspace(bits, min(step, times.size))
-    # Both branches' sums over spins 1..TILE_BITS at one time, which every tile continues.
-    base = np.empty((2, 1, 1 << bits)) if tiled else None
+    # Both branches' sums over spins 1..B, which every tile continues; up to N = B the
+    # workspace's own branch log-weights serve.
+    base = np.empty((2, workspace.times, 1 << bits)) if n > bits else None
     masses = np.empty((3, times.size))
     dropped = 0
     chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
@@ -451,82 +449,71 @@ def exact_class_masses(
         low = low_spin_table(table, min(bits, _low_spins(n, size)))
         for first in range(0, size, step):
             span = slice(first, first + step)
-            rows, prefix = table[:, :, span], low[:, :, span]
             out = masses[:2, start + first : start + first + step]
-            if tiled:
-                dropped += _tiled_masses(alphas, rows, workspace, prefix, base, cutoffs, out)
-            else:
-                ws = workspace.sized(rows.shape[2])
-                x, weight, keep = enumerate_block(alphas, rows, ws, prefix)
-                if not np.all(np.any(keep, axis=1)):
-                    raise ValueError("empty distribution")
-                dropped += keep.size - int(np.count_nonzero(keep))
-                _class_sums(x, weight, keep, ws, cutoffs, out)
+            dropped += _block_masses(
+                alphas, table[:, :, span], workspace, low[:, :, span], base, cutoffs, out
+            )
     # The complement can land a few ulp below zero; keep it in range.
     np.maximum(0.0, 1.0 - masses[0] - masses[1], out=masses[2])
     return masses, dropped
 
 
-def _class_sums(x, weight, keep, ws: BlockWorkspace, cutoffs, out: np.ndarray) -> None:
-    """Each row's up and down class masses of a block's (x, weight, keep), into out (2 x T).
+def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs, out) -> int:
+    """A block's up and down masses into out (2 x T), and its dropped count.
 
-    Uses ws.up and ws.down for the class masks, and x, which is dead
-    once they are formed, for each class's weights in turn.
-    """
-    c_up, c_down = cutoffs
-    up = np.less_equal(x, c_up, out=ws.up)
-    up &= keep
-    down = np.greater(x, c_down, out=ws.down)
-    down &= keep
-    # x takes the weights of each class, zero elsewhere, in turn.  The mask is copied in
-    # as 0/1 and multiplied in place, which needs no cast buffer; each row is then one
-    # pairwise sum.
-    for mass, mask in zip(out, (up, down)):
-        np.copyto(x, mask)
-        x *= weight
-        x.sum(axis=1, out=mass)
-
-
-def _tiled_masses(alphas, rows, ws: BlockWorkspace, prefix, base, cutoffs, out) -> int:
-    """One time's up and down masses above N = B = TILE_BITS, into out (2 x 1); its dropped count.
-
-    rows is the time's (2, 2, 1, N) ``branch_log_rows`` view, prefix its
-    2^k x 2 x 1 low-spin slice, ws a one-time workspace of B pattern
-    bits and base a 2 x 1 x 2^B buffer.  Both branches' sums over spins
-    1..B are doubled once into base.  Tile j holds the pattern codes
-    [j 2^B, (j + 1) 2^B), whose spins B + 1..N are the bits of j: each
-    branch adds their log factors to its base one spin at a time, as
-    scalars, which is the left-to-right sum the whole-time doubling
-    forms.  ``enumerate_block``'s mixing and ``_class_sums`` then run on
-    the tile.
+    rows is the block's (2, 2, T, N) ``branch_log_rows`` view, prefix its
+    2^k x 2 x T low-spin slice, workspace a grid's workspace of B pattern
+    bits and base its 2 x T x 2^B buffer, or None at N = B.  Both
+    branches' sums over spins 1..B are doubled once into base (at N = B,
+    into the workspace's log_up and log_down).  Tile j holds the pattern
+    codes [j 2^B, (j + 1) 2^B), whose spins B + 1..N are the bits of j:
+    each branch adds their T x 1 log factors to its base one spin at a
+    time, which is the left-to-right sum a whole-block doubling forms.
+    ``enumerate_block``'s mixing runs on the tile, and each row's class
+    masses are one pairwise sum over the row with the dropped and
+    off-class weights zeroed; x, dead once the class masks are formed,
+    takes each class's weights in turn.
 
     numpy's row sum is the pairwise sum 0.0 + pairwise(row), whose tree
     halves a 2^N row down to 128-entry leaves; the tile sums, combined
     in that tree in code order (``tile_tree_sum``), are its subtrees, and
     0.0 + s = s for the non-negative masses.  So masses and the dropped
-    count are the whole-time block's bits.
+    count are the whole-block bits.  A row with no kept atom raises.
     """
-    bits = ws.n
+    ws = workspace.sized(rows.shape[2])
+    bits, times = ws.n, ws.times
     high = rows.shape[3] - bits
-    for branch in range(2):
-        log_keep, log_flip = rows[branch, :, :, :bits]
-        pattern_log_weights(log_keep, log_flip, base[branch], ws.acc, prefix[:, branch])
-    # [branch][keep, flip][s]: the log factors of spin B + 1 + s, which bit s of a tile sets.
-    factors = rows[:, :, 0, bits:].tolist()
-    sums = np.empty((2, 1 << high))
+    logs = (ws.log_up, ws.log_down)
+    starts = logs if base is None else base[:, :times]
+    for branch, start in enumerate(starts):
+        pattern_log_weights(*rows[branch, :, :, :bits], start, ws.acc, prefix[:, branch])
+    c_up, c_down = cutoffs
+    sums = np.empty((2, times, 1 << high))
+    found, every_row = np.zeros(times, bool), np.arange(times)
     kept = 0
     for tile in range(1 << high):
-        for log, start, (stays, flips) in zip((ws.log_up, ws.log_down), base, factors):
-            np.add(start, flips[0] if tile & 1 else stays[0], out=log)
-            for s in range(1, high):
-                log += flips[s] if tile >> s & 1 else stays[s]
+        # Bit s of the tile is spin B + 1 + s: its T x 1 keep or flip log factors.
+        for s in range(high):
+            for branch, log in enumerate(logs):
+                factor = rows[branch, tile >> s & 1, :, bits + s, None]
+                np.add(log if s else starts[branch], factor, out=log)
         x, weight, keep = _mix_block(alphas, ws)
         kept += int(np.count_nonzero(keep))
-        _class_sums(x, weight, keep, ws, cutoffs, sums[:, tile : tile + 1])
-    if kept == 0:
+        # argmax stops at each row's first kept atom; in a row that keeps none it gives atom 0.
+        found |= keep[every_row, keep.argmax(axis=1)]
+        up = np.less_equal(x, c_up, out=ws.up)
+        up &= keep
+        down = np.greater(x, c_down, out=ws.down)
+        down &= keep
+        # The mask is copied into x as 0/1 and multiplied in place, which needs no cast buffer.
+        for mass, mask in zip(sums[:, :, tile], (up, down)):
+            np.copyto(x, mask)
+            x *= weight
+            x.sum(axis=1, out=mass)
+    if not found.all():
         raise ValueError("empty distribution")
-    out[:, 0] = tile_tree_sum(sums)
-    return (sums.shape[1] << bits) - kept
+    out[:] = tile_tree_sum(sums)
+    return (times << rows.shape[3]) - kept
 
 
 def tile_tree_sum(sums: np.ndarray) -> np.ndarray:

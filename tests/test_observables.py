@@ -176,7 +176,7 @@ class TestTimeSeries:
             return wrapper
 
         monkeypatch.setattr(obs, "distribution_at", counted(obs.distribution_at))
-        monkeypatch.setattr(engine, "enumerate_block", counted(engine.enumerate_block))
+        monkeypatch.setattr(engine, "_block_masses", counted(engine._block_masses))
         p = ModelParams(delta=0.0, h=(0.01,) * 4)
         with pytest.raises(ValueError, match=message):
             time_series(p, ALPHAS, times, method=method, samples=100)
@@ -315,6 +315,18 @@ class TestExactGridTiles:
             assert results == [results[-1]] * len(results)
             assert case == 1 or results[0][1] > 1 << n
 
+    @pytest.mark.parametrize("bits", [8, 9])
+    def test_a_row_that_keeps_no_atom_raises(self, bits, monkeypatch):
+        # At t = 0 the no-flip pattern weighs 1, and at t = 37 every pattern weighs less.  A
+        # floor between the two empties the second row only, in one tile of 2^9 or two of 2^8.
+        params = ModelParams(delta=0.3, h=dispersed_couplings(0.05, 0.4, 9))
+        top = enumerate_outcomes(params, ALPHAS, 37.0).weight.max()
+        monkeypatch.setattr(engine, "TILE_BITS", bits)
+        monkeypatch.setattr(engine, "WEIGHT_FLOOR", (1.0 + top) / 2)
+        times, cutoffs = np.array([0.0, 37.0]), obs.logit_cutoffs(1e-3)
+        with pytest.raises(ValueError, match="empty distribution"):
+            engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+
     def test_tile_tree_equals_numpy_row_sum(self):
         # Two rows per size, as the two class masses: exponents over [-60, 60] and over
         # [-1000, 1000], 30% zeros.  Tiles from numpy's 128-entry pairwise leaf to the row.
@@ -332,7 +344,7 @@ class TestExactGridTiles:
         # A running sum of the tiles rounds differently, so the test tells the orders apart.
         assert running_differs > 0
 
-    @pytest.mark.parametrize("n", [18, 20])
+    @pytest.mark.parametrize("n", [16, 18, 20])
     def test_peak_of_a_one_time_grid_is_five_tile_arrays(self, n):
         # The workspace's three tile arrays and both branches' bases, the same at every N above
         # TILE_BITS, plus the allowance of TestExactGridMemory for the profile and low-spin

@@ -40,7 +40,7 @@ def test_output_digest_prints_one_digest_per_file():
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 110
+    assert len(lines) == 114
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -59,7 +59,9 @@ def test_output_digest_builds_its_configs(monkeypatch):
     assert [c.h_spec() for c in coupling_configs] == [";".join(["0.01"] * 20), "-0.0"]
     configs += coupling_configs
     tile_configs = digest._tile_configs()
-    assert [(c.n, c.steps, c.method) for c in tile_configs] == [(17, 1, "exact"), (20, 1, "exact")]
+    assert [(c.n, c.steps, c.method) for c in tile_configs] == [
+        (n, 1, "exact") for n in (15, 16, 17, 20)
+    ]
     configs += tile_configs
     for workload in digest.WORKLOADS.values():
         for seed in digest.WORKLOAD_SEEDS:

@@ -171,7 +171,7 @@ def _pattern_logit(
 ) -> float:
     """x = log(w_down W_down) - log(w_up W_up) of one flip pattern at time t.
 
-    The branch totals are mixed as ``enumerate_block`` mixes them, so
+    The branch totals are mixed as ``_mix_block`` mixes them, so
     ``u_from_x(x)`` is the enumerated u of the pattern bit for bit.  x is
     NaN exactly when both totals are -inf; that raises
     DegenerateOutcomeError.  Only the single-pattern APIs get here: the
@@ -199,17 +199,22 @@ def pattern_projection(
 
 
 class BlockWorkspace:
-    """The arrays ``enumerate_block`` writes a block of T times at N spins into.
+    """The arrays that a block of T times at N spins is enumerated into.
 
     Three float buffers of T * 2^N entries hold every block-sized array
     of a block; a grid allocates them once (``block_workspace``) and
-    reuses them for every block.  An exact grid's workspace holds one
-    tile of B = min(N, TILE_BITS) pattern bits, and every tile of every
-    block writes into it (``_block_masses``).  Views on the buffers:
+    reuses them for every block.  So a block allocates nothing that
+    grows with 2^N, and the next block overwrites the last one's
+    results.  With numpy's own buffer for the broadcast adds of a T > 1
+    doubling (up to half a block), a block's peak stays within about 3.5
+    block arrays.  An exact grid's workspace holds one tile of B =
+    min(N, TILE_BITS) pattern bits, and every tile of every block writes
+    into it (``_block_masses``).  Views on the buffers:
 
     * acc: the 2^N x T pattern-major doubling accumulator, whose bytes
       read as T x 2^N are the pattern weights (``weight``);
-    * log_up, log_down: T x 2^N branch log-weights; log_down becomes x;
+    * log_up, log_down: T x 2^N branch log-weights
+      (``pattern_log_weights``); ``_mix_block`` turns log_down into x;
     * keep, up, down: T x 2^N bool masks in the bytes of log_up, written
       once x is formed.
 
@@ -325,42 +330,22 @@ def _low_spins(n: int, times: int) -> int:
     return min(n, max(0, (LOW_SPIN_ENTRIES // (2 * times)).bit_length() - 1))
 
 
-def enumerate_block(
-    alphas: SystemAmplitudes,
-    rows: np.ndarray,
-    workspace: BlockWorkspace,
-    prefix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, weight, keep) of every flip pattern at a block of T times, each T x 2^N.
+def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
+    """(x, weight, keep) of every flip pattern of a block, each T x 2^N, from its branch log-weights.
 
-    rows is the (2, 2, T, N) table of both branches' log factors at the
-    block's times (``branch_log_rows``, or the view of a block of a
-    longer table).  Columns are pattern codes.  x = log(w_down W_down) -
-    log(w_up W_up) is minus the logit of u (``u_from_x`` gives u); keep
-    marks the atoms with weight at or above 1e-300.  x is meaningful on
-    kept atoms only: a dropped atom may have both branch weights zero
-    and x NaN.
+    ws.log_up and ws.log_down hold both branches' ``pattern_log_weights``
+    at the block's T times; columns are pattern codes.  x = log(w_down
+    W_down) - log(w_up W_up) is minus the logit of u (``u_from_x`` gives
+    u) and is formed in place in ws.log_down; the weights go to
+    ws.weight, and keep, in ws.keep, marks the atoms with weight at or
+    above 1e-300.  x is meaningful on kept atoms only: a dropped atom
+    may have both branch weights zero and x NaN.
 
-    Every block-sized array is a view of workspace (a ``BlockWorkspace``
-    of T times at the rows' N), so a block allocates nothing that grows
-    with 2^N, and the next block overwrites the three results.  The
-    weights and x are formed one contiguous half of the block at a
+    The weights and x are formed one contiguous half of the block at a
     time, and each half's down weights go to memory that is free by
     then: the weights' second half, then the up logs' first half.  So
-    the workspace is three block arrays, and numpy's own buffer for the
-    broadcast adds of a T > 1 doubling (up to half a block) stays within
-    3.5.  prefix is the block's 2^k x 2 x T slice of ``low_spin_table``
-    (any k from 0 to N gives the same bits): both doublings continue
-    from it at spin k + 1.
+    mixing needs no block-sized array beyond the workspace's three.
     """
-    ws = workspace
-    pattern_log_weights(*rows[0], ws.log_up, ws.acc, prefix[:, 0])
-    pattern_log_weights(*rows[1], ws.log_down, ws.acc, prefix[:, 1])
-    return _mix_block(alphas, ws)
-
-
-def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
-    """(x, weight, keep) of ``enumerate_block`` from the branch log-weights in ws.log_up and log_down."""
     lw_up, lw_down = _log_mixture_weights(alphas)
     log_wd = ws.log_down
     # The accumulator is free from here on and takes the weights.
@@ -390,14 +375,18 @@ def enumerate_outcomes(
     amplitudes depend only on d_j, so the result is independent of the
     bath occupation and of beta.  Atoms with weight below 1e-300
     (including exact zeros) are dropped and counted in ``dropped``.
-    This is ``enumerate_block`` on the one-time block [t], in a
-    workspace and with a low-spin table of its own.
+    The one-time block [t] is formed as on the exact grid, in a
+    workspace of its own (``block_workspace`` checks the enumeration cap
+    before allocating it): both branches' log-weights are doubled from
+    a low-spin table of their own, and ``_mix_block`` mixes them.
     """
     n = params.n_env
-    workspace = block_workspace(n, 1)
+    ws = block_workspace(n, 1)
     rows = branch_log_rows(params, np.array([t]))
     low = low_spin_table(rows, _low_spins(n, 1))
-    x, weight, keep = (a[0] for a in enumerate_block(alphas, rows, workspace, low))
+    for branch, log in enumerate((ws.log_up, ws.log_down)):
+        pattern_log_weights(*rows[branch], log, ws.acc, low[:, branch])
+    x, weight, keep = (a[0] for a in _mix_block(alphas, ws))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],
@@ -469,10 +458,10 @@ def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs
     codes [j 2^B, (j + 1) 2^B), whose spins B + 1..N are the bits of j:
     each branch adds their T x 1 log factors to its base one spin at a
     time, which is the left-to-right sum a whole-block doubling forms.
-    ``enumerate_block``'s mixing runs on the tile, and each row's class
-    masses are one pairwise sum over the row with the dropped and
-    off-class weights zeroed; x, dead once the class masks are formed,
-    takes each class's weights in turn.
+    ``_mix_block`` runs on the tile, and each row's class masses are one
+    pairwise sum over the row with the dropped and off-class weights
+    zeroed; x, dead once the class masks are formed, takes each class's
+    weights in turn.
 
     numpy's row sum is the pairwise sum 0.0 + pairwise(row), whose tree
     halves a 2^N row down to 128-entry leaves; the tile sums, combined

@@ -210,6 +210,12 @@ def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (f != 0.0)[:, None] & ~(g <= G_FLOOR)
 
 
+def _check_ensemble_size(params: ModelParams, ensemble: ThermalEnsemble) -> None:
+    """Raise ValueError unless the ensemble holds one weight per environment basis state."""
+    if ensemble.f.shape != (2**params.n_env,):
+        raise ValueError("ensemble size does not match environment size")
+
+
 def _evolved_blocks(
     params: ModelParams, alphas: SystemAmplitudes, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +252,7 @@ def trajectory_ensemble(
     The listed weights still sum to one to the stated tolerance.
     Outcomes are ordered by n_initial, then by n_final.
     """
-    m = 2 ** params.n_env
-    if ensemble.f.shape != (m,):
-        raise ValueError("ensemble size does not match environment size")
+    _check_ensemble_size(params, ensemble)
     up, down = _evolved_blocks(params, alphas, t)
     # Transposed, row-major order runs over n_initial outer, n_final inner.
     up, down = up.T, down.T
@@ -281,6 +285,7 @@ def projection_outcomes(
     and g = w_up |U_up|^2 + w_down |U_down|^2.  No complex propagator,
     outcome state or label is formed.
     """
+    _check_ensemble_size(params, ensemble)
     tau = params.elapsed(t)
     moduli = []
     for spectrum, branch_weight in zip(spectra, (alphas.w_up, alphas.w_down)):
@@ -312,6 +317,7 @@ def reduced_density_check(
     universe density matrix; the right side resums the supplied
     outcomes.  The two agree to roundoff (contract: <= 1e-9).
     """
+    _check_ensemble_size(params, ensemble)
     up, down = _evolved_blocks(params, alphas, t)
     columns = np.stack((up, down))
     rho_traced = np.einsum("anm,bnm,m->ab", columns, columns.conj(), ensemble.f)

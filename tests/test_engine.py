@@ -35,6 +35,7 @@ from centralspin.engine import (
     u_from_x,
     wavefunction_of_pattern,
 )
+from centralspin.observables import logit_cutoffs
 from centralspin.universe import (
     pattern_between,
     phase_distance,
@@ -855,22 +856,35 @@ class TestSubsetDoubling:
 
 
 class TestBlockWorkspace:
-    @pytest.mark.parametrize("n", [3, 10, 14])
+    @pytest.mark.parametrize("n", [3, 10, 14, 16])
     def test_a_used_workspace_gives_a_fresh_ones_result(self, n):
         # Other times, the other w_up and a frozen spin leave nothing behind in the buffers.
-        t = max(1, 8192 >> n)
+        # At N = 16 a block is two tiles, and the grid's base buffer is reused as well.
+        bits = min(n, engine.TILE_BITS)
+        t = max(1, engine.GRID_BLOCK_ATOMS >> bits)
         params = ModelParams(delta=0.01, h=np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, n)[1:])))
         rows = engine.branch_log_rows(params, np.linspace(0.0, 90.0, t))
         other = engine.branch_log_rows(params, np.linspace(7.0, 400.0, t))
-        low, other_low = (engine.low_spin_table(r, engine._low_spins(n, t)) for r in (rows, other))
+        k = min(bits, engine._low_spins(n, t))
+        low, other_low = (engine.low_spin_table(r, k) for r in (rows, other))
+        cutoffs = logit_cutoffs(1e-3)
+
+        def buffers():
+            base = np.empty((2, t, 1 << bits)) if n > bits else None
+            return engine.block_workspace(bits, t), base
+
+        def masses(alphas, block_rows, prefix, workspace, base):
+            out = np.empty((2, t))
+            dropped = engine._block_masses(alphas, block_rows, workspace, prefix, base, cutoffs, out)
+            return out, dropped
+
         for w_up in (0.0, 0.4, 1.0):
             alphas = SystemAmplitudes.from_up_weight(w_up)
-            fresh = engine.enumerate_block(alphas, rows, engine.block_workspace(n, t), low)
-            used = engine.block_workspace(n, t)
-            engine.enumerate_block(SystemAmplitudes.from_up_weight(1.0 - w_up), other, used, other_low)
-            got = engine.enumerate_block(alphas, rows, used, low)
-            for a, b in zip(got, fresh):
-                assert np.array_equal(a, b, equal_nan=True)
+            fresh, fresh_dropped = masses(alphas, rows, low, *buffers())
+            used = buffers()
+            masses(SystemAmplitudes.from_up_weight(1.0 - w_up), other, other_low, *used)
+            got, got_dropped = masses(alphas, rows, low, *used)
+            assert np.array_equal(got, fresh) and got_dropped == fresh_dropped
 
     def test_short_block_views_share_the_buffers(self):
         ws = engine.block_workspace(4, 3)

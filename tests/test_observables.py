@@ -500,6 +500,17 @@ def _exact_grid_cases(n):
     return times, cases
 
 
+def _one_time_block(params, alphas, t):
+    """(x, weight, keep) of the one-time block at t, formed by ``enumerate_outcomes``' own calls."""
+    n = params.n_env
+    ws = engine.block_workspace(n, 1)
+    rows = engine.branch_log_rows(params, np.array([t]))
+    low = engine.low_spin_table(rows, engine._low_spins(n, 1))
+    for branch, log in enumerate((ws.log_up, ws.log_down)):
+        engine.pattern_log_weights(*rows[branch], log, ws.acc, low[:, branch])
+    return tuple(a[0] for a in engine._mix_block(alphas, ws))
+
+
 class TestGridEvaluator:
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
     def test_exact_blocks_equal_per_point_bitwise(self, n, monkeypatch):
@@ -533,9 +544,7 @@ class TestGridEvaluator:
                 up, down = dist.u >= 1.0 - eps, dist.u <= eps
                 exact_up[i], exact_down[i] = math.fsum(dist.weight[up]), math.fsum(dist.weight[down])
                 # Every kept atom lands in the class its u gives.
-                rows = engine.branch_log_rows(params, np.array([t]))
-                low = engine.low_spin_table(rows, engine._low_spins(n, 1))
-                x, _, keep = engine.enumerate_block(alphas, rows, engine.block_workspace(n, 1), low)
+                x, _, keep = _one_time_block(params, alphas, float(t))
                 x_kept = x[keep]
                 assert np.array_equal(x_kept <= c_up, up) and np.array_equal(x_kept > c_down, down)
             # Both routes stay within a few ulp of the exactly rounded sums.

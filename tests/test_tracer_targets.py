@@ -4,16 +4,26 @@
 together with every metric that needs it, so a rename in the package
 would silently blind a per-layer metric.  These tests load the tracer
 module without installing it and check its tables against the package.
+A call path that stops going through a traced function blinds a metric
+too, so each workload's tiny run is also traced end to end.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from centralspin import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# The harness computes this one from untraced and traced wall times, not the tracer.
+HARNESS_METRICS = {"trace.overhead_s"}
 
 
 def _load_tracer():
@@ -46,3 +56,20 @@ def test_every_span_resolves_through_a_binding(span):
 def test_metric_tables_name_only_traced_spans():
     used = set(tracer.KERNEL_SPANS) | set(tracer.SELF_TIMES.values()) | set(tracer.HOOKS)
     assert used <= set(SPANS), sorted(used - set(SPANS))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_every_per_layer_metric_is_reported(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    configs = importlib.import_module("workloads").WORKLOADS[workload].configs(seed=5, tiny=True)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        records = [cli.run_config(config) for config in configs]
+        cli.emit_results(records, tmp_path, "csv")
+        metrics = traced.layer_metrics()
+    finally:
+        traced.uninstall()
+    names = [m["name"] for m in SPEC["per_layer"] if m["name"] not in HARNESS_METRICS]
+    absent = [name for name in names if metrics.get(name) is None]
+    assert not absent, f"{workload} reports no value for {absent}"

@@ -224,6 +224,34 @@ class TestTrajectoryEnsemble:
         with pytest.raises(ValueError):
             trajectory_ensemble(p, a, bad, 1.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            universe.ThermalEnsemble(np.array([1.0])),
+            thermal_ensemble(ModelParams(delta=0.0, h=(0.1,) * 3)),
+        ],
+        ids=["one_state", "n3"],
+    )
+    def test_every_oracle_entry_rejects_a_wrong_size_ensemble(self, bad, monkeypatch):
+        # N = 4: a one-state ensemble used to broadcast to 256 outcomes of total weight 16.
+        p = ModelParams(delta=0.1, h=(0.1, 0.2, 0.3, 0.4))
+        a = SystemAmplitudes.from_up_weight(0.5)
+        ens = thermal_ensemble(p)
+        spectra = sector_spectra(p)
+        outs = trajectory_ensemble(p, a, ens, 3.0)
+
+        def propagated(*args):
+            raise AssertionError("propagated before the ensemble size was checked")
+
+        monkeypatch.setattr(universe, "_cos_sin", propagated)
+        for call in (
+            lambda: trajectory_ensemble(p, a, bad, 3.0),
+            lambda: projection_outcomes(p, a, bad, spectra, 3.0),
+            lambda: reduced_density_check(outs, p, a, bad, 3.0),
+        ):
+            with pytest.raises(ValueError, match="ensemble size does not match environment size"):
+                call()
+
 
 class TestReducedDensityCheck:
     def test_zero_at_initial_time(self):

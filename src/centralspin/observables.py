@@ -146,43 +146,8 @@ def logit_cutoffs(eps: float) -> tuple[float, float]:
     return c_up, c_down
 
 
-def _prepare_exact(params, alphas, samples, workers):
-    return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
-
-
-def _prepare_binomial(params, alphas, samples, workers):
-    log_counts = engine.binomial_log_counts(params.n_env)
-    spin = engine.binomial_spin(params)
-    return lambda t, seed: engine.binomial_outcomes(
-        params, alphas, t, log_counts=log_counts, spin=spin
-    )
-
-
-def _prepare_sampled(params, alphas, samples, workers):
-    return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
-
-
-def _prepare_universe(params, alphas, samples, workers):
-    spectra = universe.sector_spectra(params)
-    ensemble = universe.thermal_ensemble(params)
-
-    def point(t, seed):
-        u, weight = universe.projection_outcomes(params, alphas, ensemble, spectra, t)
-        return engine.ProjectionDistribution(u=u, weight=weight, kind="exact")
-
-    return point
-
-
-# Method -> prepare(params, alphas, samples, workers): does the run's
-# time-independent work once and returns its point function
-# (t, seed) -> ProjectionDistribution; each engine reads what it needs.
-ENGINES = {
-    "exact": _prepare_exact,
-    "binomial": _prepare_binomial,
-    "sampled": _prepare_sampled,
-    "exact-universe": _prepare_universe,
-}
-METHODS = tuple(ENGINES)
+# The methods ``prepare`` dispatches on; ``cli.validate`` checks a config against them.
+METHODS = ("exact", "binomial", "sampled", "exact-universe")
 
 
 def prepare(
@@ -192,17 +157,34 @@ def prepare(
     samples: int = 100_000,
     workers: int = 1,
 ):
-    """Point function (t, seed) -> distribution of one run, from ``ENGINES[method]``.
+    """Point function (t, seed) -> distribution of one run of ``method``.
 
-    Binomial computes its multiplicities and one-spin model here and
-    exact-universe its sector spectra.  The state lives as long as the
-    caller holds the point function; nothing is cached across runs.
+    The run's time-independent work happens here, once: binomial
+    computes its multiplicities and one-spin model and exact-universe
+    its sector spectra and thermal ensemble.  Each point function looks
+    its engine up in its module at every call, so wrapping
+    ``engine.sample_outcomes`` and the like still sees every point.  The
+    state lives as long as the caller holds the point function; nothing
+    is cached across runs.  An unknown method raises ValueError before
+    any work.
     """
-    try:
-        engine_prepare = ENGINES[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
-    return engine_prepare(params, alphas, samples, workers)
+    if method == "exact":
+        return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
+    if method == "binomial":
+        log_counts = engine.binomial_log_counts(params.n_env)
+        spin = engine.binomial_spin(params)
+        return lambda t, seed: engine.binomial_outcomes(
+            params, alphas, t, log_counts=log_counts, spin=spin
+        )
+    if method == "sampled":
+        return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
+    if method == "exact-universe":
+        spectra = universe.sector_spectra(params)
+        ensemble = universe.thermal_ensemble(params)
+        return lambda t, seed: engine.ProjectionDistribution(
+            *universe.projection_outcomes(params, alphas, ensemble, spectra, t), kind="exact"
+        )
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def distribution_at(prepared, t: float, seed: int = 0) -> engine.ProjectionDistribution:

@@ -98,11 +98,6 @@ class TrajectoryOutcomes:
             yield TrajectoryOutcome(phi, weight, tuple(labels))
 
 
-def spins_of_index(index: int, n: int) -> tuple[int, ...]:
-    """Spin orientations (s_1 .. s_N) of env basis index; spin j at bit N - j."""
-    return tuple(1 if ((index >> (n - j)) & 1) == 0 else -1 for j in range(1, n + 1))
-
-
 def pattern_between(n_initial: int, n_final: int, n: int) -> FlipPattern:
     """Flip pattern d_j = s_j s'_j between two env basis indices."""
     xor = n_initial ^ n_final

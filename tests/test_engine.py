@@ -39,7 +39,6 @@ from centralspin.observables import logit_cutoffs
 from centralspin.universe import (
     pattern_between,
     phase_distance,
-    spins_of_index,
     thermal_ensemble,
     trajectory_ensemble,
 )
@@ -588,7 +587,8 @@ class TestWavefunction:
         t = 11.3
         outs = trajectory_ensemble(p, a, thermal_ensemble(p), t)
         for o in outs:
-            spins = spins_of_index(o.labels[1], 3)
+            # Index 0 has every spin up, so the flips from it are the spins.
+            spins = tuple(pattern_between(0, o.labels[1], 3).d.tolist())
             pat = pattern_between(o.labels[1], o.labels[0], 3)
             phi = wavefunction_of_pattern(p, a, t, spins, pat)
             assert phase_distance(phi, o.phi) <= 1e-9

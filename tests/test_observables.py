@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centralspin import engine
+from centralspin import engine, universe
 from centralspin import observables as obs
 from centralspin.cli import ExperimentConfig, run_config
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
@@ -18,6 +18,7 @@ from centralspin.engine import (
     ProjectionDistribution,
     binomial_outcomes,
     enumerate_outcomes,
+    sample_outcomes,
 )
 from centralspin.observables import (
     ObservableSeries,
@@ -189,6 +190,65 @@ def _per_point(params, alphas, times, method, eps=1e-3):
     dists = [distribution_at(prepared, float(t)) for t in times]
     masses = np.array([class_probabilities(d, eps) for d in dists])
     return masses.T, sum(d.dropped for d in dists)
+
+
+# Each method's engine called directly, as a caller without ``prepare`` would.
+DIRECT = {
+    "exact": lambda p, a, t: enumerate_outcomes(p, a, t),
+    "binomial": lambda p, a, t: binomial_outcomes(p, a, t),
+    "sampled": lambda p, a, t: sample_outcomes(p, a, t, 3000, 11, 2),
+    "exact-universe": lambda p, a, t: ProjectionDistribution(
+        *universe.projection_outcomes(
+            p, a, universe.thermal_ensemble(p), universe.sector_spectra(p), t
+        ),
+        kind="exact",
+    ),
+}
+
+
+class TestPrepare:
+    P4 = ModelParams(delta=0.2, h=(0.3,) * 4, beta=0.4)
+
+    @pytest.mark.parametrize("method", obs.METHODS)
+    def test_point_function_is_the_engine(self, method):
+        prepared = obs.prepare(self.P4, ALPHAS, method, samples=3000, workers=2)
+        got = distribution_at(prepared, 7.3, 11)
+        want = DIRECT[method](self.P4, ALPHAS, 7.3)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.weight, want.weight)
+        assert (got.kind, got.dropped) == (want.kind, want.dropped)
+        if want.pattern_codes is None:
+            assert got.pattern_codes is None
+        else:
+            assert np.array_equal(got.pattern_codes, want.pattern_codes)
+
+    def test_unknown_method_raises_before_any_work(self, monkeypatch):
+        calls = []
+        for module, name in [
+            (engine, "branch_flip_profile"),
+            (engine, "binomial_log_counts"),
+            (universe, "sector_spectra"),
+        ]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError) as info:
+            obs.prepare(self.P4, ALPHAS, "magic")
+        assert all(repr(method) in str(info.value) for method in obs.METHODS)
+        assert calls == []
+
+    def test_binomial_run_prepares_once(self, monkeypatch):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(real.__name__)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("binomial_log_counts", "binomial_spin"):
+            monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+        times = np.linspace(1.0, 9.0, 5)
+        obs.evaluate(self.P4, ALPHAS, times, (2.0, 4.0), method="binomial")
+        assert sorted(calls) == ["binomial_log_counts", "binomial_spin"]
 
 
 class TestLogitCutoffs:

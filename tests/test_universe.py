@@ -21,7 +21,6 @@ from centralspin.universe import (
     projection_outcomes,
     reduced_density_check,
     sector_spectra,
-    spins_of_index,
     thermal_ensemble,
     trajectory_ensemble,
 )
@@ -109,12 +108,6 @@ class TestBuildHamiltonian:
 
 
 class TestBasisBookkeeping:
-    def test_spins_of_index(self):
-        # N=3: index bits are (s1, s2, s3) from most to least significant.
-        assert spins_of_index(0, 3) == (1, 1, 1)
-        assert spins_of_index(0b100, 3) == (-1, 1, 1)
-        assert spins_of_index(0b001, 3) == (1, 1, -1)
-
     def test_pattern_between(self):
         pat = pattern_between(0b101, 0b001, 3)
         assert pat.d.tolist() == [-1, 1, 1]

@@ -6,11 +6,14 @@ Usage:
 
 The runs: the four figure presets, the configs of the four benchmark
 workloads (read from perfbench/workloads.py) at seeds 0 and 7, one
-run with histogram times per method, two coupling specs that auto
-sends to binomial (an explicit list of equal couplings and signed-zero
-couplings, h = -0.0 and delta_h = -0.0), and one-point dispersed exact
-runs at N = 15, 16, 17 and 20: the largest N whose time is one tile of
-patterns, then two, four and 32 tiles.
+run with histogram times per method, three coupling specs that auto
+sends to binomial (an explicit list of equal couplings, signed-zero
+couplings, h = -0.0 and delta_h = -0.0, and a constant dispersed spec
+whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
+binomial run at odd N = 100,001 (no count pairs with itself in the
+log-count table), and one-point dispersed exact runs at N = 15, 16, 17
+and 20: the largest N whose time is one tile of patterns, then two,
+four and 32 tiles.
 Each run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
 "<sha256>  <path>".  Two checkouts with the same lines write
@@ -54,12 +57,21 @@ def _hist_configs() -> list[ExperimentConfig]:
 
 
 def _coupling_configs() -> list[ExperimentConfig]:
-    """An explicit equal h list and signed-zero dispersed couplings, both at N = 20."""
+    """At N = 20: an explicit equal h list, and signed-zero and underflowing constant specs."""
     base = dict(n=20, delta=0.01, alpha_up_sq=0.4, steps=40)
     return [
         ExperimentConfig(**base, h=(0.01,) * 20, label="h_list").validate(),
         ExperimentConfig(**base, h=(-0.0,), delta_h=-0.0, label="h_signed_zero").validate(),
+        ExperimentConfig(**base, h=(1e-300,), delta_h=1e-320, label="h_underflow").validate(),
     ]
+
+
+def _odd_n_config() -> ExperimentConfig:
+    """One binomial point (t = 100) at odd N = 100,001."""
+    return ExperimentConfig(
+        n=100_001, h=(0.01,), delta=0.01, alpha_up_sq=0.4, t_end=200.0, steps=1,
+        method="binomial", label="binomial_odd_n",
+    ).validate()
 
 
 def _tile_configs() -> list[ExperimentConfig]:
@@ -85,6 +97,7 @@ def write_outputs(out: Path) -> None:
     for name, configs in (
         ("hist_times", _hist_configs()),
         ("couplings", _coupling_configs()),
+        ("odd_n", [_odd_n_config()]),
         ("tiles", _tile_configs()),
     ):
         records = [run_config(c) for c in configs]

@@ -189,8 +189,17 @@ class ExperimentConfig:
         return self._last_coupling() == self.h[0]
 
     def couplings(self) -> np.ndarray:
+        """The N couplings: the h list, or ``dispersed_couplings`` of a scalar h.
+
+        A scalar h whose couplings are all equal gives a read-only
+        ``np.broadcast_to`` of one float64 value, in O(1).  The value has
+        the bits of entry 1 of ``dispersed_couplings``, and so has every
+        entry then, sign of zero and an underflowing delta_h included.
+        """
         if len(self.h) == self.n:
             return np.array(self.h)
+        if self._constant_couplings():
+            return np.broadcast_to(np.float64(self.h[0] + 1 * self.delta_h / self.n), (self.n,))
         return dispersed_couplings(self.h[0], self.delta_h, self.n)
 
     def params(self) -> ModelParams:

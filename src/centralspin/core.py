@@ -76,9 +76,13 @@ class ModelParams:
 
     delta is mu - nu with mu + nu = 1 enforced by construction, so
     mu = (1 + delta)/2 and nu = (1 - delta)/2.  h holds the N couplings
-    as one read-only 1-D float64 array, copied from the argument.  beta
-    is the inverse temperature of the initial bath ensemble.  Times are
-    measured from the initial time 0.
+    as one read-only 1-D float64 array, copied from the argument.  A 1-D
+    argument of stride 0 (equal couplings, as ``np.broadcast_to`` of one
+    value gives) is kept as a read-only broadcast of a copy of that one
+    value, so N equal couplings hold 8 bytes, not 8N; every other
+    argument, an explicit list of equal values included, is copied
+    whole.  beta is the inverse temperature of the initial bath
+    ensemble.  Times are measured from the initial time 0.
     """
 
     delta: float
@@ -86,10 +90,15 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=np.float64)
+        h = self.h
+        compact = isinstance(h, np.ndarray) and h.ndim == 1 and h.size > 1 and h.strides == (0,)
+        if compact:
+            h = np.broadcast_to(np.array(h[0], dtype=np.float64), h.shape)
+        else:
+            h = np.array(h, dtype=np.float64)
         if h.ndim != 1 or h.size < 1:
             raise ValueError("need at least one environment spin, as a 1-d sequence of couplings")
-        if not np.isfinite(h).all():
+        if not np.isfinite(h[:1] if compact else h).all():
             raise ValueError("couplings must be finite")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -105,8 +114,8 @@ class ModelParams:
 
     @property
     def equal_couplings(self) -> bool:
-        """True when every h_j equals h_1 (0.0 and -0.0 count as equal)."""
-        return bool((self.h == self.h[0]).all())
+        """True when every h_j equals h_1 (0.0 and -0.0 count as equal); O(1) for a broadcast h."""
+        return self.h.strides == (0,) or bool((self.h == self.h[0]).all())
 
     @property
     def mu(self) -> float:

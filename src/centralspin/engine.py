@@ -88,6 +88,10 @@ LOW_SPIN_ENTRIES = 2048
 # sums combined in numpy's own pairwise tree (``tile_tree_sum``), so the
 # bits do not depend on this constant (any value from 7 up gives them).
 TILE_BITS = 15
+# Counts k per chunk of ``binomial_log_counts``: each chunk copies the
+# lgamma values of k and n - k into two buffers of this length (32 KiB
+# each) before writing their log C(n, k) in place.
+LOG_COUNT_CHUNK = 4096
 
 
 class DegenerateOutcomeError(ValueError):
@@ -518,9 +522,25 @@ def tile_tree_sum(sums: np.ndarray) -> np.ndarray:
 
 
 def binomial_log_counts(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, from math.lgamma; independent of time."""
+    """log C(n, k) for k = 0..n, from math.lgamma; independent of time.
+
+    One array of n + 1 floats: the table lg[k] = lgamma(k + 1), turned
+    into log C(n, k) in place.  Counts k <= n / 2 go in chunks of
+    LOG_COUNT_CHUNK, each pairing k with n - k: the chunk's old lg[k]
+    and lg[n - k] are copied out first, so every entry is
+    (lg[n] - lg[k]) - lg[n - k], the bits of ``lg[n] - lg - lg[::-1]``.
+    """
     lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    return lg[n] - lg - lg[::-1]
+    lg_n, high_end, half = lg[n], lg[::-1], n // 2 + 1
+    buffers = np.empty((2, min(half, LOG_COUNT_CHUNK)))
+    for a in range(0, half, LOG_COUNT_CHUNK):
+        b = min(a + LOG_COUNT_CHUNK, half)
+        lo, hi = buffers[:, : b - a]
+        lo[:], hi[:] = lg[a:b], high_end[a:b]
+        for out, first, second in ((lg[a:b], lo, hi), (high_end[a:b], hi, lo)):
+            np.subtract(lg_n, first, out=out)
+            out -= second
+    return lg
 
 
 def binomial_spin(params: ModelParams) -> ModelParams:
@@ -596,6 +616,8 @@ def binomial_outcomes(
     merging) wherever both apply.  log_counts and spin, when given, must
     be ``binomial_log_counts(N)`` (shape (N + 1,), else ValueError) and
     ``binomial_spin(params)``; a grid computes them once for every point.
+    The table is the route's one array of N + 1 floats, built in place,
+    and a params from equal couplings holds its h as one broadcast value.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (about 12% per branch at N = 10^5, all at N = 80).  A tail

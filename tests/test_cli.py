@@ -18,9 +18,25 @@ from centralspin.cli import (
     parse_config,
     run_config,
 )
-from centralspin.core import ModelParams, SystemAmplitudes
+from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
 
 MINIMAL = "n = 10\nh = 0.01\ndelta = 0\nalpha_up_sq = 0.4\n"
+
+
+def _traced(call):
+    """call()'s result, the bytes it still holds and its tracemalloc peak, above the start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+        return result, retained - before, peak - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestParseConfig:
@@ -316,6 +332,28 @@ class TestConfigBehavior:
         assert params.n_env == n and params.equal_couplings == (delta_h == 0.0)
         assert retained < 8 * n + 64 * 1024
 
+    def test_constant_scalar_h_params_hold_one_value(self):
+        # Equal couplings from a scalar h are one broadcast float, never N of them.
+        n = 10**7
+        config = ExperimentConfig(n=n, h=(0.01,)).validate()
+        params, retained, _ = _traced(config.params)
+        assert retained < 4 * 1024
+        assert params.n_env == n and params.equal_couplings
+        with pytest.raises(ValueError, match="read-only"):
+            params.h[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "h, delta_h",
+        [(0.01, 0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1e-300, 1e-320)],
+    )
+    def test_compact_couplings_are_the_expansion_bitwise(self, h, delta_h):
+        for n in (2, 7, 20):
+            config = ExperimentConfig(n=n, h=(h,), delta_h=delta_h)
+            want = dispersed_couplings(h, delta_h, n).view(np.int64)
+            for got in (config.couplings(), config.params().h):
+                assert got.strides == (0,) and got.shape == (n,)
+                assert np.array_equal(got.view(np.int64), want)
+
     def test_preset_parameters_match_captions(self):
         fig1 = _preset_configs("fig1")
         assert [c.n for c in fig1] == [2, 10, 80]
@@ -331,6 +369,17 @@ SMALL = "n = 4\nh = 0.05\nalpha_up_sq = 0.4\nt_start = 0\nt_end = 40\nsteps = 6\
 
 
 class TestRunAndEmit:
+    def test_constant_h_binomial_run_holds_one_n_sized_array(self):
+        # The log-count table is the one N + 1 float array of a run; the couplings are one
+        # value, and a point evaluates only its spans.
+        n = 10**6
+        config = ExperimentConfig(
+            n=n, h=(0.01,), t_start=100.0, t_end=300.0, steps=2, method="binomial"
+        )
+        record, _, peak = _traced(lambda: run_config(config))
+        assert record.series.times.size == 2
+        assert peak < 8 * (n + 1) + 4 * 1024 * 1024
+
     def test_run_config_record(self):
         record = run_config(parse_config(SMALL))
         assert record.series.times.size == 6

@@ -110,6 +110,23 @@ class TestModelParams:
             p.h[0] = 1.0
         assert ModelParams(delta=0.0, h=[1, 2]).h.dtype == np.float64
 
+    def test_broadcast_couplings_are_one_read_only_value(self):
+        source = np.array(0.25)
+        p = ModelParams(delta=0.0, h=np.broadcast_to(source, (10**6,)))
+        source[...] = 9.0
+        assert p.h.strides == (0,) and p.h.shape == (10**6,) and p.h[-1] == 0.25
+        assert p.n_env == 10**6 and p.equal_couplings
+        with pytest.raises(ValueError, match="read-only"):
+            p.h[0] = 1.0
+        assert ModelParams(delta=0.0, h=np.broadcast_to(np.int64(2), (3,))).h.dtype == np.float64
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(delta=0.0, h=np.broadcast_to(math.inf, (5,)))
+
+    def test_explicit_equal_couplings_are_copied_whole(self):
+        assert ModelParams(delta=0.0, h=(0.1,) * 5).h.strides == (8,)
+        h = ModelParams(delta=0.0, h=[0.0, -0.0]).h
+        assert h.tolist() == [0.0, 0.0] and np.signbit(h).tolist() == [False, True]
+
     def test_elapsed_rejects_past(self):
         p = ModelParams(delta=0.0, h=(0.1,))
         for t in (-1.0, -5e-324, np.array([2.0, -0.5])):

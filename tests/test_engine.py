@@ -919,6 +919,38 @@ class TestBinomialLogCounts:
         want = [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in range(n + 1)]
         assert np.array_equal(binomial_log_counts(n), np.array(want))
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1, 2, 3,
+            engine.LOG_COUNT_CHUNK - 1, engine.LOG_COUNT_CHUNK, engine.LOG_COUNT_CHUNK + 1,
+            2 * engine.LOG_COUNT_CHUNK - 2, 2 * engine.LOG_COUNT_CHUNK,
+            2 * engine.LOG_COUNT_CHUNK + 1, 10**5, 10**5 + 1,
+        ],
+    )
+    def test_in_place_table_equals_vector_formula_bitwise(self, n):
+        # Both parities (a middle count pairs with itself at even n) and both sides of the
+        # chunk edges, in n and in the n // 2 + 1 paired counts.
+        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+        want = lg[n] - lg - lg[::-1]
+        assert np.array_equal(binomial_log_counts(n).view(np.int64), want.view(np.int64))
+
+    def test_peak_is_the_table_and_its_chunk_buffers(self):
+        n = 10**6
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            binomial_log_counts(n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # The two chunk buffers, and 4 KiB for array headers and the lgamma iterator.
+        assert peak < 8 * (n + 1) + 2 * 8 * engine.LOG_COUNT_CHUNK + 4 * 1024
+
     def test_passed_counts_give_the_same_distribution(self):
         p = ModelParams(delta=0.1, h=(0.02,) * 80)
         counts = binomial_log_counts(80)

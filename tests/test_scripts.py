@@ -35,12 +35,12 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 
 def test_output_digest_prints_one_digest_per_file():
-    # Four presets, four workloads at two seeds, the histogram, coupling and tiled exact runs,
-    # in csv and json.
+    # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial and
+    # tiled exact runs, in csv and json.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 114
+    assert len(lines) == 118
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -55,9 +55,14 @@ def test_output_digest_builds_its_configs(monkeypatch):
     configs = digest._hist_configs()
     assert [c.method for c in configs] == ["exact", "binomial", "sampled", "exact-universe"]
     coupling_configs = digest._coupling_configs()
-    assert [c.resolved_method() for c in coupling_configs] == ["binomial", "binomial"]
-    assert [c.h_spec() for c in coupling_configs] == [";".join(["0.01"] * 20), "-0.0"]
+    assert [c.resolved_method() for c in coupling_configs] == ["binomial"] * 3
+    assert [c.h_spec() for c in coupling_configs] == [
+        ";".join(["0.01"] * 20), "-0.0", "1e-300:1e-320"
+    ]
     configs += coupling_configs
+    odd_n = digest._odd_n_config()
+    assert (odd_n.n % 2, odd_n.steps, odd_n.resolved_method()) == (1, 1, "binomial")
+    configs.append(odd_n)
     tile_configs = digest._tile_configs()
     assert [(c.n, c.steps, c.method) for c in tile_configs] == [
         (n, 1, "exact") for n in (15, 16, 17, 20)

@@ -11,9 +11,10 @@ sends to binomial (an explicit list of equal couplings, signed-zero
 couplings, h = -0.0 and delta_h = -0.0, and a constant dispersed spec
 whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
 binomial run at odd N = 100,001 (no count pairs with itself in the
-log-count table), and one-point dispersed exact runs at N = 15, 16, 17
+log-count table), one-point dispersed exact runs at N = 15, 16, 17
 and 20: the largest N whose time is one tile of patterns, then two,
-four and 32 tiles.
+four and 32 tiles, and a sampled run of 2 * 8192 + 1 draws per point
+(the last chunk holds one draw) at workers 1 and at workers 2.
 Each run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
 "<sha256>  <path>".  Two checkouts with the same lines write
@@ -37,6 +38,7 @@ from centralspin.cli import (  # noqa: E402
     run_config,
     run_preset,
 )
+from centralspin.engine import SAMPLE_CHUNK  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 FORMATS = ("csv", "json")
@@ -83,6 +85,18 @@ def _tile_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _chunk_configs() -> list[ExperimentConfig]:
+    """Three dispersed N = 20 sampled points of 2 * SAMPLE_CHUNK + 1 draws, at workers 1 and 2."""
+    base = dict(n=20, h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, t_end=300.0, steps=3)
+    return [
+        ExperimentConfig(
+            **base, method="sampled", samples=2 * SAMPLE_CHUNK + 1, workers=workers,
+            label=f"sampled_w{workers}",
+        ).validate()
+        for workers in (1, 2)
+    ]
+
+
 def write_outputs(out: Path) -> None:
     """Run every config of the set and write its records under ``out``."""
     for name in PRESET_NAMES:
@@ -99,6 +113,7 @@ def write_outputs(out: Path) -> None:
         ("couplings", _coupling_configs()),
         ("odd_n", [_odd_n_config()]),
         ("tiles", _tile_configs()),
+        ("chunks", _chunk_configs()),
     ):
         records = [run_config(c) for c in configs]
         for fmt in FORMATS:

@@ -171,6 +171,12 @@ class ExperimentConfig:
             raise ConfigError(f"beta: the thermal log-weights -beta * E overflow at n = {self.n}")
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
+        if self.resolved_method() == "sampled" and 8 * self.samples > engine.SAMPLE_BYTES_CAP:
+            raise ConfigError(
+                f"samples: {self.samples} draws hold {8 * self.samples} bytes of u per grid point; "
+                f"the sampled method is capped at {engine.SAMPLE_BYTES_CAP} bytes "
+                f"({engine.SAMPLE_BYTES_CAP // 8} draws)"
+            )
         if any(c in self.label for c in _LABEL_FORBIDDEN):
             raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
         if "\0" in self.out:

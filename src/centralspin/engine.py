@@ -43,6 +43,9 @@ from .core import (
 )
 
 ENUMERATION_CAP = 20
+# Bytes of one grid point's sampled u, 8 per draw: ``cli`` rejects a
+# sampled config whose samples exceed it (2^25 = 33,554,432 draws).
+SAMPLE_BYTES_CAP = 256 << 20
 WEIGHT_FLOOR = 1e-300
 # Nats by which a binomial term outside its branch's flip-count span
 # (``binomial_spans``) is proven to lie under WEIGHT_FLOOR / 2: e^8, about
@@ -103,12 +106,12 @@ class ProjectionDistribution:
     """Distribution of the up-projection u at one time, as parallel arrays.
 
     kind is 'exact' (one atom per flip pattern), 'binomial' (one atom
-    per flip count, equal-u atoms merged) or 'sampled' (every atom
-    carries weight 1/len).  pattern_codes, when present, give the flip
-    pattern of each atom as a bit code (bit i set = spin i+1 flipped);
-    only ``enumerate_outcomes`` fills them.  dropped reports atoms
-    removed for carrying weight below 1e-300; they are excluded from
-    normalization checks.
+    per flip count, equal-u atoms merged) or 'sampled' (one atom per
+    draw; 'sampled' weights are a read-only broadcast of 1/len).
+    pattern_codes, when present, give the flip pattern of each atom as a
+    bit code (bit i set = spin i+1 flipped); only ``enumerate_outcomes``
+    fills them.  dropped reports atoms removed for carrying weight below
+    1e-300; they are excluded from normalization checks.
     """
 
     u: np.ndarray
@@ -711,38 +714,39 @@ def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:
     )
 
 
-def _sample_chunk(branches, alphas, seed, chunk_index, size):
-    """Draw one deterministic chunk of patterns and return their u values.
+def _sample_chunk(branches, alphas, seed, chunk_index, u):
+    """Draw one deterministic chunk of patterns and write their u values into ``u``.
 
-    branches is the point's ``_log_branch_pair``.  The chunk stream is
-    PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(chunk_index,));
-    within a chunk the draw order is fixed: ``size`` uniforms pick the
-    mixture branch, then size x N uniforms, row by row, pick the flips.
-    The draws go through in tiles of at most SAMPLE_MASK_BYTES // N
-    patterns.  Within a tile the flip uniforms are drawn into a reused
-    block of rows (about LOG_SUM_BLOCK floats), each row's flip
-    probabilities are gathered from the two branch profiles by its
-    branch index, and the compare goes into the tile's spin-major N x
-    cols bool mask that both branch log-sums (``core.pattern_log_weight``)
-    read.  So the scratch is the mask, at most SAMPLE_MASK_BYTES, plus a
-    few blocks, whatever N is, and every draw and u is the one a whole
+    branches is the point's ``_log_branch_pair``, and u is the chunk's
+    slice of the point's output: its length is the chunk's ``size``.
+    The chunk stream is PCG64 seeded with SeedSequence(entropy=seed,
+    spawn_key=(chunk_index,)); within a chunk the draw order is fixed:
+    ``size`` uniforms pick the mixture branch, then size x N uniforms,
+    row by row, pick the flips.  The draws go through in tiles of at
+    most SAMPLE_MASK_BYTES // N patterns.  Within a tile the flip
+    uniforms are drawn into a reused block of rows (about LOG_SUM_BLOCK
+    floats), each row's flip probabilities are gathered from the two
+    branch profiles by its branch index, and the compare goes into the
+    tile's spin-major N x cols bool mask that both branch log-sums
+    (``core.pattern_log_weight``) read.  The tile's row blocks are freed before those log-sums allocate
+    theirs.  So the scratch is the mask, at most SAMPLE_MASK_BYTES, plus
+    a few blocks, whatever N is, and every draw and u is the one a whole
     (size, N) block of uniforms would give.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     up, down, lw_up, lw_down = branches
-    n = up.flip.size
+    n, size = up.flip.size, u.size
     branch = (rng.random(size) < alphas.w_up).view(np.uint8)
     flip_table = np.stack((down.flip, up.flip))
     cols = max(1, min(size, SAMPLE_MASK_BYTES // n))
     rows = max(1, min(cols, LOG_SUM_BLOCK // n))
-    draws = np.empty((rows, n))
-    flip_prob = np.empty((rows, n))
-    block = np.empty((rows, n), dtype=bool)
     mask = np.empty(n * cols, dtype=bool)
-    u = np.empty(size)
     for tile in range(0, size, cols):
         width = min(cols, size - tile)
         flips = mask[: n * width].reshape(n, width)
+        draws = np.empty((rows, n))
+        flip_prob = np.empty((rows, n))
+        block = np.empty((rows, n), dtype=bool)
         for start in range(0, width, rows):
             m = min(rows, width - start)
             picks = branch[tile + start : tile + start + m]
@@ -750,10 +754,10 @@ def _sample_chunk(branches, alphas, seed, chunk_index, size):
             np.take(flip_table, picks, axis=0, out=flip_prob[:m], mode="clip")
             np.less(draws[:m], flip_prob[:m], out=block[:m])
             flips[:, start : start + m] = block[:m].T
+        del draws, flip_prob, block  # freed before the log-sums allocate their own blocks
         log_wu = pattern_log_weight(up, flips.T)
         log_wd = pattern_log_weight(down, flips.T)
         u[tile : tile + width] = u_from_x((lw_down + log_wd) - (lw_up + log_wu))
-    return u
 
 
 def _usable_cpus() -> int:
@@ -784,27 +788,31 @@ def sample_outcomes(
     branch, so u is always well defined.
 
     Samples are produced in fixed chunks of 8192; chunk c uses the
-    stream SeedSequence(entropy=seed, spawn_key=(c,)) and results are
-    concatenated in chunk order, so the output is byte-identical for
-    any worker count.  The branch profiles are computed once per call;
-    at most min(workers, chunks, usable CPUs) threads run the chunks.
+    stream SeedSequence(entropy=seed, spawn_key=(c,)) and writes its
+    draws in place into slice c of the one output array u, so the output
+    is byte-identical for any worker count.  A point holds one 8-byte u
+    per draw plus each running chunk's scratch (``_sample_chunk``);
+    'sampled' weights are a read-only broadcast of 1/len, one float.
+    The branch profiles are computed once per call; at most
+    min(workers, chunks, usable CPUs) threads run the chunks.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    sizes = [SAMPLE_CHUNK] * (count // SAMPLE_CHUNK)
-    if count % SAMPLE_CHUNK:
-        sizes.append(count % SAMPLE_CHUNK)
     branches = _log_branch_pair(params, alphas, t)
-    jobs = list(enumerate(sizes))
-    threads = min(workers, len(jobs), _usable_cpus())
+    u = np.empty(count)
+    chunks = range(-(-count // SAMPLE_CHUNK))
+
+    def draw(c):
+        _sample_chunk(branches, alphas, seed, c, u[c * SAMPLE_CHUNK : (c + 1) * SAMPLE_CHUNK])
+
+    threads = min(workers, len(chunks), _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: _sample_chunk(branches, alphas, seed, *job), jobs))
+            list(pool.map(draw, chunks))  # reading each result re-raises a chunk's error
     else:
-        parts = [_sample_chunk(branches, alphas, seed, c, s) for c, s in jobs]
-    return ProjectionDistribution(
-        u=np.concatenate(parts), weight=np.full(count, 1.0 / count), kind="sampled"
-    )
+        for c in chunks:
+            draw(c)
+    return ProjectionDistribution(u=u, weight=np.broadcast_to(1.0 / count, (count,)), kind="sampled")
 
 
 def wavefunction_of_pattern(

@@ -244,6 +244,8 @@ def evaluate(
             dist = distribution_at(prepared, t, stream)
             masses[:, i] = class_probabilities(dist, eps)
             dropped += dist.dropped
+            # Point i's arrays go before point i + 1 is drawn: one point is alive at a time.
+            del dist
     series = ObservableSeries(times, masses[0], masses[1], masses[2], method, dropped)
     histograms = [
         (float(t), histogram(distribution_at(prepared, float(t), point_seed(seed, 1_000_000 + k))))

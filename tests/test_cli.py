@@ -293,6 +293,67 @@ class TestValidateBoundary:
             assert cfg._constant_couplings() == (len(set(cfg.couplings())) == 1)
 
 
+class TestSamplesBudget:
+    """A sampled point's u, 8 bytes per draw, is capped at ``engine.SAMPLE_BYTES_CAP``."""
+
+    LIMIT = engine.SAMPLE_BYTES_CAP // 8
+    # auto sends a dispersed n = 20 to the sampler; the n = 10 config names it.
+    SAMPLED = {
+        "auto": "n = 20\nh = 0.01\ndelta_h = 0.02\n",
+        "named": MINIMAL + "method = sampled\n",
+    }
+
+    def message(self, samples):
+        return (
+            f"samples: {samples} draws hold {8 * samples} bytes of u per grid point; the sampled "
+            f"method is capped at {engine.SAMPLE_BYTES_CAP} bytes ({self.LIMIT} draws)"
+        )
+
+    @pytest.mark.parametrize("how", sorted(SAMPLED))
+    def test_at_the_budget_accepted_without_allocating(self, how):
+        text = self.SAMPLED[how] + f"samples = {self.LIMIT}\n"
+        cfg, _, peak = _traced(lambda: parse_config(text))
+        assert (cfg.resolved_method(), cfg.samples) == ("sampled", self.LIMIT)
+        # The u the budget bounds would take 256 MiB.
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("samples", [LIMIT + 1, 10**12])
+    @pytest.mark.parametrize("how", sorted(SAMPLED))
+    def test_over_the_budget_rejected_with_the_byte_estimate(self, how, samples):
+        text = self.SAMPLED[how] + f"samples = {samples}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == self.message(samples)
+
+    def test_validate_and_run_exit_1(self, tmp_path, capsys):
+        over = tmp_path / "over.conf"
+        over.write_text(self.SAMPLED["auto"] + f"samples = {self.LIMIT + 1}\n")
+        ok = tmp_path / "ok.conf"
+        ok.write_text(self.SAMPLED["named"])
+        out = tmp_path / "out"
+        assert main(["validate", str(over)]) == 1
+        assert main(["run", str(over), "--out", str(out)]) == 1
+        assert main(["run", str(ok), "--samples", str(self.LIMIT + 1), "--out", str(out)]) == 1
+        line = f"config error: {self.message(self.LIMIT + 1)}\n"
+        assert capsys.readouterr().err == 3 * line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", [MINIMAL, "n = 20\nh = 0.01\n", MINIMAL + "method = exact-universe\n"],
+        ids=["exact", "binomial", "exact-universe"],
+    )
+    def test_other_methods_take_any_positive_count(self, text):
+        # Only the sampler draws, and the CSV reports n_samples = 0 for the others.
+        cfg = parse_config(text + "samples = 1000000000000\n")
+        assert cfg.resolved_method() != "sampled"
+
+    def test_budget_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(engine, "SAMPLE_BYTES_CAP", 800)
+        parse_config(self.SAMPLED["named"] + "samples = 100\n")
+        with pytest.raises(ConfigError, match=r"capped at 800 bytes \(100 draws\)$"):
+            parse_config(self.SAMPLED["named"] + "samples = 101\n")
+
+
 class TestConfigBehavior:
     def test_grid_is_half_step_offset(self):
         cfg = parse_config("n = 2\nh = 0.1\nt_start = 0\nt_end = 10\nsteps = 5\n")

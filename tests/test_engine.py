@@ -439,6 +439,13 @@ class TestSamplerWork:
         assert pools == []
 
 
+def _chunk_u(branches, alphas, seed, chunk_index, size):
+    """``engine._sample_chunk``'s u for one chunk of ``size`` draws, written into a NaN array."""
+    u = np.full(size, np.nan)
+    engine._sample_chunk(branches, alphas, seed, chunk_index, u)
+    return u
+
+
 def _whole_block_sample_chunk(branches, alphas, seed, chunk_index, size):
     """Reference: one (size, N) block of flip uniforms and a per-spin np.where log-sum."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
@@ -473,7 +480,7 @@ class TestSampleChunk:
             a = SystemAmplitudes.from_up_weight(rng.uniform(0, 1) if w_up is None else w_up)
             branches = engine._log_branch_pair(p, a, rng.uniform(0, 500) if t is None else t)
             seed, chunk = int(rng.integers(2**32)), int(rng.integers(100))
-            got = engine._sample_chunk(branches, a, seed, chunk, size)
+            got = _chunk_u(branches, a, seed, chunk, size)
             want = _whole_block_sample_chunk(branches, a, seed, chunk, size)
             assert got.shape == (size,)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -492,14 +499,15 @@ class TestSampleChunk:
         # to eight chunk-long float arrays, and slack.
         p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         branches = engine._log_branch_pair(p, ALPHAS, 300.0)
-        engine._sample_chunk(branches, ALPHAS, 5, 2, SAMPLE_CHUNK)
+        u = np.empty(SAMPLE_CHUNK)
+        engine._sample_chunk(branches, ALPHAS, 5, 2, u)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            engine._sample_chunk(branches, ALPHAS, 5, 2, SAMPLE_CHUNK)
+            engine._sample_chunk(branches, ALPHAS, 5, 2, u)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -518,11 +526,11 @@ class TestSampleTiles:
         for size in (1, 1025, SAMPLE_CHUNK):
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "SAMPLE_MASK_BYTES", 1 << 62)
-                want = engine._sample_chunk(branches, ALPHAS, 7, 3, size)
+                want = _chunk_u(branches, ALPHAS, 7, 3, size)
             for budget in (509 * n, SAMPLE_MASK_BYTES):
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "SAMPLE_MASK_BYTES", budget)
-                    got = engine._sample_chunk(branches, ALPHAS, 7, 3, size)
+                    got = _chunk_u(branches, ALPHAS, 7, 3, size)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_mask_bounded_at_large_n(self):
@@ -532,19 +540,81 @@ class TestSampleTiles:
         n, size = 20_000, 1025
         p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         branches = engine._log_branch_pair(p, ALPHAS, 300.0)
+        u = np.empty(size)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            engine._sample_chunk(branches, ALPHAS, 5, 2, size)
+            engine._sample_chunk(branches, ALPHAS, 5, 2, u)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
         bound = SAMPLE_MASK_BYTES + 25 * LOG_SUM_BLOCK + 3 * 8 * n + 8 * 8 * size + 64 * 1024
         assert peak <= bound < size * n
+
+
+class TestSampledWeight:
+    """'sampled' weights are one read-only broadcast 1/count with the bits of an np.full array."""
+
+    P = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.3, 3))
+
+    # The chunk edges, and 7, 1000 and 99,999, whose sums are not exactly 1.
+    @pytest.mark.parametrize(
+        "count", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 10**5, 7, 1000, 99_999]
+    )
+    def test_total_weight_has_the_full_array_bits(self, count):
+        dist = sample_outcomes(self.P, ALPHAS, 40.0, count, seed=2)
+        full = np.sum(np.full(count, 1.0 / count))
+        assert np.float64(dist.total_weight()).view(np.int64) == full.view(np.int64)
+
+    def test_weight_is_one_read_only_value(self):
+        dist = sample_outcomes(self.P, ALPHAS, 40.0, 1000, seed=2)
+        assert dist.weight.shape == (1000,) and dist.weight.strides == (0,)
+        assert not dist.weight.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dist.weight[0] = 1.0
+
+    def test_one_draw_last_chunk_is_worker_invariant(self, monkeypatch):
+        # Two threads run even on a one-CPU host; chunk 2 holds one draw and lands last.
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        count = 2 * SAMPLE_CHUNK + 1
+        one = sample_outcomes(self.P, ALPHAS, 40.0, count, seed=8, workers=1)
+        two = sample_outcomes(self.P, ALPHAS, 40.0, count, seed=8, workers=2)
+        assert np.array_equal(one.u.view(np.int64), two.u.view(np.int64))
+        branches = engine._log_branch_pair(self.P, ALPHAS, 40.0)
+        for chunk, size in ((0, SAMPLE_CHUNK), (1, SAMPLE_CHUNK), (2, 1)):
+            want = _chunk_u(branches, ALPHAS, 8, chunk, size)
+            got = one.u[chunk * SAMPLE_CHUNK : chunk * SAMPLE_CHUNK + size]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestSampledPointMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_is_u_and_one_chunk_scratch_per_thread(self, workers, monkeypatch):
+        # 8 bytes of u per draw, plus, per running chunk, the bound of
+        # TestSampleChunk.test_peak_of_one_chunk: three LOG_SUM_BLOCK-float blocks,
+        # the flip mask, eight chunk-long float arrays, and slack.  128 full chunks
+        # and a one-draw one; a second u-sized array would exceed the bound.
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        n, count = 8, 128 * SAMPLE_CHUNK + 1
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+        sample_outcomes(p, ALPHAS, 300.0, count, 4, workers)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sample_outcomes(p, ALPHAS, 300.0, count, 4, workers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        scratch = 3 * 8 * LOG_SUM_BLOCK + SAMPLE_CHUNK * n + 8 * 8 * SAMPLE_CHUNK + 64 * 1024
+        assert peak <= 8 * count + workers * scratch < 16 * count
 
 
 class TestNonFiniteTimes:

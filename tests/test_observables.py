@@ -571,6 +571,21 @@ def _one_time_block(params, alphas, t):
     return tuple(a[0] for a in engine._mix_block(alphas, ws))
 
 
+class TestSampledGridMemory:
+    def test_one_point_alive_at_a_time(self):
+        # Point i's u goes before point i + 1 is drawn, so three points peak as one does;
+        # holding the previous point would add its 8 bytes per draw, 2 MiB here.
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 8))
+        count = 32 * engine.SAMPLE_CHUNK
+
+        def run(times):
+            return lambda: obs.evaluate(p, ALPHAS, times, method="sampled", samples=count, seed=3)
+
+        one = _peak(run([150.0]))
+        three = _peak(run([50.0, 150.0, 250.0]))
+        assert three <= one + 64 * 1024 < one + 8 * count
+
+
 class TestGridEvaluator:
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
     def test_exact_blocks_equal_per_point_bitwise(self, n, monkeypatch):
@@ -759,6 +774,22 @@ class TestHistogram:
         assert hist.mass_zero == pytest.approx(0.3)
         assert hist.mass_one == pytest.approx(0.2)
         assert float(np.sum(hist.bin_mass)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("t, w_up", [(20.0, 0.4), (150.0, 0.4), (150.0, 0.0)])
+    def test_sampled_histogram_equals_full_weight_histogram_bitwise(self, t, w_up):
+        # Interior bins only (t = 20), mass at u = 1 and two bins (t = 150), all mass at u = 0;
+        # 10^5 draws span two of np.histogram's 65,536-element weight blocks.
+        p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 80))
+        count = 10**5
+        dist = sample_outcomes(p, SystemAmplitudes.from_up_weight(w_up), t, count, 5)
+        full = ProjectionDistribution(u=dist.u, weight=np.full(count, 1.0 / count), kind="sampled")
+        got, want = histogram(dist), histogram(full)
+        for name in ("mass_zero", "mass_one"):
+            assert np.float64(getattr(got, name)).view(np.int64) == np.float64(
+                getattr(want, name)
+            ).view(np.int64)
+        assert np.array_equal(got.bin_mass.view(np.int64), want.bin_mass.view(np.int64))
+        assert got.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_collapse_time_none_when_quantum(self):
         p = ModelParams(delta=1.0, h=(0.5,) * 4)

@@ -35,12 +35,12 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 
 def test_output_digest_prints_one_digest_per_file():
-    # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial and
-    # tiled exact runs, in csv and json.
+    # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
+    # tiled exact and one-draw-last-chunk sampled runs, in csv and json.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 118
+    assert len(lines) == 122
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -68,6 +68,11 @@ def test_output_digest_builds_its_configs(monkeypatch):
         (n, 1, "exact") for n in (15, 16, 17, 20)
     ]
     configs += tile_configs
+    chunk_configs = digest._chunk_configs()
+    assert [(c.method, c.samples, c.workers) for c in chunk_configs] == [
+        ("sampled", 2 * 8192 + 1, workers) for workers in (1, 2)
+    ]
+    configs += chunk_configs
     for workload in digest.WORKLOADS.values():
         for seed in digest.WORKLOAD_SEEDS:
             configs += workload.configs(seed)

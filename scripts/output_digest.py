@@ -13,8 +13,10 @@ whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
 binomial run at odd N = 100,001 (no count pairs with itself in the
 log-count table), one-point dispersed exact runs at N = 15, 16, 17
 and 20: the largest N whose time is one tile of patterns, then two,
-four and 32 tiles, and a sampled run of 2 * 8192 + 1 draws per point
-(the last chunk holds one draw) at workers 1 and at workers 2.
+four and 32 tiles, a sampled run of 2 * 8192 + 1 draws per point
+(the last chunk holds one draw) at workers 1 and at workers 2, and
+exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
+times below 1e-6, where the keep rule drops the two-flip outcomes.
 Each run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
 "<sha256>  <path>".  Two checkouts with the same lines write
@@ -97,6 +99,19 @@ def _chunk_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _universe_configs() -> list[ExperimentConfig]:
+    """Dense-oracle runs at N = 6: all weight on one branch, then times 2.5e-7 and 7.5e-7."""
+    base = dict(n=6, h=(0.01,), delta_h=0.02, delta=0.01, method="exact-universe")
+    configs = [
+        ExperimentConfig(**base, alpha_up_sq=w, steps=40, label=f"universe_up{w:g}")
+        for w in (0.0, 1.0)
+    ]
+    configs.append(ExperimentConfig(
+        **base, alpha_up_sq=0.4, t_start=0.0, t_end=1e-6, steps=2, label="universe_near_zero"
+    ))
+    return [c.validate() for c in configs]
+
+
 def write_outputs(out: Path) -> None:
     """Run every config of the set and write its records under ``out``."""
     for name in PRESET_NAMES:
@@ -114,6 +129,7 @@ def write_outputs(out: Path) -> None:
         ("odd_n", [_odd_n_config()]),
         ("tiles", _tile_configs()),
         ("chunks", _chunk_configs()),
+        ("universe", _universe_configs()),
     ):
         records = [run_config(c) for c in configs]
         for fmt in FORMATS:

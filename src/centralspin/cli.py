@@ -72,6 +72,19 @@ class ConfigError(ValueError):
     """A config document failed validation; message names the key."""
 
 
+def _check_sample_budget(samples: int) -> None:
+    """Raise ConfigError when a sampled point's u, 8 bytes per draw, exceeds the sampler's cap.
+
+    Shared by ``ExperimentConfig.validate`` and ``oracle-check --samples``.
+    """
+    if 8 * samples > engine.SAMPLE_BYTES_CAP:
+        raise ConfigError(
+            f"samples: {samples} draws hold {8 * samples} bytes of u per grid point; "
+            f"the sampled method is capped at {engine.SAMPLE_BYTES_CAP} bytes "
+            f"({engine.SAMPLE_BYTES_CAP // 8} draws)"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -171,12 +184,8 @@ class ExperimentConfig:
             raise ConfigError(f"beta: the thermal log-weights -beta * E overflow at n = {self.n}")
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
-        if self.resolved_method() == "sampled" and 8 * self.samples > engine.SAMPLE_BYTES_CAP:
-            raise ConfigError(
-                f"samples: {self.samples} draws hold {8 * self.samples} bytes of u per grid point; "
-                f"the sampled method is capped at {engine.SAMPLE_BYTES_CAP} bytes "
-                f"({engine.SAMPLE_BYTES_CAP // 8} draws)"
-            )
+        if self.resolved_method() == "sampled":
+            _check_sample_budget(self.samples)
         if any(c in self.label for c in _LABEL_FORBIDDEN):
             raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
         if "\0" in self.out:
@@ -501,6 +510,7 @@ def main(argv=None) -> int:
         if args.command == "oracle-check":
             if args.samples < 1:
                 raise ConfigError("samples: must be positive")
+            _check_sample_budget(args.samples)
             if args.seed < 0:
                 raise ConfigError("seed: must be non-negative")
             results = selfcheck.run_all(seed=args.seed, samples=args.samples)

@@ -24,7 +24,11 @@ both eigh once, and ``projection_outcomes`` evaluates each time from
 them.  Between times the grid holds two real M x M eigenvector matrices,
 16 * 4^N bytes (1 MiB at N = 8).  Per time it forms the real C and S
 parts of one sector at a time and returns (u, weight) arrays, 16 bytes
-per outcome: no complex propagator, outcome state or label.
+per outcome: no complex propagator, outcome state or label.  Each M x M
+array is freed or reused as soon as its last reader is done, so a time
+holds the eigenvectors plus at most 4.5 M x M float arrays (4.0 measured
+by tracemalloc at N = 8 to 10).  H and both spectra, 6 such arrays
+(3 MiB at N = 8, 768 MiB at N = 12), set the grid's peak.
 
 Basis ordering is documented bit-exactly: a universe basis index is
 sys_bit * 2^N + env_index with sys_bit 0 for system up, 1 for down; in
@@ -194,15 +198,24 @@ def _cos_sin(spectrum, tau: float) -> tuple[np.ndarray, np.ndarray]:
         phase = tau * w
     if not np.all(np.isfinite(phase)):
         raise ValueError(f"phase tau * w must be finite; it overflows at tau = {tau!r}")
-    return (v * np.cos(phase)) @ v.T, (v * np.sin(phase)) @ v.T
+    # One scratch array holds V cos(tau w), then V sin(tau w); matmul is never given an out=
+    # that overlaps its input, since numpy would copy the input and undo the reuse.
+    scratch = v * np.cos(phase)
+    c = scratch @ v.T
+    np.multiply(v, np.sin(phase), out=scratch)
+    return c, scratch @ v.T
 
 
 def _kept(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Outcomes kept from g indexed [n_initial, n_final]: f_n != 0 and g > G_FLOOR.
 
-    A NaN g fails "g <= G_FLOOR" and is kept, so that it shows downstream.
+    A NaN g fails "g <= G_FLOOR" and is kept, so that it shows downstream.  The mask is
+    built in one bool array.
     """
-    return (f != 0.0)[:, None] & ~(g <= G_FLOOR)
+    keep = np.less_equal(g, G_FLOOR)
+    np.logical_not(keep, out=keep)
+    keep &= (f != 0.0)[:, None]
+    return keep
 
 
 def _check_ensemble_size(params: ModelParams, ensemble: ThermalEnsemble) -> None:
@@ -265,6 +278,20 @@ def trajectory_ensemble(
     )
 
 
+def _branch_modulus(spectrum, tau: float, branch_weight: float) -> np.ndarray:
+    """w_s |U_s|^2 = w_s (C^2 + S^2) of one sector, indexed [n_initial, n_final].
+
+    Squares and adds in place, so S is dropped on return and only the result stays.
+    """
+    c, s = _cos_sin(spectrum, tau)
+    c *= c
+    s *= s
+    c += s
+    c *= branch_weight
+    # Transposed, row-major order runs over n_initial outer, n_final inner.
+    return c.T
+
+
 def projection_outcomes(
     params: ModelParams,
     alphas: SystemAmplitudes,
@@ -278,25 +305,25 @@ def projection_outcomes(
     keep rule, from the ``sector_spectra`` of params: u is |phi_up|^2 =
     w_up |U_up|^2 / g and the weight f_n g, with |U_s|^2 = C_s^2 + S_s^2
     and g = w_up |U_up|^2 + w_down |U_down|^2.  No complex propagator,
-    outcome state or label is formed.
+    outcome state or label is formed, and each M x M array is dropped
+    or reused once its last reader is done: besides the spectra, a call
+    holds at most four M x M float arrays at once.
     """
     _check_ensemble_size(params, ensemble)
     tau = params.elapsed(t)
-    moduli = []
-    for spectrum, branch_weight in zip(spectra, (alphas.w_up, alphas.w_down)):
-        c, s = _cos_sin(spectrum, tau)
-        c *= c
-        s *= s
-        c += s
-        c *= branch_weight
-        # Transposed, row-major order runs over n_initial outer, n_final inner.
-        moduli.append(c.T)
-    up, down = moduli
-    g = up + down
+    up = _branch_modulus(spectra[0], tau, alphas.w_up)
+    # g = up + down, formed in the down array (IEEE addition commutes, so the bits agree).
+    g = _branch_modulus(spectra[1], tau, alphas.w_down)
+    g += up
     keep = _kept(ensemble.f, g)
+    u = up[keep]
+    del up
     g_kept = g[keep]
-    weight = np.broadcast_to(ensemble.f[:, None], g.shape)[keep] * g_kept
-    return up[keep] / g_kept, weight
+    del g
+    u /= g_kept
+    weight = np.broadcast_to(ensemble.f[:, None], keep.shape)[keep]
+    weight *= g_kept
+    return u, weight
 
 
 def reduced_density_check(

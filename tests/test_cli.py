@@ -571,6 +571,21 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
         assert calls == []
 
+    def test_oracle_check_samples_at_the_budget_accepted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
+        limit = engine.SAMPLE_BYTES_CAP // 8
+        assert main(["oracle-check", "--samples", str(limit)]) == 0
+        assert [c["samples"] for c in calls] == [limit]
+
+    def test_oracle_check_samples_over_the_budget_exit_1(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
+        over = engine.SAMPLE_BYTES_CAP // 8 + 1
+        assert main(["oracle-check", "--samples", str(over)]) == 1
+        assert capsys.readouterr().err == f"config error: {TestSamplesBudget().message(over)}\n"
+        assert calls == []
+
 
 class TestSamplerCheck:
     @pytest.mark.parametrize(

@@ -36,11 +36,11 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
-    # tiled exact and one-draw-last-chunk sampled runs, in csv and json.
+    # tiled exact, one-draw-last-chunk sampled and edge-case dense-oracle runs, in csv and json.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 122
+    assert len(lines) == 128
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -73,6 +73,12 @@ def test_output_digest_builds_its_configs(monkeypatch):
         ("sampled", 2 * 8192 + 1, workers) for workers in (1, 2)
     ]
     configs += chunk_configs
+    universe_configs = digest._universe_configs()
+    assert [(c.method, c.alpha_up_sq, c.t_end, c.steps) for c in universe_configs] == [
+        ("exact-universe", 0.0, 400.0, 40), ("exact-universe", 1.0, 400.0, 40),
+        ("exact-universe", 0.4, 1e-6, 2),
+    ]
+    configs += universe_configs
     for workload in digest.WORKLOADS.values():
         for seed in digest.WORKLOAD_SEEDS:
             configs += workload.configs(seed)

@@ -1,5 +1,7 @@
 """Dense-universe oracle: Hamiltonian assembly, propagation, density identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from centralspin.core import (
 from centralspin.engine import ProjectionDistribution, enumerate_outcomes
 from centralspin.observables import class_probabilities, distribution_at, prepare, time_series
 from centralspin.universe import (
+    G_FLOOR,
     TrajectoryOutcome,
+    _cos_sin,
     _evolved_blocks,
     build_hamiltonian,
     pattern_between,
@@ -437,3 +441,87 @@ class TestGridPath:
         a = SystemAmplitudes.from_up_weight(w_up)
         time_series(params, a, GRID_TIMES, method="exact-universe")
         assert calls == [(32, 32), (32, 32)]
+
+
+def reference_projection(params, alphas, ensemble, spectra, t):
+    """(C, S) of both sectors and (u, weight), each as one out-of-place expression."""
+    tau = params.elapsed(t)
+    parts = [((v * np.cos(tau * w)) @ v.T, (v * np.sin(tau * w)) @ v.T) for w, v in spectra]
+    up, down = (
+        ((c * c + s * s) * branch_weight).T
+        for (c, s), branch_weight in zip(parts, (alphas.w_up, alphas.w_down))
+    )
+    g = up + down
+    keep = (ensemble.f != 0.0)[:, None] & ~(g <= G_FLOOR)
+    g_kept = g[keep]
+    weight = np.broadcast_to(ensemble.f[:, None], g.shape)[keep] * g_kept
+    return parts, up[keep] / g_kept, weight
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+# N = 1, 4 and 6, and a cold N = 3 bath whose occupations underflow to exactly 0.
+BITWISE_PARAMS = [
+    ModelParams(delta=0.3, h=(0.7,), beta=0.5),
+    ModelParams(delta=0.0, h=dispersed_couplings(0.3, 0.5, 4), beta=0.7),
+    ModelParams(delta=-0.2, h=dispersed_couplings(0.01, 0.02, 6)),
+    ModelParams(delta=0.3, h=(0.0, 0.6, -0.4), beta=1000.0),
+]
+# t = 1e-7: the two-flip outcomes have g near 1e-28 and G_FLOOR drops them.
+BITWISE_TIMES = (0.0, 1e-7, 0.9, 12.5)
+
+
+class TestInPlaceBits:
+    """projection_outcomes and _cos_sin give the bits of the out-of-place expressions."""
+
+    @pytest.mark.parametrize("w_up", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("params", BITWISE_PARAMS, ids=["n1", "n4", "n6", "n3_cold"])
+    def test_matches_out_of_place_expressions(self, params, w_up):
+        a = SystemAmplitudes.from_up_weight(w_up, 0.8)
+        ens = thermal_ensemble(params)
+        spectra = sector_spectra(params)
+        for t in BITWISE_TIMES:
+            parts, ref_u, ref_weight = reference_projection(params, a, ens, spectra, t)
+            for spectrum, (ref_c, ref_s) in zip(spectra, parts):
+                c, s = _cos_sin(spectrum, params.elapsed(t))
+                assert same_bits(c, ref_c) and same_bits(s, ref_s)
+            u, weight = projection_outcomes(params, a, ens, spectra, t)
+            assert same_bits(u, ref_u) and same_bits(weight, ref_weight)
+
+    def test_cases_reach_both_drops(self):
+        cold = BITWISE_PARAMS[3]
+        assert np.any(thermal_ensemble(cold).f == 0.0)
+        p = BITWISE_PARAMS[1]
+        a = SystemAmplitudes.from_up_weight(0.4)
+        u, _ = projection_outcomes(p, a, thermal_ensemble(p), sector_spectra(p), 1e-7)
+        assert 2**p.n_env < u.size < 4**p.n_env
+
+    def test_nan_modulus_is_kept(self):
+        g = np.array([[np.nan, 0.0], [1.0, G_FLOOR]])
+        keep = universe._kept(np.array([1.0, 0.5]), g)
+        assert keep.dtype == bool and keep.tolist() == [[True, False], [True, False]]
+
+
+class TestPointMemory:
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_peak_of_one_point(self, n):
+        # Besides the spectra, one point holds at most 4.5 M x M float arrays (M = 2^N).
+        bound = 4.5 * 8 * 4**n
+        p = ModelParams(delta=0.05, h=dispersed_couplings(0.01, 0.02, n), beta=0.2)
+        a = SystemAmplitudes.from_up_weight(0.4)
+        ens, spectra = thermal_ensemble(p), sector_spectra(p)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            u, weight = projection_outcomes(p, a, ens, spectra, 66.7)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert u.size == weight.size == 4**n
+        assert peak <= bound

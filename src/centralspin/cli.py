@@ -1,7 +1,8 @@
 """Command-line front end: configs, figure presets, CSV/JSON emission.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.
-Recognized keys (all others are rejected by name):
+The keys are ``ExperimentConfig``'s fields except ``preset``, each
+parsed by its field's type (all other keys are rejected by name):
 
     n           environment size (int, required)
     delta       detuning mu - nu (default 0.0)
@@ -113,10 +114,10 @@ class ExperimentConfig:
         Costs O(1) in N for a scalar h: the dispersed couplings are checked
         through their last value, never expanded.
         """
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(k for k, parse in _KEY_PARSERS.items() if parse is float):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key}: must be finite, got {getattr(self, key)!r}")
-        for key in sorted(_LIST_KEYS):
+        for key in sorted(k for k, parse in _KEY_PARSERS.items() if parse is _float_list):
             if not all(math.isfinite(v) for v in getattr(self, key)):
                 raise ConfigError(f"{key}: every value must be finite")
         if self.n < 1:
@@ -244,14 +245,21 @@ class ExperimentConfig:
         return repr(self.h[0])
 
 
-_INT_KEYS = {"n", "steps", "samples", "seed", "workers"}
-_FLOAT_KEYS = {"delta", "delta_h", "beta", "alpha_up_sq", "phase", "epsilon", "t_start", "t_end"}
-_LIST_KEYS = {"h", "hist_times"}
-_STR_KEYS = {"method", "label", "out"}
+def _float_list(value: str) -> tuple[float, ...]:
+    """A semicolon (or comma) list of floats; empty items are skipped."""
+    return tuple(float(v) for v in value.replace(",", ";").split(";") if v.strip())
+
+
+# Each config key's value parser, chosen by its field's annotation: every
+# ExperimentConfig field but ``preset`` is a key, so a new key is one field.
+_KEY_PARSERS = {
+    f.name: {"int": int, "float": float, "tuple[float, ...]": _float_list, "str": str}[f.type]
+    for f in fields(ExperimentConfig)
+    if f.name != "preset"
+}
 # Characters that would take an output file out of its directory or
 # that no path may hold.
 _LABEL_FORBIDDEN = {sep for sep in (os.sep, os.altsep) if sep} | {"\0"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -265,19 +273,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"unknown key {key!r} on line {lineno}")
         if key in values:
             raise ConfigError(f"duplicate key {key!r} on line {lineno}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(float(v) for v in value.replace(",", ";").split(";") if v.strip())
-            else:
-                values[key] = value
+            values[key] = _KEY_PARSERS[key](value)
         except ValueError as err:
             raise ConfigError(f"{key}: {err}") from None
     if "n" not in values:
@@ -440,10 +441,16 @@ def _record_json(record: ResultRecord) -> str:
 def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list[Path]:
     """Write one file per record; identical config and seed give identical bytes.
 
-    An empty record set still produces one header-only file.
+    An empty record set still produces one header-only file.  Records
+    whose file names coincide (two unlabeled runs, say) raise
+    ConfigError before anything is written.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
+    names = [f"{_record_name(record)}.{fmt}" for record in records]
+    if len(set(names)) < len(names):
+        duplicate = next(name for name in names if names.count(name) > 1)
+        raise ConfigError(f"label: two records would both write {duplicate!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not records:
@@ -451,8 +458,8 @@ def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list
         path.write_text(CSV_COLUMNS + "\n" if fmt == "csv" else "[]\n")
         return [path]
     paths = []
-    for record in records:
-        path = out / f"{_record_name(record)}.{fmt}"
+    for record, name in zip(records, names):
+        path = out / name
         text = _series_csv(record) if fmt == "csv" else _record_json(record)
         path.write_text(text)
         paths.append(path)

@@ -607,7 +607,6 @@ def binomial_outcomes(
     t: float,
     *,
     log_counts: np.ndarray | None = None,
-    spin: ModelParams | None = None,
 ) -> ProjectionDistribution:
     """Exact distribution for equal couplings, indexed by flip count.
 
@@ -616,11 +615,12 @@ def binomial_outcomes(
     multiplicity, and one spin's profile serves them all.  Atoms whose u
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
-    merging) wherever both apply.  log_counts and spin, when given, must
-    be ``binomial_log_counts(N)`` (shape (N + 1,), else ValueError) and
-    ``binomial_spin(params)``; a grid computes them once for every point.
-    The table is the route's one array of N + 1 floats, built in place,
-    and a params from equal couplings holds its h as one broadcast value.
+    merging) wherever both apply.  log_counts, when given, must be
+    ``binomial_log_counts(N)`` (shape (N + 1,), else ValueError); a grid
+    builds it once for every point.  The one-spin model comes from
+    ``binomial_spin(params)`` at each point, O(1) for the broadcast h
+    that equal couplings from a scalar h hold.  The table is the route's
+    one array of N + 1 floats, built in place.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
@@ -643,8 +643,7 @@ def binomial_outcomes(
     weight, ``dropped`` and the merge are its bits.
     """
     n = params.n_env
-    if spin is None:
-        spin = binomial_spin(params)
+    spin = binomial_spin(params)
     if log_counts is None:
         log_counts = binomial_log_counts(n)
     elif log_counts.shape != (n + 1,):
@@ -793,11 +792,15 @@ def sample_outcomes(
     is byte-identical for any worker count.  A point holds one 8-byte u
     per draw plus each running chunk's scratch (``_sample_chunk``);
     'sampled' weights are a read-only broadcast of 1/len, one float.
-    The branch profiles are computed once per call; at most
-    min(workers, chunks, usable CPUs) threads run the chunks.
+    The branch profiles are computed once per call.  Every call runs its
+    chunks through one pool of min(workers, chunks, usable CPUs)
+    threads, so one worker is a pool of one thread.  A count or workers
+    below 1 raises ValueError before any work.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     branches = _log_branch_pair(params, alphas, t)
     u = np.empty(count)
     chunks = range(-(-count // SAMPLE_CHUNK))
@@ -805,13 +808,8 @@ def sample_outcomes(
     def draw(c):
         _sample_chunk(branches, alphas, seed, c, u[c * SAMPLE_CHUNK : (c + 1) * SAMPLE_CHUNK])
 
-    threads = min(workers, len(chunks), _usable_cpus())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, chunks))  # reading each result re-raises a chunk's error
-    else:
-        for c in chunks:
-            draw(c)
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks), _usable_cpus())) as pool:
+        list(pool.map(draw, chunks))  # reading each result re-raises a chunk's error
     return ProjectionDistribution(u=u, weight=np.broadcast_to(1.0 / count, (count,)), kind="sampled")
 
 

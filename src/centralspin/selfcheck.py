@@ -161,11 +161,11 @@ def check_binomial_total_weight(seed: int) -> CheckResult:
     worst = 0.0
     for n in (1000, 100_000):
         params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=np.full(n, rng.uniform(0.3, 1)))
-        log_counts, spin = engine.binomial_log_counts(n), engine.binomial_spin(params)
+        log_counts = engine.binomial_log_counts(n)
         for w_up in (0.0, 0.4, 1.0):
             alphas = SystemAmplitudes.from_up_weight(w_up)
             t = float(rng.uniform(0, 400))
-            dist = engine.binomial_outcomes(params, alphas, t, log_counts=log_counts, spin=spin)
+            dist = engine.binomial_outcomes(params, alphas, t, log_counts=log_counts)
             worst = max(worst, abs(dist.total_weight() - 1.0))
     return CheckResult(
         "binomial weight total (N = 1e3, 1e5)", worst <= 1e-9, f"max |sum-1| = {worst:.2e}"

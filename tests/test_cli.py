@@ -3,11 +3,12 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from centralspin import engine, observables, selfcheck, universe
+from centralspin import cli, engine, observables, selfcheck, universe
 from centralspin.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -71,6 +72,29 @@ class TestParseConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wibble"):
             parse_config(MINIMAL + "wibble = 3\n")
+
+    def test_preset_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'preset' on line 5"):
+            parse_config(MINIMAL + "preset = fig1\n")
+
+    def test_each_key_parses_to_its_field(self):
+        # One value per config key, as text and as the field holds it; the int, float,
+        # list and str parsers each meet a field of their own type.
+        values = {
+            "n": ("3", 3), "h": ("0.1, 0.2", (0.1, 0.2)), "delta": ("0.25", 0.25),
+            "delta_h": ("0.02", 0.02), "beta": ("1.5", 1.5), "alpha_up_sq": ("0.4", 0.4),
+            "phase": ("0.3", 0.3), "epsilon": ("1e-4", 1e-4), "t_start": ("1", 1.0),
+            "t_end": ("50", 50.0), "steps": ("7", 7), "method": ("binomial", "binomial"),
+            "samples": ("500", 500), "seed": ("4", 4), "workers": ("3", 3),
+            "hist_times": ("5; 10", (5.0, 10.0)), "label": ("demo", "demo"),
+            "out": ("elsewhere", "elsewhere"),
+        }
+        assert set(values) == set(cli._KEY_PARSERS)
+        for key, (text, value) in values.items():
+            lines = {"n": "2", "h": "0.01", key: text}
+            cfg = parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+            assert cfg == ExperimentConfig(**{"n": 2, "h": (0.01,), key: value}), key
+            assert type(getattr(cfg, key)) is type(value), key
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -463,6 +487,18 @@ class TestRunAndEmit:
             assert cell == repr(float(cell))
         probs = [float(c) for c in row[1:4]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_records_sharing_a_file_name_write_nothing(self, tmp_path):
+        # Two unlabeled records both name run.csv; with distinct labels both are written.
+        records = [run_config(parse_config(f"n = {n}\nh = 0.05\nsteps = 3\n")) for n in (2, 3)]
+        with pytest.raises(ConfigError, match="run.csv"):
+            emit_results(records, tmp_path / "out", "csv")
+        assert not (tmp_path / "out").exists()
+        for record in records:
+            record.config = replace(record.config, label=f"N{record.config.n}")
+        paths = emit_results(records, tmp_path / "out", "csv")
+        assert [p.name for p in paths] == ["N2.csv", "N3.csv"]
+        assert [p.read_text().splitlines()[1].split(",")[7] for p in paths] == ["2", "3"]
 
     def test_empty_record_set_gives_header_only(self, tmp_path):
         (path,) = emit_results([], tmp_path, "csv")

@@ -195,24 +195,31 @@ class TestBinomial:
             assert np.array_equal(got.u, want.u) and np.array_equal(got.weight, want.weight)
             assert got.dropped == want.dropped
 
-    def test_passed_spin_gives_the_same_distribution(self):
-        p = ModelParams(delta=0.1, h=(0.02,) * 80)
-        spin = binomial_spin(p)
-        assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
-        for t in (0.0, 37.5, 410.0):
-            a = binomial_outcomes(p, ALPHAS, t)
-            b = binomial_outcomes(p, ALPHAS, t, spin=spin)
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
+    def test_log_counts_table_gives_the_same_bits(self):
+        # A grid's prepared log C(N, k) table gives the point it builds itself, for the
+        # broadcast couplings of a scalar h and for an explicit list of equal h.
+        for n in (80, 100_000):
+            log_counts = binomial_log_counts(n)
+            for h in (np.broadcast_to(0.02, (n,)), (0.02,) * n):
+                p = ModelParams(delta=0.1, h=h)
+                spin = binomial_spin(p)
+                assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
+                for t in (0.0, 37.5, 410.0):
+                    a = binomial_outcomes(p, ALPHAS, t)
+                    b = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts)
+                    assert np.array_equal(a.u.view(np.int64), b.u.view(np.int64)), (n, t)
+                    assert np.array_equal(a.weight.view(np.int64), b.weight.view(np.int64))
+                    assert a.dropped == b.dropped
 
 
 class TestBinomialMemory:
     def test_peak_of_one_point_at_large_n(self):
-        # A grid's point at N = 1e5, with the grid's multiplicities and one-spin model:
-        # four N + 1 float arrays (k, the two log weights, the mixture) and the kept
-        # atoms' merge stay below five.
+        # A grid's point at N = 1e5, with the grid's multiplicities: four N + 1 float
+        # arrays (k, the two log weights, the mixture) and the kept atoms' merge stay
+        # below five.
         n = 100_000
         p = ModelParams(delta=0.0, h=(0.01,) * n)
-        log_counts, spin = binomial_log_counts(n), binomial_spin(p)
+        log_counts = binomial_log_counts(n)
         for t in (np.arange(6) + 0.5) * 400.0 / 6:
             tracing = tracemalloc.is_tracing()
             if not tracing:
@@ -220,7 +227,7 @@ class TestBinomialMemory:
             try:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                binomial_outcomes(p, ALPHAS, float(t), log_counts=log_counts, spin=spin)
+                binomial_outcomes(p, ALPHAS, float(t), log_counts=log_counts)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 if not tracing:
@@ -233,9 +240,9 @@ class TestBinomialMemory:
         # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
         n = 10**6
         p = ModelParams(delta=0.0, h=np.full(n, 0.01))
-        log_counts, spin = binomial_log_counts(n), binomial_spin(p)
+        log_counts = binomial_log_counts(n)
         t = 200.0
-        up, down, _, _ = engine._log_branch_pair(spin, ALPHAS, t)
+        up, down, _, _ = engine._log_branch_pair(binomial_spin(p), ALPHAS, t)
         length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
         assert length < (n + 1) / 10
         tracing = tracemalloc.is_tracing()
@@ -244,7 +251,7 @@ class TestBinomialMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            dist = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts, spin=spin)
+            dist = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -289,7 +296,7 @@ class TestBinomialSpans:
                 for w_up in (0.0, 0.4, 1.0):
                     alphas = SystemAmplitudes.from_up_weight(w_up)
                     for t in times:
-                        got = binomial_outcomes(p, alphas, t, log_counts=log_counts, spin=spin)
+                        got = binomial_outcomes(p, alphas, t, log_counts=log_counts)
                         want = _binomial_full_profile(p, alphas, t, log_counts)
                         assert np.array_equal(got.u, want.u), (h, delta, w_up, t)
                         assert np.array_equal(got.weight, want.weight), (h, delta, w_up, t)
@@ -406,6 +413,14 @@ class TestSamplerWork:
         sample_outcomes(self.P, ALPHAS, 7.0, 3 * SAMPLE_CHUNK + 5, seed=3, workers=workers)
         assert sorted(calls) == ["down", "up"]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected_before_any_work(self, monkeypatch, workers):
+        calls = []
+        monkeypatch.setattr(engine, "branch_flip_profile", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sample_outcomes(self.P, ALPHAS, 7.0, 3 * SAMPLE_CHUNK + 5, seed=3, workers=workers)
+        assert calls == []
+
     def test_pool_bounded_by_chunks_and_cpus(self, monkeypatch):
         pools = []
 
@@ -427,16 +442,16 @@ class TestSamplerWork:
         monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
         count = 10 * SAMPLE_CHUNK + 1  # 11 chunks
         want = sample_outcomes(self.P, ALPHAS, 7.0, count, seed=9, workers=1).u
-        assert pools == []
-        for cpus, workers, size in ((4, 100_000, 4), (64, 100_000, 11), (64, 3, 3), (1, 8, None)):
+        assert pools == [1]
+        for cpus, workers, size in ((4, 100_000, 4), (64, 100_000, 11), (64, 3, 3), (1, 8, 1)):
             pools.clear()
             monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
             got = sample_outcomes(self.P, ALPHAS, 7.0, count, seed=9, workers=workers).u
-            assert pools == ([] if size is None else [size])
+            assert pools == [size]
             assert np.array_equal(got, want)
         pools.clear()
         sample_outcomes(self.P, ALPHAS, 7.0, SAMPLE_CHUNK, seed=9, workers=8)
-        assert pools == []
+        assert pools == [1]
 
 
 def _chunk_u(branches, alphas, seed, chunk_index, size):

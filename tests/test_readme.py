@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import centralspin
+from centralspin import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +36,19 @@ def test_module_names_in_backticks_resolve():
         if not hasattr(importlib.import_module(f"centralspin.{module}"), attr)
     ]
     assert not missing, f"README names attributes the package lacks: {missing}"
+
+
+def test_config_docs_list_exactly_the_config_keys():
+    block = re.search(r"Config files are flat.*?```\n(.*?)```", README.read_text(), re.S).group(1)
+    cli.parse_config(block)
+    readme_keys = {
+        line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines() if "=" in line
+    }
+    # The module docstring's key list: one key, or a comma list of keys, at a 4-space indent.
+    section = cli.__doc__.split("rejected by name):\n\n", 1)[1].split("\n\n", 1)[0]
+    doc_keys = set()
+    for line in section.splitlines():
+        if match := re.match(r"    (\w+(?:, \w+)*)(?: |$)", line):
+            doc_keys.update(match.group(1).split(", "))
+    assert readme_keys == set(cli._KEY_PARSERS)
+    assert doc_keys == set(cli._KEY_PARSERS)

@@ -39,6 +39,7 @@ on the in-memory record and reported on stderr, never serialized.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,6 +72,17 @@ CSV_COLUMNS = "t,p_up,p_down,p_q,method,n_samples,seed,N,delta,h_spec,epsilon"
 
 class ConfigError(ValueError):
     """A config document failed validation; message names the key."""
+
+
+def _check_draws(samples: int, seed: int) -> None:
+    """Raise ConfigError for a draw count below one or a negative seed.
+
+    Shared by ``ExperimentConfig.validate`` and ``oracle-check``.
+    """
+    if samples < 1:
+        raise ConfigError("samples: must be positive")
+    if seed < 0:
+        raise ConfigError("seed: must be non-negative")
 
 
 def _check_sample_budget(samples: int) -> None:
@@ -157,10 +169,7 @@ class ExperimentConfig:
                 branch_flip_profile(spin, branch, t_last)
         except ValueError as err:
             raise ConfigError(f"delta, h: {err} at t = {t_last!r}") from None
-        if self.samples < 1:
-            raise ConfigError("samples: must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed: must be non-negative")
+        _check_draws(self.samples, self.seed)
         if self.workers < 1:
             raise ConfigError("workers: must be positive")
         if self.method not in ("auto",) + observables.METHODS:
@@ -438,12 +447,39 @@ def _record_json(record: ResultRecord) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_out(out: str) -> None:
+    """Raise ConfigError unless ``emit_results`` can create ``out`` and write into it.
+
+    Creates nothing.  The nearest existing name at or above ``out`` must
+    be a directory this process may write into; a dangling symlink counts
+    as existing, since ``mkdir`` cannot replace it.  Each name still to be
+    created is looked up in that directory, so a name its file system
+    refuses (one too long, say) fails here, as any other failed lookup does.
+    """
+    path, missing = Path(out), []
+    try:
+        for existing in (path, *path.parents):
+            try:
+                os.lstat(existing)
+                break
+            except FileNotFoundError:
+                missing.append(existing.name)
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            raise ConfigError(f"out: {str(existing)!r} is not a writable directory")
+        for name in missing:
+            with contextlib.suppress(FileNotFoundError):
+                os.lstat(existing / name)
+    except OSError as err:
+        raise ConfigError(f"out: {err}") from None
+
+
 def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list[Path]:
     """Write one file per record; identical config and seed give identical bytes.
 
-    An empty record set still produces one header-only file.  Records
-    whose file names coincide (two unlabeled runs, say) raise
-    ConfigError before anything is written.
+    This is the one place that creates the output directory, just before
+    it writes.  An empty record set writes no file.  Records whose file
+    names coincide (two unlabeled runs, say) raise ConfigError before
+    anything is written.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
@@ -453,27 +489,15 @@ def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list
         raise ConfigError(f"label: two records would both write {duplicate!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not records:
-        path = out / f"results.{fmt}"
-        path.write_text(CSV_COLUMNS + "\n" if fmt == "csv" else "[]\n")
-        return [path]
-    paths = []
-    for record, name in zip(records, names):
-        path = out / name
-        text = _series_csv(record) if fmt == "csv" else _record_json(record)
-        path.write_text(text)
-        paths.append(path)
+    paths = [out / name for name in names]
+    for record, path in zip(records, paths):
+        path.write_text(_series_csv(record) if fmt == "csv" else _record_json(record))
     return paths
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    for key in ("seed", "samples", "workers", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    # main validates the result before it creates the output directory.
-    return replace(config, **updates)
+    updates = {key: getattr(args, key, None) for key in ("seed", "samples", "workers", "out")}
+    return replace(config, **{key: value for key, value in updates.items() if value is not None})
 
 
 def _add_common_flags(sub):
@@ -485,6 +509,15 @@ def _add_common_flags(sub):
 
 
 def main(argv=None) -> int:
+    """Run the command line; returns the exit code.
+
+    ``run``, ``preset`` and ``validate`` share one preflight: build the
+    configs (the file, or the preset's list), apply the command-line
+    overrides (``validate`` takes none), validate each config and check
+    its ``out`` without creating anything.  ``validate`` then prints OK;
+    ``run`` and ``preset`` evaluate and write.  Bad input exits 1 before
+    any evaluation, a failure after it exits 2.
+    """
     parser = argparse.ArgumentParser(
         prog="centralspin",
         description="Trajectory statistics of a central spin in a spin bath",
@@ -510,38 +543,26 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            parse_config(Path(args.config).read_text())
-            print("OK")
-            return 0
         if args.command == "oracle-check":
-            if args.samples < 1:
-                raise ConfigError("samples: must be positive")
+            _check_draws(args.samples, args.seed)
             _check_sample_budget(args.samples)
-            if args.seed < 0:
-                raise ConfigError("seed: must be non-negative")
             results = selfcheck.run_all(seed=args.seed, samples=args.samples)
-            ok = True
             for r in results:
                 print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")
-                ok &= r.ok
-            return 0 if ok else 2
-        if args.command == "run":
-            configs = [_apply_overrides(parse_config(Path(args.config).read_text()), args)]
+            return 0 if all(r.ok for r in results) else 2
+        if args.command == "preset":
+            configs = _preset_configs(args.name)
         else:
-            configs = [_apply_overrides(c, args) for c in _preset_configs(args.name)]
-        # The overrides are checked first, so a rejected config creates no directory.  A
-        # run's file config was validated when parsed: this is its second and last check.
-        configs = [config.validate() for config in configs]
-        out_dir = configs[0].out
-        # An unusable out is bad input: it fails here, before anything is evaluated.
-        try:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"out: {err}") from None
+            configs = [parse_config(Path(args.config).read_text())]
+        # A file config was validated when parsed; this last check sees the overrides.
+        configs = [_apply_overrides(config, args).validate() for config in configs]
+        _check_out(configs[0].out)
+        if args.command == "validate":
+            print("OK")
+            return 0
         evaluate = _evaluate if args.command == "run" else _evaluate_preset
         records = [evaluate(config) for config in configs]
-        paths = emit_results(records, out_dir, args.format)
+        paths = emit_results(records, configs[0].out, args.format)
         for record, path in zip(records, paths):
             print(
                 f"wrote {path} ({record.series.times.size} points, "

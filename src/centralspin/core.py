@@ -222,7 +222,13 @@ class FlipPattern:
 
     @classmethod
     def from_code(cls, code: int, n: int) -> "FlipPattern":
-        """Bit i of ``code`` set means spin j = i+1 flipped; a Python int, so any N."""
+        """Bit i of ``code`` set means spin j = i+1 flipped; a Python int, so any N.
+
+        ``code`` must lie in [0, 2^n): a negative code, or one with a bit
+        at or above n, names no pattern of n spins and raises ValueError.
+        """
+        if code < 0 or code >> n:
+            raise ValueError(f"pattern code {code} outside [0, 2^{n})")
         return cls([-1 if (code >> i) & 1 else 1 for i in range(n)])
 
     def code(self) -> int:
@@ -272,12 +278,11 @@ def spin_amplitude(
     """
     if s not in (1, -1):
         raise ValueError("initial spin must be +1 or -1")
-    if not 1 <= j <= params.n_env:
-        raise IndexError(f"spin index {j} outside 1..{params.n_env}")
+    # math.hypot ignores signs, so spin_spectral's omega = hypot(a, h_j) is hypot(a, b).
+    omega = spin_spectral(params, branch, j).omega
     tau = params.elapsed(t)
     a, b_sign = branch_axis(params, branch)
     b = b_sign * float(params.h[j - 1])
-    omega = math.hypot(a, b)
     if omega == 0.0:
         return 0.0 + 0.0j if flipped else 1.0 + 0.0j
     c, sn = math.cos(omega * tau), math.sin(omega * tau)

@@ -1,12 +1,20 @@
 """Config parsing, presets, emission contracts, command-line behavior."""
 
+import contextlib
+import errno
+import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralspin import cli, engine, observables, selfcheck, universe
 from centralspin.cli import (
@@ -156,6 +164,14 @@ def config_text(overrides):
     return "\n".join(kept) + "\n" + overrides
 
 
+PREPARE_REACHED = "evaluation reached observables.prepare"
+
+
+def _never_prepare(*args, **kwargs):
+    """Stands in for observables.prepare, which every evaluation calls first."""
+    raise RuntimeError(PREPARE_REACHED)
+
+
 class TestValidateBoundary:
     @pytest.mark.parametrize("case", sorted(RUN_REJECTS))
     def test_validate_and_run_exit_1(self, case, tmp_path, capsys):
@@ -230,9 +246,52 @@ class TestValidateBoundary:
         assert capsys.readouterr().err.startswith("config error: out:")
         assert taken.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("command", ["validate", "run", "preset"])
+    @pytest.mark.parametrize("unusable", ["dangling_symlink", "unwritable_directory"])
+    def test_unusable_out_exits_1_before_evaluating(
+        self, tmp_path, monkeypatch, capsys, unusable, command
+    ):
+        monkeypatch.setattr(observables, "prepare", _never_prepare)
+        out = tmp_path / "out"
+        if unusable == "dangling_symlink":
+            out.symlink_to(tmp_path / "nowhere")
+        else:
+            # A stand-in for os.access: a process that may write anywhere sees no unwritable one.
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+            out.mkdir()
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL + f"out = {out}\n")
+        before = sorted(os.walk(tmp_path))
+        target = ["fig1", "--out", str(out)] if command == "preset" else [str(path)]
+        assert main([command, *target]) == 1
+        expected = f"config error: out: {str(out)!r} is not a writable directory\n"
+        assert capsys.readouterr().err == expected
+        assert sorted(os.walk(tmp_path)) == before
+
+    def test_new_name_too_long_for_its_file_system_exits_1(self, tmp_path, capsys):
+        # The first missing name hides the second from a lookup of the whole path.
+        out = tmp_path / "new" / ("n" * 300)
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL + f"out = {out}\n")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == err[1]
+        assert err[0].startswith(f"config error: out: [Errno {errno.ENAMETOOLONG}]")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_evaluation_exits_2_and_leaves_no_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(observables, "prepare", _never_prepare)
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL)
+        out = tmp_path / "new" / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {PREPARE_REACHED}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_run_validates_twice(self, tmp_path, monkeypatch):
         # Once when the file is parsed and once in main, which sees the overrides before it
-        # creates the output directory; the evaluation does not validate again.
+        # checks the output directory; the evaluation does not validate again.
         calls = []
         real = ExperimentConfig.validate
 
@@ -315,6 +374,79 @@ class TestValidateBoundary:
         for text in (MINIMAL, MINIMAL + "delta_h = 0.02\n", underflowing):
             cfg = parse_config(text)
             assert cfg._constant_couplings() == (len(set(cfg.couplings())) == 1)
+
+
+# Boundary values of every config key but out, as config text.  Each out kind
+# names a path inside the example's temporary directory.
+BOUNDARY_VALUES = {
+    "n": ["0", "1", "12", "13", "16", "17", "20", "21"],
+    "h": ["-0.0", "1e307", "inf", "0.1; 0.2"],
+    "delta": ["-0.0", "nan", "1e307"],
+    "delta_h": ["0.02", "1e308"],
+    "beta": ["-5e-324", "1e308"],
+    "alpha_up_sq": ["-0.0", "-5e-324", "1.0", "1.0000000000000002"],
+    "phase": ["-0.0", "1e308", "nan"],
+    "epsilon": ["5e-324", "0.49999999999999994", "0.5"],
+    "t_start": ["-1e-300", "-400", "inf"],
+    "t_end": ["0", "1e-300", "1.0000000000000004e16"],
+    "steps": ["0", "1", "100000"],
+    "method": ["auto", "exact", "binomial", "sampled", "exact-universe", "bogus"],
+    "samples": ["0", "1", str(engine.SAMPLE_BYTES_CAP // 8), str(engine.SAMPLE_BYTES_CAP // 8 + 1)],
+    "seed": ["-1", "0"],
+    "workers": ["0", "1"],
+    "hist_times": ["-1e-300", "0", "nan"],
+    "label": ["a/b", ".."],
+}
+OUT_KINDS = {
+    "missing": "missing/sub",
+    "directory": "directory",
+    "file": "file",
+    "under_file": "file/sub",
+    "dangling_symlink": "dangling",
+    "name_too_long": "missing/" + "n" * 300,
+}
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"out": st.sampled_from(sorted(OUT_KINDS))},
+        optional={key: st.sampled_from(values) for key, values in BOUNDARY_VALUES.items()},
+    )
+)
+def test_validate_rejects_exactly_what_run_rejects(overrides):
+    """validate and run (with the config's own out) share one preflight.
+
+    When validate exits 1, run exits 1 with the same stderr line and
+    prepares no engine.  When validate accepts, run reaches the engine's
+    preparation, where a stand-in stops it: "accepting implies exit 0"
+    needs a time and memory budget for every accepted config first, so no
+    accepted config is evaluated here.  Neither command creates anything.
+    """
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        base = Path(tmp)
+        (base / "directory").mkdir()
+        (base / "file").write_text("a file\n")
+        (base / "dangling").symlink_to(base / "nowhere")
+        text = "".join(f"{key} = {value}\n" for key, value in overrides.items() if key != "out")
+        path = base / "exp.conf"
+        path.write_text(config_text(text + f"out = {base / OUT_KINDS[overrides['out']]}\n"))
+        before = sorted(os.walk(base))
+        patch.setattr(observables, "prepare", _never_prepare)
+        validated = _exit_and_stderr(["validate", str(path)])
+        ran = _exit_and_stderr(["run", str(path)])
+        if validated[0] == 0:
+            assert ran == (2, f"error: {PREPARE_REACHED}\n")
+        else:
+            assert validated[0] == 1 and validated[1].startswith("config error: ")
+            assert ran == validated
+        assert sorted(os.walk(base)) == before
 
 
 class TestSamplesBudget:
@@ -500,10 +632,6 @@ class TestRunAndEmit:
         assert [p.name for p in paths] == ["N2.csv", "N3.csv"]
         assert [p.read_text().splitlines()[1].split(",")[7] for p in paths] == ["2", "3"]
 
-    def test_empty_record_set_gives_header_only(self, tmp_path):
-        (path,) = emit_results([], tmp_path, "csv")
-        assert path.read_text() == CSV_COLUMNS + "\n"
-
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(SMALL + "method = sampled\nsamples = 2000\nseed = 5\n")
         a = emit_results([run_config(cfg)], tmp_path / "a", "csv")[0].read_bytes()
@@ -606,6 +734,26 @@ class TestMain:
         assert main(["oracle-check", *flags]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "samples, seed",
+        [(0, 0), (1, -1), (0, -1), (engine.SAMPLE_BYTES_CAP // 8 + 1, -1)],
+        ids=["samples", "seed", "both", "over_the_budget_and_seed"],
+    )
+    def test_oracle_check_reports_what_validate_reports(
+        self, tmp_path, monkeypatch, capsys, samples, seed
+    ):
+        # One copy of the draw rules, checked before the budget: a count over the budget
+        # with a negative seed reports the seed from both commands.
+        monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: [])
+        path = tmp_path / "sampled.conf"
+        path.write_text(MINIMAL + f"method = sampled\nsamples = {samples}\nseed = {seed}\n")
+        assert main(["validate", str(path)]) == 1
+        from_validate = capsys.readouterr().err
+        assert main(["oracle-check", "--samples", str(samples), "--seed", str(seed)]) == 1
+        assert capsys.readouterr().err == from_validate
+        key = "samples" if samples < 1 else "seed"
+        assert from_validate.startswith(f"config error: {key}: must be ")
 
     def test_oracle_check_samples_at_the_budget_accepted(self, monkeypatch):
         calls = []

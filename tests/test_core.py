@@ -434,6 +434,15 @@ class TestFlipPattern:
         # The two patterns that collided at -2^63 and at 0 from N = 64 on stay distinct.
         assert FlipPattern.from_code(1 << (n - 1), n).code() != FlipPattern.none(n).code()
 
+    @pytest.mark.parametrize("n", [1, 3, 64, 65])
+    def test_code_outside_the_pattern_range_rejected(self, n):
+        # Before, -1 flipped every spin and 2^n flipped none, and code() gave neither back.
+        for code in (-1, -(1 << n), 1 << n, (1 << n) + 1):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\^"):
+                FlipPattern.from_code(code, n)
+        for code in (0, (1 << n) - 1):
+            assert FlipPattern.from_code(code, n).code() == code
+
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             FlipPattern([1, 0, -1])

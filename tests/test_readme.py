@@ -52,3 +52,17 @@ def test_config_docs_list_exactly_the_config_keys():
             doc_keys.update(match.group(1).split(", "))
     assert readme_keys == set(cli._KEY_PARSERS)
     assert doc_keys == set(cli._KEY_PARSERS)
+
+
+def test_cli_synopsis_lists_exactly_the_parser_commands_and_flags(capsys):
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    synopsis = {line.split()[1]: line for line in block.splitlines()}
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(synopsis) == sorted(commands)
+    for command in commands:
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[\w-]+", synopsis[command])) == flags, command

@@ -10,8 +10,8 @@ run with histogram times per method, three coupling specs that auto
 sends to binomial (an explicit list of equal couplings, signed-zero
 couplings, h = -0.0 and delta_h = -0.0, and a constant dispersed spec
 whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
-binomial run at odd N = 100,001 (no count pairs with itself in the
-log-count table), one-point dispersed exact runs at N = 15, 16, 17
+binomial run at odd N = 100,001 (no count k equals N - k in its
+log C(N, k)), one-point dispersed exact runs at N = 15, 16, 17
 and 20: the largest N whose time is one tile of patterns, then two,
 four and 32 tiles, a sampled run of 2 * 8192 + 1 draws per point
 (the last chunk holds one draw) at workers 1 and at workers 2, and

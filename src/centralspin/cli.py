@@ -397,10 +397,10 @@ def _evaluate_preset(config: ExperimentConfig) -> ResultRecord:
     return record
 
 
-def _record_name(record: ResultRecord) -> str:
-    cfg = record.config
-    parts = [p for p in (cfg.preset, cfg.label) if p]
-    return "_".join(parts) if parts else "run"
+def _record_name(config: ExperimentConfig, fmt: str) -> str:
+    """The file name a config's record is written to in ``out``."""
+    parts = [p for p in (config.preset, config.label) if p]
+    return f"{'_'.join(parts) if parts else 'run'}.{fmt}"
 
 
 def _series_csv(record: ResultRecord) -> str:
@@ -447,14 +447,17 @@ def _record_json(record: ResultRecord) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _check_out(out: str) -> None:
-    """Raise ConfigError unless ``emit_results`` can create ``out`` and write into it.
+def _check_out(out: str, names: list[str]) -> None:
+    """Raise ConfigError unless ``emit_results`` can create ``out`` and write ``names`` into it.
 
     Creates nothing.  The nearest existing name at or above ``out`` must
     be a directory this process may write into; a dangling symlink counts
     as existing, since ``mkdir`` cannot replace it.  Each name still to be
-    created is looked up in that directory, so a name its file system
-    refuses (one too long, say) fails here, as any other failed lookup does.
+    created (with a missing ``out``, its record file names too) is looked
+    up in that directory, so a name its file system refuses (one too long,
+    say) fails here, as any other failed lookup does.  A record file name
+    that already exists in ``out`` must be a file this process may write:
+    not a directory, a symlink to one or a dangling one.
     """
     path, missing = Path(out), []
     try:
@@ -466,9 +469,14 @@ def _check_out(out: str) -> None:
                 missing.append(existing.name)
         if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
             raise ConfigError(f"out: {str(existing)!r} is not a writable directory")
-        for name in missing:
+        for name in [*missing, *names] if missing else []:
             with contextlib.suppress(FileNotFoundError):
                 os.lstat(existing / name)
+        for file in (path / name for name in names):
+            with contextlib.suppress(FileNotFoundError):
+                os.lstat(file)
+                if not (file.is_file() and os.access(file, os.W_OK)):
+                    raise ConfigError(f"out: {str(file)!r} is not a writable file")
     except OSError as err:
         raise ConfigError(f"out: {err}") from None
 
@@ -483,7 +491,7 @@ def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
-    names = [f"{_record_name(record)}.{fmt}" for record in records]
+    names = [_record_name(record.config, fmt) for record in records]
     if len(set(names)) < len(names):
         duplicate = next(name for name in names if names.count(name) > 1)
         raise ConfigError(f"label: two records would both write {duplicate!r}")
@@ -514,9 +522,10 @@ def main(argv=None) -> int:
     ``run``, ``preset`` and ``validate`` share one preflight: build the
     configs (the file, or the preset's list), apply the command-line
     overrides (``validate`` takes none), validate each config and check
-    its ``out`` without creating anything.  ``validate`` then prints OK;
-    ``run`` and ``preset`` evaluate and write.  Bad input exits 1 before
-    any evaluation, a failure after it exits 2.
+    its ``out`` and the record file names in it without creating
+    anything.  ``validate`` then prints OK; ``run`` and ``preset``
+    evaluate and write.  Bad input exits 1 before any evaluation, a
+    failure after it exits 2.
     """
     parser = argparse.ArgumentParser(
         prog="centralspin",
@@ -556,13 +565,15 @@ def main(argv=None) -> int:
             configs = [parse_config(Path(args.config).read_text())]
         # A file config was validated when parsed; this last check sees the overrides.
         configs = [_apply_overrides(config, args).validate() for config in configs]
-        _check_out(configs[0].out)
+        # validate has no --format: it checks the names run writes by default.
+        fmt = getattr(args, "format", "csv")
+        _check_out(configs[0].out, [_record_name(config, fmt) for config in configs])
         if args.command == "validate":
             print("OK")
             return 0
         evaluate = _evaluate if args.command == "run" else _evaluate_preset
         records = [evaluate(config) for config in configs]
-        paths = emit_results(records, configs[0].out, args.format)
+        paths = emit_results(records, configs[0].out, fmt)
         for record, path in zip(records, paths):
             print(
                 f"wrote {path} ({record.series.times.size} points, "

@@ -91,10 +91,6 @@ LOW_SPIN_ENTRIES = 2048
 # sums combined in numpy's own pairwise tree (``tile_tree_sum``), so the
 # bits do not depend on this constant (any value from 7 up gives them).
 TILE_BITS = 15
-# Counts k per chunk of ``binomial_log_counts``: each chunk copies the
-# lgamma values of k and n - k into two buffers of this length (32 KiB
-# each) before writing their log C(n, k) in place.
-LOG_COUNT_CHUNK = 4096
 
 
 class DegenerateOutcomeError(ValueError):
@@ -524,26 +520,9 @@ def tile_tree_sum(sums: np.ndarray) -> np.ndarray:
     return sums[..., 0]
 
 
-def binomial_log_counts(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, from math.lgamma; independent of time.
-
-    One array of n + 1 floats: the table lg[k] = lgamma(k + 1), turned
-    into log C(n, k) in place.  Counts k <= n / 2 go in chunks of
-    LOG_COUNT_CHUNK, each pairing k with n - k: the chunk's old lg[k]
-    and lg[n - k] are copied out first, so every entry is
-    (lg[n] - lg[k]) - lg[n - k], the bits of ``lg[n] - lg - lg[::-1]``.
-    """
-    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    lg_n, high_end, half = lg[n], lg[::-1], n // 2 + 1
-    buffers = np.empty((2, min(half, LOG_COUNT_CHUNK)))
-    for a in range(0, half, LOG_COUNT_CHUNK):
-        b = min(a + LOG_COUNT_CHUNK, half)
-        lo, hi = buffers[:, : b - a]
-        lo[:], hi[:] = lg[a:b], high_end[a:b]
-        for out, first, second in ((lg[a:b], lo, hi), (high_end[a:b], hi, lo)):
-            np.subtract(lg_n, first, out=out)
-            out -= second
-    return lg
+def log_factorials(n: int) -> np.ndarray:
+    """log k! = lgamma(k + 1) for k = 0..n, from math.lgamma; independent of time."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
 def binomial_spin(params: ModelParams) -> ModelParams:
@@ -606,7 +585,7 @@ def binomial_outcomes(
     alphas: SystemAmplitudes,
     t: float,
     *,
-    log_counts: np.ndarray | None = None,
+    log_fact: np.ndarray | None = None,
 ) -> ProjectionDistribution:
     """Exact distribution for equal couplings, indexed by flip count.
 
@@ -615,12 +594,12 @@ def binomial_outcomes(
     multiplicity, and one spin's profile serves them all.  Atoms whose u
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
-    merging) wherever both apply.  log_counts, when given, must be
-    ``binomial_log_counts(N)`` (shape (N + 1,), else ValueError); a grid
+    merging) wherever both apply.  log_fact, when given, must be
+    ``log_factorials(N)`` (shape (N + 1,), else ValueError); a grid
     builds it once for every point.  The one-spin model comes from
     ``binomial_spin(params)`` at each point, O(1) for the broadcast h
     that equal couplings from a scalar h hold.  The table is the route's
-    one array of N + 1 floats, built in place.
+    one array of N + 1 floats.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
@@ -631,34 +610,39 @@ def binomial_outcomes(
     computed.
 
     Each span is evaluated on its own (``_span_atoms``), in four float
-    arrays of its length besides log_counts, all freed before the merge
+    arrays of its length besides log_fact, all freed before the merge
     of the kept atoms.  One holds k in ascending order and one N - k,
     both exact.  The k buffer takes the down branch's log weight
     (N - k) log keep + k log flip, and the N - k buffer its keep term and
     then its weighted term; the up branch's log weight takes the third,
-    and its flip term and then the mixed weight the fourth.  The
-    zero-count term of each sum is 0.0 (not 0 * -inf), and every kept
-    entry takes the same IEEE operations as the closed form
+    and the fourth its flip term, then the span's log C(N, k) =
+    (log N! - log k!) - log (N - k)!, then the up and the mixed weight.
+    The zero-count term of each sum is 0.0 (not 0 * -inf), and every
+    kept entry takes the same IEEE operations as the closed form
     (n - k) * log keep + k * log flip over all N + 1 counts, so u,
     weight, ``dropped`` and the merge are its bits.
     """
     n = params.n_env
     spin = binomial_spin(params)
-    if log_counts is None:
-        log_counts = binomial_log_counts(n)
-    elif log_counts.shape != (n + 1,):
-        raise ValueError(f"log_counts has shape {log_counts.shape}, not ({n + 1},)")
+    if log_fact is None:
+        log_fact = log_factorials(n)
+    elif log_fact.shape != (n + 1,):
+        raise ValueError(f"log_fact has shape {log_fact.shape}, not ({n + 1},)")
     branches = _log_branch_pair(spin, alphas, t)
     spans = binomial_spans(n, alphas, *branches[:2])
-    parts = [_span_atoms(n, alphas, branches, log_counts, lo, hi) for lo, hi in spans]
+    parts = [_span_atoms(n, alphas, branches, log_fact, lo, hi) for lo, hi in spans]
     u, weight = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return merge_by_u(
         ProjectionDistribution(u=u, weight=weight, kind="binomial", dropped=n + 1 - u.size)
     )
 
 
-def _span_atoms(n, alphas, branches, log_counts, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """(u, weight) of the kept flip counts k = lo..hi of ``binomial_outcomes``, ascending in k."""
+def _span_atoms(n, alphas, branches, log_fact, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(u, weight) of the kept flip counts k = lo..hi of ``binomial_outcomes``, ascending in k.
+
+    log_fact is ``log_factorials(n)``; the span's log C(n, k) is formed
+    in the flip-term buffer once the up log weight has taken that term.
+    """
     up, down, lw_up, lw_down = branches
     n_minus_k = np.arange(n - lo, n - hi - 1, -1, dtype=float)
     k = np.arange(lo, hi + 1, dtype=float)
@@ -674,14 +658,15 @@ def _span_atoms(n, alphas, branches, log_counts, lo, hi) -> tuple[np.ndarray, np
             flip_up[0] = log_wd[0] = 0.0
         log_wu += flip_up
         log_wd += keep_down
-    log_count = log_counts[lo : hi + 1]
+    log_count = np.subtract(log_fact[n], log_fact[lo : hi + 1], out=flip_up)
+    log_count -= log_fact[n - hi : n - lo + 1][::-1]
     with np.errstate(over="ignore"):
-        weight = np.add(log_count, log_wu, out=flip_up)
-        np.exp(weight, out=weight)
-        weight *= alphas.w_up
         down_weight = np.add(log_count, log_wd, out=keep_down)
         np.exp(down_weight, out=down_weight)
         down_weight *= alphas.w_down
+        weight = np.add(log_count, log_wu, out=log_count)
+        np.exp(weight, out=weight)
+        weight *= alphas.w_up
         weight += down_weight
     keep = weight >= WEIGHT_FLOOR
     return u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep])), weight[keep]

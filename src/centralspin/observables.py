@@ -160,19 +160,20 @@ def prepare(
     """Point function (t, seed) -> distribution of one run of ``method``.
 
     The run's time-independent work happens here, once: binomial
-    computes its multiplicities log C(N, k) (its one-spin model is O(1)
-    per point) and exact-universe its sector spectra and thermal
-    ensemble.  Each point function looks its engine up in its module at
-    every call, so wrapping ``engine.sample_outcomes`` and the like
-    still sees every point.  The state lives as long as the caller holds
-    the point function; nothing is cached across runs.  An unknown
-    method raises ValueError before any work.
+    computes its table log k!, from which each point forms its
+    multiplicities log C(N, k) (its one-spin model is O(1) per point),
+    and exact-universe its sector spectra and thermal ensemble.  Each
+    point function looks its engine up in its module at every call, so
+    wrapping ``engine.sample_outcomes`` and the like still sees every
+    point.  The state lives as long as the caller holds the point
+    function; nothing is cached across runs.  An unknown method raises
+    ValueError before any work.
     """
     if method == "exact":
         return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
     if method == "binomial":
-        log_counts = engine.binomial_log_counts(params.n_env)
-        return lambda t, seed: engine.binomial_outcomes(params, alphas, t, log_counts=log_counts)
+        log_fact = engine.log_factorials(params.n_env)
+        return lambda t, seed: engine.binomial_outcomes(params, alphas, t, log_fact=log_fact)
     if method == "sampled":
         return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
     if method == "exact-universe":

@@ -161,30 +161,32 @@ def check_binomial_total_weight(seed: int) -> CheckResult:
     worst = 0.0
     for n in (1000, 100_000):
         params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=np.full(n, rng.uniform(0.3, 1)))
-        log_counts = engine.binomial_log_counts(n)
+        log_fact = engine.log_factorials(n)
         for w_up in (0.0, 0.4, 1.0):
             alphas = SystemAmplitudes.from_up_weight(w_up)
             t = float(rng.uniform(0, 400))
-            dist = engine.binomial_outcomes(params, alphas, t, log_counts=log_counts)
+            dist = engine.binomial_outcomes(params, alphas, t, log_fact=log_fact)
             worst = max(worst, abs(dist.total_weight() - 1.0))
     return CheckResult(
         "binomial weight total (N = 1e3, 1e5)", worst <= 1e-9, f"max |sum-1| = {worst:.2e}"
     )
 
 
-def binomial_two_sided_p(count: int, p: float, log_counts: np.ndarray) -> float:
+def binomial_two_sided_p(count: int, p: float, log_fact: np.ndarray) -> float:
     """Exact two-sided tail of ``count`` under Binomial(samples, p).
 
-    log_counts is ``engine.binomial_log_counts(samples)``, which a caller
-    with many tails at one sample count builds once.  Twice the smaller
-    of P(X <= count) and P(X >= count), at most 1.  At p = 0 or 1 the
-    count is certain, so the tail is 1 there and 0 elsewhere.
+    log_fact is ``engine.log_factorials(samples)``, which a caller with
+    many tails at one sample count builds once; log C(samples, k) is
+    formed from it as log samples! - log k! - log (samples - k)!.  Twice
+    the smaller of P(X <= count) and P(X >= count), at most 1.  At p = 0
+    or 1 the count is certain, so the tail is 1 there and 0 elsewhere.
     """
-    samples = log_counts.size - 1
+    samples = log_fact.size - 1
     if not 0.0 < p < 1.0:
         return 1.0 if count == (samples if p >= 1.0 else 0) else 0.0
     k = np.arange(samples + 1, dtype=float)
-    log_pmf = log_counts + k * math.log(p) + (samples - k) * math.log1p(-p)
+    log_c = log_fact[-1] - log_fact - log_fact[::-1]
+    log_pmf = log_c + k * math.log(p) + (samples - k) * math.log1p(-p)
     pmf = np.exp(log_pmf)
     return min(1.0, 2.0 * min(float(pmf[: count + 1].sum()), float(pmf[count:].sum())))
 
@@ -208,14 +210,14 @@ def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
     # DKW-Massart: P(KS > eps) <= 2 exp(-2 samples eps^2), set to CLASS_ALPHA / len(times).
     ks_bound = math.sqrt(math.log(2 * len(times) / CLASS_ALPHA) / (2 * samples))
     least_tail, worst_ks = 1.0, 0.0
-    log_counts = engine.binomial_log_counts(samples)
+    log_fact = engine.log_factorials(samples)
     for t in times:
         exact = engine.enumerate_outcomes(params, alphas, t)
         sampled = engine.sample_outcomes(params, alphas, t, samples, seed)
         p_exact = class_probabilities(exact, eps)
         p_emp = class_probabilities(sampled, eps)
         for pe, pm in zip(p_exact, p_emp):
-            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), pe, log_counts))
+            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), pe, log_fact))
         worst_ks = max(worst_ks, ks_distance(sampled.u, exact.u, exact.weight))
     ok = least_tail >= tail_bound and worst_ks <= ks_bound
     return CheckResult(

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,22 +29,6 @@ from centralspin.cli import (
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
 
 MINIMAL = "n = 10\nh = 0.01\ndelta = 0\nalpha_up_sq = 0.4\n"
-
-
-def _traced(call):
-    """call()'s result, the bytes it still holds and its tracemalloc peak, above the start."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        retained, peak = tracemalloc.get_traced_memory()
-        return result, retained - before, peak - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 class TestParseConfig:
@@ -280,6 +263,52 @@ class TestValidateBoundary:
         assert err[0].startswith(f"config error: out: [Errno {errno.ENAMETOOLONG}]")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_record_name_too_long_for_its_file_system_exits_1(self, tmp_path, capsys, out_exists):
+        out = tmp_path / "out"
+        if out_exists:
+            out.mkdir()
+        path = tmp_path / "ok.conf"
+        path.write_text(MINIMAL + f"label = {'n' * 300}\nout = {out}\n")
+        before = sorted(os.walk(tmp_path))
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == err[1]
+        assert err[0].startswith(f"config error: out: [Errno {errno.ENAMETOOLONG}]")
+        assert sorted(os.walk(tmp_path)) == before
+
+    @pytest.mark.parametrize("kind", ["directory", "symlink_to_directory", "unwritable_file"])
+    @pytest.mark.parametrize(
+        "command, name", [("validate", "run.csv"), ("run", "run.csv"), ("preset", "fig1_N2.json")]
+    )
+    def test_record_name_it_cannot_write_exits_1_before_evaluating(
+        self, tmp_path, monkeypatch, capsys, kind, command, name
+    ):
+        # Records are written after the whole evaluation, so a name taken by something
+        # that cannot be written fails first.  validate checks run's default csv names.
+        monkeypatch.setattr(observables, "prepare", _never_prepare)
+        out = tmp_path / "out"
+        taken = out / name
+        out.mkdir()
+        if kind == "directory":
+            taken.mkdir()
+        elif kind == "symlink_to_directory":
+            (tmp_path / "elsewhere").mkdir()
+            taken.symlink_to(tmp_path / "elsewhere")
+        else:
+            taken.write_text("a file\n")
+            # A stand-in for os.access: a process that may write anywhere sees no unwritable one.
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != taken)
+        path = tmp_path / "c.conf"
+        path.write_text(f"n = 2\nh = 0.01\nsteps = 2\nout = {out}\n")
+        before = sorted(os.walk(tmp_path))
+        preset = ["fig1", "--out", str(out), "--format", "json"]
+        assert main([command, *(preset if command == "preset" else [str(path)])]) == 1
+        expected = f"config error: out: {str(taken)!r} is not a writable file\n"
+        assert capsys.readouterr().err == expected
+        assert sorted(os.walk(tmp_path)) == before
+
     def test_failed_evaluation_exits_2_and_leaves_no_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(observables, "prepare", _never_prepare)
         path = tmp_path / "ok.conf"
@@ -404,6 +433,7 @@ OUT_KINDS = {
     "under_file": "file/sub",
     "dangling_symlink": "dangling",
     "name_too_long": "missing/" + "n" * 300,
+    "holds_run_csv_directory": "holding",
 }
 
 
@@ -434,6 +464,7 @@ def test_validate_rejects_exactly_what_run_rejects(overrides):
         (base / "directory").mkdir()
         (base / "file").write_text("a file\n")
         (base / "dangling").symlink_to(base / "nowhere")
+        (base / "holding" / "run.csv").mkdir(parents=True)
         text = "".join(f"{key} = {value}\n" for key, value in overrides.items() if key != "out")
         path = base / "exp.conf"
         path.write_text(config_text(text + f"out = {base / OUT_KINDS[overrides['out']]}\n"))
@@ -466,9 +497,9 @@ class TestSamplesBudget:
         )
 
     @pytest.mark.parametrize("how", sorted(SAMPLED))
-    def test_at_the_budget_accepted_without_allocating(self, how):
+    def test_at_the_budget_accepted_without_allocating(self, how, traced):
         text = self.SAMPLED[how] + f"samples = {self.LIMIT}\n"
-        cfg, _, peak = _traced(lambda: parse_config(text))
+        cfg, _, peak = traced(lambda: parse_config(text))
         assert (cfg.resolved_method(), cfg.samples) == ("sampled", self.LIMIT)
         # The u the budget bounds would take 256 MiB.
         assert peak < 2**20
@@ -532,28 +563,19 @@ class TestConfigBehavior:
         assert cfg.resolved_method() == "binomial"
 
     @pytest.mark.parametrize("delta_h", [0.0, 0.02])
-    def test_params_hold_one_float_array(self, delta_h):
+    def test_params_hold_one_float_array(self, delta_h, traced):
         # The couplings are one float64 array, not N Python floats.
         n = 10**5
         config = ExperimentConfig(n=n, h=(0.01,), delta_h=delta_h)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            params = config.params()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        params, retained, _ = traced(config.params)
         assert params.n_env == n and params.equal_couplings == (delta_h == 0.0)
         assert retained < 8 * n + 64 * 1024
 
-    def test_constant_scalar_h_params_hold_one_value(self):
+    def test_constant_scalar_h_params_hold_one_value(self, traced):
         # Equal couplings from a scalar h are one broadcast float, never N of them.
         n = 10**7
         config = ExperimentConfig(n=n, h=(0.01,)).validate()
-        params, retained, _ = _traced(config.params)
+        params, retained, _ = traced(config.params)
         assert retained < 4 * 1024
         assert params.n_env == n and params.equal_couplings
         with pytest.raises(ValueError, match="read-only"):
@@ -586,14 +608,14 @@ SMALL = "n = 4\nh = 0.05\nalpha_up_sq = 0.4\nt_start = 0\nt_end = 40\nsteps = 6\
 
 
 class TestRunAndEmit:
-    def test_constant_h_binomial_run_holds_one_n_sized_array(self):
-        # The log-count table is the one N + 1 float array of a run; the couplings are one
+    def test_constant_h_binomial_run_holds_one_n_sized_array(self, traced):
+        # The log k! table is the one N + 1 float array of a run; the couplings are one
         # value, and a point evaluates only its spans.
         n = 10**6
         config = ExperimentConfig(
             n=n, h=(0.01,), t_start=100.0, t_end=300.0, steps=2, method="binomial"
         )
-        record, _, peak = _traced(lambda: run_config(config))
+        record, _, peak = traced(lambda: run_config(config))
         assert record.series.times.size == 2
         assert peak < 8 * (n + 1) + 4 * 1024 * 1024
 
@@ -781,15 +803,15 @@ class TestSamplerCheck:
         from scipy.stats import binom
 
         want = min(1.0, 2.0 * min(binom.cdf(count, samples, p), binom.sf(count - 1, samples, p)))
-        got = selfcheck.binomial_two_sided_p(count, p, engine.binomial_log_counts(samples))
+        got = selfcheck.binomial_two_sided_p(count, p, engine.log_factorials(samples))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_certain_counts(self):
-        log_counts = engine.binomial_log_counts(50)
-        assert selfcheck.binomial_two_sided_p(0, 0.0, log_counts) == 1.0
-        assert selfcheck.binomial_two_sided_p(1, 0.0, log_counts) == 0.0
-        assert selfcheck.binomial_two_sided_p(50, 1.0, log_counts) == 1.0
-        assert selfcheck.binomial_two_sided_p(49, 1.0, log_counts) == 0.0
+        log_fact = engine.log_factorials(50)
+        assert selfcheck.binomial_two_sided_p(0, 0.0, log_fact) == 1.0
+        assert selfcheck.binomial_two_sided_p(1, 0.0, log_fact) == 0.0
+        assert selfcheck.binomial_two_sided_p(50, 1.0, log_fact) == 1.0
+        assert selfcheck.binomial_two_sided_p(49, 1.0, log_fact) == 0.0
 
     @pytest.mark.parametrize(
         "seed, samples",
@@ -808,10 +830,10 @@ class TestSamplerCheck:
         assert f"class tails >= 2.25e-04, KS <= {ks_bound}" in result.name
 
     def test_one_log_count_table_per_check(self, monkeypatch):
-        # The 12 class tails share one lgamma table of samples + 1 entries.
+        # The 12 class tails share one log k! table of samples + 1 entries.
         built = []
-        real = engine.binomial_log_counts
-        monkeypatch.setattr(engine, "binomial_log_counts", lambda n: built.append(n) or real(n))
+        real = engine.log_factorials
+        monkeypatch.setattr(engine, "log_factorials", lambda n: built.append(n) or real(n))
         assert selfcheck.check_sampler_vs_enumeration(20260813, 2000).ok
         assert built == [2000]
 

@@ -1,14 +1,17 @@
-"""The package carries no unused import and no orphaned private helper.
+"""The package carries no unused import, no orphaned private helper and no unread constant.
 
-Both checks read the source with the stdlib ``ast`` module and import
+The checks read the source with the stdlib ``ast`` module and import
 nothing.  An imported name counts as used when its module loads it as
 a name anywhere or lists it in ``__all__``; ``from __future__`` imports
 are not names.  A module-level private ``def`` or ``class`` counts as
 used when some module of the package loads its name, reads it as an
-attribute, or imports it.
+attribute, or imports it.  A module-level constant (an upper-case name,
+private or not, assigned at the top of a module) counts as read when
+some module of the package loads its name or reads it as an attribute.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,27 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private helpers nothing references: {orphans}"
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def test_every_constant_is_read():
+    read = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    constants = [
+        (f"{name}:{node.lineno}", target.id)
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id)
+    ]
+    assert len(constants) >= 20  # the scan sees the package's constants (25 of them)
+    unread = [f"{where} {constant}" for where, constant in constants if constant not in read]
+    assert not unread, f"constants no package code reads: {unread}"

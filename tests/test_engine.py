@@ -1,7 +1,6 @@
 """Trajectory engine: enumeration, binomial reduction, exact sampling."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +23,10 @@ from centralspin.engine import (
     SAMPLE_CHUNK,
     SAMPLE_MASK_BYTES,
     DegenerateOutcomeError,
-    binomial_log_counts,
     binomial_outcomes,
     binomial_spin,
     enumerate_outcomes,
+    log_factorials,
     merge_by_u,
     pattern_log_weights,
     pattern_projection,
@@ -196,66 +195,46 @@ class TestBinomial:
             assert got.dropped == want.dropped
 
     def test_log_counts_table_gives_the_same_bits(self):
-        # A grid's prepared log C(N, k) table gives the point it builds itself, for the
+        # A grid's prepared log k! table gives the point it builds itself, for the
         # broadcast couplings of a scalar h and for an explicit list of equal h.
         for n in (80, 100_000):
-            log_counts = binomial_log_counts(n)
+            log_fact = log_factorials(n)
             for h in (np.broadcast_to(0.02, (n,)), (0.02,) * n):
                 p = ModelParams(delta=0.1, h=h)
                 spin = binomial_spin(p)
                 assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
                 for t in (0.0, 37.5, 410.0):
                     a = binomial_outcomes(p, ALPHAS, t)
-                    b = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts)
+                    b = binomial_outcomes(p, ALPHAS, t, log_fact=log_fact)
                     assert np.array_equal(a.u.view(np.int64), b.u.view(np.int64)), (n, t)
                     assert np.array_equal(a.weight.view(np.int64), b.weight.view(np.int64))
                     assert a.dropped == b.dropped
 
 
 class TestBinomialMemory:
-    def test_peak_of_one_point_at_large_n(self):
-        # A grid's point at N = 1e5, with the grid's multiplicities: four N + 1 float
-        # arrays (k, the two log weights, the mixture) and the kept atoms' merge stay
-        # below five.
+    def test_peak_of_one_point_at_large_n(self, traced):
+        # A grid's point at N = 1e5, with the grid's log k! table: four N + 1 float
+        # arrays (k, the two log weights, log C and then the mixture) and the kept atoms'
+        # merge stay below five.
         n = 100_000
         p = ModelParams(delta=0.0, h=(0.01,) * n)
-        log_counts = binomial_log_counts(n)
+        log_fact = log_factorials(n)
         for t in (np.arange(6) + 0.5) * 400.0 / 6:
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                binomial_outcomes(p, ALPHAS, float(t), log_counts=log_counts)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            _, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, float(t), log_fact=log_fact))
             assert peak < 5 * 8 * (n + 1)
 
-    def test_peak_of_one_point_follows_its_spans(self):
+    def test_peak_of_one_point_follows_its_spans(self, traced):
         # At N = 1e6 only the spans are evaluated, two disjoint ones here (about 6% of the
         # counts): four float arrays per span, then the kept atoms' merge, whatever N is
         # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
         n = 10**6
         p = ModelParams(delta=0.0, h=np.full(n, 0.01))
-        log_counts = binomial_log_counts(n)
+        log_fact = log_factorials(n)
         t = 200.0
         up, down, _, _ = engine._log_branch_pair(binomial_spin(p), ALPHAS, t)
         length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
         assert length < (n + 1) / 10
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            dist = binomial_outcomes(p, ALPHAS, t, log_counts=log_counts)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        dist, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, t, log_fact=log_fact))
         assert dist.dropped > n - length
         assert peak < 6 * 8 * length
 
@@ -286,7 +265,7 @@ class TestBinomialSpans:
     )
     def test_bits_match_full_profile(self, n, kinds):
         rng = np.random.default_rng(n)
-        log_counts = binomial_log_counts(n)
+        log_fact = log_factorials(n)
         seen = set()
         for h in (0.0, 0.01, 0.5, 10.0):
             for delta in (0.0, 0.01, 0.1):
@@ -296,8 +275,8 @@ class TestBinomialSpans:
                 for w_up in (0.0, 0.4, 1.0):
                     alphas = SystemAmplitudes.from_up_weight(w_up)
                     for t in times:
-                        got = binomial_outcomes(p, alphas, t, log_counts=log_counts)
-                        want = _binomial_full_profile(p, alphas, t, log_counts)
+                        got = binomial_outcomes(p, alphas, t, log_fact=log_fact)
+                        want = _binomial_full_profile(p, alphas, t, log_fact)
                         assert np.array_equal(got.u, want.u), (h, delta, w_up, t)
                         assert np.array_equal(got.weight, want.weight), (h, delta, w_up, t)
                         assert got.dropped == want.dropped, (h, delta, w_up, t)
@@ -308,13 +287,13 @@ class TestBinomialSpans:
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     def test_every_kept_count_lies_in_a_span(self, n):
         rng = np.random.default_rng(n + 1)
-        log_counts = binomial_log_counts(n)
+        log_fact = log_factorials(n)
         for _ in range(12):
             h = np.full(n, rng.choice([0.01, 0.5, 10.0]))
             p = ModelParams(delta=float(rng.uniform(-1, 1)), h=h)
             alphas = SystemAmplitudes.from_up_weight(float(rng.choice([0.0, 0.4, 1.0])))
             t = float(rng.choice([0.0, rng.uniform(0, 600)] + _node_times(p, "down", 1)))
-            _, weight = _binomial_full_weights(p, alphas, t, log_counts)
+            _, weight = _binomial_full_weights(p, alphas, t, log_fact)
             kept = np.flatnonzero(weight >= engine.WEIGHT_FLOOR)
             up, down, _, _ = engine._log_branch_pair(binomial_spin(p), alphas, t)
             spans = engine.binomial_spans(n, alphas, up, down)
@@ -346,9 +325,9 @@ class TestBinomialSpans:
     def test_log_counts_of_wrong_length_rejected(self, extra):
         n = 1000
         p = ModelParams(delta=0.0, h=np.full(n, 0.5))
-        wrong = rf"log_counts has shape \({n + 1 + extra},\), not \(1001,\)"
+        wrong = rf"log_fact has shape \({n + 1 + extra},\), not \(1001,\)"
         with pytest.raises(ValueError, match=wrong):
-            binomial_outcomes(p, ALPHAS, 3.0, log_counts=binomial_log_counts(n + extra))
+            binomial_outcomes(p, ALPHAS, 3.0, log_fact=log_factorials(n + extra))
 
 
 class TestSampling:
@@ -508,7 +487,7 @@ class TestSampleChunk:
             assert np.all(np.isin(sampled.u.view(np.int64), exact.u.view(np.int64)))
 
     @pytest.mark.parametrize("n", [80, 1000])
-    def test_peak_of_one_chunk(self, n):
+    def test_peak_of_one_chunk(self, n, traced):
         # Three LOG_SUM_BLOCK-float blocks (uniforms, flip probabilities, log
         # terms), one byte per (sample, spin) for the spin-major flip mask, up
         # to eight chunk-long float arrays, and slack.
@@ -516,17 +495,7 @@ class TestSampleChunk:
         branches = engine._log_branch_pair(p, ALPHAS, 300.0)
         u = np.empty(SAMPLE_CHUNK)
         engine._sample_chunk(branches, ALPHAS, 5, 2, u)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            engine._sample_chunk(branches, ALPHAS, 5, 2, u)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, _, peak = traced(lambda: engine._sample_chunk(branches, ALPHAS, 5, 2, u))
         bound = 3 * 8 * LOG_SUM_BLOCK + SAMPLE_CHUNK * n + 8 * 8 * SAMPLE_CHUNK + 64 * 1024
         assert peak <= bound
         assert bound <= 32 * 2**20
@@ -548,7 +517,7 @@ class TestSampleTiles:
                     got = _chunk_u(branches, ALPHAS, 7, 3, size)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_mask_bounded_at_large_n(self):
+    def test_mask_bounded_at_large_n(self, traced):
         # The flip mask stays within its budget where N x 1025 bytes would not (20 MB):
         # three LOG_SUM_BLOCK-float blocks and a bool one, the flip table and toggle bits
         # (3 N floats), eight chunk-long float arrays, and slack.
@@ -556,17 +525,7 @@ class TestSampleTiles:
         p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         branches = engine._log_branch_pair(p, ALPHAS, 300.0)
         u = np.empty(size)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            engine._sample_chunk(branches, ALPHAS, 5, 2, u)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, _, peak = traced(lambda: engine._sample_chunk(branches, ALPHAS, 5, 2, u))
         bound = SAMPLE_MASK_BYTES + 25 * LOG_SUM_BLOCK + 3 * 8 * n + 8 * 8 * size + 64 * 1024
         assert peak <= bound < size * n
 
@@ -608,7 +567,7 @@ class TestSampledWeight:
 
 class TestSampledPointMemory:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_is_u_and_one_chunk_scratch_per_thread(self, workers, monkeypatch):
+    def test_peak_is_u_and_one_chunk_scratch_per_thread(self, workers, monkeypatch, traced):
         # 8 bytes of u per draw, plus, per running chunk, the bound of
         # TestSampleChunk.test_peak_of_one_chunk: three LOG_SUM_BLOCK-float blocks,
         # the flip mask, eight chunk-long float arrays, and slack.  128 full chunks
@@ -617,17 +576,7 @@ class TestSampledPointMemory:
         n, count = 8, 128 * SAMPLE_CHUNK + 1
         p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         sample_outcomes(p, ALPHAS, 300.0, count, 4, workers)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            sample_outcomes(p, ALPHAS, 300.0, count, 4, workers)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, _, peak = traced(lambda: sample_outcomes(p, ALPHAS, 300.0, count, 4, workers))
         scratch = 3 * 8 * LOG_SUM_BLOCK + SAMPLE_CHUNK * n + 8 * 8 * SAMPLE_CHUNK + 64 * 1024
         assert peak <= 8 * count + workers * scratch < 16 * count
 
@@ -980,75 +929,52 @@ class TestBlockWorkspace:
         for name in ("acc", "weight", "log_up", "log_down", "keep", "up", "down"):
             assert any(np.shares_memory(getattr(short, name), b) for b in ws.buffers)
 
-    def test_cap_checked_before_any_allocation(self):
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+    def test_cap_checked_before_any_allocation(self, traced):
+        def over_cap():
             with pytest.raises(EnvironmentTooLarge):
                 engine.block_workspace(21, 1)
             with pytest.raises(EnvironmentTooLarge):
                 enumerate_outcomes(ModelParams(delta=0.0, h=(0.1,) * 21), ALPHAS, 1.0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+
+        _, _, peak = traced(over_cap)
         assert peak < 64 * 1024
 
 
 class TestBinomialLogCounts:
     @pytest.mark.parametrize("n", [1, 2, 80, 1000, 10**5])
     def test_equals_lgamma_formula_bitwise(self, n):
-        want = [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in range(n + 1)]
-        assert np.array_equal(binomial_log_counts(n), np.array(want))
+        want = [math.lgamma(v + 1) for v in range(n + 1)]
+        assert np.array_equal(log_factorials(n).view(np.int64), np.array(want).view(np.int64))
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            1, 2, 3,
-            engine.LOG_COUNT_CHUNK - 1, engine.LOG_COUNT_CHUNK, engine.LOG_COUNT_CHUNK + 1,
-            2 * engine.LOG_COUNT_CHUNK - 2, 2 * engine.LOG_COUNT_CHUNK,
-            2 * engine.LOG_COUNT_CHUNK + 1, 10**5, 10**5 + 1,
-        ],
-    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 8190, 8192, 8193, 10**5, 10**5 + 1])
     def test_in_place_table_equals_vector_formula_bitwise(self, n):
-        # Both parities (a middle count pairs with itself at even n) and both sides of the
-        # chunk edges, in n and in the n // 2 + 1 paired counts.
-        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-        want = lg[n] - lg - lg[::-1]
-        assert np.array_equal(binomial_log_counts(n).view(np.int64), want.view(np.int64))
+        # log C(n, k) as the spans form it in place and as the reference forms it, from
+        # log k!, is the scalar lgamma formula at both parities of n.
+        lf = log_factorials(n)
+        want = [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in range(n + 1)]
+        got = lf[-1] - lf - lf[::-1]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
-    def test_peak_is_the_table_and_its_chunk_buffers(self):
+    def test_peak_is_the_table(self, traced):
         n = 10**6
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            binomial_log_counts(n)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        # The two chunk buffers, and 4 KiB for array headers and the lgamma iterator.
-        assert peak < 8 * (n + 1) + 2 * 8 * engine.LOG_COUNT_CHUNK + 4 * 1024
+        _, _, peak = traced(lambda: log_factorials(n))
+        # 4 KiB for the array header and the lgamma iterator.
+        assert peak < 8 * (n + 1) + 4 * 1024
 
     def test_passed_counts_give_the_same_distribution(self):
         p = ModelParams(delta=0.1, h=(0.02,) * 80)
-        counts = binomial_log_counts(80)
+        log_fact = log_factorials(80)
         for t in (0.0, 37.5, 410.0):
             a = binomial_outcomes(p, ALPHAS, t)
-            b = binomial_outcomes(p, ALPHAS, t, log_counts=counts)
+            b = binomial_outcomes(p, ALPHAS, t, log_fact=log_fact)
             assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
             assert a.dropped == b.dropped
 
 
-def _binomial_full_weights(params, alphas, t, log_counts):
+def _binomial_full_weights(params, alphas, t, log_fact):
     """Reference: every flip count's (x, weight) from all N spins' profiles (every row equal)."""
     n = params.n_env
+    log_counts = log_fact[n] - log_fact - log_fact[::-1]
     up, down, lw_up, lw_down = engine._log_branch_pair(params, alphas, t)
     k = np.arange(n + 1, dtype=np.int64)
 
@@ -1064,11 +990,11 @@ def _binomial_full_weights(params, alphas, t, log_counts):
         return (lw_down + log_wd) - (lw_up + log_wu), weight
 
 
-def _binomial_full_profile(params, alphas, t, log_counts=None):
+def _binomial_full_profile(params, alphas, t, log_fact=None):
     """Reference: the binomial atoms over all N + 1 counts, from all N spins' profiles."""
-    if log_counts is None:
-        log_counts = binomial_log_counts(params.n_env)
-    x, weight = _binomial_full_weights(params, alphas, t, log_counts)
+    if log_fact is None:
+        log_fact = log_factorials(params.n_env)
+    x, weight = _binomial_full_weights(params, alphas, t, log_fact)
     keep = weight >= engine.WEIGHT_FLOOR
     dist = engine.ProjectionDistribution(
         u=u_from_x(x[keep]), weight=weight[keep], kind="binomial",

@@ -1,7 +1,6 @@
 """Classification, series assembly, revivals, histograms."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ class TestPrepare:
         calls = []
         for module, name in [
             (engine, "branch_flip_profile"),
-            (engine, "binomial_log_counts"),
+            (engine, "log_factorials"),
             (universe, "sector_spectra"),
         ]:
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
@@ -244,10 +243,10 @@ class TestPrepare:
 
             return wrapper
 
-        monkeypatch.setattr(engine, "binomial_log_counts", counted(engine.binomial_log_counts))
+        monkeypatch.setattr(engine, "log_factorials", counted(engine.log_factorials))
         times = np.linspace(1.0, 9.0, 5)
         obs.evaluate(self.P4, ALPHAS, times, (2.0, 4.0), method="binomial")
-        assert calls == ["binomial_log_counts"]
+        assert calls == ["log_factorials"]
 
 
 class TestLogitCutoffs:
@@ -293,7 +292,7 @@ class TestLogitCutoffs:
 
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
-    def test_peak_of_one_block(self, n, monkeypatch):
+    def test_peak_of_one_block(self, n, monkeypatch, traced):
         # Three block-sized float arrays and a half-block one: the workspace, built in the measure.
         # The chunk's profile and low-spin tables are built before it (TestProfileChunks bounds them).
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
@@ -304,44 +303,19 @@ class TestExactBlockMemory:
         monkeypatch.setattr(engine, "branch_log_rows", lambda *args: table)
         monkeypatch.setattr(engine, "low_spin_table", lambda *args: low)
         engine.exact_class_masses(params, ALPHAS, times, cutoffs)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            engine.exact_class_masses(params, ALPHAS, times, cutoffs)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, _, peak = traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
         assert peak <= 3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
-
-
-def _peak(call):
-    """tracemalloc peak of call(), above what was allocated before it; a first call warms up."""
-    call()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 class TestExactGridMemory:
     @pytest.mark.parametrize("n", [10, 13])
-    def test_peak_of_a_one_block_grid_as_it_runs(self, n):
+    def test_peak_of_a_one_block_grid_as_it_runs(self, n, traced):
         # The block bound plus the chunk's profile table and low-spin table at their budgets.
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         cutoffs = obs.logit_cutoffs(1e-3)
-        peak = _peak(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
+        engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+        _, _, peak = traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
         bound = (
             3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
             + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
@@ -404,13 +378,18 @@ class TestExactGridTiles:
         assert running_differs > 0
 
     @pytest.mark.parametrize("n", [16, 18, 20])
-    def test_peak_of_a_one_time_grid_is_five_tile_arrays(self, n):
+    def test_peak_of_a_one_time_grid_is_five_tile_arrays(self, n, traced):
         # The workspace's three tile arrays and both branches' bases, the same at every N above
         # TILE_BITS, plus the allowance of TestExactGridMemory for the profile and low-spin
         # tables.  A whole-time block took three arrays of 8 * 2^N bytes: 6 MiB at N = 18.
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         cutoffs = obs.logit_cutoffs(1e-3)
-        peak = _peak(lambda: engine.exact_class_masses(params, ALPHAS, np.array([100.0]), cutoffs))
+
+        def grid():
+            return engine.exact_class_masses(params, ALPHAS, np.array([100.0]), cutoffs)
+
+        grid()
+        _, _, peak = traced(grid)
         tile = 8 << engine.TILE_BITS
         bound = 5 * tile + 16 * 1024 + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
         assert bound == 1_351_680
@@ -422,18 +401,23 @@ def _chunk_times(n):
     return step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
 
 
-def _series_peak(params, times):
-    """tracemalloc peak of one exact time_series, above what was allocated before it."""
-    return _peak(lambda: time_series(params, ALPHAS, times, method="exact"))
+def _series_peak(traced, params, times):
+    """tracemalloc peak of one exact time_series, after a warm-up one, above the start."""
+
+    def series():
+        return time_series(params, ALPHAS, times, method="exact")
+
+    series()
+    return traced(series)[2]
 
 
 class TestProfileChunks:
-    def test_peak_does_not_grow_with_grid_length(self):
+    def test_peak_does_not_grow_with_grid_length(self, traced):
         n = 10
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         chunk = _chunk_times(n)
-        short = _series_peak(params, np.linspace(1.0, 100.0, chunk))
-        long = _series_peak(params, np.linspace(1.0, 100.0, 20 * chunk))
+        short = _series_peak(traced, params, np.linspace(1.0, 100.0, chunk))
+        long = _series_peak(traced, params, np.linspace(1.0, 100.0, 20 * chunk))
         # The long grid's own masses, 3 floats per time (10.7 KiB), are all that may grow.
         assert long - short <= 16 * 1024
 
@@ -523,22 +507,16 @@ class TestGridWorkspace:
                 assert (2 << k) * times <= engine.LOW_SPIN_ENTRIES or k == 0
                 assert k == n or (4 << k) * times > engine.LOW_SPIN_ENTRIES
 
-    def test_over_cap_grid_raises_before_allocating(self):
+    def test_over_cap_grid_raises_before_allocating(self, traced):
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 21))
         times = np.linspace(1.0, 100.0, 6)
         obs.logit_cutoffs(1e-3)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+
+        def over_cap():
             with pytest.raises(engine.EnvironmentTooLarge, match="N=21"):
                 time_series(params, ALPHAS, times, method="exact")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+
+        _, _, peak = traced(over_cap)
         assert peak < 64 * 1024
 
 
@@ -571,17 +549,21 @@ def _one_time_block(params, alphas, t):
 
 
 class TestSampledGridMemory:
-    def test_one_point_alive_at_a_time(self):
+    def test_one_point_alive_at_a_time(self, traced):
         # Point i's u goes before point i + 1 is drawn, so three points peak as one does;
         # holding the previous point would add its 8 bytes per draw, 2 MiB here.
         p = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 8))
         count = 32 * engine.SAMPLE_CHUNK
 
-        def run(times):
-            return lambda: obs.evaluate(p, ALPHAS, times, method="sampled", samples=count, seed=3)
+        def peak(times):
+            def run():
+                return obs.evaluate(p, ALPHAS, times, method="sampled", samples=count, seed=3)
 
-        one = _peak(run([150.0]))
-        three = _peak(run([50.0, 150.0, 250.0]))
+            run()
+            return traced(run)[2]
+
+        one = peak([150.0])
+        three = peak([50.0, 150.0, 250.0])
         assert three <= one + 64 * 1024 < one + 8 * count
 
 

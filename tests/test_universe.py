@@ -1,7 +1,5 @@
 """Dense-universe oracle: Hamiltonian assembly, propagation, density identity."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -506,22 +504,12 @@ class TestInPlaceBits:
 
 class TestPointMemory:
     @pytest.mark.parametrize("n", [8, 9])
-    def test_peak_of_one_point(self, n):
+    def test_peak_of_one_point(self, n, traced):
         # Besides the spectra, one point holds at most 4.5 M x M float arrays (M = 2^N).
         bound = 4.5 * 8 * 4**n
         p = ModelParams(delta=0.05, h=dispersed_couplings(0.01, 0.02, n), beta=0.2)
         a = SystemAmplitudes.from_up_weight(0.4)
         ens, spectra = thermal_ensemble(p), sector_spectra(p)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            u, weight = projection_outcomes(p, a, ens, spectra, 66.7)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        (u, weight), _, peak = traced(lambda: projection_outcomes(p, a, ens, spectra, 66.7))
         assert u.size == weight.size == 4**n
         assert peak <= bound

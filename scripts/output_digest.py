@@ -55,7 +55,7 @@ def _hist_configs() -> list[ExperimentConfig]:
         ExperimentConfig(
             **base, method=method, samples=20_000, workers=2 if method == "sampled" else 1,
             label=f"hist_{method}",
-        ).validate()
+        )
         for method in ("exact", "binomial", "sampled", "exact-universe")
     ]
 
@@ -64,9 +64,9 @@ def _coupling_configs() -> list[ExperimentConfig]:
     """At N = 20: an explicit equal h list, and signed-zero and underflowing constant specs."""
     base = dict(n=20, delta=0.01, alpha_up_sq=0.4, steps=40)
     return [
-        ExperimentConfig(**base, h=(0.01,) * 20, label="h_list").validate(),
-        ExperimentConfig(**base, h=(-0.0,), delta_h=-0.0, label="h_signed_zero").validate(),
-        ExperimentConfig(**base, h=(1e-300,), delta_h=1e-320, label="h_underflow").validate(),
+        ExperimentConfig(**base, h=(0.01,) * 20, label="h_list"),
+        ExperimentConfig(**base, h=(-0.0,), delta_h=-0.0, label="h_signed_zero"),
+        ExperimentConfig(**base, h=(1e-300,), delta_h=1e-320, label="h_underflow"),
     ]
 
 
@@ -75,14 +75,14 @@ def _odd_n_config() -> ExperimentConfig:
     return ExperimentConfig(
         n=100_001, h=(0.01,), delta=0.01, alpha_up_sq=0.4, t_end=200.0, steps=1,
         method="binomial", label="binomial_odd_n",
-    ).validate()
+    )
 
 
 def _tile_configs() -> list[ExperimentConfig]:
     """One dispersed exact point (t = 100) at N = 15, 16, 17 and 20: 1, 2, 4 and 32 tiles of patterns."""
     base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
     return [
-        ExperimentConfig(**base, n=n, t_end=200.0, steps=1, label=f"exact_n{n}").validate()
+        ExperimentConfig(**base, n=n, t_end=200.0, steps=1, label=f"exact_n{n}")
         for n in (15, 16, 17, 20)
     ]
 
@@ -94,7 +94,7 @@ def _chunk_configs() -> list[ExperimentConfig]:
         ExperimentConfig(
             **base, method="sampled", samples=2 * SAMPLE_CHUNK + 1, workers=workers,
             label=f"sampled_w{workers}",
-        ).validate()
+        )
         for workers in (1, 2)
     ]
 
@@ -109,7 +109,7 @@ def _universe_configs() -> list[ExperimentConfig]:
     configs.append(ExperimentConfig(
         **base, alpha_up_sq=0.4, t_start=0.0, t_end=1e-6, steps=2, label="universe_near_zero"
     ))
-    return [c.validate() for c in configs]
+    return configs
 
 
 def write_outputs(out: Path) -> None:

@@ -45,7 +45,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,8 @@ def _check_sample_budget(samples: int) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's inputs, valid by construction: building a config runs ``validate``."""
+
     n: int
     h: tuple[float, ...]
     delta: float = 0.0
@@ -120,9 +122,16 @@ class ExperimentConfig:
     out: str = "results"
     preset: str = ""
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
         """Reject the configs whose values alone make ``run_config`` fail.
 
+        ``__post_init__`` calls it, so a config is validated when it is
+        built (``replace`` builds a new one), and an invalid one raises
+        ConfigError instead of existing; a later call checks the same
+        values again and returns self.
         Costs O(1) in N for a scalar h: the dispersed couplings are checked
         through their last value, never expanded.
         """
@@ -196,11 +205,27 @@ class ExperimentConfig:
             raise ConfigError("method: binomial needs all couplings equal")
         if self.resolved_method() == "sampled":
             _check_sample_budget(self.samples)
+            if (estimate := self._sampled_bytes()) > engine.SAMPLE_ARRAYS_CAP:
+                raise ConfigError(
+                    f"n: {self.n} spins take an estimated {estimate} bytes per sampled grid "
+                    f"point at workers = {self.workers}; the sampled method is capped at "
+                    f"{engine.SAMPLE_ARRAYS_CAP} bytes"
+                )
         if any(c in self.label for c in _LABEL_FORBIDDEN):
             raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
         if "\0" in self.out:
             raise ConfigError(f"out: a path cannot hold a NUL byte, got {self.out!r}")
         return self
+
+    def _sampled_bytes(self) -> int:
+        """O(1) estimate of a sampled grid point's N-sized bytes, u aside.
+
+        The point runs min(workers, chunks) chunks at a time, each with
+        its own mask and per-spin scratch (``engine.SAMPLE_SPIN_BYTES``).
+        """
+        threads = min(self.workers, -(-self.samples // engine.SAMPLE_CHUNK))
+        per_thread = engine.SAMPLE_THREAD_SPIN_BYTES * self.n + engine.SAMPLE_MASK_BYTES
+        return engine.SAMPLE_SPIN_BYTES * self.n + threads * per_thread
 
     def _last_coupling(self) -> float:
         if len(self.h) == self.n:
@@ -272,7 +297,11 @@ _LABEL_FORBIDDEN = {sep for sep in (os.sep, os.altsep) if sep} | {"\0"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat key-value config document."""
+    """Parse a flat key-value config document into a config, which is validated when built.
+
+    Each field without a default (n, h) is a required key; an empty h
+    list counts as missing.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -290,11 +319,10 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _KEY_PARSERS[key](value)
         except ValueError as err:
             raise ConfigError(f"{key}: {err}") from None
-    if "n" not in values:
-        raise ConfigError("n: required key missing")
-    if "h" not in values or not values["h"]:
-        raise ConfigError("h: required key missing")
-    return ExperimentConfig(**values).validate()
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and values.get(f.name, ()) == ():
+            raise ConfigError(f"{f.name}: required key missing")
+    return ExperimentConfig(**values)
 
 
 @dataclass
@@ -309,18 +337,14 @@ class ResultRecord:
 
 
 def run_config(config: ExperimentConfig) -> ResultRecord:
-    """Validate one config, then evaluate it over its grid and its histogram times.
+    """Evaluate one config over its grid and its histogram times.
 
-    The evaluation is one ``observables.evaluate`` call.  No grid engine
-    meets a degenerate outcome (both branch weights exactly zero), so
-    the ``degenerate_retries`` diagnostic is always an empty list; it
-    stays in the JSON record, whose readers expect the key.
+    The config was validated when it was built, so nothing is checked
+    again here.  The evaluation is one ``observables.evaluate`` call.  No
+    grid engine meets a degenerate outcome (both branch weights exactly
+    zero), so the ``degenerate_retries`` diagnostic is always an empty
+    list; it stays in the JSON record, whose readers expect the key.
     """
-    return _evaluate(config.validate())
-
-
-def _evaluate(config: ExperimentConfig) -> ResultRecord:
-    """``run_config`` of a config that has passed ``validate``."""
     start = time.perf_counter()
     series, histograms = observables.evaluate(
         config.params(), config.alphas(), config.grid(), config.hist_times, config.epsilon,
@@ -384,13 +408,14 @@ def _preset_configs(name: str) -> list[ExperimentConfig]:
 
 def run_preset(name: str) -> list[ResultRecord]:
     """Run one figure preset; sweep values beyond the quoted endpoints,
-    grids and sample counts are package defaults and labeled as such."""
-    return [_evaluate_preset(config.validate()) for config in _preset_configs(name)]
+    grids and sample counts are package defaults and labeled as such.
+    Each preset config was validated when it was built."""
+    return [_evaluate_preset(config) for config in _preset_configs(name)]
 
 
 def _evaluate_preset(config: ExperimentConfig) -> ResultRecord:
-    """``_evaluate`` of one preset config, with the note that labels its defaults."""
-    record = _evaluate(config)
+    """``run_config`` of one preset config, with the note that labels its defaults."""
+    record = run_config(config)
     record.diagnostics["preset_defaults_note"] = (
         "time grid, sample count and intermediate sweep values are package defaults"
     )
@@ -504,8 +529,9 @@ def emit_results(records: list[ResultRecord], out_dir, fmt: str = "csv") -> list
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {key: getattr(args, key, None) for key in ("seed", "samples", "workers", "out")}
-    return replace(config, **{key: value for key, value in updates.items() if value is not None})
+    """``config`` rebuilt, and so validated, with every given flag whose name is a config key."""
+    given = {k: v for k, v in vars(args).items() if k in _KEY_PARSERS and v is not None}
+    return replace(config, **given)
 
 
 def _add_common_flags(sub):
@@ -520,12 +546,12 @@ def main(argv=None) -> int:
     """Run the command line; returns the exit code.
 
     ``run``, ``preset`` and ``validate`` share one preflight: build the
-    configs (the file, or the preset's list), apply the command-line
-    overrides (``validate`` takes none), validate each config and check
-    its ``out`` and the record file names in it without creating
-    anything.  ``validate`` then prints OK; ``run`` and ``preset``
-    evaluate and write.  Bad input exits 1 before any evaluation, a
-    failure after it exits 2.
+    configs (the file, or the preset's list), which validates them,
+    rebuild each with the command-line overrides (``validate`` takes
+    none), which validates it again, and check its ``out`` and the
+    record file names in it without creating anything.  ``validate``
+    then prints OK; ``run`` and ``preset`` evaluate and write.  Bad input
+    exits 1 before any evaluation, a failure after it exits 2.
     """
     parser = argparse.ArgumentParser(
         prog="centralspin",
@@ -563,15 +589,14 @@ def main(argv=None) -> int:
             configs = _preset_configs(args.name)
         else:
             configs = [parse_config(Path(args.config).read_text())]
-        # A file config was validated when parsed; this last check sees the overrides.
-        configs = [_apply_overrides(config, args).validate() for config in configs]
+        configs = [_apply_overrides(config, args) for config in configs]
         # validate has no --format: it checks the names run writes by default.
         fmt = getattr(args, "format", "csv")
         _check_out(configs[0].out, [_record_name(config, fmt) for config in configs])
         if args.command == "validate":
             print("OK")
             return 0
-        evaluate = _evaluate if args.command == "run" else _evaluate_preset
+        evaluate = run_config if args.command == "run" else _evaluate_preset
         records = [evaluate(config) for config in configs]
         paths = emit_results(records, configs[0].out, fmt)
         for record, path in zip(records, paths):

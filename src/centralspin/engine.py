@@ -56,6 +56,18 @@ SAMPLE_CHUNK = 8192
 # Bytes of a chunk's flip mask, one per (draw, spin): a chunk's draws go
 # through it in tiles of budget // N draws (one tile up to N = 512).
 SAMPLE_MASK_BYTES = 4 << 20
+# Bytes per spin of a sampled point besides u, for ``cli``'s estimate,
+# with headroom over tracemalloc peaks measured at N = 2e5 and 1e6:
+# SAMPLE_SPIN_BYTES once, for the couplings, both branch profiles and
+# the temporaries that build them (130 measured), and
+# SAMPLE_THREAD_SPIN_BYTES per running chunk, for its flip table and its
+# one-row blocks of uniforms, flip probabilities and compares (33
+# measured), next to its SAMPLE_MASK_BYTES mask.  ``cli`` rejects a
+# sampled config whose estimate exceeds SAMPLE_ARRAYS_CAP (about
+# 1.5 million spins at one worker).
+SAMPLE_SPIN_BYTES = 136
+SAMPLE_THREAD_SPIN_BYTES = 40
+SAMPLE_ARRAYS_CAP = 256 << 20
 # Atoms per tile of a grid block: exact enumeration evaluates
 # max(1, GRID_BLOCK_ATOMS >> B) grid times at once, B = min(N, TILE_BITS).
 # Enough times to spread numpy's per-call cost at small N (8 times at
@@ -631,7 +643,7 @@ def binomial_outcomes(
     branches = _log_branch_pair(spin, alphas, t)
     spans = binomial_spans(n, alphas, *branches[:2])
     parts = [_span_atoms(n, alphas, branches, log_fact, lo, hi) for lo, hi in spans]
-    u, weight = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    u, weight = map(np.concatenate, zip(*parts))
     return merge_by_u(
         ProjectionDistribution(u=u, weight=weight, kind="binomial", dropped=n + 1 - u.size)
     )

@@ -9,6 +9,7 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -319,8 +320,8 @@ class TestValidateBoundary:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_run_validates_twice(self, tmp_path, monkeypatch):
-        # Once when the file is parsed and once in main, which sees the overrides before it
-        # checks the output directory; the evaluation does not validate again.
+        # Once when the file's config is built and once when the overrides rebuild it, before
+        # the output directory is checked; the evaluation does not validate again.
         calls = []
         real = ExperimentConfig.validate
 
@@ -381,7 +382,8 @@ class TestValidateBoundary:
         ids=["reversed", "spacing_below_ulp", "overflowing_span", "single_point", "default"],
     )
     def test_grid_rejected_exactly_when_its_owner_rejects(self, t_start, t_end, steps):
-        grid = ExperimentConfig(n=10, h=(0.01,), t_start=t_start, t_end=t_end, steps=steps).grid()
+        # An invalid config cannot be built, so the real method reads a namespace.
+        grid = ExperimentConfig.grid(SimpleNamespace(t_start=t_start, t_end=t_end, steps=steps))
         text = config_text(f"t_start = {t_start!r}\nt_end = {t_end!r}\nsteps = {steps}\n")
         try:
             observables.check_grid(grid)
@@ -443,6 +445,17 @@ def _exit_and_stderr(argv):
         return main(argv), err.getvalue()
 
 
+def _all_quantum(params, alphas, times, hist_times, eps, method, *args):
+    """Stands in for observables.evaluate: P_q = 1 over the grid it is given, no histograms."""
+    zeros = np.zeros(times.size)
+    return observables.ObservableSeries(times, zeros, zeros, np.ones(times.size), method), []
+
+
+def _tree(base):
+    """Every path below ``base``, symlinks not followed."""
+    return {Path(root, name) for root, dirs, files in os.walk(base) for name in dirs + files}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.fixed_dictionaries(
@@ -453,11 +466,12 @@ def _exit_and_stderr(argv):
 def test_validate_rejects_exactly_what_run_rejects(overrides):
     """validate and run (with the config's own out) share one preflight.
 
-    When validate exits 1, run exits 1 with the same stderr line and
-    prepares no engine.  When validate accepts, run reaches the engine's
-    preparation, where a stand-in stops it: "accepting implies exit 0"
-    needs a time and memory budget for every accepted config first, so no
-    accepted config is evaluated here.  Neither command creates anything.
+    When validate exits 1, run exits 1 with the same stderr line, and
+    neither command creates anything.  When validate accepts, run must
+    exit 0 and add exactly its record file to the tree, plus ``out`` and
+    its missing parents: a stand-in for ``observables.evaluate`` keeps
+    every accepted config cheap, and the write that follows is real, so
+    a rejection that only the write would show fails here.
     """
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         base = Path(tmp)
@@ -468,16 +482,20 @@ def test_validate_rejects_exactly_what_run_rejects(overrides):
         text = "".join(f"{key} = {value}\n" for key, value in overrides.items() if key != "out")
         path = base / "exp.conf"
         path.write_text(config_text(text + f"out = {base / OUT_KINDS[overrides['out']]}\n"))
-        before = sorted(os.walk(base))
-        patch.setattr(observables, "prepare", _never_prepare)
+        out = base / OUT_KINDS[overrides["out"]]
+        created = {out / f"{overrides.get('label', 'run')}.csv"}
+        created |= {p for p in (out, *out.parents) if not os.path.lexists(p)}
+        before = _tree(base)
+        patch.setattr(observables, "evaluate", _all_quantum)
         validated = _exit_and_stderr(["validate", str(path)])
         ran = _exit_and_stderr(["run", str(path)])
         if validated[0] == 0:
-            assert ran == (2, f"error: {PREPARE_REACHED}\n")
+            assert ran[0] == 0, ran
+            assert _tree(base) == before | created
         else:
             assert validated[0] == 1 and validated[1].startswith("config error: ")
             assert ran == validated
-        assert sorted(os.walk(base)) == before
+            assert _tree(base) == before
 
 
 class TestSamplesBudget:
@@ -539,6 +557,63 @@ class TestSamplesBudget:
         parse_config(self.SAMPLED["named"] + "samples = 100\n")
         with pytest.raises(ConfigError, match=r"capped at 800 bytes \(100 draws\)$"):
             parse_config(self.SAMPLED["named"] + "samples = 101\n")
+
+
+class TestSampledSpinsBudget:
+    """A sampled point's N-sized arrays, estimated in O(1), are capped at SAMPLE_ARRAYS_CAP."""
+
+    # One worker: the shared per-spin bytes and one chunk's scratch and mask.
+    PER_SPIN = engine.SAMPLE_SPIN_BYTES + engine.SAMPLE_THREAD_SPIN_BYTES
+    LIMIT = (engine.SAMPLE_ARRAYS_CAP - engine.SAMPLE_MASK_BYTES) // PER_SPIN
+    DISPERSED = "h = 0.01\ndelta_h = 0.02\nt_start = 66.6\nt_end = 66.8\nsteps = 1\n"
+
+    def message(self, n):
+        estimate = self.PER_SPIN * n + engine.SAMPLE_MASK_BYTES
+        return (
+            f"n: {n} spins take an estimated {estimate} bytes per sampled grid point at "
+            f"workers = 1; the sampled method is capped at {engine.SAMPLE_ARRAYS_CAP} bytes"
+        )
+
+    def test_at_the_limit_accepted_without_allocating(self, traced):
+        text = self.DISPERSED + f"n = {self.LIMIT}\n"
+        cfg, _, peak = traced(lambda: parse_config(text))
+        assert cfg.resolved_method() == "sampled"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [LIMIT + 1, 10**9])
+    def test_validate_and_run_exit_1_before_allocating(self, n, tmp_path, capsys, traced):
+        path = tmp_path / "big.conf"
+        path.write_text(self.DISPERSED + f"n = {n}\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 1
+        code, _, peak = traced(lambda: main(["run", str(path), "--out", str(out)]))
+        assert code == 1 and peak < 2**20
+        assert capsys.readouterr().err == 2 * f"config error: {self.message(n)}\n"
+        assert not out.exists()
+
+    def test_more_workers_count_only_running_chunks(self):
+        # Two draws are one chunk, so a second worker adds nothing to the estimate.
+        base = dict(n=1000, h=(0.01,), delta_h=0.02)
+        one, two = (ExperimentConfig(**base, samples=2, workers=w) for w in (1, 2))
+        assert one._sampled_bytes() == two._sampled_bytes()
+        many = ExperimentConfig(**base, samples=engine.SAMPLE_CHUNK + 1, workers=2)
+        extra = engine.SAMPLE_THREAD_SPIN_BYTES * 1000 + engine.SAMPLE_MASK_BYTES
+        assert many._sampled_bytes() == one._sampled_bytes() + extra
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2 * 10**5, 10**6])
+    def test_estimate_bounds_the_measured_peak(self, n, workers, monkeypatch, traced):
+        # Chunks of 20 draws keep the run short and still fill each chunk's 4 MiB mask
+        # (SAMPLE_MASK_BYTES // N is 20 draws at N = 2e5 and 4 at 1e6); 21 draws are two
+        # chunks, on two threads even on a one-CPU host.
+        monkeypatch.setattr(engine, "SAMPLE_CHUNK", 20)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        config = ExperimentConfig(
+            n=n, h=(0.01,), delta_h=0.02, delta=0.01, t_start=100.0, t_end=300.0, steps=1,
+            method="sampled", samples=21, workers=workers,
+        )
+        _, _, peak = traced(lambda: run_config(config))
+        assert peak <= config._sampled_bytes()
 
 
 class TestConfigBehavior:

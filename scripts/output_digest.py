@@ -11,11 +11,12 @@ sends to binomial (an explicit list of equal couplings, signed-zero
 couplings, h = -0.0 and delta_h = -0.0, and a constant dispersed spec
 whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
 binomial run at odd N = 100,001 (no count k equals N - k in its
-log C(N, k)), one-point dispersed exact runs at N = 15, 16, 17
-and 20: the largest N whose time is one tile of patterns, then two,
-four and 32 tiles, a sampled run of 2 * 8192 + 1 draws per point
-(the last chunk holds one draw) at workers 1 and at workers 2, and
-exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
+log C(N, k)), a binomial run of 300 points at N = 1000 (two profile
+windows) whose grid holds the down branch's node times, one-point
+dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
+time is one tile of patterns, then two, four and 32 tiles, a sampled
+run of 2 * 8192 + 1 draws per point (the last chunk holds one draw) at
+workers 1 and at workers 2, and exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
 times below 1e-6, where the keep rule drops the two-flip outcomes.
 Each run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
@@ -26,6 +27,7 @@ or to DIR with --keep.  Takes a few seconds on a 2-core machine.
 
 import argparse
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -78,6 +80,20 @@ def _odd_n_config() -> ExperimentConfig:
     )
 
 
+def _window_config() -> ExperimentConfig:
+    """300 binomial points, more than one profile window; every third lands on a down-branch node.
+
+    At delta = 0 the down branch turns at omega = h, and a step of
+    2 pi / (3 h) puts grid time 3m + 1 at (2m + 1) pi / h, where its
+    flip probability is zero to rounding.
+    """
+    h, steps = 0.01, 300
+    return ExperimentConfig(
+        n=1000, h=(h,), alpha_up_sq=0.4, t_end=steps * 2 * math.pi / (3 * h), steps=steps,
+        method="binomial", label="binomial_windows",
+    )
+
+
 def _tile_configs() -> list[ExperimentConfig]:
     """One dispersed exact point (t = 100) at N = 15, 16, 17 and 20: 1, 2, 4 and 32 tiles of patterns."""
     base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
@@ -127,6 +143,7 @@ def write_outputs(out: Path) -> None:
         ("hist_times", _hist_configs()),
         ("couplings", _coupling_configs()),
         ("odd_n", [_odd_n_config()]),
+        ("windows", [_window_config()]),
         ("tiles", _tile_configs()),
         ("chunks", _chunk_configs()),
         ("universe", _universe_configs()),

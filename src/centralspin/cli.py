@@ -220,12 +220,16 @@ class ExperimentConfig:
     def _sampled_bytes(self) -> int:
         """O(1) estimate of a sampled grid point's N-sized bytes, u aside.
 
-        The point runs min(workers, chunks) chunks at a time, each with
-        its own mask and per-spin scratch (``engine.SAMPLE_SPIN_BYTES``).
+        The larger of the point's two phases, which are never alive
+        together (``engine.SAMPLE_SPIN_BYTES``): building both branch
+        profiles, then drawing min(workers, chunks) chunks at a time
+        while it holds them, each chunk with its own mask and per-spin
+        scratch.
         """
         threads = min(self.workers, -(-self.samples // engine.SAMPLE_CHUNK))
         per_thread = engine.SAMPLE_THREAD_SPIN_BYTES * self.n + engine.SAMPLE_MASK_BYTES
-        return engine.SAMPLE_SPIN_BYTES * self.n + threads * per_thread
+        drawing = engine.SAMPLE_HELD_SPIN_BYTES * self.n + threads * per_thread
+        return max(engine.SAMPLE_SPIN_BYTES * self.n, drawing)
 
     def _last_coupling(self) -> float:
         if len(self.h) == self.n:

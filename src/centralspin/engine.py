@@ -57,15 +57,19 @@ SAMPLE_CHUNK = 8192
 # through it in tiles of budget // N draws (one tile up to N = 512).
 SAMPLE_MASK_BYTES = 4 << 20
 # Bytes per spin of a sampled point besides u, for ``cli``'s estimate,
-# with headroom over tracemalloc peaks measured at N = 2e5 and 1e6:
-# SAMPLE_SPIN_BYTES once, for the couplings, both branch profiles and
-# the temporaries that build them (130 measured), and
-# SAMPLE_THREAD_SPIN_BYTES per running chunk, for its flip table and its
-# one-row blocks of uniforms, flip probabilities and compares (33
-# measured), next to its SAMPLE_MASK_BYTES mask.  ``cli`` rejects a
-# sampled config whose estimate exceeds SAMPLE_ARRAYS_CAP (about
-# 1.5 million spins at one worker).
+# with headroom over tracemalloc peaks measured at N = 2e5 and 1e6.  A
+# point builds its profiles, then draws its chunks; the estimate is the
+# larger of the two phases.  Building peaks at SAMPLE_SPIN_BYTES, for
+# the couplings, both branch profiles and the temporaries that build
+# them (129-133 measured).  Drawing holds SAMPLE_HELD_SPIN_BYTES, the
+# couplings and both profiles (72 measured), plus per running chunk
+# SAMPLE_THREAD_SPIN_BYTES, for its flip table and its one-row blocks of
+# uniforms, flip probabilities and compares (33 measured), next to its
+# SAMPLE_MASK_BYTES mask.  ``cli`` rejects a sampled config whose
+# estimate exceeds SAMPLE_ARRAYS_CAP (about 1.97 million spins at one
+# worker).
 SAMPLE_SPIN_BYTES = 136
+SAMPLE_HELD_SPIN_BYTES = 80
 SAMPLE_THREAD_SPIN_BYTES = 40
 SAMPLE_ARRAYS_CAP = 256 << 20
 # Atoms per tile of a grid block: exact enumeration evaluates
@@ -87,7 +91,9 @@ GRID_BLOCK_ATOMS = 8192
 # at most 8 KiB next to a block's arrays, so neither the table nor a
 # run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
 # (24 times), which takes the figure presets' profile calls from two
-# per block to two per three blocks.
+# per block to two per three blocks.  A binomial grid's window
+# (``BinomialGrid``) is one spin at up to this many times: both branches'
+# four profile fields take 16 KiB.
 PROFILE_CHUNK_ENTRIES = 256
 # Entries of a chunk's low-spin table (``low_spin_table``, 16 KiB):
 # each chunk doubles spins 1..k of both branches once at its C times, k
@@ -149,7 +155,7 @@ def _log_mixture_weights(alphas: SystemAmplitudes) -> tuple[float, float]:
 
 
 def _log_branch_pair(params, alphas, t):
-    """Both branch profiles and log mixture weights, for one pattern, binomial and sampling."""
+    """Both branch profiles and log mixture weights, for one pattern and for sampling."""
     up = branch_flip_profile(params, "up", t)
     down = branch_flip_profile(params, "down", t)
     return (up, down) + _log_mixture_weights(alphas)
@@ -544,6 +550,54 @@ def binomial_spin(params: ModelParams) -> ModelParams:
     return ModelParams(params.delta, params.h[:1], params.beta)
 
 
+class BinomialGrid:
+    """A binomial run's table log k! and both branches' one-spin profiles over a window of its grid.
+
+    n is the run's N and times its grid, 1-D and strictly increasing
+    (empty for a run of one-time calls).  The table ``log_factorials(n)``
+    is built once, here.  ``profiles`` serves a grid time from the
+    window: the one-spin profiles of up to PROFILE_CHUNK_ENTRIES
+    consecutive grid times, one ``branch_flip_profile`` call per branch
+    at the params of the call that built it.  Row k of such a call is bit
+    for bit the profile at its k-th time alone, so a point's profiles do
+    not depend on the window.  A grid serves the points of one model: a
+    caller passes the same params at every call.
+    """
+
+    def __init__(self, n: int, times=()):
+        self.log_fact = log_factorials(n)
+        self.times = np.asarray(times, dtype=float)
+        self.start = self.stop = 0
+        self.up = self.down = None
+
+    def profiles(self, params: ModelParams, t: float) -> tuple[FlipProfile, FlipProfile]:
+        """(up, down) one-spin profiles at t: a window row when t is a grid time, else their own.
+
+        A grid time outside the window rebuilds it from that time on.
+        ``binomial_spin(params)`` runs once per window and once per time
+        off the grid, so it checks the couplings are equal there.
+        """
+        times = self.times
+        k = int(np.searchsorted(times, t))
+        if k == times.size or times[k] != t:
+            spin = binomial_spin(params)
+            return branch_flip_profile(spin, "up", t), branch_flip_profile(spin, "down", t)
+        if not self.start <= k < self.stop:
+            spin = binomial_spin(params)
+            self.start, self.stop = k, min(k + PROFILE_CHUNK_ENTRIES, times.size)
+            window = times[self.start : self.stop]
+            self.up = branch_flip_profile(spin, "up", window)
+            self.down = branch_flip_profile(spin, "down", window)
+        i = k - self.start
+        # Each field indexed by name: a generator over the fields leaves blocks that
+        # tracemalloc still counts after the run.
+        up, down = self.up, self.down
+        return (
+            FlipProfile(up.keep[i], up.flip[i], up.log_keep[i], up.log_flip[i]),
+            FlipProfile(down.keep[i], down.flip[i], down.log_keep[i], down.log_flip[i]),
+        )
+
+
 def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int] | None:
     """The flip counts [lo, hi] of one branch's terms that can reach the weight floor, or None.
 
@@ -597,7 +651,7 @@ def binomial_outcomes(
     alphas: SystemAmplitudes,
     t: float,
     *,
-    log_fact: np.ndarray | None = None,
+    grid: BinomialGrid | None = None,
 ) -> ProjectionDistribution:
     """Exact distribution for equal couplings, indexed by flip count.
 
@@ -606,12 +660,13 @@ def binomial_outcomes(
     multiplicity, and one spin's profile serves them all.  Atoms whose u
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
-    merging) wherever both apply.  log_fact, when given, must be
-    ``log_factorials(N)`` (shape (N + 1,), else ValueError); a grid
-    builds it once for every point.  The one-spin model comes from
-    ``binomial_spin(params)`` at each point, O(1) for the broadcast h
-    that equal couplings from a scalar h hold.  The table is the route's
-    one array of N + 1 floats.
+    merging) wherever both apply.  grid, when given, is the run's
+    ``BinomialGrid``: its table log k! must have N + 1 entries (else
+    ValueError), and a grid time takes its one-spin profiles from the
+    grid's window (``BinomialGrid.profiles``), with the same bits a time
+    off the grid computes on its own.  Without a grid the call builds a
+    grid of no times for itself.  The table is the route's one array of
+    N + 1 floats.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
@@ -635,14 +690,13 @@ def binomial_outcomes(
     weight, ``dropped`` and the merge are its bits.
     """
     n = params.n_env
-    spin = binomial_spin(params)
-    if log_fact is None:
-        log_fact = log_factorials(n)
-    elif log_fact.shape != (n + 1,):
-        raise ValueError(f"log_fact has shape {log_fact.shape}, not ({n + 1},)")
-    branches = _log_branch_pair(spin, alphas, t)
+    if grid is None:
+        grid = BinomialGrid(n)
+    elif grid.log_fact.shape != (n + 1,):
+        raise ValueError(f"log_fact has shape {grid.log_fact.shape}, not ({n + 1},)")
+    branches = grid.profiles(params, t) + _log_mixture_weights(alphas)
     spans = binomial_spans(n, alphas, *branches[:2])
-    parts = [_span_atoms(n, alphas, branches, log_fact, lo, hi) for lo, hi in spans]
+    parts = [_span_atoms(n, alphas, branches, grid.log_fact, lo, hi) for lo, hi in spans]
     u, weight = map(np.concatenate, zip(*parts))
     return merge_by_u(
         ProjectionDistribution(u=u, weight=weight, kind="binomial", dropped=n + 1 - u.size)

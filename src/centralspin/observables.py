@@ -156,24 +156,29 @@ def prepare(
     method: str,
     samples: int = 100_000,
     workers: int = 1,
+    times=(),
 ):
     """Point function (t, seed) -> distribution of one run of ``method``.
 
-    The run's time-independent work happens here, once: binomial
-    computes its table log k!, from which each point forms its
-    multiplicities log C(N, k) (its one-spin model is O(1) per point),
-    and exact-universe its sector spectra and thermal ensemble.  Each
-    point function looks its engine up in its module at every call, so
-    wrapping ``engine.sample_outcomes`` and the like still sees every
-    point.  The state lives as long as the caller holds the point
-    function; nothing is cached across runs.  An unknown method raises
-    ValueError before any work.
+    times is the run's grid, 1-D and strictly increasing (empty for a
+    caller of one-time points).  The run's time-independent work happens
+    here, once: binomial builds its ``engine.BinomialGrid`` over times,
+    whose table log k! gives each point its multiplicities log C(N, k)
+    and whose window holds both branches' one-spin profiles at up to
+    ``engine.PROFILE_CHUNK_ENTRIES`` consecutive grid times, so a grid
+    point only evaluates its spans, merges and classifies; exact-universe
+    builds its sector spectra and thermal ensemble.  Each point function
+    looks its engine up in its module at every call, so wrapping
+    ``engine.sample_outcomes`` and the like still sees every point.  The
+    state lives as long as the caller holds the point function; nothing
+    is cached across runs.  An unknown method raises ValueError before
+    any work.
     """
     if method == "exact":
         return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
     if method == "binomial":
-        log_fact = engine.log_factorials(params.n_env)
-        return lambda t, seed: engine.binomial_outcomes(params, alphas, t, log_fact=log_fact)
+        grid = engine.BinomialGrid(params.n_env, times)
+        return lambda t, seed: engine.binomial_outcomes(params, alphas, t, grid=grid)
     if method == "sampled":
         return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
     if method == "exact-universe":
@@ -189,7 +194,9 @@ def distribution_at(prepared, t: float, seed: int = 0) -> engine.ProjectionDistr
     """Projection distribution at one time from the point function ``prepare`` returned.
 
     A one-time caller writes ``distribution_at(prepare(params, alphas,
-    method), t)``.  It stays a named module function, not a bare call of
+    method), t)``; a binomial time on the prepared grid takes its
+    profiles from the grid's window, any other computes its own, with the
+    same bits.  It stays a named module function, not a bare call of
     ``prepared``, because every grid and histogram point of ``evaluate``
     goes through this name: perfbench's tracer times each point by
     wrapping ``observables.distribution_at``, and tests count points by
@@ -213,13 +220,13 @@ def evaluate(
 
     The one run evaluator; deterministic under a fixed seed.  eps and the
     grid (1-D, finite, strictly increasing) are checked before any point
-    is evaluated, then the engine is prepared once (``prepare``) and its
-    point function serves the grid and every histogram time.  Exact
-    enumeration evaluates its grid in one ``engine.exact_class_masses``
-    call, which classifies each atom by comparing x = -logit(u) with
-    ``logit_cutoffs(eps)``: every atom gets the class per-point
-    ``distribution_at`` + ``class_probabilities`` give it, and the
-    masses are within a few ulp of theirs.  The other methods go through
+    is evaluated, then the engine is prepared once for the grid
+    (``prepare``) and its point function serves the grid and every
+    histogram time.  Exact enumeration evaluates its grid in one
+    ``engine.exact_class_masses`` call, which classifies each atom by
+    comparing x = -logit(u) with ``logit_cutoffs(eps)``: every atom gets
+    the class per-point ``distribution_at`` + ``class_probabilities``
+    give it, and the masses are within a few ulp of theirs.  The other methods go through
     ``distribution_at`` one grid point at a time, sampled with the
     stream ``point_seed(seed, i)`` of point i, so the series does not
     depend on evaluation order or worker count.  Histogram time k is one
@@ -231,7 +238,7 @@ def evaluate(
     validate_error_threshold(eps)
     times = np.asarray(times, dtype=float)
     check_grid(times)
-    prepared = prepare(params, alphas, method, samples, workers)
+    prepared = prepare(params, alphas, method, samples, workers, times)
     if method == "exact":
         masses, dropped = engine.exact_class_masses(params, alphas, times, logit_cutoffs(eps))
     else:

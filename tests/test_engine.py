@@ -22,6 +22,7 @@ from centralspin import engine
 from centralspin.engine import (
     SAMPLE_CHUNK,
     SAMPLE_MASK_BYTES,
+    BinomialGrid,
     DegenerateOutcomeError,
     binomial_outcomes,
     binomial_spin,
@@ -195,20 +196,22 @@ class TestBinomial:
             assert got.dropped == want.dropped
 
     def test_log_counts_table_gives_the_same_bits(self):
-        # A grid's prepared log k! table gives the point it builds itself, for the
-        # broadcast couplings of a scalar h and for an explicit list of equal h.
+        # A grid's prepared log k! table and window give the point it builds itself, for
+        # the broadcast couplings of a scalar h and for an explicit list of equal h.
+        times = (0.0, 37.5, 410.0)
         for n in (80, 100_000):
-            log_fact = log_factorials(n)
             for h in (np.broadcast_to(0.02, (n,)), (0.02,) * n):
                 p = ModelParams(delta=0.1, h=h)
                 spin = binomial_spin(p)
                 assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
-                for t in (0.0, 37.5, 410.0):
+                grids = (BinomialGrid(n), BinomialGrid(n, times))
+                for t in times:
                     a = binomial_outcomes(p, ALPHAS, t)
-                    b = binomial_outcomes(p, ALPHAS, t, log_fact=log_fact)
-                    assert np.array_equal(a.u.view(np.int64), b.u.view(np.int64)), (n, t)
-                    assert np.array_equal(a.weight.view(np.int64), b.weight.view(np.int64))
-                    assert a.dropped == b.dropped
+                    for grid in grids:
+                        b = binomial_outcomes(p, ALPHAS, t, grid=grid)
+                        assert np.array_equal(a.u.view(np.int64), b.u.view(np.int64)), (n, t)
+                        assert np.array_equal(a.weight.view(np.int64), b.weight.view(np.int64))
+                        assert a.dropped == b.dropped
 
 
 class TestBinomialMemory:
@@ -218,9 +221,9 @@ class TestBinomialMemory:
         # merge stay below five.
         n = 100_000
         p = ModelParams(delta=0.0, h=(0.01,) * n)
-        log_fact = log_factorials(n)
+        grid = BinomialGrid(n)
         for t in (np.arange(6) + 0.5) * 400.0 / 6:
-            _, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, float(t), log_fact=log_fact))
+            _, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, float(t), grid=grid))
             assert peak < 5 * 8 * (n + 1)
 
     def test_peak_of_one_point_follows_its_spans(self, traced):
@@ -229,12 +232,12 @@ class TestBinomialMemory:
         # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
         n = 10**6
         p = ModelParams(delta=0.0, h=np.full(n, 0.01))
-        log_fact = log_factorials(n)
+        grid = BinomialGrid(n)
         t = 200.0
         up, down, _, _ = engine._log_branch_pair(binomial_spin(p), ALPHAS, t)
         length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
         assert length < (n + 1) / 10
-        dist, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, t, log_fact=log_fact))
+        dist, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, t, grid=grid))
         assert dist.dropped > n - length
         assert peak < 6 * 8 * length
 
@@ -265,7 +268,7 @@ class TestBinomialSpans:
     )
     def test_bits_match_full_profile(self, n, kinds):
         rng = np.random.default_rng(n)
-        log_fact = log_factorials(n)
+        grid = BinomialGrid(n)
         seen = set()
         for h in (0.0, 0.01, 0.5, 10.0):
             for delta in (0.0, 0.01, 0.1):
@@ -275,8 +278,8 @@ class TestBinomialSpans:
                 for w_up in (0.0, 0.4, 1.0):
                     alphas = SystemAmplitudes.from_up_weight(w_up)
                     for t in times:
-                        got = binomial_outcomes(p, alphas, t, log_fact=log_fact)
-                        want = _binomial_full_profile(p, alphas, t, log_fact)
+                        got = binomial_outcomes(p, alphas, t, grid=grid)
+                        want = _binomial_full_profile(p, alphas, t, grid.log_fact)
                         assert np.array_equal(got.u, want.u), (h, delta, w_up, t)
                         assert np.array_equal(got.weight, want.weight), (h, delta, w_up, t)
                         assert got.dropped == want.dropped, (h, delta, w_up, t)
@@ -327,7 +330,7 @@ class TestBinomialSpans:
         p = ModelParams(delta=0.0, h=np.full(n, 0.5))
         wrong = rf"log_fact has shape \({n + 1 + extra},\), not \(1001,\)"
         with pytest.raises(ValueError, match=wrong):
-            binomial_outcomes(p, ALPHAS, 3.0, log_fact=log_factorials(n + extra))
+            binomial_outcomes(p, ALPHAS, 3.0, grid=BinomialGrid(n + extra))
 
 
 class TestSampling:
@@ -963,10 +966,10 @@ class TestBinomialLogCounts:
 
     def test_passed_counts_give_the_same_distribution(self):
         p = ModelParams(delta=0.1, h=(0.02,) * 80)
-        log_fact = log_factorials(80)
+        grid = BinomialGrid(80)
         for t in (0.0, 37.5, 410.0):
             a = binomial_outcomes(p, ALPHAS, t)
-            b = binomial_outcomes(p, ALPHAS, t, log_fact=log_fact)
+            b = binomial_outcomes(p, ALPHAS, t, grid=grid)
             assert np.array_equal(a.u, b.u) and np.array_equal(a.weight, b.weight)
             assert a.dropped == b.dropped
 

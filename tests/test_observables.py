@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from centralspin import engine, universe
 from centralspin import observables as obs
 from centralspin.cli import ExperimentConfig, run_config
-from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
+from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings, spin_spectral
 from centralspin.engine import (
     GRID_BLOCK_ATOMS,
     PROFILE_CHUNK_ENTRIES,
@@ -691,6 +691,78 @@ class TestGridEvaluator:
         hist_times = (0.0, 12.25, 3.0)
         obs.evaluate(params, ALPHAS, times, hist_times, method=method, samples=500)
         assert seen == times.tolist() + list(hist_times)
+
+
+def _node_grid(params):
+    """t = 0, the first node times of both branches and 300 plain times: two binomial windows."""
+    nodes = [
+        m * math.pi / spin_spectral(params, branch, 1).omega
+        for branch in ("up", "down")
+        for m in (1, 2, 3)
+    ]
+    return np.unique(np.concatenate(([0.0], np.linspace(0.5, 600.0, 300), nodes)))
+
+
+class TestBinomialWindows:
+    """A binomial grid takes its one-spin profiles from windows of grid times."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["scalar_h", "h_list"])
+    @pytest.mark.parametrize("n", [80, 100_000])
+    def test_series_equals_per_point_bitwise(self, n, explicit):
+        h = (0.02,) * n if explicit else np.broadcast_to(0.02, (n,))
+        params = ModelParams(delta=0.1, h=h)
+        times = _node_grid(params)
+        assert times.size > PROFILE_CHUNK_ENTRIES and times[0] == 0.0
+        hist_times = (0.25, 123.4)
+        assert not set(hist_times) & set(times.tolist())
+        # The reference points compute their own profiles: a grid of no times only shares
+        # the table log k!.  w_up = 1 leaves the down branch no span.
+        alone = engine.BinomialGrid(n)
+        for alphas in (ALPHAS, SystemAmplitudes.from_up_weight(1.0)):
+            series, hists = obs.evaluate(params, alphas, times, hist_times, method="binomial")
+            dists = [binomial_outcomes(params, alphas, float(t), grid=alone) for t in times]
+            want = np.array([class_probabilities(d) for d in dists]).T
+            got = np.stack((series.p_up, series.p_down, series.p_q))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert series.dropped == sum(d.dropped for d in dists)
+            for (t, got_hist), t_want in zip(hists, hist_times):
+                want_hist = histogram(binomial_outcomes(params, alphas, t_want, grid=alone))
+                assert t == t_want
+                for field in ("bin_mass", "mass_zero", "mass_one"):
+                    got_bits, want_bits = (
+                        np.asarray(getattr(hist, field)).view(np.int64)
+                        for hist in (got_hist, want_hist)
+                    )
+                    assert np.array_equal(got_bits, want_bits), field
+
+    def test_profiles_built_once_per_window(self, monkeypatch):
+        # An explicit h list: binomial_spin's equal-couplings pass is O(N) per call.
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+            )
+
+        for module, name in (
+            (engine, "branch_flip_profile"),
+            (engine, "binomial_spin"),
+            (engine, "binomial_outcomes"),
+            (obs, "class_probabilities"),
+        ):
+            count(module, name)
+        times = np.linspace(1.0, 600.0, 600)
+        hist_times = (0.25, 300.5)
+        obs.evaluate(
+            ModelParams(delta=0.1, h=(0.02,) * 80), ALPHAS, times, hist_times, method="binomial"
+        )
+        windows = -(-times.size // PROFILE_CHUNK_ENTRIES)
+        assert windows == 3
+        assert calls.count("branch_flip_profile") == 2 * windows + 2 * len(hist_times)
+        assert calls.count("binomial_spin") == windows + len(hist_times)
+        assert calls.count("binomial_outcomes") == times.size + len(hist_times)
+        assert calls.count("class_probabilities") == times.size
 
 
 class TestRevivalTimes:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from centralspin import engine
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -36,11 +38,12 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
-    # tiled exact, one-draw-last-chunk sampled and edge-case dense-oracle runs, in csv and json.
+    # windowed binomial, tiled exact, one-draw-last-chunk sampled and edge-case dense-oracle
+    # runs, in csv and json.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 128
+    assert len(lines) == 130
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -63,6 +66,10 @@ def test_output_digest_builds_its_configs(monkeypatch):
     odd_n = digest._odd_n_config()
     assert (odd_n.n % 2, odd_n.steps, odd_n.resolved_method()) == (1, 1, "binomial")
     configs.append(odd_n)
+    windows = digest._window_config()
+    assert windows.resolved_method() == "binomial"
+    assert windows.steps > engine.PROFILE_CHUNK_ENTRIES
+    configs.append(windows)
     tile_configs = digest._tile_configs()
     assert [(c.n, c.steps, c.method) for c in tile_configs] == [
         (n, 1, "exact") for n in (15, 16, 17, 20)

@@ -85,19 +85,6 @@ def _check_draws(samples: int, seed: int) -> None:
         raise ConfigError("seed: must be non-negative")
 
 
-def _check_sample_budget(samples: int) -> None:
-    """Raise ConfigError when a sampled point's u, 8 bytes per draw, exceeds the sampler's cap.
-
-    Shared by ``ExperimentConfig.validate`` and ``oracle-check --samples``.
-    """
-    if 8 * samples > engine.SAMPLE_BYTES_CAP:
-        raise ConfigError(
-            f"samples: {samples} draws hold {8 * samples} bytes of u per grid point; "
-            f"the sampled method is capped at {engine.SAMPLE_BYTES_CAP} bytes "
-            f"({engine.SAMPLE_BYTES_CAP // 8} draws)"
-        )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's inputs, valid by construction: building a config runs ``validate``."""
@@ -203,13 +190,23 @@ class ExperimentConfig:
             raise ConfigError(f"beta: the thermal log-weights -beta * E overflow at n = {self.n}")
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
+        cap = engine.ARRAY_BYTES_CAP
+        if self.resolved_method() == "binomial" and 8 * (self.n + 1) > cap:
+            raise ConfigError(
+                f"n: {self.n} spins need a table log k! of {8 * (self.n + 1)} bytes; "
+                f"the binomial method is capped at {cap} bytes"
+            )
         if self.resolved_method() == "sampled":
-            _check_sample_budget(self.samples)
-            if (estimate := self._sampled_bytes()) > engine.SAMPLE_ARRAYS_CAP:
+            if 8 * self.samples > cap:
+                raise ConfigError(
+                    f"samples: {self.samples} draws hold {8 * self.samples} bytes of u per grid "
+                    f"point; the sampled method is capped at {cap} bytes ({cap // 8} draws)"
+                )
+            if (estimate := self._sampled_bytes()) > cap:
                 raise ConfigError(
                     f"n: {self.n} spins take an estimated {estimate} bytes per sampled grid "
                     f"point at workers = {self.workers}; the sampled method is capped at "
-                    f"{engine.SAMPLE_ARRAYS_CAP} bytes"
+                    f"{cap} bytes"
                 )
         if any(c in self.label for c in _LABEL_FORBIDDEN):
             raise ConfigError(f"label: must be a plain file name, got {self.label!r}")
@@ -584,7 +581,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "oracle-check":
             _check_draws(args.samples, args.seed)
-            _check_sample_budget(args.samples)
+            if (need := selfcheck.ORACLE_DRAW_BYTES * args.samples) > engine.ARRAY_BYTES_CAP:
+                raise ConfigError(
+                    f"samples: {args.samples} draws take an estimated {need} bytes in "
+                    f"oracle-check, which is capped at {engine.ARRAY_BYTES_CAP} bytes "
+                    f"({engine.ARRAY_BYTES_CAP // selfcheck.ORACLE_DRAW_BYTES} draws)"
+                )
             results = selfcheck.run_all(seed=args.seed, samples=args.samples)
             for r in results:
                 print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")

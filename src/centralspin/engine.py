@@ -43,9 +43,12 @@ from .core import (
 )
 
 ENUMERATION_CAP = 20
-# Bytes of one grid point's sampled u, 8 per draw: ``cli`` rejects a
-# sampled config whose samples exceed it (2^25 = 33,554,432 draws).
-SAMPLE_BYTES_CAP = 256 << 20
+# Bytes that one array or estimate of a run may take: ``cli`` rejects a
+# sampled config whose u, 8 bytes per draw (2^25 = 33,554,432 draws), or
+# whose N-sized arrays (SAMPLE_SPIN_BYTES below) exceed it, a binomial
+# config whose table log k!, 8 (N + 1) bytes (N <= 33,554,431), does,
+# and an oracle-check whose draws (``selfcheck.ORACLE_DRAW_BYTES`` each) do.
+ARRAY_BYTES_CAP = 256 << 20
 WEIGHT_FLOOR = 1e-300
 # Nats by which a binomial term outside its branch's flip-count span
 # (``binomial_spans``) is proven to lie under WEIGHT_FLOOR / 2: e^8, about
@@ -66,12 +69,11 @@ SAMPLE_MASK_BYTES = 4 << 20
 # SAMPLE_THREAD_SPIN_BYTES, for its flip table and its one-row blocks of
 # uniforms, flip probabilities and compares (33 measured), next to its
 # SAMPLE_MASK_BYTES mask.  ``cli`` rejects a sampled config whose
-# estimate exceeds SAMPLE_ARRAYS_CAP (about 1.97 million spins at one
+# estimate exceeds ARRAY_BYTES_CAP (about 1.97 million spins at one
 # worker).
 SAMPLE_SPIN_BYTES = 136
 SAMPLE_HELD_SPIN_BYTES = 80
 SAMPLE_THREAD_SPIN_BYTES = 40
-SAMPLE_ARRAYS_CAP = 256 << 20
 # Atoms per tile of a grid block: exact enumeration evaluates
 # max(1, GRID_BLOCK_ATOMS >> B) grid times at once, B = min(N, TILE_BITS).
 # Enough times to spread numpy's per-call cost at small N (8 times at
@@ -91,9 +93,7 @@ GRID_BLOCK_ATOMS = 8192
 # at most 8 KiB next to a block's arrays, so neither the table nor a
 # run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
 # (24 times), which takes the figure presets' profile calls from two
-# per block to two per three blocks.  A binomial grid's window
-# (``BinomialGrid``) is one spin at up to this many times: both branches'
-# four profile fields take 16 KiB.
+# per block to two per three blocks.
 PROFILE_CHUNK_ENTRIES = 256
 # Entries of a chunk's low-spin table (``low_spin_table``, 16 KiB):
 # each chunk doubles spins 1..k of both branches once at its C times, k
@@ -144,7 +144,7 @@ class ProjectionDistribution:
         return self.u.size
 
     def total_weight(self) -> float:
-        return float(np.sum(self.weight))
+        return float(self.weight.sum())
 
 
 def _log_mixture_weights(alphas: SystemAmplitudes) -> tuple[float, float]:
@@ -551,51 +551,43 @@ def binomial_spin(params: ModelParams) -> ModelParams:
 
 
 class BinomialGrid:
-    """A binomial run's table log k! and both branches' one-spin profiles over a window of its grid.
+    """A binomial model's table log k! and both branches' one-spin profiles over its grid.
 
-    n is the run's N and times its grid, 1-D and strictly increasing
-    (empty for a run of one-time calls).  The table ``log_factorials(n)``
-    is built once, here.  ``profiles`` serves a grid time from the
-    window: the one-spin profiles of up to PROFILE_CHUNK_ENTRIES
-    consecutive grid times, one ``branch_flip_profile`` call per branch
-    at the params of the call that built it.  Row k of such a call is bit
-    for bit the profile at its k-th time alone, so a point's profiles do
-    not depend on the window.  A grid serves the points of one model: a
-    caller passes the same params at every call.
+    params is the model, whose couplings must be equal, and times its
+    grid, 1-D and strictly increasing (empty for a run of one-time
+    calls).  Everything is built here, once: ``binomial_spin(params)``,
+    which checks the couplings, the table ``log_factorials(N)``, and both
+    branches' profiles over the whole grid, one ``branch_flip_profile``
+    call per branch (64 bytes per grid time).  Row k of such a call is
+    bit for bit the profile at times[k] alone, so a point's profiles do
+    not depend on the grid.  Nothing changes after it is built, and the
+    grid serves this params object alone (``binomial_outcomes`` rejects
+    any other: ``ModelParams`` compares by identity).
     """
 
-    def __init__(self, n: int, times=()):
-        self.log_fact = log_factorials(n)
+    def __init__(self, params: ModelParams, times=()):
+        self.params = params
+        self.spin = binomial_spin(params)
+        self.log_fact = log_factorials(params.n_env)
         self.times = np.asarray(times, dtype=float)
-        self.start = self.stop = 0
-        self.up = self.down = None
+        self.up = branch_flip_profile(self.spin, "up", self.times)
+        self.down = branch_flip_profile(self.spin, "down", self.times)
 
-    def profiles(self, params: ModelParams, t: float) -> tuple[FlipProfile, FlipProfile]:
-        """(up, down) one-spin profiles at t: a window row when t is a grid time, else their own.
+    def profiles(self, t: float) -> tuple[FlipProfile, FlipProfile]:
+        """(up, down) one-spin profiles at t: the grid row when t is a grid time, else their own."""
+        k = int(np.searchsorted(self.times, t))
+        if k == self.times.size or self.times[k] != t:
+            return branch_flip_profile(self.spin, "up", t), branch_flip_profile(self.spin, "down", t)
+        return _profile_row(self.up, k), _profile_row(self.down, k)
 
-        A grid time outside the window rebuilds it from that time on.
-        ``binomial_spin(params)`` runs once per window and once per time
-        off the grid, so it checks the couplings are equal there.
-        """
-        times = self.times
-        k = int(np.searchsorted(times, t))
-        if k == times.size or times[k] != t:
-            spin = binomial_spin(params)
-            return branch_flip_profile(spin, "up", t), branch_flip_profile(spin, "down", t)
-        if not self.start <= k < self.stop:
-            spin = binomial_spin(params)
-            self.start, self.stop = k, min(k + PROFILE_CHUNK_ENTRIES, times.size)
-            window = times[self.start : self.stop]
-            self.up = branch_flip_profile(spin, "up", window)
-            self.down = branch_flip_profile(spin, "down", window)
-        i = k - self.start
-        # Each field indexed by name: a generator over the fields leaves blocks that
-        # tracemalloc still counts after the run.
-        up, down = self.up, self.down
-        return (
-            FlipProfile(up.keep[i], up.flip[i], up.log_keep[i], up.log_flip[i]),
-            FlipProfile(down.keep[i], down.flip[i], down.log_keep[i], down.log_flip[i]),
-        )
+
+def _profile_row(profile: FlipProfile, k: int) -> FlipProfile:
+    """Row k of a profile over times, a view of each field.
+
+    Each field is indexed by name: a generator over the fields leaves
+    blocks that tracemalloc still counts after the run.
+    """
+    return FlipProfile(profile.keep[k], profile.flip[k], profile.log_keep[k], profile.log_flip[k])
 
 
 def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int] | None:
@@ -661,12 +653,11 @@ def binomial_outcomes(
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
     merging) wherever both apply.  grid, when given, is the run's
-    ``BinomialGrid``: its table log k! must have N + 1 entries (else
-    ValueError), and a grid time takes its one-spin profiles from the
-    grid's window (``BinomialGrid.profiles``), with the same bits a time
-    off the grid computes on its own.  Without a grid the call builds a
-    grid of no times for itself.  The table is the route's one array of
-    N + 1 floats.
+    ``BinomialGrid``, built for this params object (else ValueError),
+    and a grid time takes its one-spin profiles from the grid's rows
+    (``BinomialGrid.profiles``), with the same bits a time off the grid
+    computes on its own.  Without a grid the call builds one of the
+    single time t.  The table is the route's one array of N + 1 floats.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
@@ -691,10 +682,10 @@ def binomial_outcomes(
     """
     n = params.n_env
     if grid is None:
-        grid = BinomialGrid(n)
-    elif grid.log_fact.shape != (n + 1,):
-        raise ValueError(f"log_fact has shape {grid.log_fact.shape}, not ({n + 1},)")
-    branches = grid.profiles(params, t) + _log_mixture_weights(alphas)
+        grid = BinomialGrid(params, (t,))
+    elif grid.params is not params:
+        raise ValueError("the binomial grid was built for another model")
+    branches = grid.profiles(t) + _log_mixture_weights(alphas)
     spans = binomial_spans(n, alphas, *branches[:2])
     parts = [_span_atoms(n, alphas, branches, grid.log_fact, lo, hi) for lo, hi in spans]
     u, weight = map(np.concatenate, zip(*parts))

@@ -55,8 +55,8 @@ def class_probabilities(
         p_up = np.count_nonzero(up_mask) / len(dist)
         p_down = np.count_nonzero(down_mask) / len(dist)
     else:
-        p_up = float(np.sum(dist.weight[up_mask]))
-        p_down = float(np.sum(dist.weight[down_mask]))
+        p_up = float(dist.weight[up_mask].sum())
+        p_down = float(dist.weight[down_mask].sum())
     # The complement can land a few ulp below zero; keep it in range.
     return p_up, p_down, max(0.0, 1.0 - p_up - p_down)
 
@@ -162,12 +162,12 @@ def prepare(
 
     times is the run's grid, 1-D and strictly increasing (empty for a
     caller of one-time points).  The run's time-independent work happens
-    here, once: binomial builds its ``engine.BinomialGrid`` over times,
-    whose table log k! gives each point its multiplicities log C(N, k)
-    and whose window holds both branches' one-spin profiles at up to
-    ``engine.PROFILE_CHUNK_ENTRIES`` consecutive grid times, so a grid
-    point only evaluates its spans, merges and classifies; exact-universe
-    builds its sector spectra and thermal ensemble.  Each point function
+    here, once: binomial builds its ``engine.BinomialGrid`` from params
+    over times, whose table log k! gives each point its multiplicities
+    log C(N, k) and whose rows hold both branches' one-spin profiles at
+    every grid time, so a grid point only evaluates its spans, merges
+    and classifies; exact-universe builds its sector spectra and
+    thermal ensemble.  Each point function
     looks its engine up in its module at every call, so wrapping
     ``engine.sample_outcomes`` and the like still sees every point.  The
     state lives as long as the caller holds the point function; nothing
@@ -177,7 +177,7 @@ def prepare(
     if method == "exact":
         return lambda t, seed: engine.enumerate_outcomes(params, alphas, t)
     if method == "binomial":
-        grid = engine.BinomialGrid(params.n_env, times)
+        grid = engine.BinomialGrid(params, times)
         return lambda t, seed: engine.binomial_outcomes(params, alphas, t, grid=grid)
     if method == "sampled":
         return lambda t, seed: engine.sample_outcomes(params, alphas, t, samples, seed, workers)
@@ -195,7 +195,7 @@ def distribution_at(prepared, t: float, seed: int = 0) -> engine.ProjectionDistr
 
     A one-time caller writes ``distribution_at(prepare(params, alphas,
     method), t)``; a binomial time on the prepared grid takes its
-    profiles from the grid's window, any other computes its own, with the
+    profiles from the grid's rows, any other computes its own, with the
     same bits.  It stays a named module function, not a bare call of
     ``prepared``, because every grid and histogram point of ``evaluate``
     goes through this name: perfbench's tracer times each point by
@@ -322,7 +322,7 @@ class ProjectionHistogram:
     bin_mass: np.ndarray
 
     def total(self) -> float:
-        return self.mass_zero + self.mass_one + float(np.sum(self.bin_mass))
+        return self.mass_zero + self.mass_one + float(self.bin_mass.sum())
 
 
 def histogram(dist: engine.ProjectionDistribution) -> ProjectionHistogram:
@@ -334,8 +334,8 @@ def histogram(dist: engine.ProjectionDistribution) -> ProjectionHistogram:
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     mass, _ = np.histogram(dist.u[interior], bins=edges, weights=dist.weight[interior])
     return ProjectionHistogram(
-        mass_zero=float(np.sum(dist.weight[at_zero])),
-        mass_one=float(np.sum(dist.weight[at_one])),
+        mass_zero=float(dist.weight[at_zero].sum()),
+        mass_one=float(dist.weight[at_one].sum()),
         bin_edges=edges,
         bin_mass=mass,
     )

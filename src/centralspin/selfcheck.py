@@ -23,6 +23,13 @@ from .observables import class_probabilities
 # Level of the sampler check, 2 * (1 - Phi(3)): a 3-sigma bound.  Its 12 class
 # tails share it, and so do its 4 KS distances.
 CLASS_ALPHA = 0.0027
+# Bytes per draw that oracle-check may hold at once, with headroom over
+# tracemalloc peaks measured at 10^6 and 2 * 10^6 draws: 48.4-48.8 in the
+# sampler check (the table log k! over the draws, the binomial tails'
+# temporaries, u and the KS sort), 25.6-26.9 in the worker check and
+# 17.0-17.5 in the bath check.  ``cli`` rejects a draw count whose
+# estimate exceeds ``engine.ARRAY_BYTES_CAP`` (4,793,490 draws).
+ORACLE_DRAW_BYTES = 56
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,7 @@ def check_binomial_total_weight(seed: int) -> CheckResult:
     worst = 0.0
     for n in (1000, 100_000):
         params = ModelParams(delta=float(rng.uniform(-0.5, 0.5)), h=np.full(n, rng.uniform(0.3, 1)))
-        grid = engine.BinomialGrid(n)
+        grid = engine.BinomialGrid(params)
         for w_up in (0.0, 0.4, 1.0):
             alphas = SystemAmplitudes.from_up_weight(w_up)
             t = float(rng.uniform(0, 400))

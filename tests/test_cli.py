@@ -410,7 +410,7 @@ class TestValidateBoundary:
 # Boundary values of every config key but out, as config text.  Each out kind
 # names a path inside the example's temporary directory.
 BOUNDARY_VALUES = {
-    "n": ["0", "1", "12", "13", "16", "17", "20", "21"],
+    "n": ["0", "1", "12", "13", "16", "17", "20", "21", "33554431", "33554432"],
     "h": ["-0.0", "1e307", "inf", "0.1; 0.2"],
     "delta": ["-0.0", "nan", "1e307"],
     "delta_h": ["0.02", "1e308"],
@@ -422,7 +422,7 @@ BOUNDARY_VALUES = {
     "t_end": ["0", "1e-300", "1.0000000000000004e16"],
     "steps": ["0", "1", "100000"],
     "method": ["auto", "exact", "binomial", "sampled", "exact-universe", "bogus"],
-    "samples": ["0", "1", str(engine.SAMPLE_BYTES_CAP // 8), str(engine.SAMPLE_BYTES_CAP // 8 + 1)],
+    "samples": ["0", "1", str(engine.ARRAY_BYTES_CAP // 8), str(engine.ARRAY_BYTES_CAP // 8 + 1)],
     "seed": ["-1", "0"],
     "workers": ["0", "1"],
     "hist_times": ["-1e-300", "0", "nan"],
@@ -499,9 +499,9 @@ def test_validate_rejects_exactly_what_run_rejects(overrides):
 
 
 class TestSamplesBudget:
-    """A sampled point's u, 8 bytes per draw, is capped at ``engine.SAMPLE_BYTES_CAP``."""
+    """A sampled point's u, 8 bytes per draw, is capped at ``engine.ARRAY_BYTES_CAP``."""
 
-    LIMIT = engine.SAMPLE_BYTES_CAP // 8
+    LIMIT = engine.ARRAY_BYTES_CAP // 8
     # auto sends a dispersed n = 20 to the sampler; the n = 10 config names it.
     SAMPLED = {
         "auto": "n = 20\nh = 0.01\ndelta_h = 0.02\n",
@@ -511,7 +511,7 @@ class TestSamplesBudget:
     def message(self, samples):
         return (
             f"samples: {samples} draws hold {8 * samples} bytes of u per grid point; the sampled "
-            f"method is capped at {engine.SAMPLE_BYTES_CAP} bytes ({self.LIMIT} draws)"
+            f"method is capped at {engine.ARRAY_BYTES_CAP} bytes ({self.LIMIT} draws)"
         )
 
     @pytest.mark.parametrize("how", sorted(SAMPLED))
@@ -553,20 +553,22 @@ class TestSamplesBudget:
         assert cfg.resolved_method() != "sampled"
 
     def test_budget_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(engine, "SAMPLE_BYTES_CAP", 800)
-        parse_config(self.SAMPLED["named"] + "samples = 100\n")
-        with pytest.raises(ConfigError, match=r"capped at 800 bytes \(100 draws\)$"):
-            parse_config(self.SAMPLED["named"] + "samples = 101\n")
+        # 8 MiB still holds the 10-spin config's arrays (about 4.2 MB, mostly one chunk's
+        # flip mask), so the samples rule is the one that moves with the cap.
+        monkeypatch.setattr(engine, "ARRAY_BYTES_CAP", 8 << 20)
+        parse_config(self.SAMPLED["named"] + "samples = 1048576\n")
+        with pytest.raises(ConfigError, match=r"capped at 8388608 bytes \(1048576 draws\)$"):
+            parse_config(self.SAMPLED["named"] + "samples = 1048577\n")
 
 
 class TestSampledSpinsBudget:
-    """A sampled point's N-sized arrays, estimated in O(1), are capped at SAMPLE_ARRAYS_CAP."""
+    """A sampled point's N-sized arrays, estimated in O(1), are capped at ARRAY_BYTES_CAP."""
 
     # One worker: the larger of building the profiles and drawing one chunk while holding them.
     DRAWING_PER_SPIN = engine.SAMPLE_HELD_SPIN_BYTES + engine.SAMPLE_THREAD_SPIN_BYTES
     LIMIT = min(
-        engine.SAMPLE_ARRAYS_CAP // engine.SAMPLE_SPIN_BYTES,
-        (engine.SAMPLE_ARRAYS_CAP - engine.SAMPLE_MASK_BYTES) // DRAWING_PER_SPIN,
+        engine.ARRAY_BYTES_CAP // engine.SAMPLE_SPIN_BYTES,
+        (engine.ARRAY_BYTES_CAP - engine.SAMPLE_MASK_BYTES) // DRAWING_PER_SPIN,
     )
     DISPERSED = "h = 0.01\ndelta_h = 0.02\nt_start = 66.6\nt_end = 66.8\nsteps = 1\n"
 
@@ -576,7 +578,7 @@ class TestSampledSpinsBudget:
         )
         return (
             f"n: {n} spins take an estimated {estimate} bytes per sampled grid point at "
-            f"workers = 1; the sampled method is capped at {engine.SAMPLE_ARRAYS_CAP} bytes"
+            f"workers = 1; the sampled method is capped at {engine.ARRAY_BYTES_CAP} bytes"
         )
 
     def test_at_the_limit_accepted_without_allocating(self, traced):
@@ -630,6 +632,38 @@ class TestSampledSpinsBudget:
         )
         _, _, peak = traced(lambda: run_config(config))
         assert peak <= config._sampled_bytes() <= 1.25 * peak
+
+
+class TestBinomialTableBudget:
+    """A binomial run's table log k!, 8 (N + 1) bytes, is capped at ARRAY_BYTES_CAP."""
+
+    LIMIT = engine.ARRAY_BYTES_CAP // 8 - 1
+    EQUAL = "h = 0.01\nt_start = 66.6\nt_end = 66.8\nsteps = 1\n"
+
+    @pytest.mark.parametrize("method", ["auto", "binomial"])
+    def test_at_the_limit_accepted_without_allocating(self, method, traced):
+        text = self.EQUAL + f"n = {self.LIMIT}\nmethod = {method}\n"
+        cfg, _, peak = traced(lambda: parse_config(text))
+        assert (cfg.resolved_method(), cfg.n) == ("binomial", 33_554_431)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [pytest.param(LIMIT + 1, id="limit+1"), 10**9])
+    @pytest.mark.parametrize("method", ["auto", "binomial"])
+    def test_validate_and_run_exit_1_before_allocating(
+        self, method, n, tmp_path, capsys, traced
+    ):
+        path = tmp_path / "big.conf"
+        path.write_text(self.EQUAL + f"n = {n}\nmethod = {method}\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 1
+        code, _, peak = traced(lambda: main(["run", str(path), "--out", str(out)]))
+        assert code == 1 and peak < 2**20
+        line = (
+            f"config error: n: {n} spins need a table log k! of {8 * (n + 1)} bytes; "
+            f"the binomial method is capped at {engine.ARRAY_BYTES_CAP} bytes\n"
+        )
+        assert capsys.readouterr().err == 2 * line
+        assert not out.exists()
 
 
 class TestConfigBehavior:
@@ -850,7 +884,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "samples, seed",
-        [(0, 0), (1, -1), (0, -1), (engine.SAMPLE_BYTES_CAP // 8 + 1, -1)],
+        [(0, 0), (1, -1), (0, -1), (engine.ARRAY_BYTES_CAP // 8 + 1, -1)],
         ids=["samples", "seed", "both", "over_the_budget_and_seed"],
     )
     def test_oracle_check_reports_what_validate_reports(
@@ -868,20 +902,39 @@ class TestMain:
         key = "samples" if samples < 1 else "seed"
         assert from_validate.startswith(f"config error: {key}: must be ")
 
+    # oracle-check holds up to selfcheck.ORACLE_DRAW_BYTES per draw: 4,793,490 draws.
+    ORACLE_LIMIT = engine.ARRAY_BYTES_CAP // selfcheck.ORACLE_DRAW_BYTES
+
     def test_oracle_check_samples_at_the_budget_accepted(self, monkeypatch):
         calls = []
         monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
-        limit = engine.SAMPLE_BYTES_CAP // 8
-        assert main(["oracle-check", "--samples", str(limit)]) == 0
-        assert [c["samples"] for c in calls] == [limit]
+        assert self.ORACLE_LIMIT == 4_793_490
+        assert main(["oracle-check", "--samples", str(self.ORACLE_LIMIT)]) == 0
+        assert [c["samples"] for c in calls] == [self.ORACLE_LIMIT]
 
     def test_oracle_check_samples_over_the_budget_exit_1(self, monkeypatch, capsys):
+        # Just over the limit, and the sampled method's own limit, which it used to accept.
         calls = []
         monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
-        over = engine.SAMPLE_BYTES_CAP // 8 + 1
-        assert main(["oracle-check", "--samples", str(over)]) == 1
-        assert capsys.readouterr().err == f"config error: {TestSamplesBudget().message(over)}\n"
+        for over in (self.ORACLE_LIMIT + 1, engine.ARRAY_BYTES_CAP // 8):
+            assert main(["oracle-check", "--samples", str(over)]) == 1
+            assert capsys.readouterr().err == (
+                f"config error: samples: {over} draws take an estimated {56 * over} bytes in "
+                f"oracle-check, which is capped at 268435456 bytes (4793490 draws)\n"
+            )
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["check_sampler_vs_enumeration", "check_worker_invariance", "check_beta_independence"],
+)
+def test_oracle_check_peak_per_draw_within_its_constant(check, traced):
+    # 48.8, 26.9 and 17.5 bytes per draw measured at 10^6 draws.
+    samples = 10**6
+    result, _, peak = traced(lambda: getattr(selfcheck, check)(20260809, samples))
+    assert result.ok
+    assert peak < selfcheck.ORACLE_DRAW_BYTES * samples
 
 
 class TestSamplerCheck:

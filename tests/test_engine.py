@@ -196,7 +196,7 @@ class TestBinomial:
             assert got.dropped == want.dropped
 
     def test_log_counts_table_gives_the_same_bits(self):
-        # A grid's prepared log k! table and window give the point it builds itself, for
+        # A grid's prepared log k! table and rows give the point it builds itself, for
         # the broadcast couplings of a scalar h and for an explicit list of equal h.
         times = (0.0, 37.5, 410.0)
         for n in (80, 100_000):
@@ -204,7 +204,7 @@ class TestBinomial:
                 p = ModelParams(delta=0.1, h=h)
                 spin = binomial_spin(p)
                 assert spin.h.tolist() == [0.02] and (spin.delta, spin.beta) == (p.delta, p.beta)
-                grids = (BinomialGrid(n), BinomialGrid(n, times))
+                grids = (BinomialGrid(p), BinomialGrid(p, times))
                 for t in times:
                     a = binomial_outcomes(p, ALPHAS, t)
                     for grid in grids:
@@ -221,7 +221,7 @@ class TestBinomialMemory:
         # merge stay below five.
         n = 100_000
         p = ModelParams(delta=0.0, h=(0.01,) * n)
-        grid = BinomialGrid(n)
+        grid = BinomialGrid(p)
         for t in (np.arange(6) + 0.5) * 400.0 / 6:
             _, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, float(t), grid=grid))
             assert peak < 5 * 8 * (n + 1)
@@ -232,7 +232,7 @@ class TestBinomialMemory:
         # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
         n = 10**6
         p = ModelParams(delta=0.0, h=np.full(n, 0.01))
-        grid = BinomialGrid(n)
+        grid = BinomialGrid(p)
         t = 200.0
         up, down, _, _ = engine._log_branch_pair(binomial_spin(p), ALPHAS, t)
         length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
@@ -268,11 +268,11 @@ class TestBinomialSpans:
     )
     def test_bits_match_full_profile(self, n, kinds):
         rng = np.random.default_rng(n)
-        grid = BinomialGrid(n)
         seen = set()
         for h in (0.0, 0.01, 0.5, 10.0):
             for delta in (0.0, 0.01, 0.1):
                 p = ModelParams(delta=delta, h=np.full(n, h))
+                grid = BinomialGrid(p)
                 spin = binomial_spin(p)
                 times = [0.0, float(rng.uniform(0, 600))] + _node_times(p, "down", 2)
                 for w_up in (0.0, 0.4, 1.0):
@@ -325,12 +325,25 @@ class TestBinomialSpans:
         assert lo <= n * up.flip[0] <= hi
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_log_counts_of_wrong_length_rejected(self, extra):
+    def test_grid_of_another_model_rejected(self, extra):
+        # A table of another N is another model's.
         n = 1000
         p = ModelParams(delta=0.0, h=np.full(n, 0.5))
-        wrong = rf"log_fact has shape \({n + 1 + extra},\), not \(1001,\)"
-        with pytest.raises(ValueError, match=wrong):
-            binomial_outcomes(p, ALPHAS, 3.0, grid=BinomialGrid(n + extra))
+        other = ModelParams(delta=0.0, h=np.full(n + extra, 0.5))
+        for grid in (BinomialGrid(other), BinomialGrid(other, (3.0,))):
+            with pytest.raises(ValueError, match="^the binomial grid was built for another model$"):
+                binomial_outcomes(p, ALPHAS, 3.0, grid=grid)
+
+    def test_grid_of_another_model_with_the_same_n_rejected(self):
+        # At N = 80 and t = 20, h = 0.5 gives 21 atoms and h = 0.01 gives 6; a grid built
+        # for h = 0.01 must not hand its rows or its one-spin model to h = 0.5.
+        n, t = 80, 20.0
+        mine, other = (ModelParams(delta=0.0, h=np.full(n, h)) for h in (0.5, 0.01))
+        assert len(binomial_outcomes(mine, ALPHAS, t)) == 21
+        assert len(binomial_outcomes(other, ALPHAS, t)) == 6
+        for grid in (BinomialGrid(other), BinomialGrid(other, (t,))):
+            with pytest.raises(ValueError, match="another model"):
+                binomial_outcomes(mine, ALPHAS, t, grid=grid)
 
 
 class TestSampling:
@@ -966,7 +979,7 @@ class TestBinomialLogCounts:
 
     def test_passed_counts_give_the_same_distribution(self):
         p = ModelParams(delta=0.1, h=(0.02,) * 80)
-        grid = BinomialGrid(80)
+        grid = BinomialGrid(p)
         for t in (0.0, 37.5, 410.0):
             a = binomial_outcomes(p, ALPHAS, t)
             b = binomial_outcomes(p, ALPHAS, t, grid=grid)

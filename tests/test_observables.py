@@ -694,7 +694,7 @@ class TestGridEvaluator:
 
 
 def _node_grid(params):
-    """t = 0, the first node times of both branches and 300 plain times: two binomial windows."""
+    """t = 0, the first node times of both branches and 300 plain times."""
     nodes = [
         m * math.pi / spin_spectral(params, branch, 1).omega
         for branch in ("up", "down")
@@ -704,7 +704,7 @@ def _node_grid(params):
 
 
 class TestBinomialWindows:
-    """A binomial grid takes its one-spin profiles from windows of grid times."""
+    """A binomial grid takes its one-spin profiles from rows built once for the whole grid."""
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["scalar_h", "h_list"])
     @pytest.mark.parametrize("n", [80, 100_000])
@@ -717,7 +717,7 @@ class TestBinomialWindows:
         assert not set(hist_times) & set(times.tolist())
         # The reference points compute their own profiles: a grid of no times only shares
         # the table log k!.  w_up = 1 leaves the down branch no span.
-        alone = engine.BinomialGrid(n)
+        alone = engine.BinomialGrid(params)
         for alphas in (ALPHAS, SystemAmplitudes.from_up_weight(1.0)):
             series, hists = obs.evaluate(params, alphas, times, hist_times, method="binomial")
             dists = [binomial_outcomes(params, alphas, float(t), grid=alone) for t in times]
@@ -735,7 +735,7 @@ class TestBinomialWindows:
                     )
                     assert np.array_equal(got_bits, want_bits), field
 
-    def test_profiles_built_once_per_window(self, monkeypatch):
+    def test_profiles_built_once_per_run(self, monkeypatch):
         # An explicit h list: binomial_spin's equal-couplings pass is O(N) per call.
         calls = []
 
@@ -757,10 +757,9 @@ class TestBinomialWindows:
         obs.evaluate(
             ModelParams(delta=0.1, h=(0.02,) * 80), ALPHAS, times, hist_times, method="binomial"
         )
-        windows = -(-times.size // PROFILE_CHUNK_ENTRIES)
-        assert windows == 3
-        assert calls.count("branch_flip_profile") == 2 * windows + 2 * len(hist_times)
-        assert calls.count("binomial_spin") == windows + len(hist_times)
+        # Two calls build the whole grid's rows; each histogram time is off the grid.
+        assert calls.count("branch_flip_profile") == 2 + 2 * len(hist_times)
+        assert calls.count("binomial_spin") == 1
         assert calls.count("binomial_outcomes") == times.size + len(hist_times)
         assert calls.count("class_probabilities") == times.size
 

@@ -12,13 +12,15 @@ couplings, h = -0.0 and delta_h = -0.0, and a constant dispersed spec
 whose delta_h underflows, h = 1e-300 and delta_h = 1e-320), a one-point
 binomial run at odd N = 100,001 (no count k equals N - k in its
 log C(N, k)), a binomial run of 300 points at N = 1000 (two profile
-windows) whose grid holds the down branch's node times, one-point
-dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
+windows) whose grid holds the down branch's node times, a binomial run
+of 3 points at N = 10^6 with one histogram time off its grid, written
+as JSON only (its points fill the table log k! where they read it),
+one-point dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
 time is one tile of patterns, then two, four and 32 tiles, a sampled
 run of 2 * 8192 + 1 draws per point (the last chunk holds one draw) at
 workers 1 and at workers 2, and exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
 times below 1e-6, where the keep rule drops the two-flip outcomes.
-Each run's records are written in both formats with
+Every other run's records are written in both formats with
 ``cli.emit_results``; one line per file, sorted by path, reads
 "<sha256>  <path>".  Two checkouts with the same lines write
 byte-identical files.  The files go to a temporary directory,
@@ -94,6 +96,14 @@ def _window_config() -> ExperimentConfig:
     )
 
 
+def _large_binomial_config() -> ExperimentConfig:
+    """3 binomial points at N = 10^6 and one histogram time between the first two."""
+    return ExperimentConfig(
+        n=10**6, h=(0.01,), delta=0.01, alpha_up_sq=0.4, steps=3, hist_times=(HIST_TIMES[1],),
+        method="binomial", label="binomial_n1e6",
+    )
+
+
 def _tile_configs() -> list[ExperimentConfig]:
     """One dispersed exact point (t = 100) at N = 15, 16, 17 and 20: 1, 2, 4 and 32 tiles of patterns."""
     base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
@@ -151,6 +161,7 @@ def write_outputs(out: Path) -> None:
         records = [run_config(c) for c in configs]
         for fmt in FORMATS:
             emit_results(records, out / name, fmt)
+    emit_results([run_config(_large_binomial_config())], out / "large_binomial", "json")
 
 
 def main() -> int:

@@ -538,9 +538,9 @@ def tile_tree_sum(sums: np.ndarray) -> np.ndarray:
     return sums[..., 0]
 
 
-def log_factorials(n: int) -> np.ndarray:
-    """log k! = lgamma(k + 1) for k = 0..n, from math.lgamma; independent of time."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+def log_factorials(n: int, start: int = 0) -> np.ndarray:
+    """log k! = lgamma(k + 1) for k = start..n, from math.lgamma; independent of time."""
+    return np.fromiter(map(math.lgamma, range(start + 1, n + 2)), float, n + 1 - start)
 
 
 def binomial_spin(params: ModelParams) -> ModelParams:
@@ -555,23 +555,51 @@ class BinomialGrid:
 
     params is the model, whose couplings must be equal, and times its
     grid, 1-D and strictly increasing (empty for a run of one-time
-    calls).  Everything is built here, once: ``binomial_spin(params)``,
-    which checks the couplings, the table ``log_factorials(N)``, and both
-    branches' profiles over the whole grid, one ``branch_flip_profile``
-    call per branch (64 bytes per grid time).  Row k of such a call is
-    bit for bit the profile at times[k] alone, so a point's profiles do
-    not depend on the grid.  Nothing changes after it is built, and the
-    grid serves this params object alone (``binomial_outcomes`` rejects
-    any other: ``ModelParams`` compares by identity).
+    calls).  Built here, once: ``binomial_spin(params)``, which checks
+    the couplings, and both branches' profiles over the whole grid, one
+    ``branch_flip_profile`` call per branch (64 bytes per grid time).
+    Row k of such a call is bit for bit the profile at times[k] alone,
+    so a point's profiles do not depend on the grid.  The table
+    log_fact holds N + 1 floats but starts unset (NaN) except log N!:
+    each point fills the counts it reads (``fill``), so a run computes
+    log k! only over the union of its points' spans, with the bits of
+    ``log_factorials(N)``.  filled lists the ranges set so far.  The
+    profiles never change, the table only gains entries (one caller at
+    a time), and the grid serves this params object alone
+    (``binomial_outcomes`` rejects any other: ``ModelParams`` compares
+    by identity).
     """
 
     def __init__(self, params: ModelParams, times=()):
         self.params = params
         self.spin = binomial_spin(params)
-        self.log_fact = log_factorials(params.n_env)
+        n = params.n_env
+        self.log_fact = np.full(n + 1, np.nan)
+        self.filled: list[tuple[int, int]] = []
+        self.fill(n, n)
         self.times = np.asarray(times, dtype=float)
         self.up = branch_flip_profile(self.spin, "up", self.times)
         self.down = branch_flip_profile(self.spin, "down", self.times)
+
+    def fill(self, lo: int, hi: int) -> None:
+        """Set the table's entries lo..hi that no earlier call set.
+
+        filled stays sorted, with no two ranges overlapping or adjacent.
+        Each gap of [lo, hi] between them is one ``log_factorials`` call,
+        no longer than [lo, hi] itself, so an entry is computed once.
+        """
+        rest, cursor, merged = [], lo, (lo, hi)
+        for a, b in self.filled:
+            if b + 1 < lo or a > hi + 1:
+                rest.append((a, b))
+                continue
+            if cursor < a:
+                self.log_fact[cursor:a] = log_factorials(a - 1, cursor)
+            cursor = max(cursor, b + 1)
+            merged = (min(merged[0], a), max(merged[1], b))
+        if cursor <= hi:
+            self.log_fact[cursor : hi + 1] = log_factorials(hi, cursor)
+        self.filled = sorted(rest + [merged])
 
     def profiles(self, t: float) -> tuple[FlipProfile, FlipProfile]:
         """(up, down) one-spin profiles at t: the grid row when t is a grid time, else their own."""
@@ -594,24 +622,34 @@ def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int]
     """The flip counts [lo, hi] of one branch's terms that can reach the weight floor, or None.
 
     With keep and flip the one-spin floats, s = keep + flip and p = flip / s,
-    the count-k term is weight * s^n * Bin(k; n, p).  The Chernoff bound
-    Bin(k; n, p) <= exp(-n D(k/n || p)), relaxed by Pinsker's inequality
-    D >= 2 (k/n - p)^2 (Chernoff 1952, Hoeffding 1963), puts it at most
-    exp(-2 (k - np)^2 / n).  So outside |k - np| <= r, r^2 = n / 2 *
-    (log weight + n log s - log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN), the
-    term is below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN).  A zero weight
-    or a negative radicand leaves no count.
+    the count-k term is weight * s^n * Bin(k; n, p), and it lies under
+    WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN) once Bin(k; n, p) is below
+    exp(-c), c = log weight + n log s - log(WEIGHT_FLOOR / 2) +
+    WINDOW_MARGIN nats.  Two tail bounds give a radius r beyond which
+    |k - np| puts it there, and the span takes the smaller:
+
+    * Chernoff's Bin(k; n, p) <= exp(-n D(k/n || p)), relaxed by
+      Pinsker's inequality D >= 2 (k/n - p)^2 (Chernoff 1952, Hoeffding
+      1963): r^2 = n c / 2;
+    * Bernstein's exp(-d^2 / (2 (sigma^2 + d / 3))) on either tail at
+      distance d from np, sigma^2 = n p (1 - p) with 1 - p = keep / s
+      (Boucheron, Lugosi & Massart, Concentration Inequalities, 2013,
+      Thm 2.10; each Bernoulli lies within 1 of its mean): r = c / 3 +
+      sqrt(c^2 / 9 + 2 c sigma^2), far narrower where p is far from 1/2.
+
+    A zero weight or a negative c leaves no count.
     """
     if weight == 0.0:
         return None
     keep, flip = float(profile.keep[0]), float(profile.flip[0])
     s = keep + flip
-    radicand = n / 2 * (
-        math.log(weight) + n * math.log(s) - math.log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN
-    )
-    if radicand < 0.0:
+    nats = math.log(weight) + n * math.log(s) - math.log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN
+    if nats < 0.0:
         return None
-    center, r = n * (flip / s), math.sqrt(radicand)
+    p = flip / s
+    variance = n * p * (keep / s)
+    bernstein = nats / 3 + math.sqrt(nats * nats / 9 + 2 * nats * variance)
+    center, r = n * p, min(math.sqrt(n / 2 * nats), bernstein)
     return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
 
 
@@ -621,12 +659,13 @@ def binomial_spans(
     """Ascending, disjoint spans [lo, hi] of the flip counts whose weight can reach 1e-300.
 
     up and down are the one-spin profiles of both branches at one time.
-    Each branch with positive weight gives one span (``_branch_span``);
-    overlapping or adjacent spans are merged.  A count outside every span
-    has both terms below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN), so its
-    weight is below the floor by that margin.  One branch weighs at least
-    1/2 and keep + flip = 1 to a few ulp, so its radicand is positive for
-    any N below about 10^18: there is always a span.
+    Each branch with positive weight gives one span (``_branch_span``,
+    the smaller of a Pinsker and a Bernstein radius about np); overlapping
+    or adjacent spans are merged.  A count outside every span has both
+    terms below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN), so its weight is
+    below the floor by that margin.  One branch weighs at least 1/2 and
+    keep + flip = 1 to a few ulp, so its nats budget is positive for any
+    N below about 10^18: there is always a span.
     """
     spans = sorted(
         span
@@ -657,15 +696,20 @@ def binomial_outcomes(
     and a grid time takes its one-spin profiles from the grid's rows
     (``BinomialGrid.profiles``), with the same bits a time off the grid
     computes on its own.  Without a grid the call builds one of the
-    single time t.  The table is the route's one array of N + 1 floats.
+    single time t.  The grid's table is the route's one array of N + 1
+    floats.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
-    of them (about 12% per branch at N = 10^5, all at N = 80).  A tail
+    of them (at N = 10^5 and h = 0.01 about 0.5% of the counts for the
+    up branch and 9% for the down one; all at N = 80).  A tail
     bound proves that every other count's term lies under 1e-300 / 2 by
     WINDOW_MARGIN = 8 nats on each branch, far more than the float error
     of a computed log weight (about 1e-8 nats at N = 10^6), so the full
     range would drop it too; it is counted in ``dropped`` without being
-    computed.
+    computed.  Before any span is evaluated the grid fills its table
+    over each span [lo, hi] and its mirror [N - hi, N - lo]
+    (``BinomialGrid.fill``), each gap in one temporary no longer than
+    the span, freed before the span's own arrays exist.
 
     Each span is evaluated on its own (``_span_atoms``), in four float
     arrays of its length besides log_fact, all freed before the merge
@@ -687,6 +731,9 @@ def binomial_outcomes(
         raise ValueError("the binomial grid was built for another model")
     branches = grid.profiles(t) + _log_mixture_weights(alphas)
     spans = binomial_spans(n, alphas, *branches[:2])
+    for lo, hi in spans:
+        grid.fill(lo, hi)
+        grid.fill(n - hi, n - lo)
     parts = [_span_atoms(n, alphas, branches, grid.log_fact, lo, hi) for lo, hi in spans]
     u, weight = map(np.concatenate, zip(*parts))
     return merge_by_u(
@@ -697,8 +744,9 @@ def binomial_outcomes(
 def _span_atoms(n, alphas, branches, log_fact, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """(u, weight) of the kept flip counts k = lo..hi of ``binomial_outcomes``, ascending in k.
 
-    log_fact is ``log_factorials(n)``; the span's log C(n, k) is formed
-    in the flip-term buffer once the up log weight has taken that term.
+    log_fact is the grid's table, set at n and over [lo, hi] and
+    [n - hi, n - lo]; the span's log C(n, k) is formed in the flip-term
+    buffer once the up log weight has taken that term.
     """
     up, down, lw_up, lw_down = branches
     n_minus_k = np.arange(n - lo, n - hi - 1, -1, dtype=float)

@@ -163,11 +163,11 @@ def prepare(
     times is the run's grid, 1-D and strictly increasing (empty for a
     caller of one-time points).  The run's time-independent work happens
     here, once: binomial builds its ``engine.BinomialGrid`` from params
-    over times, whose table log k! gives each point its multiplicities
-    log C(N, k) and whose rows hold both branches' one-spin profiles at
-    every grid time, so a grid point only evaluates its spans, merges
-    and classifies; exact-universe builds its sector spectra and
-    thermal ensemble.  Each point function
+    over times, whose rows hold both branches' one-spin profiles at
+    every grid time and whose table log k! starts unset, so a grid point
+    only computes the log k! of its spans that no earlier point of the
+    run read, evaluates its spans, merges and classifies; exact-universe
+    builds its sector spectra and thermal ensemble.  Each point function
     looks its engine up in its module at every call, so wrapping
     ``engine.sample_outcomes`` and the like still sees every point.  The
     state lives as long as the caller holds the point function; nothing

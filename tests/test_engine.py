@@ -11,6 +11,7 @@ from centralspin.core import (
     LOG_SUM_BLOCK,
     EnvironmentTooLarge,
     FlipPattern,
+    FlipProfile,
     ModelParams,
     SystemAmplitudes,
     branch_axis,
@@ -18,7 +19,7 @@ from centralspin.core import (
     dispersed_couplings,
     log_branch_weight,
 )
-from centralspin import engine
+from centralspin import engine, observables
 from centralspin.engine import (
     SAMPLE_CHUNK,
     SAMPLE_MASK_BYTES,
@@ -227,19 +228,124 @@ class TestBinomialMemory:
             assert peak < 5 * 8 * (n + 1)
 
     def test_peak_of_one_point_follows_its_spans(self, traced):
-        # At N = 1e6 only the spans are evaluated, two disjoint ones here (about 6% of the
-        # counts): four float arrays per span, then the kept atoms' merge, whatever N is
-        # (4.2-4.9 arrays of the spans' total length measured over t in [0, 400]).
+        # At N = 1e6 only the spans are evaluated, two disjoint ones here (about 3% of the
+        # counts): the table fill and four float arrays per span, then the kept atoms'
+        # merge, whatever N is.  The kept atoms are 97% of the spans here, so the merge's
+        # arrays of their length set the peak: 7.0-7.9 arrays of the spans' total length
+        # measured over t in [0, 400], 1.86 MB here.  The bound, 1.95 MB, is under the
+        # 2.70 MB that six arrays of the wider Pinsker-only spans (56,157 counts) allowed.
         n = 10**6
         p = ModelParams(delta=0.0, h=np.full(n, 0.01))
         grid = BinomialGrid(p)
         t = 200.0
         up, down, _, _ = engine._log_branch_pair(binomial_spin(p), ALPHAS, t)
         length = sum(hi - lo + 1 for lo, hi in engine.binomial_spans(n, ALPHAS, up, down))
-        assert length < (n + 1) / 10
+        assert length < (n + 1) / 20
         dist, _, peak = traced(lambda: binomial_outcomes(p, ALPHAS, t, grid=grid))
         assert dist.dropped > n - length
-        assert peak < 6 * 8 * length
+        assert peak < 8 * 8 * length + 64 * 1024
+
+
+def _filled_mask(grid):
+    """The entries of a grid's table log k! that its ``filled`` ranges name."""
+    mask = np.zeros(grid.log_fact.size, dtype=bool)
+    for lo, hi in grid.filled:
+        mask[lo : hi + 1] = True
+    return mask
+
+
+def _read_counts(params, alphas, times):
+    """The table entries binomial points at ``times`` read: N, and each span and its mirror."""
+    n = params.n_env
+    read = np.zeros(n + 1, dtype=bool)
+    read[n] = True
+    spin = binomial_spin(params)
+    for t in times:
+        up, down, _, _ = engine._log_branch_pair(spin, alphas, float(t))
+        for lo, hi in engine.binomial_spans(n, alphas, up, down):
+            read[lo : hi + 1] = read[n - hi : n - lo + 1] = True
+    return read
+
+
+class TestBinomialLazyTable:
+    """A grid computes log k! only on the counts its points read, each once, with the full table's bits."""
+
+    def test_filled_entries_have_the_full_table_bits(self):
+        n = 10**5
+        p = ModelParams(delta=0.1, h=np.full(n, 0.02))
+        times = np.linspace(5.0, 400.0, 7)
+        grid = BinomialGrid(p, times)
+        assert grid.filled == [(n, n)]
+        points = times.tolist() + [123.4]
+        for t in points:
+            binomial_outcomes(p, ALPHAS, t, grid=grid)
+        filled = _filled_mask(grid)
+        assert np.array_equal(filled, _read_counts(p, ALPHAS, points))
+        assert not filled.all()
+        full = log_factorials(n)
+        assert np.array_equal(grid.log_fact[filled].view(np.int64), full[filled].view(np.int64))
+        assert np.isnan(grid.log_fact[~filled]).all()
+        # Sorted, with no two ranges overlapping or adjacent.
+        assert all(b + 1 < a for (_, b), (a, _) in zip(grid.filled, grid.filled[1:]))
+
+    def test_two_point_grid_fills_few_entries(self):
+        # The two midpoints of a 2-step run on [0, 400] at N = 1e6.
+        n = 10**6
+        p = ModelParams(delta=0.0, h=np.full(n, 0.01))
+        times = np.array([100.0, 300.0])
+        grid = BinomialGrid(p, times)
+        for t in times.tolist():
+            binomial_outcomes(p, ALPHAS, t, grid=grid)
+        assert np.count_nonzero(~np.isnan(grid.log_fact)) <= 0.15 * (n + 1)
+
+    def test_a_range_read_again_computes_nothing(self, monkeypatch):
+        computed = []
+        real = engine.log_factorials
+
+        def counted(n, start=0):
+            computed.append((start, n))
+            return real(n, start)
+
+        n = 1000
+        p = ModelParams(delta=0.0, h=np.full(n, 0.01))
+        grid = BinomialGrid(p)
+        monkeypatch.setattr(engine, "log_factorials", counted)
+        grid.fill(10, 20)
+        grid.fill(10, 20)
+        grid.fill(12, 15)
+        assert computed == [(10, 20)]
+        grid.fill(5, 30)
+        assert computed[1:] == [(5, 9), (21, 30)]
+        grid.fill(40, 50)
+        grid.fill(0, 60)
+        grid.fill(61, 70)
+        assert computed[3:] == [(40, 50), (0, 4), (31, 39), (51, 60), (61, 70)]
+        assert grid.filled == [(0, 70), (n, n)]
+        computed.clear()
+        first = binomial_outcomes(p, ALPHAS, 37.5, grid=grid)
+        assert computed
+        computed.clear()
+        again = binomial_outcomes(p, ALPHAS, 37.5, grid=grid)
+        assert computed == []
+        assert np.array_equal(first.u, again.u) and np.array_equal(first.weight, again.weight)
+
+    def test_off_grid_histogram_time_fills_its_own_spans(self, monkeypatch):
+        grids = []
+
+        class Kept(engine.BinomialGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(engine, "BinomialGrid", Kept)
+        n = 10**5
+        p = ModelParams(delta=0.0, h=np.full(n, 0.01))
+        times, hist_times = np.array([100.0, 300.0]), (200.0,)
+        observables.evaluate(p, ALPHAS, times, hist_times, method="binomial")
+        (grid,) = grids
+        filled, on_grid = _filled_mask(grid), _read_counts(p, ALPHAS, times)
+        assert np.array_equal(filled, on_grid | _read_counts(p, ALPHAS, hist_times))
+        assert not np.array_equal(filled, on_grid)
 
 
 def _node_times(params, branch, count):
@@ -247,6 +353,26 @@ def _node_times(params, branch, count):
     a, _ = branch_axis(params, branch)
     omega = math.hypot(a, float(params.h[0]))
     return [m * math.pi / omega for m in range(1, count + 1)] if omega > 0 else []
+
+
+def _one_spin_profile(p):
+    """A one-spin profile with flip probability p and keep 1 - p."""
+    keep, flip = np.array([1.0 - p]), np.array([p])
+    with np.errstate(divide="ignore"):
+        return FlipProfile(keep, flip, np.log(keep), np.log(flip))
+
+
+def _pinsker_span(n, weight, profile):
+    """A branch's span from the Pinsker radius alone, r^2 = n c / 2 (c the nats budget)."""
+    keep, flip = float(profile.keep[0]), float(profile.flip[0])
+    s = keep + flip
+    radicand = n / 2 * (
+        math.log(weight) + n * math.log(s) - math.log(engine.WEIGHT_FLOOR / 2) + engine.WINDOW_MARGIN
+    )
+    if radicand < 0.0:
+        return None
+    center, r = n * (flip / s), math.sqrt(radicand)
+    return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
 
 
 def _span_kind(n, alphas, up, down):
@@ -268,6 +394,7 @@ class TestBinomialSpans:
     )
     def test_bits_match_full_profile(self, n, kinds):
         rng = np.random.default_rng(n)
+        log_fact = log_factorials(n)
         seen = set()
         for h in (0.0, 0.01, 0.5, 10.0):
             for delta in (0.0, 0.01, 0.1):
@@ -279,7 +406,7 @@ class TestBinomialSpans:
                     alphas = SystemAmplitudes.from_up_weight(w_up)
                     for t in times:
                         got = binomial_outcomes(p, alphas, t, grid=grid)
-                        want = _binomial_full_profile(p, alphas, t, grid.log_fact)
+                        want = _binomial_full_profile(p, alphas, t, log_fact)
                         assert np.array_equal(got.u, want.u), (h, delta, w_up, t)
                         assert np.array_equal(got.weight, want.weight), (h, delta, w_up, t)
                         assert got.dropped == want.dropped, (h, delta, w_up, t)
@@ -287,15 +414,23 @@ class TestBinomialSpans:
                         seen.add(_span_kind(n, alphas, up, down))
         assert seen == kinds
 
-    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
     def test_every_kept_count_lies_in_a_span(self, n):
+        # Twelve random points, then each branch's first node time at w_up = 0 and 1.
         rng = np.random.default_rng(n + 1)
         log_fact = log_factorials(n)
+        cases = []
         for _ in range(12):
             h = np.full(n, rng.choice([0.01, 0.5, 10.0]))
             p = ModelParams(delta=float(rng.uniform(-1, 1)), h=h)
-            alphas = SystemAmplitudes.from_up_weight(float(rng.choice([0.0, 0.4, 1.0])))
+            w_up = float(rng.choice([0.0, 0.4, 1.0]))
             t = float(rng.choice([0.0, rng.uniform(0, 600)] + _node_times(p, "down", 1)))
+            cases.append((p, w_up, t))
+        p = ModelParams(delta=0.1, h=np.full(n, 0.5))
+        nodes = _node_times(p, "up", 1) + _node_times(p, "down", 1)
+        cases += [(p, w_up, t) for w_up in (0.0, 1.0) for t in nodes]
+        for p, w_up, t in cases:
+            alphas = SystemAmplitudes.from_up_weight(w_up)
             _, weight = _binomial_full_weights(p, alphas, t, log_fact)
             kept = np.flatnonzero(weight >= engine.WEIGHT_FLOOR)
             up, down, _, _ = engine._log_branch_pair(binomial_spin(p), alphas, t)
@@ -315,6 +450,38 @@ class TestBinomialSpans:
         for t in (0.0, 37.5, 410.0):
             up, down, _, _ = engine._log_branch_pair(p, ALPHAS, t)
             assert engine.binomial_spans(n, ALPHAS, up, down) == [(0, n)]
+
+    @pytest.mark.parametrize("n", [80, 10**3, 10**5, 10**7, 10**9])
+    def test_counts_next_to_a_span_lie_below_the_floor(self, n):
+        # The first count past each end of a branch's span, by scipy's binomial law, is
+        # below log(1e-300 / 2) - WINDOW_MARGIN; at N = 80 every span is the full range.
+        from scipy.stats import binom
+
+        limit = math.log(engine.WEIGHT_FLOOR / 2) - engine.WINDOW_MARGIN
+        checked = 0
+        for p in (0.0, 1e-12, 1e-4, 0.02, 0.5, 1 - 1e-4, 1.0):
+            profile = _one_spin_profile(p)
+            s = float(profile.keep[0] + profile.flip[0])
+            for weight in (ALPHAS.w_up, ALPHAS.w_down):
+                lo, hi = engine._branch_span(n, weight, profile)
+                for k in (lo - 1, hi + 1):
+                    if 0 <= k <= n:
+                        log_term = math.log(weight) + n * math.log(s) + binom.logpmf(k, n, p / s)
+                        assert log_term < limit, (n, p, weight, k)
+                        checked += 1
+        assert checked or n == 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 10**12),
+        p=st.floats(0.0, 1.0),
+        weight=st.floats(1e-300, 1.0),
+    )
+    def test_span_lies_within_pinsker_span(self, n, p, weight):
+        span, pinsker = (f(n, weight, _one_spin_profile(p)) for f in (engine._branch_span, _pinsker_span))
+        assert (span is None) == (pinsker is None)
+        if span is not None:
+            assert pinsker[0] <= span[0] <= span[1] <= pinsker[1]
 
     def test_zero_weight_branch_has_no_span(self):
         n = 10**4

@@ -234,19 +234,18 @@ class TestPrepare:
         assert calls == []
 
     def test_binomial_run_prepares_once(self, monkeypatch):
-        calls = []
+        # One BinomialGrid per run serves every grid and histogram point.
+        grids = []
 
-        def counted(real):
-            def wrapper(*args):
-                calls.append(real.__name__)
-                return real(*args)
+        class Counted(engine.BinomialGrid):
+            def __init__(self, *args):
+                grids.append(args)
+                super().__init__(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(engine, "log_factorials", counted(engine.log_factorials))
+        monkeypatch.setattr(engine, "BinomialGrid", Counted)
         times = np.linspace(1.0, 9.0, 5)
         obs.evaluate(self.P4, ALPHAS, times, (2.0, 4.0), method="binomial")
-        assert calls == ["log_factorials"]
+        assert len(grids) == 1 and np.array_equal(grids[0][1], times)
 
 
 class TestLogitCutoffs:

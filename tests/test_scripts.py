@@ -39,11 +39,11 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
     # windowed binomial, tiled exact, one-draw-last-chunk sampled and edge-case dense-oracle
-    # runs, in csv and json.
+    # runs, in csv and json, and the N = 1e6 binomial run in json alone.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 130
+    assert len(lines) == 131
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -70,6 +70,10 @@ def test_output_digest_builds_its_configs(monkeypatch):
     assert windows.resolved_method() == "binomial"
     assert windows.steps > engine.PROFILE_CHUNK_ENTRIES
     configs.append(windows)
+    large = digest._large_binomial_config()
+    assert (large.n, large.steps, large.resolved_method()) == (10**6, 3, "binomial")
+    assert len(large.hist_times) == 1 and large.hist_times[0] not in large.grid().tolist()
+    configs.append(large)
     tile_configs = digest._tile_configs()
     assert [(c.n, c.steps, c.method) for c in tile_configs] == [
         (n, 1, "exact") for n in (15, 16, 17, 20)

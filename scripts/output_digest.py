@@ -16,7 +16,9 @@ windows) whose grid holds the down branch's node times, a binomial run
 of 3 points at N = 10^6 with one histogram time off its grid, written
 as JSON only (its points fill the table log k! where they read it),
 one-point dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
-time is one tile of patterns, then two, four and 32 tiles, a sampled
+time is one tile of patterns, then two, four and 32 tiles, dispersed
+exact runs of 7 times at N = 11 and 12, in blocks of 4 and 2 times whose
+doublings take an even (4) and an odd (5) number of steps, a sampled
 run of 2 * 8192 + 1 draws per point (the last chunk holds one draw) at
 workers 1 and at workers 2, and exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
 times below 1e-6, where the keep rule drops the two-flip outcomes.
@@ -113,6 +115,12 @@ def _tile_configs() -> list[ExperimentConfig]:
     ]
 
 
+def _block_configs() -> list[ExperimentConfig]:
+    """Dispersed exact grids of 7 times at N = 11 and 12, in blocks of 4 and 2 times."""
+    base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact", steps=7)
+    return [ExperimentConfig(**base, n=n, label=f"exact_blocks_n{n}") for n in (11, 12)]
+
+
 def _chunk_configs() -> list[ExperimentConfig]:
     """Three dispersed N = 20 sampled points of 2 * SAMPLE_CHUNK + 1 draws, at workers 1 and 2."""
     base = dict(n=20, h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, t_end=300.0, steps=3)
@@ -155,6 +163,7 @@ def write_outputs(out: Path) -> None:
         ("odd_n", [_odd_n_config()]),
         ("windows", [_window_config()]),
         ("tiles", _tile_configs()),
+        ("blocks", _block_configs()),
         ("chunks", _chunk_configs()),
         ("universe", _universe_configs()),
     ):

@@ -354,9 +354,11 @@ def pattern_log_weight(profile: FlipProfile, flipped: np.ndarray) -> float | np.
     over axis 0 of the C-ordered block adds the rows to it in order.
 
     The order is load-bearing: ``engine.pattern_log_weights`` builds
-    every enumerated pattern's sum in the same order, starting from 0.
-    So a sampled or single-pattern u equals the enumerated u of its
-    pattern bit for bit, which the sampler-vs-enumeration KS check
+    every enumerated pattern's sum, of both branches at all of a block's
+    times in one time-major array, in the same order, starting from 0;
+    the layout moves only where a sum is stored.  So a sampled or
+    single-pattern u equals the enumerated u of its pattern bit for bit,
+    which the sampler-vs-enumeration KS check
     (acceptance criterion 3) relies on.  A pairwise ``np.sum`` or an
     ``np.add.reduce`` over the spins rounds differently from N = 8 on;
     numpy reduces a one-column block that way too, so a single column

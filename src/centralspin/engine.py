@@ -81,11 +81,17 @@ SAMPLE_THREAD_SPIN_BYTES = 40
 # N = 13.  A grid allocates one block workspace of three such arrays
 # (``BlockWorkspace``), of min(block, grid length) times, and every
 # block writes into it: the arrays are allocated and their pages faulted
-# in once per grid, not once per block.  A block's peak, the workspace
-# and numpy's buffer for the doubling's broadcast adds, stays at about
-# 3.5 block arrays.  A block's profile rows are sliced from its chunk's
-# table (below).
+# in once per grid, not once per block.  A block's peak is the
+# workspace and numpy's buffers of at most DOUBLING_BUFSIZE elements.  A
+# block's profile rows are sliced from its chunk's table (below).
 GRID_BLOCK_ATOMS = 8192
+# Elements of numpy's ufunc buffer while ``pattern_log_weights`` doubles.
+# numpy buffers its strided adds: at the default 8192 elements one
+# N = 10, T = 8 doubling mallocs 130 KiB (tracemalloc, numpy 2.4), and a
+# one-block N = 10 grid peaks at 352 KB instead of 241 KB.  At 512 the
+# doubling peaks at 14 KiB and takes 40 us against 68 us at 8192 (median
+# of 60 interleaved rounds, 2-core x86 host).
+DOUBLING_BUFSIZE = 512
 # Profile entries (times x N) per chunk of an exact grid: both branches'
 # log profiles are built by one call each for a chunk of whole blocks
 # with at most this many entries, or for one block where a block alone
@@ -99,7 +105,7 @@ PROFILE_CHUNK_ENTRIES = 256
 # each chunk doubles spins 1..k of both branches once at its C times, k
 # the largest with 2^k * 2C entries within this bound (k = 5 at N = 10,
 # C = 24; k = 6 at N = 18, C = 14), and each block continues its
-# doubling from spin k + 1, two numpy calls fewer per spin and branch.
+# doubling from spin k + 1, two numpy calls fewer per spin.
 LOW_SPIN_ENTRIES = 2048
 # Pattern bits B of a tile of an exact grid, at most N.  A block of T
 # times runs in 2^(N - B) tiles of 2^B consecutive pattern codes
@@ -222,20 +228,21 @@ def pattern_projection(
 class BlockWorkspace:
     """The arrays that a block of T times at N spins is enumerated into.
 
-    Three float buffers of T * 2^N entries hold every block-sized array
-    of a block; a grid allocates them once (``block_workspace``) and
-    reuses them for every block.  So a block allocates nothing that
-    grows with 2^N, and the next block overwrites the last one's
-    results.  With numpy's own buffer for the broadcast adds of a T > 1
-    doubling (up to half a block), a block's peak stays within about 3.5
-    block arrays.  An exact grid's workspace holds one tile of B =
-    min(N, TILE_BITS) pattern bits, and every tile of every block writes
-    into it (``_block_masses``).  Views on the buffers:
+    Two float buffers, of T * 2^N and 2 * T * 2^N entries, hold every
+    block-sized array of a block; a grid allocates them once
+    (``block_workspace``) and reuses them for every block.  So a block
+    allocates nothing that grows with 2^N, and the next block overwrites
+    the last one's results.  A block's peak is these three block arrays
+    and numpy's buffers of at most DOUBLING_BUFSIZE elements.  An exact
+    grid's workspace holds one tile of B = min(N, TILE_BITS) pattern
+    bits, and every tile of every block writes into it
+    (``_block_masses``).  Views on the buffers:
 
-    * acc: the 2^N x T pattern-major doubling accumulator, whose bytes
-      read as T x 2^N are the pattern weights (``weight``);
-    * log_up, log_down: T x 2^N branch log-weights
-      (``pattern_log_weights``); ``_mix_block`` turns log_down into x;
+    * spare: the first buffer, flat, which the doubling alternates with
+      logs (``pattern_log_weights``); weight, T x 2^N, is the same memory
+      and takes the pattern weights;
+    * logs: the 2 x T x 2^N branch log-weights, log_up and log_down its
+      halves; ``_mix_block`` turns log_down into x;
     * keep, up, down: T x 2^N bool masks in the bytes of log_up, written
       once x is formed.
 
@@ -245,13 +252,12 @@ class BlockWorkspace:
 
     def __init__(self, buffers: tuple, n: int, times: int):
         self.buffers, self.n, self.times = buffers, n, times
-        acc, log_up, log_down = (b[: times << n] for b in buffers)
-        shape = (times, 1 << n)
-        self.acc = acc.reshape(1 << n, times)
-        self.weight = acc.reshape(shape)
-        self.log_up = log_up.reshape(shape)
-        self.log_down = log_down.reshape(shape)
-        self.keep, self.up, self.down = log_up.view(bool)[: 3 * acc.size].reshape((3,) + shape)
+        size, shape = times << n, (times, 1 << n)
+        self.spare = buffers[0][:size]
+        self.weight = self.spare.reshape(shape)
+        self.logs = buffers[1][: 2 * size].reshape((2,) + shape)
+        self.log_up, self.log_down = self.logs
+        self.keep, self.up, self.down = buffers[1].view(bool)[: 3 * size].reshape((3,) + shape)
 
     def sized(self, times: int) -> "BlockWorkspace":
         """Views for a block of ``times`` times, at most the workspace's own T."""
@@ -272,43 +278,32 @@ def block_workspace(n: int, times: int) -> BlockWorkspace:
     """
     _check_enumeration_cap(n)
     size = times << n
-    return BlockWorkspace((np.empty(size), np.empty(size), np.empty(size)), n, times)
-
-
-def _double(acc: np.ndarray, keep: np.ndarray, flip: np.ndarray, start: int) -> np.ndarray:
-    """Continue the subset doubling of the pattern-major acc from spin start + 1.
-
-    acc is 2^N x T with rows [0, 2^start) holding the sums over spins
-    1..start; keep and flip are the N x T spin-major log factors.  Spin
-    i + 1 doubles the rows in place: rows [0, 2^i) keep it, rows
-    [2^i, 2^(i+1)) flip it.  Both halves are contiguous and disjoint,
-    so numpy adds them with no overlap copy.
-    """
-    for i in range(start, keep.shape[0]):
-        width = 1 << i
-        np.add(acc[:width], flip[i], out=acc[width : 2 * width])
-        acc[:width] += keep[i]
-    return acc
+    return BlockWorkspace((np.empty(size), np.empty(2 * size)), n, times)
 
 
 def pattern_log_weights(
-    log_keep: np.ndarray,
-    log_flip: np.ndarray,
-    out: np.ndarray,
-    acc: np.ndarray,
-    prefix: np.ndarray,
+    keep: np.ndarray, flip: np.ndarray, prefix: np.ndarray, out: np.ndarray, spare: np.ndarray
 ) -> np.ndarray:
-    """Log-weights of all 2^N flip patterns at each of T times, by subset doubling, into out.
+    """Log-weights of all 2^N flip patterns of both branches at T times, by subset doubling.
 
-    log_keep and log_flip are T x N; column c of the T x 2^N result out
-    is the pattern whose bit i is set when spin i+1 flipped.  The
-    doubling runs in the pattern-major 2^N x T accumulator acc
-    (``_double``), and one transposing copy writes the row-major result;
-    at T = 1 both layouts are the same memory, so the doubling runs in
-    out itself and acc is not touched.  prefix is the 2^k x T
-    pattern-major table of the sums over spins 1..k at the same times
-    (such as a slice of ``low_spin_table``); the doubling starts from it
-    at spin k + 1.  A k = 0 prefix is one row of zeros, np.zeros((1, T)).
+    keep and flip are the 2 x T x N log factors table[:, 0] and
+    table[:, 1] of a ``branch_log_rows`` table (or its first N spins);
+    entry [b, t, c] of the 2 x T x 2^N result, written into out, is
+    branch b's pattern c at time t, whose bit i is set when spin i+1
+    flipped.  prefix is the
+    2 x T x 2^k table of the sums over spins 1..k at the same times (a
+    block's slice of ``low_spin_table``, or np.zeros((2, T, 1)) for k =
+    0), and the doubling continues from it at spin k + 1: spin i + 1
+    writes dst[..., :w] = src + keep_i and dst[..., w:2w] = src + flip_i,
+    w = 2^i, both branches and all T times in each add.  dst alternates
+    between out and spare, a flat array of at least T * 2^N entries, so
+    that the last step lands in out and no add reads the array it
+    writes (numpy would copy such overlapping views).  At k = N, prefix
+    is copied into out.
+
+    The adds are strided, so numpy buffers them; they run with numpy's
+    buffer at DOUBLING_BUFSIZE elements, and the caller's setting is
+    restored on the way out, whatever happens.
 
     The layout moves where a sum is stored, not how it is formed: each
     entry is still the left-to-right sum over spins 1..N, from any k, so
@@ -322,28 +317,37 @@ def pattern_log_weights(
     on.  A split into two half-patterns (meet in the middle) rounds
     differently and must change that sum with it.
     """
-    t, n = log_keep.shape
-    if t == 1:
-        acc = out.reshape(1 << n, 1)
-    acc[: prefix.shape[0]] = prefix
-    _double(acc, log_keep.T, log_flip.T, prefix.shape[0].bit_length() - 1)
-    if t > 1:
-        np.copyto(out, acc.T)
+    n, k = keep.shape[-1], prefix.shape[-1].bit_length() - 1
+    times, half = out.shape[1], out.shape[2] >> 1
+    buffers = (out, spare[: 2 * times * half].reshape(2, times, half))
+    old = np.setbufsize(DOUBLING_BUFSIZE)
+    try:
+        src = prefix
+        for i in range(k, n):
+            width = 1 << i
+            dst = buffers[(n - 1 - i) & 1]
+            np.add(src, keep[..., i, None], out=dst[..., :width])
+            np.add(src, flip[..., i, None], out=dst[..., width : 2 * width])
+            src = dst[..., : 2 * width]
+        if k == n:
+            np.copyto(out, prefix)
+    finally:
+        np.setbufsize(old)
     return out
 
 
 def low_spin_table(table: np.ndarray, k: int) -> np.ndarray:
     """Sums over spins 1..k of all 2^k low patterns of both branches, at a table's C times.
 
-    table is a ``branch_log_rows`` table.  One pattern-major 2^k x 2C
-    doubling, returned as 2^k x 2 x C: [:, 0] is the up branch and
-    [:, 1] the down one, and a block's columns of either are the
-    ``prefix`` of its ``pattern_log_weights``.
+    table is a ``branch_log_rows`` table.  One ``pattern_log_weights``
+    call from zeros, returned as 2 x C x 2^k: [0] is the up branch and [1]
+    the down one, and a block's times [:, block] of it are the ``prefix``
+    of its ``pattern_log_weights``.
     """
-    keep, flip = (np.concatenate(table[:, field, :, :k]).T for field in (0, 1))
-    acc = np.empty((1 << k, keep.shape[1]))
-    acc[0] = 0.0
-    return _double(acc, keep, flip, 0).reshape(1 << k, 2, -1)
+    times = table.shape[2]
+    keep, flip = table[:, 0, :, :k], table[:, 1, :, :k]
+    out, spare = np.empty((2, times, 1 << k)), np.empty(times << k)
+    return pattern_log_weights(keep, flip, np.zeros((2, times, 1)), out, spare)
 
 
 def _low_spins(n: int, times: int) -> int:
@@ -369,7 +373,7 @@ def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
     """
     lw_up, lw_down = _log_mixture_weights(alphas)
     log_wd = ws.log_down
-    # The accumulator is free from here on and takes the weights.
+    # The spare buffer is free from here on and takes the weights.
     flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, ws.log_up, log_wd))
     half = flat_weight.size // 2
     first, second = slice(None, half), slice(half, None)
@@ -399,14 +403,12 @@ def enumerate_outcomes(
     The one-time block [t] is formed as on the exact grid, in a
     workspace of its own (``block_workspace`` checks the enumeration cap
     before allocating it): both branches' log-weights are doubled from
-    a low-spin table of their own, and ``_mix_block`` mixes them.
+    zeros in one ``pattern_log_weights`` call, and ``_mix_block`` mixes
+    them.
     """
-    n = params.n_env
-    ws = block_workspace(n, 1)
+    ws = block_workspace(params.n_env, 1)
     rows = branch_log_rows(params, np.array([t]))
-    low = low_spin_table(rows, _low_spins(n, 1))
-    for branch, log in enumerate((ws.log_up, ws.log_down)):
-        pattern_log_weights(*rows[branch], log, ws.acc, low[:, branch])
+    pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
     x, weight, keep = (a[0] for a in _mix_block(alphas, ws))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
@@ -448,7 +450,7 @@ def exact_class_masses(
     step = max(1, GRID_BLOCK_ATOMS >> bits)
     workspace = block_workspace(bits, min(step, times.size))
     # Both branches' sums over spins 1..B, which every tile continues; up to N = B the
-    # workspace's own branch log-weights serve.
+    # workspace's own logs serve.
     base = np.empty((2, workspace.times, 1 << bits)) if n > bits else None
     masses = np.empty((3, times.size))
     dropped = 0
@@ -461,8 +463,10 @@ def exact_class_masses(
             span = slice(first, first + step)
             out = masses[:2, start + first : start + first + step]
             dropped += _block_masses(
-                alphas, table[:, :, span], workspace, low[:, :, span], base, cutoffs, out
+                alphas, table[:, :, span], workspace, low[:, span], base, cutoffs, out
             )
+        # Freed before the next chunk's tables are built, so a chunk change peaks as a block does.
+        del table, low
     # The complement can land a few ulp below zero; keep it in range.
     np.maximum(0.0, 1.0 - masses[0] - masses[1], out=masses[2])
     return masses, dropped
@@ -472,13 +476,14 @@ def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs
     """A block's up and down masses into out (2 x T), and its dropped count.
 
     rows is the block's (2, 2, T, N) ``branch_log_rows`` view, prefix its
-    2^k x 2 x T low-spin slice, workspace a grid's workspace of B pattern
+    2 x T x 2^k low-spin slice, workspace a grid's workspace of B pattern
     bits and base its 2 x T x 2^B buffer, or None at N = B.  Both
-    branches' sums over spins 1..B are doubled once into base (at N = B,
-    into the workspace's log_up and log_down).  Tile j holds the pattern
-    codes [j 2^B, (j + 1) 2^B), whose spins B + 1..N are the bits of j:
-    each branch adds their T x 1 log factors to its base one spin at a
-    time, which is the left-to-right sum a whole-block doubling forms.
+    branches' sums over spins 1..B are doubled once, in one
+    ``pattern_log_weights`` call, into base (at N = B, into the
+    workspace's logs).  Tile j holds the pattern codes [j 2^B, (j + 1)
+    2^B), whose spins B + 1..N are the bits of j: one add per spin puts
+    both branches' 2 x T x 1 log factors on the base, which is the
+    left-to-right sum a whole-block doubling forms.
     ``_mix_block`` runs on the tile, and each row's class masses are one
     pairwise sum over the row with the dropped and off-class weights
     zeroed; x, dead once the class masks are formed, takes each class's
@@ -493,20 +498,16 @@ def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs
     ws = workspace.sized(rows.shape[2])
     bits, times = ws.n, ws.times
     high = rows.shape[3] - bits
-    logs = (ws.log_up, ws.log_down)
-    starts = logs if base is None else base[:, :times]
-    for branch, start in enumerate(starts):
-        pattern_log_weights(*rows[branch, :, :, :bits], start, ws.acc, prefix[:, branch])
+    start = ws.logs if base is None else base[:, :times]
+    pattern_log_weights(rows[:, 0, :, :bits], rows[:, 1, :, :bits], prefix, start, ws.spare)
     c_up, c_down = cutoffs
     sums = np.empty((2, times, 1 << high))
     found, every_row = np.zeros(times, bool), np.arange(times)
     kept = 0
     for tile in range(1 << high):
-        # Bit s of the tile is spin B + 1 + s: its T x 1 keep or flip log factors.
+        # Bit s of the tile is spin B + 1 + s: both branches' T x 1 keep or flip log factors.
         for s in range(high):
-            for branch, log in enumerate(logs):
-                factor = rows[branch, tile >> s & 1, :, bits + s, None]
-                np.add(log if s else starts[branch], factor, out=log)
+            np.add(ws.logs if s else start, rows[:, tile >> s & 1, :, bits + s, None], out=ws.logs)
         x, weight, keep = _mix_block(alphas, ws)
         kept += int(np.count_nonzero(keep))
         # argmax stops at each row's first kept atom; in a row that keeps none it gives atom 0.

@@ -858,10 +858,9 @@ class TestOneKernel:
         rng = np.random.default_rng(500 + n)
         for _ in range(4):
             p, a, t, dist, picks = _random_patterns(n, rng)
-            logs = {}
-            for branch in ("up", "down"):
-                prof = branch_flip_profile(p, branch, np.array([t]))
-                logs[branch] = _doubling(prof.log_keep, prof.log_flip, np.zeros((1, 1)))[0]
+            rows = engine.branch_log_rows(p, np.array([t]))
+            both = _doubling(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)))[:, 0]
+            logs = dict(zip(("up", "down"), both))
             for i in picks:
                 code = int(dist.pattern_codes[i])
                 pat = FlipPattern.from_code(code, n)
@@ -1008,68 +1007,118 @@ def _bit_loop_log_weights(log_keep, log_flip):
     return acc
 
 
-def _doubling(log_keep, log_flip, prefix):
-    """``pattern_log_weights`` into fresh out and acc buffers, continued from prefix."""
-    t, n = log_keep.shape
-    return pattern_log_weights(log_keep, log_flip, np.empty((t, 2**n)), np.empty((2**n, t)), prefix)
+def _doubling(keep, flip, prefix):
+    """``pattern_log_weights`` of both branches into fresh out and spare arrays, from prefix."""
+    _, t, n = keep.shape
+    return pattern_log_weights(keep, flip, prefix, np.empty((2, t, 2**n)), np.empty(t << n))
+
+
+def _assert_equals_bit_loop(got, keep, flip):
+    """Every branch's and time's row of a doubling equals the spin-by-spin loop bit for bit."""
+    assert got.shape == keep.shape[:2] + (2 ** keep.shape[2],)
+    for branch in range(2):
+        for row in range(keep.shape[1]):
+            want = _bit_loop_log_weights(keep[branch, row], flip[branch, row])
+            assert np.array_equal(got[branch, row], want)
 
 
 class TestSubsetDoubling:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_bit_loop_bitwise(self, n):
         rng = np.random.default_rng(100 + n)
-        log_keep = np.log(rng.uniform(0.0, 1.0, (3, n)))
-        log_flip = np.log(rng.uniform(0.0, 1.0, (3, n)))
-        # Exact zeros: a frozen spin in row 1, a certain flip in row 2.
-        log_flip[1, n // 2] = -math.inf
-        log_keep[2, n - 1] = -math.inf
-        got = _doubling(log_keep, log_flip, np.zeros((1, 3)))
-        assert got.shape == (3, 2**n)
-        for row in range(3):
-            want = _bit_loop_log_weights(log_keep[row], log_flip[row])
-            assert np.array_equal(got[row], want)
-        assert np.isneginf(got[1]).sum() == 2 ** (n - 1)
+        log_keep = np.log(rng.uniform(0.0, 1.0, (2, 3, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (2, 3, n)))
+        # Exact zeros: a frozen spin in row 1, a certain flip in row 2, on both branches.
+        log_flip[:, 1, n // 2] = -math.inf
+        log_keep[:, 2, n - 1] = -math.inf
+        got = _doubling(log_keep, log_flip, np.zeros((2, 3, 1)))
+        _assert_equals_bit_loop(got, log_keep, log_flip)
+        assert np.isneginf(got[:, 1]).sum() == 2 ** n
 
     @pytest.mark.parametrize("t", [1, 2, 8])
     @pytest.mark.parametrize("n", [1, 5, 10, 13])
     def test_pattern_major_doubling_equals_spin_loop_bitwise(self, t, n):
         rng = np.random.default_rng(1000 * t + n)
-        log_keep = np.log(rng.uniform(0.0, 1.0, (t, n)))
-        log_flip = np.log(rng.uniform(0.0, 1.0, (t, n)))
-        log_flip[0, n - 1] = -math.inf
-        got = _doubling(log_keep, log_flip, np.zeros((1, t)))
-        assert got.shape == (t, 2**n) and got.flags.c_contiguous
-        for row in range(t):
-            assert np.array_equal(got[row], _bit_loop_log_weights(log_keep[row], log_flip[row]))
-
+        log_keep = np.log(rng.uniform(0.0, 1.0, (2, t, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (2, t, n)))
+        log_flip[0, 0, n - 1] = -math.inf
+        got = _doubling(log_keep, log_flip, np.zeros((2, t, 1)))
+        assert got.flags.c_contiguous
+        _assert_equals_bit_loop(got, log_keep, log_flip)
 
     @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_prefix_continued_doubling_equals_spin_loop_bitwise(self, t, n):
         rng = np.random.default_rng(10 * t + n)
-        log_keep = np.log(rng.uniform(0.0, 1.0, (t, n)))
-        log_flip = np.log(rng.uniform(0.0, 1.0, (t, n)))
-        log_flip[0, n - 1] = -math.inf
-        want = [_bit_loop_log_weights(log_keep[row], log_flip[row]) for row in range(t)]
+        log_keep = np.log(rng.uniform(0.0, 1.0, (2, t, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (2, t, n)))
+        log_flip[0, 0, n - 1] = -math.inf
         for k in sorted({0, 1, n // 2, n}):
-            prefix = _doubling(log_keep[:, :k], log_flip[:, :k], np.zeros((1, t))).T
-            got = _doubling(log_keep, log_flip, prefix)
-            assert all(np.array_equal(got[row], want[row]) for row in range(t))
+            prefix = _doubling(log_keep[..., :k], log_flip[..., :k], np.zeros((2, t, 1)))
+            _assert_equals_bit_loop(_doubling(log_keep, log_flip, prefix), log_keep, log_flip)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_low_spin_table_continues_both_branches_bitwise(self, n):
-        # Columns [first, first + 2) of the table are the prefix of a block of two times.
+        # Times [first, first + 2) of the table are the prefix of a block of two times.
         rng = np.random.default_rng(n)
         c, first = 5, 2
         rows = np.log(rng.uniform(0.0, 1.0, (2, 2, c, n)))
         block = rows[:, :, first : first + 2]
         for k in sorted({0, 1, n // 2, n}):
             low = engine.low_spin_table(rows, k)
-            assert low.shape == (2**k, 2, c)
-            for branch, (keep, flip) in enumerate(block):
-                got = _doubling(keep, flip, low[:, branch, first : first + 2])
-                for row in range(2):
-                    assert np.array_equal(got[row], _bit_loop_log_weights(keep[row], flip[row]))
+            assert low.shape == (2, c, 2**k)
+            got = _doubling(block[:, 0], block[:, 1], low[:, first : first + 2])
+            _assert_equals_bit_loop(got, block[:, 0], block[:, 1])
+
+    @pytest.mark.parametrize("t", [1, 2, 8])
+    @pytest.mark.parametrize("n, k", [(9, 6), (9, 5), (8, 0), (6, 6), (1, 1)])
+    def test_both_branches_in_one_call_equal_spin_loop_bitwise(self, t, n, k):
+        # N - k odd (3 steps, the first into out), even (4 and 8 steps, the first into spare) and
+        # zero (prefix copied).  The prefix is a strided slice of a longer table and out a strided
+        # view, as a block's low-spin slice and a short block's base are; each branch has a -inf
+        # factor, on a low spin and on a high one.
+        rng = np.random.default_rng(100 * n + 10 * k + t)
+        log_keep = np.log(rng.uniform(0.0, 1.0, (2, t + 2, n)))
+        log_flip = np.log(rng.uniform(0.0, 1.0, (2, t + 2, n)))
+        log_flip[0, 1, n - 1] = -math.inf
+        log_keep[1, t, 0] = -math.inf
+        keep, flip = log_keep[:, 1:-1], log_flip[:, 1:-1]
+        table = _doubling(log_keep[..., :k], log_flip[..., :k], np.zeros((2, t + 2, 1)))
+        out = np.full((2, t + 1, 2**n), np.nan)
+        view = out[:, :t]
+        assert pattern_log_weights(keep, flip, table[:, 1:-1], view, np.empty(t << n)) is view
+        _assert_equals_bit_loop(view, keep, flip)
+        assert np.isnan(out[:, t]).all()
+
+
+class TestDoublingBufferSize:
+    """The doubling runs at its own numpy buffer size and gives the caller's back."""
+
+    def test_callers_setting_is_kept(self, monkeypatch):
+        # At numpy's default and at another size, after each route, a block that raises and a
+        # doubling whose add raises (an integer out takes no float sum).
+        params = ModelParams(delta=0.3, h=dispersed_couplings(0.05, 0.4, 9))
+        times, cutoffs = np.array([0.0, 37.0]), logit_cutoffs(1e-3)
+        rows = engine.branch_log_rows(params, times)
+        top = enumerate_outcomes(params, ALPHAS, 37.0).weight.max()
+        with np.errstate():
+            for size in (np.getbufsize(), 4096):
+                np.setbufsize(size)
+                engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+                assert np.getbufsize() == size
+                enumerate_outcomes(params, ALPHAS, 37.0)
+                assert np.getbufsize() == size
+                engine.low_spin_table(rows, 4)
+                assert np.getbufsize() == size
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "WEIGHT_FLOOR", (1.0 + top) / 2)
+                    with pytest.raises(ValueError, match="empty distribution"):
+                        engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+                assert np.getbufsize() == size
+                out, prefix = np.empty((2, 2, 2**9), dtype=np.int64), np.zeros((2, 2, 1))
+                with pytest.raises(TypeError):
+                    pattern_log_weights(rows[:, 0], rows[:, 1], prefix, out, np.empty(2**10))
+                assert np.getbufsize() == size
 
 
 class TestBlockWorkspace:
@@ -1109,7 +1158,8 @@ class TestBlockWorkspace:
         assert ws.sized(3) is ws
         assert short.weight.shape == short.keep.shape == (2, 16)
         assert short.buffers is ws.buffers
-        for name in ("acc", "weight", "log_up", "log_down", "keep", "up", "down"):
+        assert short.logs.shape == (2, 2, 16) and short.spare.shape == (32,)
+        for name in ("spare", "weight", "logs", "log_up", "log_down", "keep", "up", "down"):
             assert any(np.shares_memory(getattr(short, name), b) for b in ws.buffers)
 
     def test_cap_checked_before_any_allocation(self, traced):

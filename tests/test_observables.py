@@ -292,8 +292,10 @@ class TestLogitCutoffs:
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
     def test_peak_of_one_block(self, n, monkeypatch, traced):
-        # Three block-sized float arrays and a half-block one: the workspace, built in the measure.
-        # The chunk's profile and low-spin tables are built before it (TestProfileChunks bounds them).
+        # Three block-sized float arrays, the workspace, built in the measure, and numpy's buffers
+        # for the doubling's adds at engine.DOUBLING_BUFSIZE (at numpy's default 8192 they take
+        # 130 KiB at N = 10).  The chunk's profile and low-spin tables are built before it
+        # (TestProfileChunks bounds them).
         times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         cutoffs = obs.logit_cutoffs(1e-3)
@@ -303,7 +305,7 @@ class TestExactBlockMemory:
         monkeypatch.setattr(engine, "low_spin_table", lambda *args: low)
         engine.exact_class_masses(params, ALPHAS, times, cutoffs)
         _, _, peak = traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
-        assert peak <= 3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
+        assert peak <= 3 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
 
 
 class TestExactGridMemory:
@@ -541,9 +543,7 @@ def _one_time_block(params, alphas, t):
     n = params.n_env
     ws = engine.block_workspace(n, 1)
     rows = engine.branch_log_rows(params, np.array([t]))
-    low = engine.low_spin_table(rows, engine._low_spins(n, 1))
-    for branch, log in enumerate((ws.log_up, ws.log_down)):
-        engine.pattern_log_weights(*rows[branch], log, ws.acc, low[:, branch])
+    engine.pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
     return tuple(a[0] for a in engine._mix_block(alphas, ws))
 
 

@@ -38,12 +38,12 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
-    # windowed binomial, tiled exact, one-draw-last-chunk sampled and edge-case dense-oracle
-    # runs, in csv and json, and the N = 1e6 binomial run in json alone.
+    # windowed binomial, tiled exact, multi-time exact block, one-draw-last-chunk sampled and
+    # edge-case dense-oracle runs, in csv and json, and the N = 1e6 binomial run in json alone.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 131
+    assert len(lines) == 135
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -79,6 +79,15 @@ def test_output_digest_builds_its_configs(monkeypatch):
         (n, 1, "exact") for n in (15, 16, 17, 20)
     ]
     configs += tile_configs
+    block_configs = digest._block_configs()
+    # Blocks of several times whose doublings, from the low-spin table, take 4 and 5 steps.
+    doubling_steps = []
+    for c in block_configs:
+        assert (c.steps, c.method) == (7, "exact") and c.h_spec() == "0.01:0.02"
+        block = engine.GRID_BLOCK_ATOMS >> c.n
+        doubling_steps.append((block, c.n - engine._low_spins(c.n, c.steps)))
+    assert doubling_steps == [(4, 4), (2, 5)]
+    configs += block_configs
     chunk_configs = digest._chunk_configs()
     assert [(c.method, c.samples, c.workers) for c in chunk_configs] == [
         ("sampled", 2 * 8192 + 1, workers) for workers in (1, 2)

@@ -18,7 +18,9 @@ as JSON only (its points fill the table log k! where they read it),
 one-point dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
 time is one tile of patterns, then two, four and 32 tiles, dispersed
 exact runs of 7 times at N = 11 and 12, in blocks of 4 and 2 times whose
-doublings take an even (4) and an odd (5) number of steps, a sampled
+doublings take an even (4) and an odd (5) number of steps, a 40-point
+dispersed exact run at N = 10 with a frozen spin (delta = 0 and h_1 = 0,
+so omega = 0 on the down branch and spin 1 never flips), a sampled
 run of 2 * 8192 + 1 draws per point (the last chunk holds one draw) at
 workers 1 and at workers 2, and exact-universe runs at alpha_up_sq = 0 and 1 and on a grid of two
 times below 1e-6, where the keep rule drops the two-flip outcomes.
@@ -121,6 +123,14 @@ def _block_configs() -> list[ExperimentConfig]:
     return [ExperimentConfig(**base, n=n, label=f"exact_blocks_n{n}") for n in (11, 12)]
 
 
+def _frozen_spin_config() -> ExperimentConfig:
+    """40 dispersed exact points at N = 10 from h_1 = 0 at delta = 0: spin 1 is frozen on the down branch."""
+    return ExperimentConfig(
+        n=10, h=(0.0,), delta_h=0.02, delta=0.0, alpha_up_sq=0.4, steps=40, method="exact",
+        label="exact_frozen_spin",
+    )
+
+
 def _chunk_configs() -> list[ExperimentConfig]:
     """Three dispersed N = 20 sampled points of 2 * SAMPLE_CHUNK + 1 draws, at workers 1 and 2."""
     base = dict(n=20, h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, t_end=300.0, steps=3)
@@ -164,6 +174,7 @@ def write_outputs(out: Path) -> None:
         ("windows", [_window_config()]),
         ("tiles", _tile_configs()),
         ("blocks", _block_configs()),
+        ("frozen_spin", [_frozen_spin_config()]),
         ("chunks", _chunk_configs()),
         ("universe", _universe_configs()),
     ):

@@ -300,6 +300,66 @@ class FlipProfile(NamedTuple):
     log_flip: np.ndarray
 
 
+class SpinConstants(NamedTuple):
+    """Time-independent per-spin constants of some branches, each B x N (``spin_constants``)."""
+
+    branches: tuple[str, ...]
+    omega: np.ndarray
+    ratio: np.ndarray
+    one_minus: np.ndarray
+
+
+def spin_constants(params: ModelParams, branches: tuple[str, ...] = BRANCHES) -> SpinConstants:
+    """omega, r and 1 - r of every spin on each of the branches: row b is ``branches[b]``.
+
+    omega = hypot(a, h_j), r = (a / omega)^2 and 1 - r = (h_j / omega)^2,
+    a the branch's sz coefficient; 1 - r is formed as written, not as a
+    difference.  omega == 0 only when a == h_j == 0: that spin is frozen,
+    with r = 1 and 1 - r = 0 (keep 1, flip 0).
+    """
+    a = np.array([[branch_axis(params, branch)[0]] for branch in branches])
+    h = params.h
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = np.hypot(a, h)
+        moving = omega > 0.0
+        safe = np.where(moving, omega, 1.0)
+        ratio = np.where(moving, (a / safe) ** 2, 1.0)
+        one_minus = np.where(moving, (h / safe) ** 2, 0.0)
+    return SpinConstants(tuple(branches), omega, ratio, one_minus)
+
+
+def check_phases(spins: SpinConstants, tau: np.ndarray) -> None:
+    """Raise ValueError when a phase omega * t overflows: its sine and cosine would be NaN.
+
+    tau holds times that ``ModelParams.elapsed`` accepted.  omega and tau
+    are >= 0 and rounding is monotone, so every phase of a branch is
+    finite exactly when its largest omega times the largest tau is: one
+    product per branch, in the order of ``spins.branches``.
+    """
+    if tau.size:
+        last = float(np.max(tau))
+        for branch, omega in zip(spins.branches, spins.omega):
+            if not math.isfinite(float(np.max(omega)) * last):
+                raise ValueError(f"phase omega * t must be finite on the {branch} branch")
+
+
+def flip_squares(spins: SpinConstants, tau: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> None:
+    """Squared kept and flipped amplitudes of every spin on the branches at the 1-D times tau.
+
+    keep and flip, each B x T x N, take cos^2(omega t) + r sin^2(omega t)
+    and (1 - r) sin^2(omega t); row [b, k] is branch b at tau[k].  The
+    phases go through keep, so nothing else of that size is allocated but
+    the product r sin^2.  No check: ``check_phases`` has passed tau.
+    """
+    np.multiply(spins.omega[:, None], tau[:, None], out=keep)
+    np.sin(keep, out=flip)
+    np.square(flip, out=flip)
+    np.cos(keep, out=keep)
+    np.square(keep, out=keep)
+    keep += spins.ratio[:, None] * flip
+    np.multiply(spins.one_minus[:, None], flip, out=flip)
+
+
 def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     """Squared per-spin amplitudes of a branch at time t.
 
@@ -307,31 +367,20 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     giving T x N fields whose row k is bit-identical to the profile at
     t[k].  keep + flip = 1 to a few ulp for every spin (asserted at
     1e-12 in the tests); logs of exact zeros are -inf.  Raises
-    ValueError when a phase omega * t overflows: its sine and
-    cosine would be NaN.
+    ValueError when a phase omega * t overflows (``check_phases``).
+    The branch's slice of the two steps that build both branches at
+    once: ``spin_constants`` and ``flip_squares``.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be one time or a 1-D array of times")
     tau = params.elapsed(times)
-    a, _ = branch_axis(params, branch)
-    h = params.h
-    # Only omega and the phase can overflow, and the check below rejects that; past
-    # it every value is finite, and log(0) = -inf is the one error left to silence.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        omega = np.hypot(a, h)
-        arg = omega * tau[..., None]
-        if not np.isfinite(arg).all():
-            raise ValueError(f"phase omega * t must be finite on the {branch} branch")
-        s2 = np.sin(arg) ** 2
-        c2 = np.cos(arg) ** 2
-        # omega == 0 only when a == h_j == 0: that spin is frozen (keep 1, flip 0).
-        moving = omega > 0.0
-        safe = np.where(moving, omega, 1.0)
-        ratio = np.where(moving, (a / safe) ** 2, 1.0)
-        one_minus = np.where(moving, (h / safe) ** 2, 0.0)
-        keep = c2 + ratio * s2
-        flip = one_minus * s2
+    spins = spin_constants(params, (branch,))
+    check_phases(spins, tau)
+    keep, flip = np.empty((2, 1, tau.size, params.n_env))
+    flip_squares(spins, tau.reshape(-1), keep, flip)
+    keep, flip = (a.reshape(times.shape + (params.n_env,)) for a in (keep, flip))
+    with np.errstate(divide="ignore"):
         return FlipProfile(keep, flip, np.log(keep), np.log(flip))
 
 

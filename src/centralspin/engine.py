@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,14 @@ from .core import (
     FlipPattern,
     FlipProfile,
     ModelParams,
+    SpinConstants,
     SystemAmplitudes,
     branch_flip_profile,
+    check_phases,
+    flip_squares,
     pattern_log_weight,
     spin_amplitude,
+    spin_constants,
 )
 
 ENUMERATION_CAP = 20
@@ -85,21 +90,21 @@ SAMPLE_THREAD_SPIN_BYTES = 40
 # workspace and numpy's buffers of at most DOUBLING_BUFSIZE elements.  A
 # block's profile rows are sliced from its chunk's table (below).
 GRID_BLOCK_ATOMS = 8192
-# Elements of numpy's ufunc buffer while ``pattern_log_weights`` doubles.
-# numpy buffers its strided adds: at the default 8192 elements one
+# Elements of numpy's ufunc buffer while an exact route runs
+# (``_grid_state``, set once per grid), so ``pattern_log_weights``
+# doubles at this size.  numpy buffers its strided adds: at the default 8192 elements one
 # N = 10, T = 8 doubling mallocs 130 KiB (tracemalloc, numpy 2.4), and a
 # one-block N = 10 grid peaks at 352 KB instead of 241 KB.  At 512 the
 # doubling peaks at 14 KiB and takes 40 us against 68 us at 8192 (median
 # of 60 interleaved rounds, 2-core x86 host).
 DOUBLING_BUFSIZE = 512
 # Profile entries (times x N) per chunk of an exact grid: both branches'
-# log profiles are built by one call each for a chunk of whole blocks
-# with at most this many entries, or for one block where a block alone
-# has more (N < 10).  From N = 10 on, the (2, 2, C, N) table then takes
-# at most 8 KiB next to a block's arrays, so neither the table nor a
-# run's peak grows with grid length.  At N = 10 a chunk is 3 blocks
-# (24 times), which takes the figure presets' profile calls from two
-# per block to two per three blocks.
+# log profiles are built by one table fill (``_log_rows``) for a chunk
+# of whole blocks with at most this many entries, or for one block where
+# a block alone has more (N < 10).  From N = 10 on, the (2, 2, C, N)
+# table then takes at most 8 KiB next to a block's arrays, so neither
+# the table nor a run's peak grows with grid length.  At N = 10 a chunk
+# is 3 blocks (24 times).
 PROFILE_CHUNK_ENTRIES = 256
 # Entries of a chunk's low-spin table (``low_spin_table``, 16 KiB):
 # each chunk doubles spins 1..k of both branches once at its C times, k
@@ -160,6 +165,11 @@ def _log_mixture_weights(alphas: SystemAmplitudes) -> tuple[float, float]:
     return lw_up, lw_down
 
 
+def _mixture(alphas: SystemAmplitudes) -> tuple[float, float, float, float]:
+    """(w_up, w_down, log w_up, log w_down): the mixture weights ``_mix_block`` reads, formed once."""
+    return (alphas.w_up, alphas.w_down) + _log_mixture_weights(alphas)
+
+
 def _log_branch_pair(params, alphas, t):
     """Both branch profiles and log mixture weights, for one pattern and for sampling."""
     up = branch_flip_profile(params, "up", t)
@@ -172,13 +182,38 @@ def branch_log_rows(params: ModelParams, times: np.ndarray) -> np.ndarray:
 
     table[b] is (log_keep, log_flip) of ``core.BRANCHES[b]``, each T x N
     with row k at times[k]; a block of consecutive times is the view
-    table[:, :, block].  One ``branch_flip_profile`` call per branch,
-    and row k is bit for bit the profile at times[k] alone, so any split
-    of a grid into tables gives the same rows.
+    table[:, :, block].  The times are checked as ``branch_flip_profile``
+    checks them, with its messages, and row k is bit for bit that
+    profile at times[k] alone, so any split of a grid into tables gives
+    the same rows.  A one-off table, in its own numpy error state: the
+    exact routes form the constants once (``_checked_constants``) and
+    fill each table with ``_log_rows`` in their own state.
     """
-    up = branch_flip_profile(params, "up", times)
-    down = branch_flip_profile(params, "down", times)
-    return np.stack(((up.log_keep, up.log_flip), (down.log_keep, down.log_flip)))
+    spins, tau = _checked_constants(params, times)
+    with np.errstate(divide="ignore"):
+        return _log_rows(spins, tau)
+
+
+def _checked_constants(params: ModelParams, times) -> tuple[SpinConstants, np.ndarray]:
+    """Both branches' ``core.spin_constants`` and the 1-D times, checked as ``branch_flip_profile`` does."""
+    tau = params.elapsed(np.asarray(times, dtype=float))
+    spins = spin_constants(params)
+    check_phases(spins, tau)
+    return spins, tau
+
+
+def _log_rows(spins: SpinConstants, tau: np.ndarray) -> np.ndarray:
+    """The ``branch_log_rows`` table at the checked times tau, from both branches' constants.
+
+    One set of ufunc calls over both branches into one array:
+    ``core.flip_squares`` writes keep into table[:, 0] and flip into
+    table[:, 1], and one log over the table takes both.  It runs in its
+    caller's numpy state, which must let log(0) = -inf pass silently
+    (``_grid_state`` does).
+    """
+    table = np.empty((2, 2, tau.size, spins.omega.shape[1]))
+    flip_squares(spins, tau, table[:, 0], table[:, 1])
+    return np.log(table, out=table)
 
 
 def u_from_x(x):
@@ -246,6 +281,10 @@ class BlockWorkspace:
     * keep, up, down: T x 2^N bool masks in the bytes of log_up, written
       once x is formed.
 
+    Three small buffers hold the per-row scratch of ``_block_masses``:
+    sums, the 2 x T x tiles class mass of each row's tiles; found, a T
+    bool marking the rows that kept an atom; and every_row, arange(T).
+
     ``sized(T')`` gives the views of a shorter final block on the same
     buffers; a block of the full T uses the views built here.
     """
@@ -258,6 +297,8 @@ class BlockWorkspace:
         self.logs = buffers[1][: 2 * size].reshape((2,) + shape)
         self.log_up, self.log_down = self.logs
         self.keep, self.up, self.down = buffers[1].view(bool)[: 3 * size].reshape((3,) + shape)
+        self.sums = buffers[2][:, :times]
+        self.found, self.every_row = buffers[3][:times], buffers[4][:times]
 
     def sized(self, times: int) -> "BlockWorkspace":
         """Views for a block of ``times`` times, at most the workspace's own T."""
@@ -271,14 +312,31 @@ def _check_enumeration_cap(n: int) -> None:
         raise EnvironmentTooLarge(f"N={n} exceeds enumeration cap {ENUMERATION_CAP} (2^N atoms)")
 
 
-def block_workspace(n: int, times: int) -> BlockWorkspace:
-    """A ``BlockWorkspace`` for blocks of up to ``times`` times at N = n.
+def block_workspace(n: int, times: int, tiles: int = 1) -> BlockWorkspace:
+    """A ``BlockWorkspace`` for blocks of up to ``times`` times at N = n, in ``tiles`` tiles.
 
     The enumeration cap is checked before anything is allocated.
     """
     _check_enumeration_cap(n)
     size = times << n
-    return BlockWorkspace((np.empty(size), np.empty(2 * size)), n, times)
+    rows = (np.empty((2, times, tiles)), np.empty(times, dtype=bool), np.arange(times))
+    return BlockWorkspace((np.empty(size), np.empty(2 * size)) + rows, n, times)
+
+
+@contextmanager
+def _grid_state():
+    """numpy's state for enumerating: its ufunc buffer at DOUBLING_BUFSIZE, log(0) and inf - inf silent.
+
+    The caller's buffer size and error state are back on the way out,
+    whatever happens.  An exact grid enters it once (``exact_class_masses``)
+    and ``enumerate_outcomes`` once per call; everything they call runs in it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        old = np.setbufsize(DOUBLING_BUFSIZE)
+        try:
+            yield
+        finally:
+            np.setbufsize(old)
 
 
 def pattern_log_weights(
@@ -301,9 +359,11 @@ def pattern_log_weights(
     writes (numpy would copy such overlapping views).  At k = N, prefix
     is copied into out.
 
-    The adds are strided, so numpy buffers them; they run with numpy's
-    buffer at DOUBLING_BUFSIZE elements, and the caller's setting is
-    restored on the way out, whatever happens.
+    The adds are strided, so numpy buffers them.  The doubling runs in
+    its caller's numpy state and sets none itself: ``exact_class_masses``
+    (once per grid, for every block's and ``low_spin_table``'s call) and
+    ``enumerate_outcomes`` (once per call) set numpy's buffer to
+    DOUBLING_BUFSIZE elements (``_grid_state``).
 
     The layout moves where a sum is stored, not how it is formed: each
     entry is still the left-to-right sum over spins 1..N, from any k, so
@@ -320,19 +380,15 @@ def pattern_log_weights(
     n, k = keep.shape[-1], prefix.shape[-1].bit_length() - 1
     times, half = out.shape[1], out.shape[2] >> 1
     buffers = (out, spare[: 2 * times * half].reshape(2, times, half))
-    old = np.setbufsize(DOUBLING_BUFSIZE)
-    try:
-        src = prefix
-        for i in range(k, n):
-            width = 1 << i
-            dst = buffers[(n - 1 - i) & 1]
-            np.add(src, keep[..., i, None], out=dst[..., :width])
-            np.add(src, flip[..., i, None], out=dst[..., width : 2 * width])
-            src = dst[..., : 2 * width]
-        if k == n:
-            np.copyto(out, prefix)
-    finally:
-        np.setbufsize(old)
+    src = prefix
+    for i in range(k, n):
+        width = 1 << i
+        dst = buffers[(n - 1 - i) & 1]
+        np.add(src, keep[..., i, None], out=dst[..., :width])
+        np.add(src, flip[..., i, None], out=dst[..., width : 2 * width])
+        src = dst[..., : 2 * width]
+    if k == n:
+        np.copyto(out, prefix)
     return out
 
 
@@ -340,9 +396,9 @@ def low_spin_table(table: np.ndarray, k: int) -> np.ndarray:
     """Sums over spins 1..k of all 2^k low patterns of both branches, at a table's C times.
 
     table is a ``branch_log_rows`` table.  One ``pattern_log_weights``
-    call from zeros, returned as 2 x C x 2^k: [0] is the up branch and [1]
-    the down one, and a block's times [:, block] of it are the ``prefix``
-    of its ``pattern_log_weights``.
+    call from zeros, in the caller's numpy state, returned as 2 x C x
+    2^k: [0] is the up branch and [1] the down one, and a block's times
+    [:, block] of it are the ``prefix`` of its ``pattern_log_weights``.
     """
     times = table.shape[2]
     keep, flip = table[:, 0, :, :k], table[:, 1, :, :k]
@@ -355,7 +411,7 @@ def _low_spins(n: int, times: int) -> int:
     return min(n, max(0, (LOW_SPIN_ENTRIES // (2 * times)).bit_length() - 1))
 
 
-def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
+def _mix_block(mix: tuple, ws: BlockWorkspace) -> tuple:
     """(x, weight, keep) of every flip pattern of a block, each T x 2^N, from its branch log-weights.
 
     ws.log_up and ws.log_down hold both branches' ``pattern_log_weights``
@@ -370,8 +426,11 @@ def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
     time, and each half's down weights go to memory that is free by
     then: the weights' second half, then the up logs' first half.  So
     mixing needs no block-sized array beyond the workspace's three.
+
+    mix is the grid's ``_mixture``.  It runs in its caller's numpy state,
+    which must let inf - inf = NaN pass silently (``_grid_state`` does).
     """
-    lw_up, lw_down = _log_mixture_weights(alphas)
+    w_up, w_down, lw_up, lw_down = mix
     log_wd = ws.log_down
     # The spare buffer is free from here on and takes the weights.
     flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, ws.log_up, log_wd))
@@ -379,15 +438,14 @@ def _mix_block(alphas: SystemAmplitudes, ws: BlockWorkspace) -> tuple:
     first, second = slice(None, half), slice(half, None)
     for part, spare in ((first, flat_weight[second]), (second, flat_wu[first])):
         down_weight = np.exp(flat_wd[part], out=spare)
-        down_weight *= alphas.w_down
+        down_weight *= w_down
         weight = np.exp(flat_wu[part], out=flat_weight[part])
-        weight *= alphas.w_up
+        weight *= w_up
         weight += down_weight
         # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
         flat_wu[part] += lw_up
         flat_wd[part] += lw_down
-        with np.errstate(invalid="ignore"):
-            flat_wd[part] -= flat_wu[part]
+        flat_wd[part] -= flat_wu[part]
     return log_wd, ws.weight, np.greater_equal(ws.weight, WEIGHT_FLOOR, out=ws.keep)
 
 
@@ -404,12 +462,14 @@ def enumerate_outcomes(
     workspace of its own (``block_workspace`` checks the enumeration cap
     before allocating it): both branches' log-weights are doubled from
     zeros in one ``pattern_log_weights`` call, and ``_mix_block`` mixes
-    them.
+    them, all in one entry of ``_grid_state``.
     """
     ws = block_workspace(params.n_env, 1)
-    rows = branch_log_rows(params, np.array([t]))
-    pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
-    x, weight, keep = (a[0] for a in _mix_block(alphas, ws))
+    spins, tau = _checked_constants(params, np.array([t]))
+    with _grid_state():
+        rows = _log_rows(spins, tau)
+        pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
+        x, weight, keep = (a[0] for a in _mix_block(_mixture(alphas), ws))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
         weight=weight[keep],
@@ -430,14 +490,19 @@ def exact_class_masses(
     times is a checked 1-D grid and cutoffs are
     ``observables.logit_cutoffs(eps)``: an atom is up when x <= c_up and
     down when x > c_down, which is the class its u gives.  The
-    enumeration cap is checked and one ``BlockWorkspace`` of B =
-    min(N, TILE_BITS) pattern bits allocated before anything else.  The
-    grid runs in blocks of max(1, GRID_BLOCK_ATOMS >> B) consecutive
-    times, and each block's 2^N patterns in 2^(N - B) tiles of 2^B
-    (``_block_masses``): one tile up to N = TILE_BITS.  Each chunk of
-    blocks (``PROFILE_CHUNK_ENTRIES``) builds one ``branch_log_rows``
-    table and one ``low_spin_table`` (``LOW_SPIN_ENTRIES``), and a block
-    takes its view of both.  Each row's masses are one pairwise sum over
+    enumeration cap is checked first, then the times and phases, with
+    ``branch_log_rows``' messages; then one ``BlockWorkspace`` of B =
+    min(N, TILE_BITS) pattern bits is allocated.  The grid runs in
+    blocks of max(1, GRID_BLOCK_ATOMS >> B) consecutive times, and each
+    block's 2^N patterns in 2^(N - B) tiles of 2^B
+    (``_block_masses``): one tile up to N = TILE_BITS.  What does not
+    depend on time is formed once per grid: both branches' per-spin
+    constants (``core.spin_constants``), the mixture weights, the
+    workspace with its per-row scratch, and numpy's state (``_grid_state``,
+    entered once).  Each chunk of blocks (``PROFILE_CHUNK_ENTRIES``)
+    fills one ``branch_log_rows`` table (``_log_rows``) and builds one
+    ``low_spin_table`` (``LOW_SPIN_ENTRIES``), and a block takes its
+    view of both.  Each row's masses are one pairwise sum over
     the row with the dropped and off-class weights zeroed, formed tile by
     tile, so they match the per-point ``enumerate_outcomes`` +
     ``observables.class_probabilities`` values to a few ulp, not bit for
@@ -446,38 +511,44 @@ def exact_class_masses(
     """
     n = params.n_env
     _check_enumeration_cap(n)
+    spins, tau = _checked_constants(params, times)
     bits = min(n, TILE_BITS)
     step = max(1, GRID_BLOCK_ATOMS >> bits)
-    workspace = block_workspace(bits, min(step, times.size))
+    workspace = block_workspace(bits, min(step, times.size), 1 << (n - bits))
     # Both branches' sums over spins 1..B, which every tile continues; up to N = B the
     # workspace's own logs serve.
     base = np.empty((2, workspace.times, 1 << bits)) if n > bits else None
     masses = np.empty((3, times.size))
     dropped = 0
     chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
-    for start in range(0, times.size, chunk):
-        table = branch_log_rows(params, times[start : start + chunk])
-        size = table.shape[2]
-        low = low_spin_table(table, min(bits, _low_spins(n, size)))
-        for first in range(0, size, step):
-            span = slice(first, first + step)
-            out = masses[:2, start + first : start + first + step]
-            dropped += _block_masses(
-                alphas, table[:, :, span], workspace, low[:, span], base, cutoffs, out
-            )
-        # Freed before the next chunk's tables are built, so a chunk change peaks as a block does.
-        del table, low
+    mix = _mixture(alphas)
+    with _grid_state():
+        for start in range(0, times.size, chunk):
+            table = _log_rows(spins, tau[start : start + chunk])
+            size = table.shape[2]
+            low = low_spin_table(table, min(bits, _low_spins(n, size)))
+            for first in range(0, size, step):
+                span = slice(first, first + step)
+                out = masses[:2, start + first : start + first + step]
+                dropped += _block_masses(
+                    mix, table[:, :, span], workspace, low[:, span], base, cutoffs, out
+                )
+            # Freed before the next chunk's tables are built, so a chunk change peaks as a
+            # block does.
+            del table, low
     # The complement can land a few ulp below zero; keep it in range.
     np.maximum(0.0, 1.0 - masses[0] - masses[1], out=masses[2])
     return masses, dropped
 
 
-def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs, out) -> int:
+def _block_masses(mix, rows, workspace: BlockWorkspace, prefix, base, cutoffs, out) -> int:
     """A block's up and down masses into out (2 x T), and its dropped count.
 
-    rows is the block's (2, 2, T, N) ``branch_log_rows`` view, prefix its
-    2 x T x 2^k low-spin slice, workspace a grid's workspace of B pattern
-    bits and base its 2 x T x 2^B buffer, or None at N = B.  Both
+    mix is the grid's ``_mixture``, rows the block's (2, 2, T, N)
+    ``branch_log_rows`` view, prefix its 2 x T x 2^k low-spin slice,
+    workspace a grid's workspace of B pattern bits and 2^(N - B) tiles,
+    and base its 2 x T x 2^B buffer, or None at N = B.  It runs in the
+    grid's numpy state (``_grid_state``).  Both
     branches' sums over spins 1..B are doubled once, in one
     ``pattern_log_weights`` call, into base (at N = B, into the
     workspace's logs).  Tile j holds the pattern codes [j 2^B, (j + 1)
@@ -501,14 +572,14 @@ def _block_masses(alphas, rows, workspace: BlockWorkspace, prefix, base, cutoffs
     start = ws.logs if base is None else base[:, :times]
     pattern_log_weights(rows[:, 0, :, :bits], rows[:, 1, :, :bits], prefix, start, ws.spare)
     c_up, c_down = cutoffs
-    sums = np.empty((2, times, 1 << high))
-    found, every_row = np.zeros(times, bool), np.arange(times)
+    sums, found, every_row = ws.sums, ws.found, ws.every_row
+    found.fill(False)
     kept = 0
     for tile in range(1 << high):
         # Bit s of the tile is spin B + 1 + s: both branches' T x 1 keep or flip log factors.
         for s in range(high):
             np.add(ws.logs if s else start, rows[:, tile >> s & 1, :, bits + s, None], out=ws.logs)
-        x, weight, keep = _mix_block(alphas, ws)
+        x, weight, keep = _mix_block(mix, ws)
         kept += int(np.count_nonzero(keep))
         # argmax stops at each row's first kept atom; in a row that keeps none it gives atom 0.
         found |= keep[every_row, keep.argmax(axis=1)]

@@ -1092,33 +1092,134 @@ class TestSubsetDoubling:
 
 
 class TestDoublingBufferSize:
-    """The doubling runs at its own numpy buffer size and gives the caller's back."""
+    """The exact routes run in numpy state of their own and give the caller's back."""
+
+    # A strict caller: a division by zero or an invalid operation outside the routes' own
+    # state would raise, and the routes must hand this state back as it was.
+    CALLER = dict(divide="raise", over="warn", under="ignore", invalid="raise")
+
+    def _assert_callers_state(self, size):
+        assert np.getbufsize() == size and np.geterr() == self.CALLER
 
     def test_callers_setting_is_kept(self, monkeypatch):
-        # At numpy's default and at another size, after each route, a block that raises and a
-        # doubling whose add raises (an integer out takes no float sum).
+        # At numpy's default and at another size, after each route, a grid that raises, a point
+        # whose mixing raises and a doubling whose add raises (an integer out takes no float sum).
         params = ModelParams(delta=0.3, h=dispersed_couplings(0.05, 0.4, 9))
         times, cutoffs = np.array([0.0, 37.0]), logit_cutoffs(1e-3)
         rows = engine.branch_log_rows(params, times)
         top = enumerate_outcomes(params, ALPHAS, 37.0).weight.max()
-        with np.errstate():
+        with np.errstate(**self.CALLER):
             for size in (np.getbufsize(), 4096):
                 np.setbufsize(size)
                 engine.exact_class_masses(params, ALPHAS, times, cutoffs)
-                assert np.getbufsize() == size
-                enumerate_outcomes(params, ALPHAS, 37.0)
-                assert np.getbufsize() == size
+                self._assert_callers_state(size)
+                for t in times:
+                    enumerate_outcomes(params, ALPHAS, t)
+                    self._assert_callers_state(size)
                 engine.low_spin_table(rows, 4)
-                assert np.getbufsize() == size
+                self._assert_callers_state(size)
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "WEIGHT_FLOOR", (1.0 + top) / 2)
                     with pytest.raises(ValueError, match="empty distribution"):
                         engine.exact_class_masses(params, ALPHAS, times, cutoffs)
-                assert np.getbufsize() == size
+                self._assert_callers_state(size)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "_mix_block", lambda *args: 1 / 0)
+                    with pytest.raises(ZeroDivisionError):
+                        enumerate_outcomes(params, ALPHAS, 37.0)
+                self._assert_callers_state(size)
                 out, prefix = np.empty((2, 2, 2**9), dtype=np.int64), np.zeros((2, 2, 1))
                 with pytest.raises(TypeError):
                     pattern_log_weights(rows[:, 0], rows[:, 1], prefix, out, np.empty(2**10))
-                assert np.getbufsize() == size
+                self._assert_callers_state(size)
+
+    def test_table_doubling_and_mixing_run_in_the_grid_state(self, monkeypatch):
+        # DOUBLING_BUFSIZE keeps the doubling's buffers small (the memory tests' bounds).
+        seen = []
+
+        def recorded(name, real):
+            def call(*args):
+                err = np.geterr()
+                seen.append((name, np.getbufsize(), err["divide"], err["invalid"]))
+                return real(*args)
+
+            return call
+
+        names = ("_log_rows", "pattern_log_weights", "_mix_block")
+        for name in names:
+            monkeypatch.setattr(engine, name, recorded(name, getattr(engine, name)))
+        params = ModelParams(delta=0.0, h=(0.0, 0.3, 0.5))
+        with np.errstate(**self.CALLER):
+            engine.exact_class_masses(params, ALPHAS, np.array([0.0, 37.0]), logit_cutoffs(1e-3))
+            enumerate_outcomes(params, ALPHAS, 0.0)
+        assert {name for name, *_ in seen} == set(names)
+        assert {tuple(state) for _, *state in seen} == {(engine.DOUBLING_BUFSIZE, "ignore", "ignore")}
+
+
+def _grid_chunk(n):
+    """Times per chunk of an exact grid at N = n."""
+    step = max(1, engine.GRID_BLOCK_ATOMS >> n)
+    return step * max(1, engine.PROFILE_CHUNK_ENTRIES // (step * n))
+
+
+class TestChunkTable:
+    """An exact grid's (2, 2, C, N) tables, from constants formed once, are the profiles' rows."""
+
+    CASES = {
+        # delta = 0 and h_1 = 0: spin 1 is frozen on the down branch (omega = 0) and cannot flip
+        # on the up one either.
+        "frozen_spin": ModelParams(
+            delta=0.0, h=np.concatenate(([0.0], dispersed_couplings(0.05, 0.4, 10)[1:]))
+        ),
+        "dispersed": ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 13)),
+        "equal": ModelParams(delta=0.3, h=(0.01,) * 5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_stacked_profiles_bitwise(self, case, monkeypatch):
+        params = self.CASES[case]
+        n = params.n_env
+        # t = 0 first, and a grid of three chunks and one time more.
+        times = np.concatenate(([0.0], np.linspace(0.7, 1800.0, 3 * _grid_chunk(n))))
+        profiles = [branch_flip_profile(params, branch, times) for branch in ("up", "down")]
+        want = np.stack([(p.log_keep, p.log_flip) for p in profiles])
+        assert engine.branch_log_rows(params, times).tobytes() == want.tobytes()
+        tables = []
+        real = engine._log_rows
+        monkeypatch.setattr(engine, "_log_rows", lambda *args: tables.append(real(*args)) or tables[-1])
+        engine.exact_class_masses(params, ALPHAS, times, logit_cutoffs(1e-3))
+        assert [t.shape[2] for t in tables] == [_grid_chunk(n)] * 3 + [1]
+        assert np.concatenate(tables, axis=2).tobytes() == want.tobytes()
+        # At t = 0 nothing flips; a frozen spin never does, and keeps with weight exactly 1.
+        assert np.isneginf(want[:, 1, 0]).all() and (want[:, 0, 0] == 0.0).all()
+        if case == "frozen_spin":
+            assert np.isneginf(want[:, 1, :, 0]).all() and (want[1, 0, :, 0] == 0.0).all()
+
+    # A time before 0, a non-finite time, and a phase that overflows on the up branch and (at
+    # delta = 1e200, where the down branch turns faster) on the down one only.
+    @pytest.mark.parametrize(
+        "delta, times, message",
+        [
+            (0.0, [2.0, -0.5, 3.0], "t=-0.5 precedes the initial time 0"),
+            (0.0, [1.0, math.inf], "t must be finite, got inf"),
+            (0.0, [0.0, 1e308], "phase omega * t must be finite on the up branch"),
+            (1e200, [0.0, 1e200], "phase omega * t must be finite on the down branch"),
+        ],
+    )
+    def test_bad_times_raise_the_profile_error(self, delta, times, message):
+        params = ModelParams(delta=delta, h=(0.0, 0.5, 2.0))
+        times = np.array(times)
+        with pytest.raises(ValueError) as profile:
+            for branch in ("up", "down"):
+                branch_flip_profile(params, branch, times)
+        cutoffs = logit_cutoffs(1e-3)
+        for route in (
+            lambda: engine.branch_log_rows(params, times),
+            lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs),
+        ):
+            with pytest.raises(ValueError) as got:
+                route()
+            assert str(got.value) == str(profile.value) == message
 
 
 class TestBlockWorkspace:
@@ -1137,11 +1238,13 @@ class TestBlockWorkspace:
 
         def buffers():
             base = np.empty((2, t, 1 << bits)) if n > bits else None
-            return engine.block_workspace(bits, t), base
+            return engine.block_workspace(bits, t, 1 << (n - bits)), base
 
         def masses(alphas, block_rows, prefix, workspace, base):
             out = np.empty((2, t))
-            dropped = engine._block_masses(alphas, block_rows, workspace, prefix, base, cutoffs, out)
+            with engine._grid_state():
+                mix = engine._mixture(alphas)
+                dropped = engine._block_masses(mix, block_rows, workspace, prefix, base, cutoffs, out)
             return out, dropped
 
         for w_up in (0.0, 0.4, 1.0):

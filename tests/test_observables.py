@@ -301,7 +301,7 @@ class TestExactBlockMemory:
         cutoffs = obs.logit_cutoffs(1e-3)
         table = engine.branch_log_rows(params, times)
         low = engine.low_spin_table(table, engine._low_spins(n, times.size))
-        monkeypatch.setattr(engine, "branch_log_rows", lambda *args: table)
+        monkeypatch.setattr(engine, "_log_rows", lambda *args: table)
         monkeypatch.setattr(engine, "low_spin_table", lambda *args: low)
         engine.exact_class_masses(params, ALPHAS, times, cutoffs)
         _, _, peak = traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
@@ -423,20 +423,29 @@ class TestProfileChunks:
         assert long - short <= 16 * 1024
 
     @pytest.mark.parametrize("n", [1, 5, 10, 13])
-    def test_two_profile_calls_per_chunk(self, n, monkeypatch):
+    def test_one_table_per_chunk(self, n, monkeypatch):
+        # Both branches' table of a chunk is one fill, from constants formed once per grid; the
+        # grid never calls the one-branch profile.
         calls = []
 
-        def counted(params, branch, t):
-            calls.append((branch, np.size(t)))
-            return real(params, branch, t)
+        def counted(*args):
+            calls.append(args[1].size)
+            return real(*args)
 
-        real = engine.branch_flip_profile
-        monkeypatch.setattr(engine, "branch_flip_profile", counted)
+        real = engine._log_rows
+        monkeypatch.setattr(engine, "_log_rows", counted)
+        monkeypatch.setattr(engine, "branch_flip_profile", lambda *args: calls.append(args))
+        constants = []
+        real_constants = engine.spin_constants
+        monkeypatch.setattr(
+            engine, "spin_constants", lambda *args: constants.append(args) or real_constants(*args)
+        )
         chunk = _chunk_times(n)
         size = 3 * chunk + 1
         params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
         time_series(params, ALPHAS, np.linspace(1.0, 100.0, size), method="exact")
-        assert calls == [("up", chunk), ("down", chunk)] * 3 + [("up", 1), ("down", 1)]
+        assert calls == [chunk] * 3 + [1]
+        assert len(constants) == 1
 
 
 def _one_time_blocks(params, alphas, times, patch):
@@ -487,9 +496,9 @@ class TestGridWorkspace:
     def test_one_workspace_per_grid(self, n, monkeypatch):
         built = []
 
-        def counted(n_env, times):
+        def counted(n_env, times, tiles):
             built.append(times)
-            return real(n_env, times)
+            return real(n_env, times, tiles)
 
         real = engine.block_workspace
         monkeypatch.setattr(engine, "block_workspace", counted)
@@ -543,8 +552,9 @@ def _one_time_block(params, alphas, t):
     n = params.n_env
     ws = engine.block_workspace(n, 1)
     rows = engine.branch_log_rows(params, np.array([t]))
-    engine.pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
-    return tuple(a[0] for a in engine._mix_block(alphas, ws))
+    with engine._grid_state():
+        engine.pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
+        return tuple(a[0] for a in engine._mix_block(engine._mixture(alphas), ws))
 
 
 class TestSampledGridMemory:

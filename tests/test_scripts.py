@@ -1,6 +1,7 @@
 """The scripts under scripts/ still run against the package."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -38,12 +39,13 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
-    # windowed binomial, tiled exact, multi-time exact block, one-draw-last-chunk sampled and
-    # edge-case dense-oracle runs, in csv and json, and the N = 1e6 binomial run in json alone.
+    # windowed binomial, tiled exact, multi-time exact block, frozen-spin exact,
+    # one-draw-last-chunk sampled and edge-case dense-oracle runs, in csv and json, and the
+    # N = 1e6 binomial run in json alone.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 135
+    assert len(lines) == 137
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -88,6 +90,10 @@ def test_output_digest_builds_its_configs(monkeypatch):
         doubling_steps.append((block, c.n - engine._low_spins(c.n, c.steps)))
     assert doubling_steps == [(4, 4), (2, 5)]
     configs += block_configs
+    frozen = digest._frozen_spin_config()
+    assert (frozen.n, frozen.delta, frozen.steps, frozen.method) == (10, 0.0, 40, "exact")
+    assert frozen.params().h[0] == 0.0 and frozen.h_spec() == "0.0:0.02"
+    configs.append(frozen)
     chunk_configs = digest._chunk_configs()
     assert [(c.method, c.samples, c.workers) for c in chunk_configs] == [
         ("sampled", 2 * 8192 + 1, workers) for workers in (1, 2)
@@ -121,3 +127,72 @@ def test_code_lines_skips_docstrings_comments_and_blanks():
     spec.loader.exec_module(counter)
     source = '"""Module\ndoc."""\n\n# comment\nX = """not a\ndocstring"""\n\n\ndef f():\n    """Doc."""\n    return (1,\n            2)  # two lines\n'
     assert counter.code_lines(source) == 5
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_report(spec, workload, seed, trace, correct=True):
+    """A perfbench report of the shape run.py writes, with values that tell the runs apart."""
+    report = {
+        "workload": workload, "seed": seed, "trace": trace, "correct": correct,
+        "attempted": 10, "failed": 0 if correct else 1,
+        "environment": {"nproc": 2, "numpy": "x", "git_commit": "abc123", "seed": seed},
+    }
+    if trace:
+        layers = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["per_layer"]}
+        layers["universe.eigh_calls"] = {"value": None, "unit": "count", "absent": "not reached"}
+        del layers["trace.overhead_s"]
+        report["per_layer"] = layers
+    else:
+        report["end_to_end"] = {
+            m["name"]: {"value": float(seed), "unit": m["unit"]} for m in spec["end_to_end"]
+        }
+    return report
+
+
+def test_bench_record_aggregates_canned_reports(tmp_path, monkeypatch, capsys):
+    record = _bench_record()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    wrong = {}
+    monkeypatch.setattr(
+        record, "run_report",
+        lambda workload, seed, seconds, trace, tiny: _canned_report(
+            spec, workload, seed, trace, (workload, seed, trace) not in wrong
+        ),
+    )
+    assert record.main(["--label", "t", "--seeds", "4", "1", "2", "3"]) == 0
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert written["git_commit"] == "abc123" and written["seeds"] == [4, 1, 2, 3]
+    assert "git_commit" not in written["environment"] and "seed" not in written["environment"]
+    names = [w["name"] for w in spec["workloads"]]
+    assert sorted(written["workloads"]) == sorted(names)
+    assert len(written["runs"]) == 5 * len(names) and all(r["correct"] for r in written["runs"])
+    for entry in written["workloads"].values():
+        assert list(entry["end_to_end"]) == [m["name"] for m in spec["end_to_end"]]
+        assert list(entry["per_layer"]) == [m["name"] for m in spec["per_layer"]]
+        wall = entry["end_to_end"]["wall_s"]
+        assert (wall["median"], wall["q1"], wall["q3"], wall["n"]) == (2.5, 1.75, 3.25, 4)
+        # An absent metric stays absent, with its reason; one missing from the report too.
+        assert entry["per_layer"]["universe.eigh_calls"] == {
+            "value": None, "unit": "count", "absent": "not reached"
+        }
+        assert entry["per_layer"]["trace.overhead_s"]["value"] is None
+        assert entry["per_layer"]["kernel.self_s"] == {"value": 1.0, "unit": "s"}
+    # One run that is not correct: nothing is written, and the run is named.
+    wrong[(names[1], 2, 0)] = True
+    assert record.main(["--label", "u", "--seeds", "1", "2"]) == 1
+    assert not (tmp_path / "BENCH_u.json").exists()
+    assert f"{names[1]} seed 2 trace 0" in capsys.readouterr().err
+
+
+def test_bench_record_quartiles_of_one_value():
+    assert _bench_record().quartiles([0.5]) == {
+        "median": 0.5, "q1": 0.5, "q3": 0.5, "n": 1, "values": [0.5]
+    }

@@ -87,7 +87,7 @@ def _odd_n_config() -> ExperimentConfig:
 
 
 def _window_config() -> ExperimentConfig:
-    """300 binomial points, more than one profile window; every third lands on a down-branch node.
+    """300 binomial points at N = 1000; every third lands on a down-branch node.
 
     At delta = 0 the down branch turns at omega = h, and a step of
     2 pi / (3 h) puts grid time 3m + 1 at (2m + 1) pi / h, where its

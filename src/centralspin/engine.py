@@ -81,37 +81,41 @@ SAMPLE_HELD_SPIN_BYTES = 80
 SAMPLE_THREAD_SPIN_BYTES = 40
 # Atoms per tile of a grid block: exact enumeration evaluates
 # max(1, GRID_BLOCK_ATOMS >> B) grid times at once, B = min(N, TILE_BITS).
-# Enough times to spread numpy's per-call cost at small N (8 times at
-# N = 10), while each block array stays at 64 KiB (8192 float64) up to
-# N = 13.  A grid allocates one block workspace of three such arrays
+# Enough times to spread numpy's per-call cost at small N (12 times at
+# N = 10), while each block array stays at most 96 KiB (12288 float64) up
+# to N = 13.  A grid allocates one block workspace of three such arrays
 # (``BlockWorkspace``), of min(block, grid length) times, and every
 # block writes into it: the arrays are allocated and their pages faulted
 # in once per grid, not once per block.  A block's peak is the
 # workspace and numpy's buffers of at most DOUBLING_BUFSIZE elements.  A
 # block's profile rows are sliced from its chunk's table (below).
-GRID_BLOCK_ATOMS = 8192
+# 16384- and 32768-atom blocks run ``figures`` 12% and 21% faster but
+# raise its peak memory 17% and 100% (ROADMAP, "Measured to pay").
+GRID_BLOCK_ATOMS = 12288
 # Elements of numpy's ufunc buffer while an exact route runs
 # (``_grid_state``, set once per grid), so ``pattern_log_weights``
-# doubles at this size.  numpy buffers its strided adds: at the default 8192 elements one
-# N = 10, T = 8 doubling mallocs 130 KiB (tracemalloc, numpy 2.4), and a
-# one-block N = 10 grid peaks at 352 KB instead of 241 KB.  At 512 the
-# doubling peaks at 14 KiB and takes 40 us against 68 us at 8192 (median
-# of 60 interleaved rounds, 2-core x86 host).
+# doubles at this size.  numpy buffers an add's broadcast factors and,
+# in steps narrower than the buffer, its strided output, one buffer per
+# operand: at the default 8192 elements one N = 10, T = 12 doubling
+# mallocs 130 KiB (tracemalloc, numpy 2.4), and a one-block N = 10 grid
+# peaks at 463 KB instead of 340 KB.  At 512 the doubling peaks at 10
+# KiB, two 4 KiB buffers and the iterator, and takes 59 us against 78-93
+# us at 8192 (median of 9 rounds of 300 calls, 2-core x86 host).
 DOUBLING_BUFSIZE = 512
 # Profile entries (times x N) per chunk of an exact grid: both branches'
 # log profiles are built by one table fill (``_log_rows``) for a chunk
 # of whole blocks with at most this many entries, or for one block where
-# a block alone has more (N < 10).  From N = 10 on, the (2, 2, C, N)
-# table then takes at most 8 KiB next to a block's arrays, so neither
-# the table nor a run's peak grows with grid length.  At N = 10 a chunk
-# is 3 blocks (24 times).
-PROFILE_CHUNK_ENTRIES = 256
-# Entries of a chunk's low-spin table (``low_spin_table``, 16 KiB):
+# a block alone has more (N < 8).  From N = 8 on, the (2, 2, C, N) table
+# then takes at most 16 KiB next to a block's arrays, so neither the
+# table nor a run's peak grows with grid length.  At N = 10 a chunk is
+# 4 blocks (48 times).
+PROFILE_CHUNK_ENTRIES = 512
+# Entries of a chunk's low-spin table (``low_spin_table``, 24 KiB):
 # each chunk doubles spins 1..k of both branches once at its C times, k
 # the largest with 2^k * 2C entries within this bound (k = 5 at N = 10,
-# C = 24; k = 6 at N = 18, C = 14), and each block continues its
-# doubling from spin k + 1, two numpy calls fewer per spin.
-LOW_SPIN_ENTRIES = 2048
+# C = 48, and at N = 18, C = 28), and each block continues its doubling
+# from spin k + 1, two numpy calls fewer per spin.
+LOW_SPIN_ENTRIES = 3072
 # Pattern bits B of a tile of an exact grid, at most N.  A block of T
 # times runs in 2^(N - B) tiles of 2^B consecutive pattern codes
 # (``_block_masses``), one tile up to N = TILE_BITS.  Above it a block is
@@ -279,7 +283,10 @@ class BlockWorkspace:
     * logs: the 2 x T x 2^N branch log-weights, log_up and log_down its
       halves; ``_mix_block`` turns log_down into x;
     * keep, up, down: T x 2^N bool masks in the bytes of log_up, written
-      once x is formed.
+      once x is formed;
+    * halves: for each contiguous half of the block, its flat down logs,
+      up logs and weights and the free memory that takes its down
+      weights (``_mix_block``).
 
     Three small buffers hold the per-row scratch of ``_block_masses``:
     sums, the 2 x T x tiles class mass of each row's tiles; found, a T
@@ -298,6 +305,14 @@ class BlockWorkspace:
         self.log_up, self.log_down = self.logs
         self.keep, self.up, self.down = buffers[1].view(bool)[: 3 * size].reshape((3,) + shape)
         self.sums = buffers[2][:, :times]
+        flat_weight, flat_wu, flat_wd = (
+            a.reshape(-1) for a in (self.weight, self.log_up, self.log_down)
+        )
+        first, second = slice(None, size // 2), slice(size // 2, None)
+        self.halves = tuple(
+            (flat_wd[part], flat_wu[part], flat_weight[part], spare)
+            for part, spare in ((first, flat_weight[second]), (second, flat_wu[first]))
+        )
         self.found, self.every_row = buffers[3][:times], buffers[4][:times]
 
     def sized(self, times: int) -> "BlockWorkspace":
@@ -340,30 +355,33 @@ def _grid_state():
 
 
 def pattern_log_weights(
-    keep: np.ndarray, flip: np.ndarray, prefix: np.ndarray, out: np.ndarray, spare: np.ndarray
+    rows: np.ndarray, prefix: np.ndarray, out: np.ndarray, spare: np.ndarray
 ) -> np.ndarray:
     """Log-weights of all 2^N flip patterns of both branches at T times, by subset doubling.
 
-    keep and flip are the 2 x T x N log factors table[:, 0] and
-    table[:, 1] of a ``branch_log_rows`` table (or its first N spins);
-    entry [b, t, c] of the 2 x T x 2^N result, written into out, is
-    branch b's pattern c at time t, whose bit i is set when spin i+1
-    flipped.  prefix is the
-    2 x T x 2^k table of the sums over spins 1..k at the same times (a
-    block's slice of ``low_spin_table``, or np.zeros((2, T, 1)) for k =
-    0), and the doubling continues from it at spin k + 1: spin i + 1
-    writes dst[..., :w] = src + keep_i and dst[..., w:2w] = src + flip_i,
-    w = 2^i, both branches and all T times in each add.  dst alternates
-    between out and spare, a flat array of at least T * 2^N entries, so
+    rows is a 2 x 2 x T x N ``branch_log_rows`` table (or a view of its
+    first N spins): rows[b, 0] and rows[b, 1] are branch b's log keep
+    and log flip factors.  Entry [b, t, c] of the 2 x T x 2^N result,
+    written into out, is branch b's pattern c at time t, whose bit i is
+    set when spin i+1 flipped.  prefix is the 2 x T x 2^k table of the
+    sums over spins 1..k at the same times (a block's slice of
+    ``low_spin_table``, or np.zeros((2, T, 1)) for k = 0), and the
+    doubling continues from it at spin k + 1.  Spin i + 1 is one add:
+    dst, viewed as 2 x T x 2 x w (w = 2^i), takes src + (keep_i, flip_i),
+    so dst[..., :w] = src + keep_i and dst[..., w:2w] = src + flip_i,
+    both branches, both factors and all T times in one call.  Every
+    step's dst is compact, 2 x T x 2w in the first entries of out or of
+    spare (a flat array of at least T * 2^N entries), alternating so
     that the last step lands in out and no add reads the array it
-    writes (numpy would copy such overlapping views).  At k = N, prefix
-    is copied into out.
+    writes.  So out must be C-contiguous (else ValueError), and every
+    src is contiguous: numpy buffers only the factors and, in steps
+    narrower than its buffer, dst.  At k = N, prefix is copied into out.
 
-    The adds are strided, so numpy buffers them.  The doubling runs in
-    its caller's numpy state and sets none itself: ``exact_class_masses``
-    (once per grid, for every block's and ``low_spin_table``'s call) and
-    ``enumerate_outcomes`` (once per call) set numpy's buffer to
-    DOUBLING_BUFSIZE elements (``_grid_state``).
+    The doubling runs in its caller's numpy state and sets none itself:
+    ``exact_class_masses`` (once per grid, for every block's and
+    ``low_spin_table``'s call) and ``enumerate_outcomes`` (once per
+    call) set numpy's buffer to DOUBLING_BUFSIZE elements
+    (``_grid_state``).
 
     The layout moves where a sum is stored, not how it is formed: each
     entry is still the left-to-right sum over spins 1..N, from any k, so
@@ -377,33 +395,39 @@ def pattern_log_weights(
     on.  A split into two half-patterns (meet in the middle) rounds
     differently and must change that sum with it.
     """
-    n, k = keep.shape[-1], prefix.shape[-1].bit_length() - 1
-    times, half = out.shape[1], out.shape[2] >> 1
-    buffers = (out, spare[: 2 * times * half].reshape(2, times, half))
+    if not out.flags.c_contiguous:
+        raise ValueError("the doubling's out array must be C-contiguous")
+    n, k = rows.shape[-1], prefix.shape[-1].bit_length() - 1
+    times = out.shape[1]
+    flat = (out.reshape(-1), spare)
+    # [b, t, keep or flip, spin]: spin i's factors broadcast over a step's 2 x T x 2 x w dst.
+    factors = rows.transpose(0, 2, 1, 3)
     src = prefix
     for i in range(k, n):
         width = 1 << i
-        dst = buffers[(n - 1 - i) & 1]
-        np.add(src, keep[..., i, None], out=dst[..., :width])
-        np.add(src, flip[..., i, None], out=dst[..., width : 2 * width])
-        src = dst[..., : 2 * width]
+        dst = flat[(n - 1 - i) & 1][: 4 * times * width].reshape(2, times, 2, width)
+        np.add(src[:, :, None], factors[..., i, None], out=dst)
+        src = dst.reshape(2, times, 2 * width)
     if k == n:
         np.copyto(out, prefix)
     return out
 
 
-def low_spin_table(table: np.ndarray, k: int) -> np.ndarray:
+def low_spin_table(table: np.ndarray, k: int, spare: np.ndarray) -> np.ndarray:
     """Sums over spins 1..k of all 2^k low patterns of both branches, at a table's C times.
 
     table is a ``branch_log_rows`` table.  One ``pattern_log_weights``
     call from zeros, in the caller's numpy state, returned as 2 x C x
     2^k: [0] is the up branch and [1] the down one, and a block's times
     [:, block] of it are the ``prefix`` of its ``pattern_log_weights``.
+    spare, a flat array of at least C * 2^k entries, takes the
+    doubling's sums before the last step; an exact grid passes its
+    workspace's, which is free between blocks, so building a chunk's
+    tables peaks below a block.
     """
     times = table.shape[2]
-    keep, flip = table[:, 0, :, :k], table[:, 1, :, :k]
-    out, spare = np.empty((2, times, 1 << k)), np.empty(times << k)
-    return pattern_log_weights(keep, flip, np.zeros((2, times, 1)), out, spare)
+    out = np.empty((2, times, 1 << k))
+    return pattern_log_weights(table[..., :k], np.zeros((2, times, 1)), out, spare)
 
 
 def _low_spins(n: int, times: int) -> int:
@@ -423,30 +447,26 @@ def _mix_block(mix: tuple, ws: BlockWorkspace) -> tuple:
     may have both branch weights zero and x NaN.
 
     The weights and x are formed one contiguous half of the block at a
-    time, and each half's down weights go to memory that is free by
-    then: the weights' second half, then the up logs' first half.  So
-    mixing needs no block-sized array beyond the workspace's three.
+    time (``ws.halves``), and each half's down weights go to memory that
+    is free by then: the weights' second half, then the up logs' first
+    half.  So mixing needs no block-sized array beyond the workspace's
+    three.
 
     mix is the grid's ``_mixture``.  It runs in its caller's numpy state,
     which must let inf - inf = NaN pass silently (``_grid_state`` does).
     """
     w_up, w_down, lw_up, lw_down = mix
-    log_wd = ws.log_down
-    # The spare buffer is free from here on and takes the weights.
-    flat_weight, flat_wu, flat_wd = (a.reshape(-1) for a in (ws.weight, ws.log_up, log_wd))
-    half = flat_weight.size // 2
-    first, second = slice(None, half), slice(half, None)
-    for part, spare in ((first, flat_weight[second]), (second, flat_wu[first])):
-        down_weight = np.exp(flat_wd[part], out=spare)
+    for log_wd, log_wu, weight, spare in ws.halves:
+        down_weight = np.exp(log_wd, out=spare)
         down_weight *= w_down
-        weight = np.exp(flat_wu[part], out=flat_weight[part])
+        np.exp(log_wu, out=weight)
         weight *= w_up
         weight += down_weight
         # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
-        flat_wu[part] += lw_up
-        flat_wd[part] += lw_down
-        flat_wd[part] -= flat_wu[part]
-    return log_wd, ws.weight, np.greater_equal(ws.weight, WEIGHT_FLOOR, out=ws.keep)
+        log_wu += lw_up
+        log_wd += lw_down
+        log_wd -= log_wu
+    return ws.log_down, ws.weight, np.greater_equal(ws.weight, WEIGHT_FLOOR, out=ws.keep)
 
 
 def enumerate_outcomes(
@@ -468,7 +488,7 @@ def enumerate_outcomes(
     spins, tau = _checked_constants(params, np.array([t]))
     with _grid_state():
         rows = _log_rows(spins, tau)
-        pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
+        pattern_log_weights(rows, np.zeros((2, 1, 1)), ws.logs, ws.spare)
         x, weight, keep = (a[0] for a in _mix_block(_mixture(alphas), ws))
     return ProjectionDistribution(
         u=u_from_x(x[keep]),
@@ -517,7 +537,7 @@ def exact_class_masses(
     workspace = block_workspace(bits, min(step, times.size), 1 << (n - bits))
     # Both branches' sums over spins 1..B, which every tile continues; up to N = B the
     # workspace's own logs serve.
-    base = np.empty((2, workspace.times, 1 << bits)) if n > bits else None
+    base = np.empty(2 * workspace.times << bits) if n > bits else None
     masses = np.empty((3, times.size))
     dropped = 0
     chunk = step * max(1, PROFILE_CHUNK_ENTRIES // (step * n))
@@ -526,7 +546,7 @@ def exact_class_masses(
         for start in range(0, times.size, chunk):
             table = _log_rows(spins, tau[start : start + chunk])
             size = table.shape[2]
-            low = low_spin_table(table, min(bits, _low_spins(n, size)))
+            low = low_spin_table(table, min(bits, _low_spins(n, size)), workspace.spare)
             for first in range(0, size, step):
                 span = slice(first, first + step)
                 out = masses[:2, start + first : start + first + step]
@@ -547,7 +567,9 @@ def _block_masses(mix, rows, workspace: BlockWorkspace, prefix, base, cutoffs, o
     mix is the grid's ``_mixture``, rows the block's (2, 2, T, N)
     ``branch_log_rows`` view, prefix its 2 x T x 2^k low-spin slice,
     workspace a grid's workspace of B pattern bits and 2^(N - B) tiles,
-    and base its 2 x T x 2^B buffer, or None at N = B.  It runs in the
+    and base a flat buffer of at least 2 x T x 2^B entries, whose first
+    ones the block takes as its C-contiguous 2 x T x 2^B base, or None
+    at N = B.  It runs in the
     grid's numpy state (``_grid_state``).  Both
     branches' sums over spins 1..B are doubled once, in one
     ``pattern_log_weights`` call, into base (at N = B, into the
@@ -569,8 +591,8 @@ def _block_masses(mix, rows, workspace: BlockWorkspace, prefix, base, cutoffs, o
     ws = workspace.sized(rows.shape[2])
     bits, times = ws.n, ws.times
     high = rows.shape[3] - bits
-    start = ws.logs if base is None else base[:, :times]
-    pattern_log_weights(rows[:, 0, :, :bits], rows[:, 1, :, :bits], prefix, start, ws.spare)
+    start = ws.logs if base is None else base[: 2 * times << bits].reshape(2, times, 1 << bits)
+    pattern_log_weights(rows[..., :bits], prefix, start, ws.spare)
     c_up, c_down = cutoffs
     sums, found, every_row = ws.sums, ws.found, ws.every_row
     found.fill(False)

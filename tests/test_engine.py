@@ -1010,7 +1010,8 @@ def _bit_loop_log_weights(log_keep, log_flip):
 def _doubling(keep, flip, prefix):
     """``pattern_log_weights`` of both branches into fresh out and spare arrays, from prefix."""
     _, t, n = keep.shape
-    return pattern_log_weights(keep, flip, prefix, np.empty((2, t, 2**n)), np.empty(t << n))
+    rows = np.stack((keep, flip), axis=1)
+    return pattern_log_weights(rows, prefix, np.empty((2, t, 2**n)), np.empty(t << n))
 
 
 def _assert_equals_bit_loop(got, keep, flip):
@@ -1065,30 +1066,35 @@ class TestSubsetDoubling:
         rows = np.log(rng.uniform(0.0, 1.0, (2, 2, c, n)))
         block = rows[:, :, first : first + 2]
         for k in sorted({0, 1, n // 2, n}):
-            low = engine.low_spin_table(rows, k)
+            low = engine.low_spin_table(rows, k, np.full(c << k, np.nan))
             assert low.shape == (2, c, 2**k)
-            got = _doubling(block[:, 0], block[:, 1], low[:, first : first + 2])
+            out = np.empty((2, 2, 2**n))
+            got = pattern_log_weights(block, low[:, first : first + 2], out, np.empty(2 << n))
             _assert_equals_bit_loop(got, block[:, 0], block[:, 1])
 
     @pytest.mark.parametrize("t", [1, 2, 8])
     @pytest.mark.parametrize("n, k", [(9, 6), (9, 5), (8, 0), (6, 6), (1, 1)])
     def test_both_branches_in_one_call_equal_spin_loop_bitwise(self, t, n, k):
         # N - k odd (3 steps, the first into out), even (4 and 8 steps, the first into spare) and
-        # zero (prefix copied).  The prefix is a strided slice of a longer table and out a strided
-        # view, as a block's low-spin slice and a short block's base are; each branch has a -inf
-        # factor, on a low spin and on a high one.
+        # zero (prefix copied).  The rows and the prefix are strided slices of longer tables, as a
+        # block's table view and low-spin slice are, and out is the head of a longer flat buffer,
+        # as a short block's base is; each branch has a -inf factor, on a low spin and on a high
+        # one.  A strided out is refused: the steps before the last use its memory compactly.
         rng = np.random.default_rng(100 * n + 10 * k + t)
-        log_keep = np.log(rng.uniform(0.0, 1.0, (2, t + 2, n)))
-        log_flip = np.log(rng.uniform(0.0, 1.0, (2, t + 2, n)))
-        log_flip[0, 1, n - 1] = -math.inf
-        log_keep[1, t, 0] = -math.inf
-        keep, flip = log_keep[:, 1:-1], log_flip[:, 1:-1]
-        table = _doubling(log_keep[..., :k], log_flip[..., :k], np.zeros((2, t + 2, 1)))
-        out = np.full((2, t + 1, 2**n), np.nan)
-        view = out[:, :t]
-        assert pattern_log_weights(keep, flip, table[:, 1:-1], view, np.empty(t << n)) is view
-        _assert_equals_bit_loop(view, keep, flip)
-        assert np.isnan(out[:, t]).all()
+        log_rows = np.log(rng.uniform(0.0, 1.0, (2, 2, t + 2, n)))
+        log_rows[0, 1, 1, n - 1] = -math.inf
+        log_rows[1, 0, t, 0] = -math.inf
+        rows = log_rows[:, :, 1:-1]
+        table = _doubling(log_rows[:, 0, :, :k], log_rows[:, 1, :, :k], np.zeros((2, t + 2, 1)))
+        buffer = np.full(2 * (t + 1) << n, np.nan)
+        view = buffer[: 2 * t << n].reshape(2, t, 2**n)
+        spare = np.empty(t << n)
+        assert pattern_log_weights(rows, table[:, 1:-1], view, spare) is view
+        _assert_equals_bit_loop(view, rows[:, 0], rows[:, 1])
+        assert np.isnan(buffer[2 * t << n :]).all()
+        strided = np.empty((2, t + 1, 2**n))[:, :t]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            pattern_log_weights(rows, table[:, 1:-1], strided, spare)
 
 
 class TestDoublingBufferSize:
@@ -1116,7 +1122,7 @@ class TestDoublingBufferSize:
                 for t in times:
                     enumerate_outcomes(params, ALPHAS, t)
                     self._assert_callers_state(size)
-                engine.low_spin_table(rows, 4)
+                engine.low_spin_table(rows, 4, np.empty(2 << 4))
                 self._assert_callers_state(size)
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "WEIGHT_FLOOR", (1.0 + top) / 2)
@@ -1130,7 +1136,7 @@ class TestDoublingBufferSize:
                 self._assert_callers_state(size)
                 out, prefix = np.empty((2, 2, 2**9), dtype=np.int64), np.zeros((2, 2, 1))
                 with pytest.raises(TypeError):
-                    pattern_log_weights(rows[:, 0], rows[:, 1], prefix, out, np.empty(2**10))
+                    pattern_log_weights(rows, prefix, out, np.empty(2**10))
                 self._assert_callers_state(size)
 
     def test_table_doubling_and_mixing_run_in_the_grid_state(self, monkeypatch):
@@ -1233,11 +1239,13 @@ class TestBlockWorkspace:
         rows = engine.branch_log_rows(params, np.linspace(0.0, 90.0, t))
         other = engine.branch_log_rows(params, np.linspace(7.0, 400.0, t))
         k = min(bits, engine._low_spins(n, t))
-        low, other_low = (engine.low_spin_table(r, k) for r in (rows, other))
+        low, other_low = (
+            engine.low_spin_table(r, k, np.empty(r.shape[2] << k)) for r in (rows, other)
+        )
         cutoffs = logit_cutoffs(1e-3)
 
         def buffers():
-            base = np.empty((2, t, 1 << bits)) if n > bits else None
+            base = np.empty(2 * t << bits) if n > bits else None
             return engine.block_workspace(bits, t, 1 << (n - bits)), base
 
         def masses(alphas, block_rows, prefix, workspace, base):

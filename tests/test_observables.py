@@ -289,22 +289,40 @@ class TestLogitCutoffs:
         assert obs.logit_cutoffs(eps) == obs.logit_cutoffs.__wrapped__(eps)
 
 
+def _block_peak(n, chunk_size, monkeypatch, traced):
+    """tracemalloc peak of a one-block grid at N = n whose tables are its slices of a chunk's."""
+    block = max(1, GRID_BLOCK_ATOMS >> n)
+    chunk_times = np.linspace(1.0, 100.0, chunk_size)
+    times = chunk_times[:block]
+    params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
+    cutoffs = obs.logit_cutoffs(1e-3)
+    table = engine.branch_log_rows(params, chunk_times)
+    k = engine._low_spins(n, chunk_times.size)
+    low = engine.low_spin_table(table, k, np.empty(chunk_times.size << k))
+    monkeypatch.setattr(engine, "_log_rows", lambda *args: table[:, :, :block])
+    monkeypatch.setattr(engine, "low_spin_table", lambda *args: low[:, :block])
+    engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+    return traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))[2]
+
+
 class TestExactBlockMemory:
     @pytest.mark.parametrize("n", [10, 13])
     def test_peak_of_one_block(self, n, monkeypatch, traced):
         # Three block-sized float arrays, the workspace, built in the measure, and numpy's buffers
         # for the doubling's adds at engine.DOUBLING_BUFSIZE (at numpy's default 8192 they take
-        # 130 KiB at N = 10).  The chunk's profile and low-spin tables are built before it
-        # (TestProfileChunks bounds them).
-        times = np.linspace(1.0, 100.0, max(1, GRID_BLOCK_ATOMS >> n))
-        params = ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, n))
-        cutoffs = obs.logit_cutoffs(1e-3)
-        table = engine.branch_log_rows(params, times)
-        low = engine.low_spin_table(table, engine._low_spins(n, times.size))
-        monkeypatch.setattr(engine, "_log_rows", lambda *args: table)
-        monkeypatch.setattr(engine, "low_spin_table", lambda *args: low)
-        engine.exact_class_masses(params, ALPHAS, times, cutoffs)
-        _, _, peak = traced(lambda: engine.exact_class_masses(params, ALPHAS, times, cutoffs))
+        # 130 KiB at N = 10): at most two operands of DOUBLING_BUFSIZE floats, 8 KiB, since
+        # every step reads a compact src.  The chunk's profile and low-spin tables are built
+        # before it (TestProfileChunks bounds them).
+        peak = _block_peak(n, max(1, GRID_BLOCK_ATOMS >> n), monkeypatch, traced)
+        assert peak <= 3 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
+
+    @pytest.mark.parametrize("n", [10, 13])
+    def test_peak_of_one_block_of_a_chunk(self, n, monkeypatch, traced):
+        # The same bound for a block whose tables are its slices of a whole chunk's, as on a
+        # longer grid.  There the low-spin table has fewer spins (k = 5 at N = 10, against 7 for
+        # one block's), and a doubling step narrower than numpy's buffer that read a strided src
+        # took a third operand buffer, 3 KiB over the bound.
+        peak = _block_peak(n, _chunk_times(n), monkeypatch, traced)
         assert peak <= 3 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
 
 
@@ -321,7 +339,7 @@ class TestExactGridMemory:
             3.5 * 8 * GRID_BLOCK_ATOMS + 16 * 1024
             + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
         )
-        assert bound == 270_336
+        assert bound == 401_408
         assert peak <= bound
 
 
@@ -393,7 +411,7 @@ class TestExactGridTiles:
         _, _, peak = traced(grid)
         tile = 8 << engine.TILE_BITS
         bound = 5 * tile + 16 * 1024 + 8 * engine.LOW_SPIN_ENTRIES + 32 * PROFILE_CHUNK_ENTRIES
-        assert bound == 1_351_680
+        assert bound == 1_368_064
         assert peak <= bound
 
 
@@ -419,8 +437,9 @@ class TestProfileChunks:
         chunk = _chunk_times(n)
         short = _series_peak(traced, params, np.linspace(1.0, 100.0, chunk))
         long = _series_peak(traced, params, np.linspace(1.0, 100.0, 20 * chunk))
-        # The long grid's own masses, 3 floats per time (10.7 KiB), are all that may grow.
-        assert long - short <= 16 * 1024
+        # The long grid's own masses, 3 floats per extra time (21.4 KiB at 48 times per chunk),
+        # are all that may grow, with slack of a quarter of one chunk's profile table.
+        assert long - short <= 3 * 8 * 19 * chunk + 8 * PROFILE_CHUNK_ENTRIES
 
     @pytest.mark.parametrize("n", [1, 5, 10, 13])
     def test_one_table_per_chunk(self, n, monkeypatch):
@@ -553,7 +572,7 @@ def _one_time_block(params, alphas, t):
     ws = engine.block_workspace(n, 1)
     rows = engine.branch_log_rows(params, np.array([t]))
     with engine._grid_state():
-        engine.pattern_log_weights(rows[:, 0], rows[:, 1], np.zeros((2, 1, 1)), ws.logs, ws.spare)
+        engine.pattern_log_weights(rows, np.zeros((2, 1, 1)), ws.logs, ws.spare)
         return tuple(a[0] for a in engine._mix_block(engine._mixture(alphas), ws))
 
 
@@ -591,6 +610,24 @@ class TestGridEvaluator:
             for name in ("p_up", "p_down", "p_q"):
                 assert np.array_equal(getattr(grid, name), getattr(single, name))
             assert grid.dropped == single.dropped
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_block_and_chunk_budgets_leave_the_bits(self, n, monkeypatch):
+        # Blocks of 12288 atoms (12, 6 and 3 times) and of 3 << n atoms (3 times), whose length
+        # is no power of two, under both chunk budgets, 256 profile / 2048 low-spin entries and
+        # 512 / 3072 (24 and 48 times at N = 10), give the series of one time per block and one
+        # block per chunk.
+        times, cases = _exact_grid_cases(n)
+        for params, alphas in cases:
+            want = _one_time_blocks(params, alphas, times, monkeypatch)
+            for atoms in (12288, 3 << n):
+                for profile_entries, low_entries in ((256, 2048), (512, 3072)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(engine, "GRID_BLOCK_ATOMS", atoms)
+                        patch.setattr(engine, "PROFILE_CHUNK_ENTRIES", profile_entries)
+                        patch.setattr(engine, "LOW_SPIN_ENTRIES", low_entries)
+                        got = time_series(params, alphas, times, method="exact")
+                    _assert_same_series(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13])
     def test_exact_blocks_match_per_point_route(self, n):
@@ -702,14 +739,18 @@ class TestGridEvaluator:
         assert seen == times.tolist() + list(hist_times)
 
 
+# Plain times of ``_node_grid``: the node times and t = 0 come on top of them.
+NODE_GRID_TIMES = 300
+
+
 def _node_grid(params):
-    """t = 0, the first node times of both branches and 300 plain times."""
+    """t = 0, the first node times of both branches and NODE_GRID_TIMES plain times."""
     nodes = [
         m * math.pi / spin_spectral(params, branch, 1).omega
         for branch in ("up", "down")
         for m in (1, 2, 3)
     ]
-    return np.unique(np.concatenate(([0.0], np.linspace(0.5, 600.0, 300), nodes)))
+    return np.unique(np.concatenate(([0.0], np.linspace(0.5, 600.0, NODE_GRID_TIMES), nodes)))
 
 
 class TestBinomialWindows:
@@ -721,7 +762,7 @@ class TestBinomialWindows:
         h = (0.02,) * n if explicit else np.broadcast_to(0.02, (n,))
         params = ModelParams(delta=0.1, h=h)
         times = _node_grid(params)
-        assert times.size > PROFILE_CHUNK_ENTRIES and times[0] == 0.0
+        assert times.size > NODE_GRID_TIMES and times[0] == 0.0
         hist_times = (0.25, 123.4)
         assert not set(hist_times) & set(times.tolist())
         # The reference points compute their own profiles: a grid of no times only shares

@@ -70,7 +70,7 @@ def test_output_digest_builds_its_configs(monkeypatch):
     configs.append(odd_n)
     windows = digest._window_config()
     assert windows.resolved_method() == "binomial"
-    assert windows.steps > engine.PROFILE_CHUNK_ENTRIES
+    assert (windows.n, windows.steps) == (1000, 300)
     configs.append(windows)
     large = digest._large_binomial_config()
     assert (large.n, large.steps, large.resolved_method()) == (10**6, 3, "binomial")
@@ -88,7 +88,7 @@ def test_output_digest_builds_its_configs(monkeypatch):
         assert (c.steps, c.method) == (7, "exact") and c.h_spec() == "0.01:0.02"
         block = engine.GRID_BLOCK_ATOMS >> c.n
         doubling_steps.append((block, c.n - engine._low_spins(c.n, c.steps)))
-    assert doubling_steps == [(4, 4), (2, 5)]
+    assert doubling_steps == [(6, 4), (3, 5)]
     configs += block_configs
     frozen = digest._frozen_spin_config()
     assert (frozen.n, frozen.delta, frozen.steps, frozen.method) == (10, 0.0, 40, "exact")

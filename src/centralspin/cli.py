@@ -52,12 +52,12 @@ import numpy as np
 
 from . import engine, observables, selfcheck, universe
 from .core import (
-    BRANCHES,
     ModelParams,
     SystemAmplitudes,
-    branch_flip_profile,
+    check_phases,
     dispersed_couplings,
     last_dispersed_coupling,
+    spin_constants,
 )
 from .observables import (
     DEFAULT_EPSILON,
@@ -66,7 +66,23 @@ from .observables import (
     first_collapse_time,
 )
 
-PRESET_NAMES = ("fig1", "fig2_top", "fig2_bottom", "fig3")
+# Each figure preset's configs, as the fields each sets beyond the shared
+# base alpha_up_sq = 0.4, epsilon = 1e-3, seed = 0 (``_preset_configs``).
+_PRESETS = {
+    "fig1": [dict(n=n, h=(0.01,), label=f"N{n}") for n in (2, 10, 80)],
+    # Grid extended past the dispersed revival near t ~ 1571 (five times the
+    # constant-coupling period); same step as the default grid.
+    "fig2_top": [
+        dict(n=10, h=(0.01,), delta_h=delta_h, label=label, t_end=1800.0, steps=2700)
+        for label, delta_h in (("const_h", 0.0), ("dispersed_h", 0.02))
+    ],
+    "fig2_bottom": [dict(n=10, h=(h,), delta_h=0.02, label=f"h{h}") for h in (0.01, 0.5, 10.0)],
+    "fig3": [
+        dict(n=10, h=(0.01,), delta=d, delta_h=0.02, label=f"delta{d}")
+        for d in (0.002, 0.01, 0.02, 0.05, 0.1)
+    ],
+}
+PRESET_NAMES = tuple(_PRESETS)
 CSV_COLUMNS = "t,p_up,p_down,p_q,method,n_samples,seed,N,delta,h_spec,epsilon"
 
 
@@ -155,14 +171,13 @@ class ExperimentConfig:
             raise ConfigError("t_start: the first grid point precedes the initial time 0")
         if any(t < 0.0 for t in self.hist_times):
             raise ConfigError("hist_times: every time must be at or after the initial time 0")
-        # branch_flip_profile rejects a phase omega * t that overflows.  omega grows with |h_j|
-        # and dispersed couplings are monotone, so h_1 or h_N at the last time decides it.
+        # check_phases rejects a phase omega * t that overflows.  omega grows with |h_j| and
+        # dispersed couplings are monotone, so h_1 or h_N at the last time decides it.
         h_max = max(self.h + (self._last_coupling(),), key=abs)
         spin = ModelParams(self.delta, (h_max,))
         t_last = float(max((g[-1], *self.hist_times)))
         try:
-            for branch in BRANCHES:
-                branch_flip_profile(spin, branch, t_last)
+            check_phases(spin_constants(spin), np.array([t_last]))
         except ValueError as err:
             raise ConfigError(f"delta, h: {err} at t = {t_last!r}") from None
         _check_draws(self.samples, self.seed)
@@ -370,41 +385,10 @@ def run_config(config: ExperimentConfig) -> ResultRecord:
 
 
 def _preset_configs(name: str) -> list[ExperimentConfig]:
-    base = dict(alpha_up_sq=0.4, epsilon=1e-3, seed=0)
-    if name == "fig1":
-        return [
-            ExperimentConfig(n=n, h=(0.01,), delta=0.0, label=f"N{n}", preset=name, **base)
-            for n in (2, 10, 80)
-        ]
-    if name == "fig2_top":
-        # Grid extended past the dispersed revival near t ~ 1571 (five
-        # times the constant-coupling period); same step as the default grid.
-        long_grid = dict(t_start=0.0, t_end=1800.0, steps=2700)
-        return [
-            ExperimentConfig(
-                n=10, h=(0.01,), delta=0.0, delta_h=0.0, label="const_h", preset=name,
-                **base, **long_grid,
-            ),
-            ExperimentConfig(
-                n=10, h=(0.01,), delta=0.0, delta_h=0.02, label="dispersed_h", preset=name,
-                **base, **long_grid,
-            ),
-        ]
-    if name == "fig2_bottom":
-        return [
-            ExperimentConfig(
-                n=10, h=(h,), delta=0.0, delta_h=0.02, label=f"h{h}", preset=name, **base
-            )
-            for h in (0.01, 0.5, 10.0)
-        ]
-    if name == "fig3":
-        return [
-            ExperimentConfig(
-                n=10, h=(0.01,), delta=d, delta_h=0.02, label=f"delta{d}", preset=name, **base
-            )
-            for d in (0.002, 0.01, 0.02, 0.05, 0.1)
-        ]
-    raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    base = dict(alpha_up_sq=0.4, epsilon=1e-3, seed=0, preset=name)
+    return [ExperimentConfig(**base, **spec) for spec in _PRESETS[name]]
 
 
 def run_preset(name: str) -> list[ResultRecord]:

@@ -162,23 +162,20 @@ class ProjectionDistribution:
         return float(self.weight.sum())
 
 
-def _log_mixture_weights(alphas: SystemAmplitudes) -> tuple[float, float]:
-    """(log w_up, log w_down), -inf for a vanishing weight."""
-    lw_up = math.log(alphas.w_up) if alphas.w_up > 0 else -math.inf
-    lw_down = math.log(alphas.w_down) if alphas.w_down > 0 else -math.inf
-    return lw_up, lw_down
-
-
 def _mixture(alphas: SystemAmplitudes) -> tuple[float, float, float, float]:
-    """(w_up, w_down, log w_up, log w_down): the mixture weights ``_mix_block`` reads, formed once."""
-    return (alphas.w_up, alphas.w_down) + _log_mixture_weights(alphas)
+    """(w_up, w_down, log w_up, log w_down), a log -inf for a vanishing weight, formed once.
+
+    ``_mix_block`` reads all four; the one-time routes take the logs, ``[2:]``.
+    """
+    weights = (alphas.w_up, alphas.w_down)
+    return weights + tuple(math.log(w) if w > 0 else -math.inf for w in weights)
 
 
 def _log_branch_pair(params, alphas, t):
     """Both branch profiles and log mixture weights, for one pattern and for sampling."""
     up = branch_flip_profile(params, "up", t)
     down = branch_flip_profile(params, "down", t)
-    return (up, down) + _log_mixture_weights(alphas)
+    return (up, down) + _mixture(alphas)[2:]
 
 
 def branch_log_rows(params: ModelParams, times: np.ndarray) -> np.ndarray:
@@ -823,7 +820,7 @@ def binomial_outcomes(
         grid = BinomialGrid(params, (t,))
     elif grid.params is not params:
         raise ValueError("the binomial grid was built for another model")
-    branches = grid.profiles(t) + _log_mixture_weights(alphas)
+    branches = grid.profiles(t) + _mixture(alphas)[2:]
     spans = binomial_spans(n, alphas, *branches[:2])
     for lo, hi in spans:
         grid.fill(lo, hi)

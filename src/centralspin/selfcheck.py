@@ -24,12 +24,14 @@ from .observables import class_probabilities
 # tails share it, and so do its 4 KS distances.
 CLASS_ALPHA = 0.0027
 # Bytes per draw that oracle-check may hold at once, with headroom over
-# tracemalloc peaks measured at 10^6 and 2 * 10^6 draws: 48.4-48.8 in the
-# sampler check (the table log k! over the draws, the binomial tails'
-# temporaries, u and the KS sort), 25.6-26.9 in the worker check and
-# 17.0-17.5 in the bath check.  ``cli`` rejects a draw count whose
-# estimate exceeds ``engine.ARRAY_BYTES_CAP`` (4,793,490 draws).
-ORACLE_DRAW_BYTES = 56
+# tracemalloc peaks measured at 10^6 and 2 * 10^6 draws: 25.6-26.9 in the
+# worker check, 16.9-18.3 in the sampler check (u and the KS sort; its
+# binomial tails hold O(sqrt(draws)) floats) and 17.0-17.5 in the bath
+# check.  ``cli`` rejects a draw count whose estimate exceeds
+# ``engine.ARRAY_BYTES_CAP`` (8,388,608 draws).
+ORACLE_DRAW_BYTES = 32
+# A binomial tail skips the counts that move it by less than exp(-TAIL_NATS) of itself.
+TAIL_NATS = 40.0
 
 
 @dataclass(frozen=True)
@@ -179,23 +181,45 @@ def check_binomial_total_weight(seed: int) -> CheckResult:
     )
 
 
-def binomial_two_sided_p(count: int, p: float, log_fact: np.ndarray) -> float:
+def binomial_two_sided_p(count: int, p: float, samples: int) -> float:
     """Exact two-sided tail of ``count`` under Binomial(samples, p).
 
-    log_fact is ``engine.log_factorials(samples)``, which a caller with
-    many tails at one sample count builds once; log C(samples, k) is
-    formed from it as log samples! - log k! - log (samples - k)!.  Twice
-    the smaller of P(X <= count) and P(X >= count), at most 1.  At p = 0
-    or 1 the count is certain, so the tail is 1 there and 0 elsewhere.
+    Twice the smaller of P(X <= count) and P(X >= count), at most 1.  At
+    p = 0 or 1 the count is certain, so the tail is 1 there and 0
+    elsewhere.  Both tails hold pmf(count), and the smaller is at most
+    samples + 1 times it, so a tail below the least positive float is 0.0.
+    Otherwise the sums take only the counts within the radius about
+    samples * p past which the smaller of a Pinsker and a Bernstein bound
+    (as in ``engine._branch_span``) puts the pmf under pmf(count) *
+    exp(-TAIL_NATS) / (samples + 1).  The counts left out move neither
+    tail, nor the total, by more than exp(-TAIL_NATS) of itself, and the
+    same bounds on pmf(count) put count inside.  That is O(sqrt(samples))
+    counts, not one per draw.  Over them the pmf follows the ratios
+    pmf(k) / pmf(k - 1) = (samples - k + 1) / k * p / (1 - p), summed as
+    logs and normalized by their total, so no difference of two log
+    factorials near log samples! (about 1e-9 nats of round-off at 10^6
+    draws) enters it.
     """
-    samples = log_fact.size - 1
     if not 0.0 < p < 1.0:
         return 1.0 if count == (samples if p >= 1.0 else 0) else 0.0
-    k = np.arange(samples + 1, dtype=float)
-    log_c = log_fact[-1] - log_fact - log_fact[::-1]
-    log_pmf = log_c + k * math.log(p) + (samples - k) * math.log1p(-p)
-    pmf = np.exp(log_pmf)
-    return min(1.0, 2.0 * min(float(pmf[: count + 1].sum()), float(pmf[count:].sum())))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_at = (
+        math.lgamma(samples + 1) - math.lgamma(count + 1) - math.lgamma(samples - count + 1)
+        + count * log_p + (samples - count) * log_q
+    )
+    if log_at + math.log(4 * (samples + 1)) < math.log(5e-324):  # 2 tail < half the least float
+        return 0.0
+    nats = TAIL_NATS + math.log(samples + 1) - log_at
+    variance = samples * p * (1.0 - p)
+    bernstein = nats / 3 + math.sqrt(nats * nats / 9 + 2 * nats * variance)
+    center, r = samples * p, min(math.sqrt(samples / 2 * nats), bernstein)
+    lo, hi = max(0, math.floor(center - r)), min(samples, math.ceil(center + r))
+    k = np.arange(lo + 1, hi + 1, dtype=float)
+    log_pmf = np.cumsum(np.log((samples - k + 1) / k) + (log_p - log_q))
+    pmf = np.exp(np.concatenate(([0.0], log_pmf)) - log_pmf.max(initial=0.0))
+    at = count - lo
+    tail = min(float(pmf[: at + 1].sum()), float(pmf[at:].sum()))
+    return min(1.0, 2.0 * tail / float(pmf.sum()))
 
 
 def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
@@ -217,14 +241,13 @@ def check_sampler_vs_enumeration(seed: int, samples: int) -> CheckResult:
     # DKW-Massart: P(KS > eps) <= 2 exp(-2 samples eps^2), set to CLASS_ALPHA / len(times).
     ks_bound = math.sqrt(math.log(2 * len(times) / CLASS_ALPHA) / (2 * samples))
     least_tail, worst_ks = 1.0, 0.0
-    log_fact = engine.log_factorials(samples)
     for t in times:
         exact = engine.enumerate_outcomes(params, alphas, t)
         sampled = engine.sample_outcomes(params, alphas, t, samples, seed)
         p_exact = class_probabilities(exact, eps)
         p_emp = class_probabilities(sampled, eps)
         for pe, pm in zip(p_exact, p_emp):
-            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), pe, log_fact))
+            least_tail = min(least_tail, binomial_two_sided_p(round(pm * samples), pe, samples))
         worst_ks = max(worst_ks, ks_distance(sampled.u, exact.u, exact.weight))
     ok = least_tail >= tail_bound and worst_ks <= ks_bound
     return CheckResult(

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -166,6 +166,22 @@ class TestValidateBoundary:
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "escape.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, branch, t",
+        [
+            ("delta = 1e307\n", "down", "399.66666666666663"),
+            ("h = 1e307\n", "up", "399.66666666666663"),
+            ("delta = 1e307\nhist_times = 1; 500\n", "down", "500.0"),
+        ],
+    )
+    def test_overflowing_phase_names_its_branch(self, overrides, branch, t):
+        # The first branch whose phase omega * t overflows at the last time, grid or histogram.
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text(overrides))
+        assert str(err.value) == (
+            f"delta, h: phase omega * t must be finite on the {branch} branch at t = {t}"
+        )
 
     def test_overrides_are_validated(self, tmp_path):
         path = tmp_path / "ok.conf"
@@ -719,14 +735,49 @@ class TestConfigBehavior:
                 assert np.array_equal(got.view(np.int64), want)
 
     def test_preset_parameters_match_captions(self):
-        fig1 = _preset_configs("fig1")
-        assert [c.n for c in fig1] == [2, 10, 80]
-        assert all(c.h == (0.01,) and c.delta == 0.0 and c.alpha_up_sq == 0.4 for c in fig1)
-        fig3 = _preset_configs("fig3")
-        assert [c.delta for c in fig3] == [0.002, 0.01, 0.02, 0.05, 0.1]
-        assert all(c.delta_h == 0.02 and c.h == (0.01,) for c in fig3)
-        bottom = _preset_configs("fig2_bottom")
-        assert [c.h[0] for c in bottom] == [0.01, 0.5, 10.0]
+        # Every field of all 13 preset configs, in order: the values most of them share,
+        # then each config's own.
+        shared = dict(
+            n=10, h=(0.01,), delta=0.0, delta_h=0.02, beta=0.0, alpha_up_sq=0.4, phase=0.0,
+            epsilon=1e-3, t_start=0.0, t_end=400.0, steps=600, method="auto", samples=100_000,
+            seed=0, workers=1, hist_times=(), out="results",
+        )
+        long_grid = dict(t_end=1800.0, steps=2700)
+        own = {
+            "fig1": [
+                dict(n=2, delta_h=0.0, label="N2"),
+                dict(n=10, delta_h=0.0, label="N10"),
+                dict(n=80, delta_h=0.0, label="N80"),
+            ],
+            "fig2_top": [
+                dict(delta_h=0.0, label="const_h", **long_grid),
+                dict(label="dispersed_h", **long_grid),
+            ],
+            "fig2_bottom": [
+                dict(label="h0.01"),
+                dict(h=(0.5,), label="h0.5"),
+                dict(h=(10.0,), label="h10.0"),
+            ],
+            "fig3": [
+                dict(delta=0.002, label="delta0.002"),
+                dict(delta=0.01, label="delta0.01"),
+                dict(delta=0.02, label="delta0.02"),
+                dict(delta=0.05, label="delta0.05"),
+                dict(delta=0.1, label="delta0.1"),
+            ],
+        }
+        assert cli.PRESET_NAMES == ("fig1", "fig2_top", "fig2_bottom", "fig3")
+        assert tuple(own) == cli.PRESET_NAMES
+        for name, configs in own.items():
+            got = [asdict(config) for config in _preset_configs(name)]
+            assert got == [{**shared, **config, "preset": name} for config in configs]
+
+    def test_unknown_preset_names_the_presets(self):
+        with pytest.raises(ConfigError) as err:
+            _preset_configs("fig4")
+        assert str(err.value) == (
+            "unknown preset 'fig4'; expected one of ('fig1', 'fig2_top', 'fig2_bottom', 'fig3')"
+        )
 
 
 SMALL = "n = 4\nh = 0.05\nalpha_up_sq = 0.4\nt_start = 0\nt_end = 40\nsteps = 6\n"
@@ -902,13 +953,13 @@ class TestMain:
         key = "samples" if samples < 1 else "seed"
         assert from_validate.startswith(f"config error: {key}: must be ")
 
-    # oracle-check holds up to selfcheck.ORACLE_DRAW_BYTES per draw: 4,793,490 draws.
+    # oracle-check holds up to selfcheck.ORACLE_DRAW_BYTES per draw: 8,388,608 draws.
     ORACLE_LIMIT = engine.ARRAY_BYTES_CAP // selfcheck.ORACLE_DRAW_BYTES
 
     def test_oracle_check_samples_at_the_budget_accepted(self, monkeypatch):
         calls = []
         monkeypatch.setattr(selfcheck, "run_all", lambda **kwargs: calls.append(kwargs) or [])
-        assert self.ORACLE_LIMIT == 4_793_490
+        assert self.ORACLE_LIMIT == 8_388_608
         assert main(["oracle-check", "--samples", str(self.ORACLE_LIMIT)]) == 0
         assert [c["samples"] for c in calls] == [self.ORACLE_LIMIT]
 
@@ -919,8 +970,8 @@ class TestMain:
         for over in (self.ORACLE_LIMIT + 1, engine.ARRAY_BYTES_CAP // 8):
             assert main(["oracle-check", "--samples", str(over)]) == 1
             assert capsys.readouterr().err == (
-                f"config error: samples: {over} draws take an estimated {56 * over} bytes in "
-                f"oracle-check, which is capped at 268435456 bytes (4793490 draws)\n"
+                f"config error: samples: {over} draws take an estimated {32 * over} bytes in "
+                f"oracle-check, which is capped at 268435456 bytes (8388608 draws)\n"
             )
         assert calls == []
 
@@ -930,7 +981,7 @@ class TestMain:
     ["check_sampler_vs_enumeration", "check_worker_invariance", "check_beta_independence"],
 )
 def test_oracle_check_peak_per_draw_within_its_constant(check, traced):
-    # 48.8, 26.9 and 17.5 bytes per draw measured at 10^6 draws.
+    # 18.3, 26.9 and 17.5 bytes per draw measured at 10^6 draws.
     samples = 10**6
     result, _, peak = traced(lambda: getattr(selfcheck, check)(20260809, samples))
     assert result.ok
@@ -941,21 +992,21 @@ class TestSamplerCheck:
     @pytest.mark.parametrize(
         "count, samples, p",
         [(1, 20_000, 1.8e-6), (0, 20_000, 1.8e-6), (8300, 20_000, 0.4), (7790, 20_000, 0.4),
-         (1210, 2000, 0.6), (0, 10, 0.5), (10, 10, 0.5), (1, 1, 0.3)],
+         (1210, 2000, 0.6), (0, 10, 0.5), (10, 10, 0.5), (1, 1, 0.3),
+         (398_000, 10**6, 0.4), (402_400, 10**6, 0.4)],
     )
     def test_two_sided_tail_matches_scipy(self, count, samples, p):
         from scipy.stats import binom
 
         want = min(1.0, 2.0 * min(binom.cdf(count, samples, p), binom.sf(count - 1, samples, p)))
-        got = selfcheck.binomial_two_sided_p(count, p, engine.log_factorials(samples))
+        got = selfcheck.binomial_two_sided_p(count, p, samples)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_certain_counts(self):
-        log_fact = engine.log_factorials(50)
-        assert selfcheck.binomial_two_sided_p(0, 0.0, log_fact) == 1.0
-        assert selfcheck.binomial_two_sided_p(1, 0.0, log_fact) == 0.0
-        assert selfcheck.binomial_two_sided_p(50, 1.0, log_fact) == 1.0
-        assert selfcheck.binomial_two_sided_p(49, 1.0, log_fact) == 0.0
+        assert selfcheck.binomial_two_sided_p(0, 0.0, 50) == 1.0
+        assert selfcheck.binomial_two_sided_p(1, 0.0, 50) == 0.0
+        assert selfcheck.binomial_two_sided_p(50, 1.0, 50) == 1.0
+        assert selfcheck.binomial_two_sided_p(49, 1.0, 50) == 0.0
 
     @pytest.mark.parametrize(
         "seed, samples",
@@ -973,13 +1024,17 @@ class TestSamplerCheck:
         ks_bound = {20_000: "0.0141", 2000: "0.0447"}[samples]
         assert f"class tails >= 2.25e-04, KS <= {ks_bound}" in result.name
 
-    def test_one_log_count_table_per_check(self, monkeypatch):
-        # The 12 class tails share one log k! table of samples + 1 entries.
-        built = []
-        real = engine.log_factorials
-        monkeypatch.setattr(engine, "log_factorials", lambda n: built.append(n) or real(n))
+    def test_tails_hold_no_array_as_long_as_the_draws(self, monkeypatch, traced):
+        # A tail evaluates the O(sqrt(samples)) counts about samples * p and its count: a
+        # typical count, one whose tail is near 1e-301, and one whose tail underflows.
+        samples = 10**7
+        for count, want in ((4_001_000, 0.52), (3_942_500, 5.1e-302), (3_000_000, 0.0)):
+            got, _, peak = traced(lambda: selfcheck.binomial_two_sided_p(count, 0.4, samples))
+            assert peak < samples
+            assert got == 0.0 if want == 0.0 else want / 100 < got < want * 100
+        # The check builds no table log k! over the draws.
+        monkeypatch.setattr(engine, "log_factorials", None)
         assert selfcheck.check_sampler_vs_enumeration(20260813, 2000).ok
-        assert built == [2000]
 
     def test_biased_sampler_fails(self, monkeypatch):
         draw = engine.sample_outcomes

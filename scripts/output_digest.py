@@ -15,6 +15,9 @@ log C(N, k)), a binomial run of 300 points at N = 1000 (two profile
 windows) whose grid holds the down branch's node times, a binomial run
 of 3 points at N = 10^6 with one histogram time off its grid, written
 as JSON only (its points fill the table log k! where they read it),
+binomial grids across block boundaries (N = 80 on two blocks and one
+time, with histogram times on a grid time of an earlier block and off
+the grid, and N = 10^5 with disjoint flip-count spans),
 one-point dispersed exact runs at N = 15, 16, 17 and 20: the largest N whose
 time is one tile of patterns, then two, four and 32 tiles, dispersed
 exact runs of 7 times at N = 11 and 12, in blocks of 4 and 2 times whose
@@ -108,6 +111,29 @@ def _large_binomial_config() -> ExperimentConfig:
     )
 
 
+def _binomial_block_configs() -> list[ExperimentConfig]:
+    """Binomial grids across block boundaries: N = 80 on 51 points, N = 10^5 with disjoint spans.
+
+    At N = 80 a block is 25 times, so the 51 points (t = 4, 12, ..., 404)
+    are two full blocks and one of a single time.  Its histogram times
+    are t = 12, a grid time of the first block, read after the last
+    block, and t = 123.4, off the grid.  At N = 10^5 and delta = 0.05
+    each of the 6 points in [25, 26] has two disjoint flip-count spans,
+    one per branch.
+    """
+    base = dict(h=(0.01,), alpha_up_sq=0.4, method="binomial")
+    return [
+        ExperimentConfig(
+            **base, n=80, t_end=408.0, steps=51, hist_times=(12.0, HIST_TIMES[1]),
+            label="binomial_blocks_n80",
+        ),
+        ExperimentConfig(
+            **base, n=10**5, delta=0.05, t_start=25.0, t_end=26.0, steps=6,
+            label="binomial_disjoint_n1e5",
+        ),
+    ]
+
+
 def _tile_configs() -> list[ExperimentConfig]:
     """One dispersed exact point (t = 100) at N = 15, 16, 17 and 20: 1, 2, 4 and 32 tiles of patterns."""
     base = dict(h=(0.01,), delta_h=0.02, delta=0.01, alpha_up_sq=0.4, method="exact")
@@ -172,6 +198,7 @@ def write_outputs(out: Path) -> None:
         ("couplings", _coupling_configs()),
         ("odd_n", [_odd_n_config()]),
         ("windows", [_window_config()]),
+        ("binomial_blocks", _binomial_block_configs()),
         ("tiles", _tile_configs()),
         ("blocks", _block_configs()),
         ("frozen_spin", [_frozen_spin_config()]),

@@ -14,7 +14,9 @@ distribution of the up-projection u = w_up W_up / (w_up W_up + w_down W_down):
 * enumerate all 2^N patterns (N <= 20),
 * reduce to flip counts when all h_j are equal (N + 1 atoms, any N; a
   point evaluates only the O(sqrt N) counts a tail bound lets reach
-  1e-300, ``binomial_spans``),
+  1e-300, ``binomial_spans``, and a grid evaluates a block of
+  consecutive times in one set of ufunc calls and one merge,
+  ``BinomialGrid``),
 * draw patterns directly from the mixture (any N, exact sampling).
 
 All pattern weights accumulate in log domain; u is evaluated through
@@ -28,6 +30,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +95,14 @@ SAMPLE_THREAD_SPIN_BYTES = 40
 # 16384- and 32768-atom blocks run ``figures`` 12% and 21% faster but
 # raise its peak memory 17% and 100% (ROADMAP, "Measured to pay").
 GRID_BLOCK_ATOMS = 12288
+# Entries (times x flip counts) of a binomial grid's block: a grid
+# evaluates max(1, BINOMIAL_BLOCK_ENTRIES // (N + 1)) consecutive times at
+# once (``BinomialGrid``): 25 at N = 80, and one from N = 1024 on, where
+# two times' counts exceed the budget.  A block's B x W arrays, four
+# floats per entry, and the kept atoms' merge stay below an exact block's
+# three GRID_BLOCK_ATOMS arrays: ``figures``' N = 80 run peaks at about
+# 130 KB, its N = 10 exact run at about 350 KB.
+BINOMIAL_BLOCK_ENTRIES = GRID_BLOCK_ATOMS // 6
 # Elements of numpy's ufunc buffer while an exact route runs
 # (``_grid_state``, set once per grid), so ``pattern_log_weights``
 # doubles at this size.  numpy buffers an add's broadcast factors and,
@@ -642,7 +653,7 @@ def binomial_spin(params: ModelParams) -> ModelParams:
 
 
 class BinomialGrid:
-    """A binomial model's table log k! and both branches' one-spin profiles over its grid.
+    """A binomial model's table log k!, its one-spin profiles over its grid, and its current block.
 
     params is the model, whose couplings must be equal, and times its
     grid, 1-D and strictly increasing (empty for a run of one-time
@@ -652,11 +663,21 @@ class BinomialGrid:
     Row k of such a call is bit for bit the profile at times[k] alone,
     so a point's profiles do not depend on the grid.  The table
     log_fact holds N + 1 floats but starts unset (NaN) except log N!:
-    each point fills the counts it reads (``fill``), so a run computes
-    log k! only over the union of its points' spans, with the bits of
-    ``log_factorials(N)``.  filled lists the ranges set so far.  The
-    profiles never change, the table only gains entries (one caller at
-    a time), and the grid serves this params object alone
+    each block fills the counts it reads (``fill``), so a run computes
+    log k! only over the union of its blocks' spans, with the bits of
+    ``log_factorials(N)``.  filled lists the ranges set so far.
+
+    The grid falls into blocks of step = max(1, BINOMIAL_BLOCK_ENTRIES //
+    (N + 1)) consecutive times: block b holds times[b step:(b + 1) step]
+    (25 times at N = 80, one from N = 1024 on).  ``binomial_outcomes``
+    computes a block, for all its times, at the first touch of one of
+    them, and serves the block's other times from it: block is the last
+    block computed (a ``BinomialBlock``), and block_key the index of its
+    first time and the mixture weights it was computed for.  So a block
+    fills the table for the spans of all its times.  The profiles never
+    change, the table only gains entries, block changes a whole block at
+    a time (one caller at a time), and the grid serves this params
+    object alone
     (``binomial_outcomes`` rejects any other: ``ModelParams`` compares
     by identity).
     """
@@ -671,6 +692,9 @@ class BinomialGrid:
         self.times = np.asarray(times, dtype=float)
         self.up = branch_flip_profile(self.spin, "up", self.times)
         self.down = branch_flip_profile(self.spin, "down", self.times)
+        self.step = max(1, BINOMIAL_BLOCK_ENTRIES // (n + 1))
+        self.block: BinomialBlock | None = None
+        self.block_key = None
 
     def fill(self, lo: int, hi: int) -> None:
         """Set the table's entries lo..hi that no earlier call set.
@@ -692,16 +716,9 @@ class BinomialGrid:
             self.log_fact[cursor : hi + 1] = log_factorials(hi, cursor)
         self.filled = sorted(rest + [merged])
 
-    def profiles(self, t: float) -> tuple[FlipProfile, FlipProfile]:
-        """(up, down) one-spin profiles at t: the grid row when t is a grid time, else their own."""
-        k = int(np.searchsorted(self.times, t))
-        if k == self.times.size or self.times[k] != t:
-            return branch_flip_profile(self.spin, "up", t), branch_flip_profile(self.spin, "down", t)
-        return _profile_row(self.up, k), _profile_row(self.down, k)
 
-
-def _profile_row(profile: FlipProfile, k: int) -> FlipProfile:
-    """Row k of a profile over times, a view of each field.
+def _profile_row(profile: FlipProfile, k) -> FlipProfile:
+    """Row k of a profile over times, or rows k for a slice, a view of each field.
 
     Each field is indexed by name: a generator over the fields leaves
     blocks that tracemalloc still counts after the run.
@@ -758,14 +775,29 @@ def binomial_spans(
     keep + flip = 1 to a few ulp, so its nats budget is positive for any
     N below about 10^18: there is always a span.
     """
-    spans = sorted(
-        span
-        for span in (_branch_span(n, alphas.w_up, up), _branch_span(n, alphas.w_down, down))
-        if span is not None
-    )
-    if len(spans) == 2 and spans[1][0] <= spans[0][1] + 1:
-        spans = [(spans[0][0], max(spans[0][1], spans[1][1]))]
-    return spans
+    spans = (_branch_span(n, alphas.w_up, up), _branch_span(n, alphas.w_down, down))
+    return _span_union(span for span in spans if span is not None)
+
+
+class BinomialBlock(NamedTuple):
+    """The merged atoms of a block of binomial times, row j at the block's time j.
+
+    u and weight hold every row's merged atoms, row after row; row j's
+    are [offsets[j], offsets[j + 1]), and dropped[j] counts its dropped
+    flip counts.
+    """
+
+    u: np.ndarray
+    weight: np.ndarray
+    offsets: np.ndarray
+    dropped: np.ndarray
+
+    def row(self, j: int) -> ProjectionDistribution:
+        """Row j's distribution, views of the block's arrays."""
+        rows = slice(self.offsets[j], self.offsets[j + 1])
+        return ProjectionDistribution(
+            u=self.u[rows], weight=self.weight[rows], kind="binomial", dropped=int(self.dropped[j])
+        )
 
 
 def binomial_outcomes(
@@ -783,115 +815,203 @@ def binomial_outcomes(
     coincide within 1e-12 are merged, so an atom no longer names one
     flip count.  Agrees with enumerate_outcomes exactly (after the same
     merging) wherever both apply.  grid, when given, is the run's
-    ``BinomialGrid``, built for this params object (else ValueError),
-    and a grid time takes its one-spin profiles from the grid's rows
-    (``BinomialGrid.profiles``), with the same bits a time off the grid
-    computes on its own.  Without a grid the call builds one of the
-    single time t.  The grid's table is the route's one array of N + 1
-    floats.
+    ``BinomialGrid``, built for this params object (else ValueError).
+    Without a grid the call builds one of the single time t.  The
+    grid's table is the route's one array of N + 1 floats.
+
+    A grid time returns its row of the grid's current block, which the
+    first call at any of the block's times computes, for these alphas,
+    from the grid's profile rows.  A time off the grid (a histogram
+    time, a grid of no times) computes both one-spin profiles at t and
+    is a block of its own, which the grid does not keep.  Either way one
+    ``_binomial_block`` call forms the atoms, and a row's u, weight and
+    ``dropped`` are bit for bit those of a block of its time alone: the
+    bits depend neither on the block size nor on the order of the
+    calls.  The row's arrays are views of the block's.
 
     Only the flip counts in ``binomial_spans`` are evaluated, O(sqrt N)
     of them (at N = 10^5 and h = 0.01 about 0.5% of the counts for the
-    up branch and 9% for the down one; all at N = 80).  A tail
-    bound proves that every other count's term lies under 1e-300 / 2 by
-    WINDOW_MARGIN = 8 nats on each branch, far more than the float error
-    of a computed log weight (about 1e-8 nats at N = 10^6), so the full
-    range would drop it too; it is counted in ``dropped`` without being
-    computed.  Before any span is evaluated the grid fills its table
-    over each span [lo, hi] and its mirror [N - hi, N - lo]
-    (``BinomialGrid.fill``), each gap in one temporary no longer than
-    the span, freed before the span's own arrays exist.
-
-    Each span is evaluated on its own (``_span_atoms``), in four float
-    arrays of its length besides log_fact, all freed before the merge
-    of the kept atoms.  One holds k in ascending order and one N - k,
-    both exact.  The k buffer takes the down branch's log weight
-    (N - k) log keep + k log flip, and the N - k buffer its keep term and
-    then its weighted term; the up branch's log weight takes the third,
-    and the fourth its flip term, then the span's log C(N, k) =
-    (log N! - log k!) - log (N - k)!, then the up and the mixed weight.
-    The zero-count term of each sum is 0.0 (not 0 * -inf), and every
-    kept entry takes the same IEEE operations as the closed form
-    (n - k) * log keep + k * log flip over all N + 1 counts, so u,
-    weight, ``dropped`` and the merge are its bits.
+    up branch and 9% for the down one; all at N = 80).  A tail bound
+    proves that every other count's term lies under 1e-300 / 2 by
+    WINDOW_MARGIN = 8 nats on each branch, far more than the float
+    error of a computed log weight (about 1e-8 nats at N = 10^6), so the
+    full range would drop it too; it is counted in ``dropped`` without
+    being computed.  Every kept count takes the IEEE operations of the
+    closed form (n - k) * log keep + k * log flip over all N + 1 counts
+    (``_count_atoms``), so u, weight, ``dropped`` and the merge are its
+    bits.
     """
-    n = params.n_env
     if grid is None:
         grid = BinomialGrid(params, (t,))
     elif grid.params is not params:
         raise ValueError("the binomial grid was built for another model")
-    branches = grid.profiles(t) + _mixture(alphas)[2:]
-    spans = binomial_spans(n, alphas, *branches[:2])
+    k = int(grid.times.searchsorted(t))
+    if k == grid.times.size or grid.times[k] != t:
+        times = np.array([t], dtype=float)
+        up, down = (branch_flip_profile(grid.spin, branch, times) for branch in ("up", "down"))
+        return _binomial_block(grid, alphas, up, down).row(0)
+    first = k - k % grid.step
+    key = (first, alphas.w_up, alphas.w_down)
+    if grid.block_key != key:
+        # The last block goes before this one's arrays exist.
+        grid.block = grid.block_key = None
+        rows = slice(first, first + grid.step)
+        grid.block = _binomial_block(
+            grid, alphas, _profile_row(grid.up, rows), _profile_row(grid.down, rows)
+        )
+        grid.block_key = key
+    return grid.block.row(k - first)
+
+
+def _binomial_block(
+    grid: BinomialGrid, alphas: SystemAmplitudes, up: FlipProfile, down: FlipProfile
+) -> BinomialBlock:
+    """The merged atoms of the B times whose one-spin profiles are up and down, B x 1 fields.
+
+    Row j's flip counts are ``binomial_spans`` at its time; the block
+    evaluates the union of its rows' spans, a list of disjoint intervals
+    (not their hull), for every row at once.  A count of the union that
+    lies outside a row's own spans weighs under the floor there by the
+    spans' margin, so that row drops it as a row of its own would drop
+    it unevaluated.  Before the atoms are formed the grid fills its
+    table over each interval [lo, hi] of the union and its mirror
+    [N - hi, N - lo] (``BinomialGrid.fill``).  ``_count_atoms`` forms
+    the kept atoms and ``_merge_rows`` merges each row's.
+    """
+    n = grid.params.n_env
+    spans: list[tuple[int, int]] = []
+    for j in range(up.keep.shape[0]):
+        own = binomial_spans(n, alphas, _profile_row(up, j), _profile_row(down, j))
+        spans = _span_union(spans + own)
+        if spans == [(0, n)]:
+            break  # every count already: the later rows' spans cannot widen the union
     for lo, hi in spans:
         grid.fill(lo, hi)
         grid.fill(n - hi, n - lo)
-    parts = [_span_atoms(n, alphas, branches, grid.log_fact, lo, hi) for lo, hi in spans]
-    u, weight = map(np.concatenate, zip(*parts))
-    return merge_by_u(
-        ProjectionDistribution(u=u, weight=weight, kind="binomial", dropped=n + 1 - u.size)
-    )
+    u, weight, kept = _count_atoms(n, _mixture(alphas), up, down, spans, grid.log_fact)
+    return BinomialBlock(*_merge_rows(u, weight, kept), n + 1 - kept)
 
 
-def _span_atoms(n, alphas, branches, log_fact, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """(u, weight) of the kept flip counts k = lo..hi of ``binomial_outcomes``, ascending in k.
+def _span_union(spans) -> list[tuple[int, int]]:
+    """The spans [lo, hi] as ascending, disjoint intervals; overlapping or adjacent spans join."""
+    union: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if union and lo <= union[-1][1] + 1:
+            union[-1] = (union[-1][0], max(union[-1][1], hi))
+        else:
+            union.append((lo, hi))
+    return union
 
-    log_fact is the grid's table, set at n and over [lo, hi] and
-    [n - hi, n - lo]; the span's log C(n, k) is formed in the flip-term
-    buffer once the up log weight has taken that term.
+
+def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, weight, kept) of a block's kept flip counts: atoms row after row, ascending in k.
+
+    mix is ``_mixture(alphas)``, up and down the rows' one-spin
+    profiles (B x 1 fields), spans the ascending intervals of counts
+    the block evaluates, W counts in all, and log_fact the grid's table,
+    set at n and over each interval and its mirror.  kept[j] counts row
+    j's atoms.  Each of both branches' log weights, the span's log
+    C(n, k) = (log N! - log k!) - log (N - k)!, the mixed weight and u
+    takes one B x W ufunc call, with the IEEE operations of the closed
+    form (n - k) * log keep + k * log flip over all N + 1 counts at each
+    time alone; the zero-count term of each sum is 0.0 (not 0 * -inf).
+    So u, weight and the kept set are its bits.
+
+    The arrays are formed in place: four B x W floats (the up log
+    weight, the up flip term, then log C and the up and mixed weights,
+    the down log weight, and the down keep term, then the down weight)
+    and three W-vectors (k, N - k and log C).  A block of one row, as
+    at large N, forms the down branch's terms in the k and N - k
+    vectors and log C in the up flip term's row, as one span did: four
+    W-sized floats.
     """
-    up, down, lw_up, lw_down = branches
-    n_minus_k = np.arange(n - lo, n - hi - 1, -1, dtype=float)
-    k = np.arange(lo, hi + 1, dtype=float)
+    w_up, w_down, lw_up, lw_down = mix
+    one_row = up.keep.shape[0] == 1
+    k = np.concatenate([np.arange(lo, hi + 1, dtype=float) for lo, hi in spans])
+    n_minus_k = np.subtract(n, k)
     # 0 * (-inf) would be nan; the keep terms at k = N and the flip terms at k = 0 are set to 0.0.
     with np.errstate(invalid="ignore"):
-        log_wu = np.multiply(n_minus_k, up.log_keep[0])
-        flip_up = np.multiply(k, up.log_flip[0])
-        log_wd = np.multiply(k, down.log_flip[0], out=k)
-        keep_down = np.multiply(n_minus_k, down.log_keep[0], out=n_minus_k)
-        if hi == n:
-            log_wu[-1] = keep_down[-1] = 0.0
-        if lo == 0:
-            flip_up[0] = log_wd[0] = 0.0
+        log_wu = np.multiply(n_minus_k, up.log_keep)
+        flip_up = np.multiply(k, up.log_flip)
+        log_wd = np.multiply(k, down.log_flip, out=k[None] if one_row else None)
+        keep_down = np.multiply(n_minus_k, down.log_keep, out=n_minus_k[None] if one_row else None)
+        if spans[-1][1] == n:
+            log_wu[:, -1] = keep_down[:, -1] = 0.0
+        if spans[0][0] == 0:
+            flip_up[:, 0] = log_wd[:, 0] = 0.0
         log_wu += flip_up
         log_wd += keep_down
-    log_count = np.subtract(log_fact[n], log_fact[lo : hi + 1], out=flip_up)
-    log_count -= log_fact[n - hi : n - lo + 1][::-1]
+    log_count = flip_up[0] if one_row else np.empty(k.size)
+    start = 0
+    for lo, hi in spans:
+        part = log_count[start : start + hi - lo + 1]
+        np.subtract(log_fact[n], log_fact[lo : hi + 1], out=part)
+        part -= log_fact[n - hi : n - lo + 1][::-1]
+        start += hi - lo + 1
     with np.errstate(over="ignore"):
         down_weight = np.add(log_count, log_wd, out=keep_down)
         np.exp(down_weight, out=down_weight)
-        down_weight *= alphas.w_down
-        weight = np.add(log_count, log_wu, out=log_count)
+        down_weight *= w_down
+        weight = np.add(log_count, log_wu, out=flip_up)
         np.exp(weight, out=weight)
-        weight *= alphas.w_up
+        weight *= w_up
         weight += down_weight
+    del down_weight, keep_down, log_count
     keep = weight >= WEIGHT_FLOOR
-    return u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep])), weight[keep]
+    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
+    return u, weight[keep], np.count_nonzero(keep, axis=1)
+
+
+def _merge_rows(u, weight, kept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's atoms merged by u: (u, weight, offsets) of the merged atoms, row after row.
+
+    u and weight hold the rows' atoms, row after row, kept[j] of row j;
+    row j's merged atoms are [offsets[j], offsets[j + 1]).  One order
+    for all rows, the order of ``np.lexsort((u, row))``: by row, then by
+    u, stable.  It is formed as lexsort forms it, a stable sort by u and
+    then a stable sort by row, but with the rows in the smallest
+    unsigned type, which numpy radix-sorts: 95 against 155 us for
+    lexsort on ``figures``' 25-row blocks at N = 80.  Within a row a
+    group ends where the next u exceeds the last by more than
+    U_MERGE_TOL = 1e-12, and every row ends one; each group is one
+    ``np.add.reduceat`` segment.  The merged u is the weight-weighted mean of the group
+    (its first u when the group weighs nothing).  A row's result
+    depends on its own atoms alone, bit for bit.
+    """
+    offsets = np.zeros(kept.size + 1, dtype=np.intp)
+    if u.size == 0:
+        return u, weight, offsets
+    rows = np.repeat(np.arange(kept.size, dtype=np.min_scalar_type(kept.size)), kept)
+    order = np.argsort(u, kind="stable")
+    if kept.size > 1:
+        order = order[np.argsort(rows[order], kind="stable")]
+    u_sorted, w_sorted = u[order], weight[order]
+    del order
+    # The rows are ascending already, so the sort leaves them in place.
+    ends = np.diff(u_sorted) > U_MERGE_TOL
+    ends |= rows[1:] != rows[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ends)))
+    del ends
+    w_out = np.add.reduceat(w_sorted, starts)
+    uw_out = np.add.reduceat(u_sorted * w_sorted, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_out = np.where(w_out > 0, uw_out / w_out, u_sorted[starts])
+    np.cumsum(np.bincount(rows[starts], minlength=kept.size), out=offsets[1:])
+    return u_out, w_out, offsets
 
 
 def merge_by_u(dist: ProjectionDistribution) -> ProjectionDistribution:
     """Merge atoms whose u values coincide within U_MERGE_TOL (weights add).
 
-    Sorted by u, a group ends where the next u exceeds the last by more
-    than U_MERGE_TOL = 1e-12.  The merged u is the weight-weighted mean
-    of the group (its first u when the group weighs nothing).  Pattern
-    codes are discarded (a merged atom has no single pattern).
+    The one-row case of ``_merge_rows``, the merge every binomial block
+    runs: sorted by u, a group ends where the next u exceeds the last by
+    more than U_MERGE_TOL = 1e-12, and the merged u is the
+    weight-weighted mean of the group (its first u when the group
+    weighs nothing).  Pattern codes are discarded (a merged atom has no
+    single pattern).
     """
-    if dist.u.size == 0:
-        return dist
-    order = np.argsort(dist.u, kind="stable")
-    u_sorted = dist.u[order]
-    w_sorted = dist.weight[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(u_sorted) > U_MERGE_TOL)))
-    w_out = np.add.reduceat(w_sorted, starts)
-    uw_out = np.add.reduceat(u_sorted * w_sorted, starts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u_out = np.where(w_out > 0, uw_out / w_out, u_sorted[starts])
-    return ProjectionDistribution(
-        u=u_out,
-        weight=w_out,
-        kind=dist.kind,
-        dropped=dist.dropped,
-    )
+    u, weight, _ = _merge_rows(dist.u, dist.weight, np.array([dist.u.size]))
+    return ProjectionDistribution(u=u, weight=weight, kind=dist.kind, dropped=dist.dropped)
 
 
 def _sample_chunk(branches, alphas, seed, chunk_index, u):

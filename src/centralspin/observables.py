@@ -164,9 +164,13 @@ def prepare(
     caller of one-time points).  The run's time-independent work happens
     here, once: binomial builds its ``engine.BinomialGrid`` from params
     over times, whose rows hold both branches' one-spin profiles at
-    every grid time and whose table log k! starts unset, so a grid point
-    only computes the log k! of its spans that no earlier point of the
-    run read, evaluates its spans, merges and classifies; exact-universe
+    every grid time and whose table log k! starts unset.  The grid
+    evaluates its times a block at a time: the first point of a block
+    computes the log k! of the block's spans that no earlier block of
+    the run read, and the atoms of all the block's times in one batch
+    of ufunc calls and one merge; every point then takes its own row,
+    with the bits a block of its time alone gives, and classifies it.
+    A block's cost so falls on its first point.  exact-universe
     builds its sector spectra and thermal ensemble.  Each point function
     looks its engine up in its module at every call, so wrapping
     ``engine.sample_outcomes`` and the like still sees every point.  The
@@ -194,9 +198,9 @@ def distribution_at(prepared, t: float, seed: int = 0) -> engine.ProjectionDistr
     """Projection distribution at one time from the point function ``prepare`` returned.
 
     A one-time caller writes ``distribution_at(prepare(params, alphas,
-    method), t)``; a binomial time on the prepared grid takes its
-    profiles from the grid's rows, any other computes its own, with the
-    same bits.  It stays a named module function, not a bare call of
+    method), t)``; a binomial time on the prepared grid takes its row
+    of the grid's block, any other is a block of its own, with the same
+    bits.  It stays a named module function, not a bare call of
     ``prepared``, because every grid and histogram point of ``evaluate``
     goes through this name: perfbench's tracer times each point by
     wrapping ``observables.distribution_at``, and tests count points by

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import importlib
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from centralspin.cli import (
 )
 from centralspin.core import ModelParams, SystemAmplitudes, dispersed_couplings
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MINIMAL = "n = 10\nh = 0.01\ndelta = 0\nalpha_up_sq = 0.4\n"
 
 
@@ -779,6 +781,22 @@ class TestConfigBehavior:
             "unknown preset 'fig4'; expected one of ('fig1', 'fig2_top', 'fig2_bottom', 'fig3')"
         )
 
+    @pytest.mark.parametrize("seed", [0, 7, 9999])
+    def test_figures_workload_is_the_presets_on_grids_four_times_coarser(self, seed, monkeypatch):
+        # perfbench/workloads.py spells the 13 preset configs out a second time; a preset
+        # change that did not reach the figures workload would show here.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workload = importlib.import_module("workloads").WORKLOADS["figures"]
+        got = [asdict(config) for config in workload.configs(seed)]
+        want = [
+            asdict(replace(config, steps=config.steps // 4, seed=seed))
+            for name in cli.PRESET_NAMES
+            for config in _preset_configs(name)
+        ]
+        assert got == want
+        types = [[list(map(type, c.values())) for c in configs] for configs in (got, want)]
+        assert types[0] == types[1]
+
 
 SMALL = "n = 4\nh = 0.05\nalpha_up_sq = 0.4\nt_start = 0\nt_end = 40\nsteps = 6\n"
 
@@ -794,6 +812,18 @@ class TestRunAndEmit:
         record, _, peak = traced(lambda: run_config(config))
         assert record.series.times.size == 2
         assert peak < 8 * (n + 1) + 4 * 1024 * 1024
+
+    def test_binomial_grid_peaks_below_the_exact_grid(self, traced):
+        # fig1's N = 80 config on the figures workload's 150 points, in blocks of 25 times,
+        # peaks below its N = 10 exact config on the same grid, so the blocks cannot raise
+        # the peak of a run of the figure configs.
+        exact, binomial = (replace(c, steps=150) for c in _preset_configs("fig1")[1:])
+        assert (exact.resolved_method(), binomial.resolved_method()) == ("exact", "binomial")
+        peaks = []
+        for config in (exact, binomial):
+            run_config(config)
+            peaks.append(traced(lambda: run_config(config))[2])
+        assert peaks[1] < peaks[0]
 
     def test_run_config_record(self):
         record = run_config(parse_config(SMALL))

@@ -513,6 +513,114 @@ class TestBinomialSpans:
                 binomial_outcomes(mine, ALPHAS, t, grid=grid)
 
 
+def _int_bits(values):
+    """The int64 bits of a float array or of a list of floats."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_same_atoms(got, want, where):
+    """Two binomial distributions with the same u and weight bits and the same dropped count."""
+    assert np.array_equal(_int_bits(got.u), _int_bits(want.u)), where
+    assert np.array_equal(_int_bits(got.weight), _int_bits(want.weight)), where
+    assert got.dropped == want.dropped, where
+
+
+class TestBinomialBlocks:
+    """A block of grid times gives every time the bits a block of that time alone gives."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 80, 1000, 10**5])
+    def test_blocks_equal_blocks_of_one(self, n, monkeypatch):
+        p = ModelParams(delta=0.1, h=np.full(n, 0.02))
+        step = BinomialGrid(p).step
+        assert step == max(1, engine.BINOMIAL_BLOCK_ENTRIES // (n + 1))
+        # t = 0, both branches' first two node times, then even times up to 2 * step + 1 in
+        # all: the last block holds one time.
+        special = [0.0] + _node_times(p, "up", 2) + _node_times(p, "down", 2)
+        extra = np.linspace(0.5, 600.0, max(0, 2 * step + 1 - len(special)))
+        times = np.unique(np.concatenate((special, extra)))
+        assert times.size % step == 1 % step
+        # One histogram time on a grid time of the first block, one off the grid.
+        hist_times = (float(times[1]), float(times[1] + times[2]) / 2)
+        for w_up in (0.0, 0.4, 1.0):
+            alphas = SystemAmplitudes.from_up_weight(w_up)
+            series, hists = observables.evaluate(p, alphas, times, hist_times, method="binomial")
+            grid = BinomialGrid(p, times)
+            with monkeypatch.context() as one:
+                one.setattr(engine, "BINOMIAL_BLOCK_ENTRIES", 1)
+                ones = BinomialGrid(p, times)
+            assert ones.step == 1
+            want = []
+            for t in times.tolist() + list(hist_times):
+                got = binomial_outcomes(p, alphas, t, grid=grid)
+                want.append(binomial_outcomes(p, alphas, t, grid=ones))
+                _assert_same_atoms(got, want[-1], (w_up, t))
+            # The one-time call, a grid of its own time, is a block of one too.
+            for t, dist in zip(hist_times, want[times.size :]):
+                _assert_same_atoms(binomial_outcomes(p, alphas, t), dist, (w_up, t))
+            # evaluate's masses and histograms are those of the blocks of one.
+            masses = np.array([observables.class_probabilities(d) for d in want[: times.size]]).T
+            got = np.stack((series.p_up, series.p_down, series.p_q))
+            assert np.array_equal(_int_bits(got), _int_bits(masses)), w_up
+            assert series.dropped == sum(d.dropped for d in want[: times.size])
+            for (t, hist), dist in zip(hists, want[times.size :]):
+                ref = observables.histogram(dist)
+                for field in ("bin_mass", "mass_zero", "mass_one"):
+                    got, ref_field = (_int_bits(getattr(h, field)) for h in (hist, ref))
+                    assert np.array_equal(got, ref_field), (w_up, t, field)
+
+    def test_disjoint_spans_stay_apart_in_a_block(self, monkeypatch):
+        # Blocks of four times at N = 1e5: a block evaluates the union of its times' spans as
+        # disjoint intervals, and every time keeps the bits of a block of its own.
+        n = 10**5
+        p = ModelParams(delta=0.05, h=np.full(n, 0.01))
+        blocks = []
+        real = engine._count_atoms
+
+        def recorded(n, mix, up, down, spans, log_fact):
+            blocks.append((up.keep.shape[0], spans))
+            return real(n, mix, up, down, spans, log_fact)
+
+        monkeypatch.setattr(engine, "_count_atoms", recorded)
+        monkeypatch.setattr(engine, "BINOMIAL_BLOCK_ENTRIES", 4 * (n + 1))
+        # Close times where both branches have a span, far apart.
+        times = np.linspace(25.0, 26.0, 10)
+        grid = BinomialGrid(p, times)
+        assert grid.step == 4
+        for t in times.tolist():
+            got = binomial_outcomes(p, ALPHAS, t, grid=grid)
+            _assert_same_atoms(got, binomial_outcomes(p, ALPHAS, t), t)
+        several = [spans for rows, spans in blocks if rows > 1]
+        assert len(several) == 3
+        for spans in several:
+            assert len(spans) == 2
+            assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+            assert sum(hi - lo + 1 for lo, hi in spans) < spans[-1][1] - spans[0][0] + 1
+
+    def test_block_is_computed_once_per_mixture(self, monkeypatch):
+        # Every time of a block is served from one computation; another mixture computes it
+        # again, and a time off the grid computes a block of its own that the grid keeps not.
+        n = 80
+        p = ModelParams(delta=0.1, h=np.full(n, 0.02))
+        times = np.linspace(1.0, 400.0, 60)
+        grid = BinomialGrid(p, times)
+        computed = []
+        real = engine._binomial_block
+
+        def recorded(grid, alphas, up, down):
+            computed.append(up.keep.shape[0])
+            return real(grid, alphas, up, down)
+
+        monkeypatch.setattr(engine, "_binomial_block", recorded)
+        for t in times.tolist():
+            binomial_outcomes(p, ALPHAS, t, grid=grid)
+        assert computed == [25, 25, 10]
+        kept = grid.block
+        binomial_outcomes(p, ALPHAS, 2.5, grid=grid)
+        assert computed[3:] == [1] and grid.block is kept
+        binomial_outcomes(p, SystemAmplitudes.from_up_weight(0.7), float(times[-1]), grid=grid)
+        assert computed[4:] == [10] and grid.block is not kept
+
+
 class TestSampling:
     def test_initial_time_all_samples_equal(self):
         p = ModelParams(delta=0.0, h=(0.01,) * 12)
@@ -924,13 +1032,25 @@ class TestMergeByU:
         assert np.all(np.abs(got.u - want_u) <= (4 * (sizes - 1) + 1) * eps * want_u)
 
     def test_binomial_groups_equal_group_loop(self, monkeypatch):
+        # The raw atoms are a one-time block's unmerged atoms, as its merge receives them;
+        # merging them alone gives the point's atoms bit for bit.
         p = ModelParams(delta=0.1, h=(0.02,) * 100_000)
+        real = engine._merge_rows
         for t in (0.0, 37.5, 410.0):
-            monkeypatch.setattr(engine, "merge_by_u", lambda dist: dist)
-            raw = binomial_outcomes(p, ALPHAS, t)
+            unmerged = []
+            monkeypatch.setattr(
+                engine, "_merge_rows", lambda *args: unmerged.append(args) or real(*args)
+            )
+            point = binomial_outcomes(p, ALPHAS, t)
             monkeypatch.undo()
+            ((u, weight, kept),) = unmerged
+            assert kept.tolist() == [u.size]
+            raw = engine.ProjectionDistribution(
+                u=u, weight=weight, kind="binomial", dropped=point.dropped
+            )
             want_u, want_w, _ = _merge_loop(raw, engine.U_MERGE_TOL)
             got = merge_by_u(raw)
+            _assert_same_atoms(got, point, t)
             assert got.u.size == want_u.size
             assert np.all(np.abs(got.u - want_u) <= 4 * np.spacing(np.maximum(want_u, 1e-300)))
             assert np.all(np.abs(got.weight - want_w) <= 4 * np.spacing(np.maximum(want_w, 1e-300)))

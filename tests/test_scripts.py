@@ -39,13 +39,13 @@ def test_reproduce_figures_writes_every_listed_file(tmp_path):
 
 def test_output_digest_prints_one_digest_per_file():
     # Four presets, four workloads at two seeds, the histogram, coupling, odd-N binomial,
-    # windowed binomial, tiled exact, multi-time exact block, frozen-spin exact,
-    # one-draw-last-chunk sampled and edge-case dense-oracle runs, in csv and json, and the
-    # N = 1e6 binomial run in json alone.
+    # windowed binomial, binomial block, tiled exact, multi-time exact block, frozen-spin
+    # exact, one-draw-last-chunk sampled and edge-case dense-oracle runs, in csv and json,
+    # and the N = 1e6 binomial run in json alone.
     done = _run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 137
+    assert len(lines) == 141
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.(csv|json)", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
@@ -72,6 +72,20 @@ def test_output_digest_builds_its_configs(monkeypatch):
     assert windows.resolved_method() == "binomial"
     assert (windows.n, windows.steps) == (1000, 300)
     configs.append(windows)
+    blocks, disjoint = digest._binomial_block_configs()
+    # Two blocks of 25 times and one of a single time; histogram times on a grid time of the
+    # first block and off the grid.
+    step = engine.BinomialGrid(blocks.params()).step
+    times = blocks.grid().tolist()
+    assert (blocks.n, step, len(times), blocks.resolved_method()) == (80, 25, 51, "binomial")
+    on_grid, off_grid = blocks.hist_times
+    assert times.index(on_grid) < step and off_grid not in times
+    assert (disjoint.n, disjoint.resolved_method()) == (10**5, "binomial")
+    spin = engine.binomial_spin(disjoint.params())
+    for t in disjoint.grid().tolist():
+        up, down, _, _ = engine._log_branch_pair(spin, disjoint.alphas(), t)
+        assert len(engine.binomial_spans(disjoint.n, disjoint.alphas(), up, down)) == 2
+    configs += [blocks, disjoint]
     large = digest._large_binomial_config()
     assert (large.n, large.steps, large.resolved_method()) == (10**6, 3, "binomial")
     assert len(large.hist_times) == 1 and large.hist_times[0] not in large.grid().tolist()

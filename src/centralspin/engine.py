@@ -14,8 +14,9 @@ distribution of the up-projection u = w_up W_up / (w_up W_up + w_down W_down):
 * enumerate all 2^N patterns (N <= 20),
 * reduce to flip counts when all h_j are equal (N + 1 atoms, any N; a
   point evaluates only the O(sqrt N) counts a tail bound lets reach
-  1e-300, ``binomial_spans``, and a grid evaluates a block of
-  consecutive times in one set of ufunc calls and one merge,
+  1e-300, ``binomial_spans`` at the radius of ``count_span``, and a
+  grid evaluates a block of consecutive times in one set of ufunc calls
+  and one merge into a list of the times' distributions,
   ``BinomialGrid``),
 * draw patterns directly from the mixture (any N, exact sampling).
 
@@ -30,7 +31,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -672,8 +672,9 @@ class BinomialGrid:
     (25 times at N = 80, one from N = 1024 on).  ``binomial_outcomes``
     computes a block, for all its times, at the first touch of one of
     them, and serves the block's other times from it: block is the last
-    block computed (a ``BinomialBlock``), and block_key the index of its
-    first time and the mixture weights it was computed for.  So a block
+    block computed, the list of its rows' distributions, and block_key
+    the index of its first time and the mixture weights it was computed
+    for.  So a block
     fills the table for the spans of all its times.  The profiles never
     change, the table only gains entries, block changes a whole block at
     a time (one caller at a time), and the grid serves this params
@@ -693,28 +694,27 @@ class BinomialGrid:
         self.up = branch_flip_profile(self.spin, "up", self.times)
         self.down = branch_flip_profile(self.spin, "down", self.times)
         self.step = max(1, BINOMIAL_BLOCK_ENTRIES // (n + 1))
-        self.block: BinomialBlock | None = None
+        self.block: list[ProjectionDistribution] | None = None
         self.block_key = None
 
     def fill(self, lo: int, hi: int) -> None:
         """Set the table's entries lo..hi that no earlier call set.
 
-        filled stays sorted, with no two ranges overlapping or adjacent.
-        Each gap of [lo, hi] between them is one ``log_factorials`` call,
-        no longer than [lo, hi] itself, so an entry is computed once.
+        Each gap of [lo, hi] between the ranges of filled is one
+        ``log_factorials`` call, no longer than [lo, hi] itself, so an
+        entry is computed once.  filled then takes [lo, hi] through
+        ``_span_union``: sorted, with no two ranges overlapping or adjacent.
         """
-        rest, cursor, merged = [], lo, (lo, hi)
+        cursor = lo
         for a, b in self.filled:
-            if b + 1 < lo or a > hi + 1:
-                rest.append((a, b))
-                continue
+            if a > hi:
+                break
             if cursor < a:
                 self.log_fact[cursor:a] = log_factorials(a - 1, cursor)
             cursor = max(cursor, b + 1)
-            merged = (min(merged[0], a), max(merged[1], b))
         if cursor <= hi:
             self.log_fact[cursor : hi + 1] = log_factorials(hi, cursor)
-        self.filled = sorted(rest + [merged])
+        self.filled = _span_union(self.filled + [(lo, hi)])
 
 
 def _profile_row(profile: FlipProfile, k) -> FlipProfile:
@@ -726,6 +726,32 @@ def _profile_row(profile: FlipProfile, k) -> FlipProfile:
     return FlipProfile(profile.keep[k], profile.flip[k], profile.log_keep[k], profile.log_flip[k])
 
 
+def count_span(n: int, p: float, q: float, nats: float) -> tuple[int, int]:
+    """The counts [lo, hi] of Binomial(n, p) outside which the pmf lies under exp(-nats).
+
+    q is 1 - p as the caller forms it, and nats >= 0.  Two tail bounds
+    give a radius r beyond which |k - np| puts Bin(k; n, p) there, and
+    the span takes the smaller, clipped to [0, n]:
+
+    * Chernoff's Bin(k; n, p) <= exp(-n D(k/n || p)), relaxed by
+      Pinsker's inequality D >= 2 (k/n - p)^2 (Chernoff 1952, Hoeffding
+      1963): r^2 = n nats / 2;
+    * Bernstein's exp(-d^2 / (2 (sigma^2 + d / 3))) on either tail at
+      distance d from np, sigma^2 = n p q (Boucheron, Lugosi & Massart,
+      Concentration Inequalities, 2013, Thm 2.10; each Bernoulli lies
+      within 1 of its mean): r = nats / 3 + sqrt(nats^2 / 9 + 2 nats
+      sigma^2), far narrower where p is far from 1/2.
+
+    This is the only place the radius is formed: a binomial point's
+    branch spans (``binomial_spans``) and the sums of
+    ``selfcheck.binomial_two_sided_p`` both take it from here.
+    """
+    variance = n * p * q
+    bernstein = nats / 3 + math.sqrt(nats * nats / 9 + 2 * nats * variance)
+    center, r = n * p, min(math.sqrt(n / 2 * nats), bernstein)
+    return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
+
+
 def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int] | None:
     """The flip counts [lo, hi] of one branch's terms that can reach the weight floor, or None.
 
@@ -733,19 +759,8 @@ def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int]
     the count-k term is weight * s^n * Bin(k; n, p), and it lies under
     WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN) once Bin(k; n, p) is below
     exp(-c), c = log weight + n log s - log(WEIGHT_FLOOR / 2) +
-    WINDOW_MARGIN nats.  Two tail bounds give a radius r beyond which
-    |k - np| puts it there, and the span takes the smaller:
-
-    * Chernoff's Bin(k; n, p) <= exp(-n D(k/n || p)), relaxed by
-      Pinsker's inequality D >= 2 (k/n - p)^2 (Chernoff 1952, Hoeffding
-      1963): r^2 = n c / 2;
-    * Bernstein's exp(-d^2 / (2 (sigma^2 + d / 3))) on either tail at
-      distance d from np, sigma^2 = n p (1 - p) with 1 - p = keep / s
-      (Boucheron, Lugosi & Massart, Concentration Inequalities, 2013,
-      Thm 2.10; each Bernoulli lies within 1 of its mean): r = c / 3 +
-      sqrt(c^2 / 9 + 2 c sigma^2), far narrower where p is far from 1/2.
-
-    A zero weight or a negative c leaves no count.
+    WINDOW_MARGIN nats: outside ``count_span(n, p, keep / s, c)``.  A
+    zero weight or a negative c leaves no count.
     """
     if weight == 0.0:
         return None
@@ -754,11 +769,7 @@ def _branch_span(n: int, weight: float, profile: FlipProfile) -> tuple[int, int]
     nats = math.log(weight) + n * math.log(s) - math.log(WEIGHT_FLOOR / 2) + WINDOW_MARGIN
     if nats < 0.0:
         return None
-    p = flip / s
-    variance = n * p * (keep / s)
-    bernstein = nats / 3 + math.sqrt(nats * nats / 9 + 2 * nats * variance)
-    center, r = n * p, min(math.sqrt(n / 2 * nats), bernstein)
-    return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
+    return count_span(n, flip / s, keep / s, nats)
 
 
 def binomial_spans(
@@ -768,8 +779,9 @@ def binomial_spans(
 
     up and down are the one-spin profiles of both branches at one time.
     Each branch with positive weight gives one span (``_branch_span``,
-    the smaller of a Pinsker and a Bernstein radius about np); overlapping
-    or adjacent spans are merged.  A count outside every span has both
+    the smaller of a Pinsker and a Bernstein radius about np from
+    ``count_span``); overlapping or adjacent spans are merged
+    (``_span_union``).  A count outside every span has both
     terms below WEIGHT_FLOOR / 2 * exp(-WINDOW_MARGIN), so its weight is
     below the floor by that margin.  One branch weighs at least 1/2 and
     keep + flip = 1 to a few ulp, so its nats budget is positive for any
@@ -777,27 +789,6 @@ def binomial_spans(
     """
     spans = (_branch_span(n, alphas.w_up, up), _branch_span(n, alphas.w_down, down))
     return _span_union(span for span in spans if span is not None)
-
-
-class BinomialBlock(NamedTuple):
-    """The merged atoms of a block of binomial times, row j at the block's time j.
-
-    u and weight hold every row's merged atoms, row after row; row j's
-    are [offsets[j], offsets[j + 1]), and dropped[j] counts its dropped
-    flip counts.
-    """
-
-    u: np.ndarray
-    weight: np.ndarray
-    offsets: np.ndarray
-    dropped: np.ndarray
-
-    def row(self, j: int) -> ProjectionDistribution:
-        """Row j's distribution, views of the block's arrays."""
-        rows = slice(self.offsets[j], self.offsets[j + 1])
-        return ProjectionDistribution(
-            u=self.u[rows], weight=self.weight[rows], kind="binomial", dropped=int(self.dropped[j])
-        )
 
 
 def binomial_outcomes(
@@ -849,7 +840,7 @@ def binomial_outcomes(
     if k == grid.times.size or grid.times[k] != t:
         times = np.array([t], dtype=float)
         up, down = (branch_flip_profile(grid.spin, branch, times) for branch in ("up", "down"))
-        return _binomial_block(grid, alphas, up, down).row(0)
+        return _binomial_block(grid, alphas, up, down)[0]
     first = k - k % grid.step
     key = (first, alphas.w_up, alphas.w_down)
     if grid.block_key != key:
@@ -860,13 +851,13 @@ def binomial_outcomes(
             grid, alphas, _profile_row(grid.up, rows), _profile_row(grid.down, rows)
         )
         grid.block_key = key
-    return grid.block.row(k - first)
+    return grid.block[k - first]
 
 
 def _binomial_block(
     grid: BinomialGrid, alphas: SystemAmplitudes, up: FlipProfile, down: FlipProfile
-) -> BinomialBlock:
-    """The merged atoms of the B times whose one-spin profiles are up and down, B x 1 fields.
+) -> list[ProjectionDistribution]:
+    """The distributions of the B times whose one-spin profiles are up and down, B x 1 fields.
 
     Row j's flip counts are ``binomial_spans`` at its time; the block
     evaluates the union of its rows' spans, a list of disjoint intervals
@@ -876,7 +867,9 @@ def _binomial_block(
     it unevaluated.  Before the atoms are formed the grid fills its
     table over each interval [lo, hi] of the union and its mirror
     [N - hi, N - lo] (``BinomialGrid.fill``).  ``_count_atoms`` forms
-    the kept atoms and ``_merge_rows`` merges each row's.
+    the kept atoms and ``_merge_rows`` merges each row's.  Row j of the
+    list is the block's time j: its u and weight are views of the merged
+    arrays, and its ``dropped`` counts the flip counts it did not keep.
     """
     n = grid.params.n_env
     spans: list[tuple[int, int]] = []
@@ -889,7 +882,12 @@ def _binomial_block(
         grid.fill(lo, hi)
         grid.fill(n - hi, n - lo)
     u, weight, kept = _count_atoms(n, _mixture(alphas), up, down, spans, grid.log_fact)
-    return BinomialBlock(*_merge_rows(u, weight, kept), n + 1 - kept)
+    u, weight, offsets = _merge_rows(u, weight, kept)
+    ends = offsets.tolist()
+    return [
+        ProjectionDistribution(u[a:b], weight[a:b], "binomial", dropped=n + 1 - count)
+        for a, b, count in zip(ends, ends[1:], kept.tolist())
+    ]
 
 
 def _span_union(spans) -> list[tuple[int, int]]:
@@ -910,9 +908,10 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
     profiles (B x 1 fields), spans the ascending intervals of counts
     the block evaluates, W counts in all, and log_fact the grid's table,
     set at n and over each interval and its mirror.  kept[j] counts row
-    j's atoms.  Each of both branches' log weights, the span's log
-    C(n, k) = (log N! - log k!) - log (N - k)!, the mixed weight and u
-    takes one B x W ufunc call, with the IEEE operations of the closed
+    j's atoms.  Each of both branches' log weights and the mixed weight
+    and u takes one B x W ufunc call, and log C(n, k) = (log N! - log
+    k!) - log (N - k)! two W-sized ones that read the table at the
+    counts and their mirrors, with the IEEE operations of the closed
     form (n - k) * log keep + k * log flip over all N + 1 counts at each
     time alone; the zero-count term of each sum is 0.0 (not 0 * -inf).
     So u, weight and the kept set are its bits.
@@ -920,14 +919,16 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
     The arrays are formed in place: four B x W floats (the up log
     weight, the up flip term, then log C and the up and mixed weights,
     the down log weight, and the down keep term, then the down weight)
-    and three W-vectors (k, N - k and log C).  A block of one row, as
-    at large N, forms the down branch's terms in the k and N - k
-    vectors and log C in the up flip term's row, as one span did: four
-    W-sized floats.
+    and four W-vectors (the integer counts, whose mirrors N - k replace
+    them to index the table, and the floats k, N - k and log C).  A
+    block of one row, as at large N, forms the down branch's terms in
+    the k and N - k vectors and log C in the up flip term's row: four
+    W-sized floats besides the counts.
     """
     w_up, w_down, lw_up, lw_down = mix
     one_row = up.keep.shape[0] == 1
-    k = np.concatenate([np.arange(lo, hi + 1, dtype=float) for lo, hi in spans])
+    counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
+    k = counts.astype(float)
     n_minus_k = np.subtract(n, k)
     # 0 * (-inf) would be nan; the keep terms at k = N and the flip terms at k = 0 are set to 0.0.
     with np.errstate(invalid="ignore"):
@@ -941,13 +942,10 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
             flip_up[:, 0] = log_wd[:, 0] = 0.0
         log_wu += flip_up
         log_wd += keep_down
-    log_count = flip_up[0] if one_row else np.empty(k.size)
-    start = 0
-    for lo, hi in spans:
-        part = log_count[start : start + hi - lo + 1]
-        np.subtract(log_fact[n], log_fact[lo : hi + 1], out=part)
-        part -= log_fact[n - hi : n - lo + 1][::-1]
-        start += hi - lo + 1
+    log_count = flip_up[0] if one_row else np.empty(counts.size)
+    np.subtract(log_fact[n], log_fact[counts], out=log_count)
+    # The counts turn into their mirrors N - k in place, so the mirror index allocates no W ints.
+    log_count -= log_fact[np.subtract(n, counts, out=counts)]
     with np.errstate(over="ignore"):
         down_weight = np.add(log_count, log_wd, out=keep_down)
         np.exp(down_weight, out=down_weight)
@@ -956,7 +954,7 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
         np.exp(weight, out=weight)
         weight *= w_up
         weight += down_weight
-    del down_weight, keep_down, log_count
+    del down_weight, keep_down, log_count, counts
     keep = weight >= WEIGHT_FLOOR
     u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
     return u, weight[keep], np.count_nonzero(keep, axis=1)

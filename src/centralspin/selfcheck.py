@@ -188,13 +188,13 @@ def binomial_two_sided_p(count: int, p: float, samples: int) -> float:
     p = 0 or 1 the count is certain, so the tail is 1 there and 0
     elsewhere.  Both tails hold pmf(count), and the smaller is at most
     samples + 1 times it, so a tail below the least positive float is 0.0.
-    Otherwise the sums take only the counts within the radius about
-    samples * p past which the smaller of a Pinsker and a Bernstein bound
-    (as in ``engine._branch_span``) puts the pmf under pmf(count) *
-    exp(-TAIL_NATS) / (samples + 1).  The counts left out move neither
-    tail, nor the total, by more than exp(-TAIL_NATS) of itself, and the
-    same bounds on pmf(count) put count inside.  That is O(sqrt(samples))
-    counts, not one per draw.  Over them the pmf follows the ratios
+    Otherwise the sums take only the counts of ``engine.count_span``, the
+    smaller of a Pinsker and a Bernstein radius about samples * p, past
+    which the pmf lies under pmf(count) * exp(-TAIL_NATS) / (samples + 1).
+    The counts left out move neither tail, nor the total, by more than
+    exp(-TAIL_NATS) of itself, and the same bounds on pmf(count) put
+    count inside.  That is O(sqrt(samples)) counts, not one per draw.
+    Over them the pmf follows the ratios
     pmf(k) / pmf(k - 1) = (samples - k + 1) / k * p / (1 - p), summed as
     logs and normalized by their total, so no difference of two log
     factorials near log samples! (about 1e-9 nats of round-off at 10^6
@@ -209,11 +209,7 @@ def binomial_two_sided_p(count: int, p: float, samples: int) -> float:
     )
     if log_at + math.log(4 * (samples + 1)) < math.log(5e-324):  # 2 tail < half the least float
         return 0.0
-    nats = TAIL_NATS + math.log(samples + 1) - log_at
-    variance = samples * p * (1.0 - p)
-    bernstein = nats / 3 + math.sqrt(nats * nats / 9 + 2 * nats * variance)
-    center, r = samples * p, min(math.sqrt(samples / 2 * nats), bernstein)
-    lo, hi = max(0, math.floor(center - r)), min(samples, math.ceil(center + r))
+    lo, hi = engine.count_span(samples, p, 1.0 - p, TAIL_NATS + math.log(samples + 1) - log_at)
     k = np.arange(lo + 1, hi + 1, dtype=float)
     log_pmf = np.cumsum(np.log((samples - k + 1) / k) + (log_p - log_q))
     pmf = np.exp(np.concatenate(([0.0], log_pmf)) - log_pmf.max(initial=0.0))

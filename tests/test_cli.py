@@ -1032,6 +1032,22 @@ class TestSamplerCheck:
         got = selfcheck.binomial_two_sided_p(count, p, samples)
         assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        # Each tail's bits, pinned so that the radius's float operations cannot drift.
+        "count, p, samples, bits",
+        [(1, 1.8e-6, 20_000, "0x1.21aabeaa53850p-4"), (0, 1.8e-6, 20_000, "0x1.0000000000000p+0"),
+         (8300, 0.4, 20_000, "0x1.0c0f61399682ap-16"), (7790, 0.4, 20_000, "0x1.42c47b5c6dca0p-9"),
+         (1210, 0.6, 2000, "0x1.54b98243b9b7dp-1"), (0, 0.5, 10, "0x1.ffffffffffffap-10"),
+         (10, 0.5, 10, "0x1.0000000000001p-9"), (1, 0.3, 1, "0x1.3333333333333p-1"),
+         (398_000, 0.4, 10**6, "0x1.75b0a9b06439ap-15"),
+         (402_400, 0.4, 10**6, "0x1.060218720122ap-20"),
+         (4_001_000, 0.4, 10**7, "0x1.09a0f041a1591p-1"),
+         (3_942_500, 0.4, 10**7, "0x1.1861d6e436f2dp-1001"),
+         (17, 0.999, 20, "0x1.2e23bb5d1996ep-19"), (5, 0.0027, 20_000, "0x1.0234f10a5b33ap-55")],
+    )
+    def test_tail_bits_are_pinned(self, count, p, samples, bits):
+        assert selfcheck.binomial_two_sided_p(count, p, samples).hex() == bits
+
     def test_certain_counts(self):
         assert selfcheck.binomial_two_sided_p(0, 0.0, 50) == 1.0
         assert selfcheck.binomial_two_sided_p(1, 0.0, 50) == 0.0

@@ -19,7 +19,7 @@ from centralspin.core import (
     dispersed_couplings,
     log_branch_weight,
 )
-from centralspin import engine, observables
+from centralspin import engine, observables, selfcheck
 from centralspin.engine import (
     SAMPLE_CHUNK,
     SAMPLE_MASK_BYTES,
@@ -329,6 +329,32 @@ class TestBinomialLazyTable:
         assert computed == []
         assert np.array_equal(first.u, again.u) and np.array_equal(first.weight, again.weight)
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 2000), data=st.data())
+    def test_random_fills_set_the_union_once(self, n, data):
+        # After each fill, filled is the union of every request and (N, N), its entries
+        # hold the full table's bits, the rest is NaN, and no entry was computed twice.
+        count = st.integers(0, n)
+        requests = data.draw(st.lists(st.tuples(count, count).map(sorted).map(tuple), max_size=12))
+        full = log_factorials(n)
+        computed = np.zeros(n + 1, dtype=int)
+        real = engine.log_factorials
+
+        def counted(hi, start=0):
+            computed[start : hi + 1] += 1
+            return real(hi, start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "log_factorials", counted)
+            grid = BinomialGrid(ModelParams(delta=0.0, h=np.full(n, 0.01)))
+            for i, (lo, hi) in enumerate(requests):
+                grid.fill(lo, hi)
+                assert grid.filled == engine._span_union(requests[: i + 1] + [(n, n)])
+                inside = _filled_mask(grid)
+                assert np.array_equal(_int_bits(grid.log_fact[inside]), _int_bits(full[inside]))
+                assert np.isnan(grid.log_fact[~inside]).all()
+                assert np.array_equal(computed, inside)
+
     def test_off_grid_histogram_time_fills_its_own_spans(self, monkeypatch):
         grids = []
 
@@ -362,16 +388,20 @@ def _one_spin_profile(p):
         return FlipProfile(keep, flip, np.log(keep), np.log(flip))
 
 
+def _nats(n, weight, profile):
+    """A branch's nats budget c = log w + N log(keep + flip) - log(1e-300 / 2) + WINDOW_MARGIN."""
+    s = float(profile.keep[0]) + float(profile.flip[0])
+    floor = math.log(engine.WEIGHT_FLOOR / 2)
+    return math.log(weight) + n * math.log(s) - floor + engine.WINDOW_MARGIN
+
+
 def _pinsker_span(n, weight, profile):
     """A branch's span from the Pinsker radius alone, r^2 = n c / 2 (c the nats budget)."""
-    keep, flip = float(profile.keep[0]), float(profile.flip[0])
-    s = keep + flip
-    radicand = n / 2 * (
-        math.log(weight) + n * math.log(s) - math.log(engine.WEIGHT_FLOOR / 2) + engine.WINDOW_MARGIN
-    )
-    if radicand < 0.0:
+    nats = _nats(n, weight, profile)
+    if nats < 0.0:
         return None
-    center, r = n * (flip / s), math.sqrt(radicand)
+    keep, flip = float(profile.keep[0]), float(profile.flip[0])
+    center, r = n * (flip / (keep + flip)), math.sqrt(n / 2 * nats)
     return max(0, math.floor(center - r)), min(n, math.ceil(center + r))
 
 
@@ -478,10 +508,36 @@ class TestBinomialSpans:
         weight=st.floats(1e-300, 1.0),
     )
     def test_span_lies_within_pinsker_span(self, n, p, weight):
-        span, pinsker = (f(n, weight, _one_spin_profile(p)) for f in (engine._branch_span, _pinsker_span))
+        profile = _one_spin_profile(p)
+        span, pinsker = (f(n, weight, profile) for f in (engine._branch_span, _pinsker_span))
         assert (span is None) == (pinsker is None)
         if span is not None:
             assert pinsker[0] <= span[0] <= span[1] <= pinsker[1]
+            # count_span alone, at the case's own p: within [0, n], holding n p, and
+            # inside the Pinsker span about n p.
+            nats = _nats(n, weight, profile)
+            lo, hi = engine.count_span(n, p, 1.0 - p, nats)
+            r = math.sqrt(n / 2 * nats)
+            assert 0 <= lo <= n * p <= hi <= n
+            assert math.floor(n * p - r) <= lo and hi <= math.ceil(n * p + r)
+
+    def test_point_and_tail_share_the_radius(self, monkeypatch):
+        # A binomial point's branch spans and the oracle-check's binomial tail both take
+        # their radius from engine.count_span.
+        calls = []
+        real = engine.count_span
+
+        def recorded(n, p, q, nats):
+            calls.append(n)
+            return real(n, p, q, nats)
+
+        monkeypatch.setattr(engine, "count_span", recorded)
+        n = 10**5
+        binomial_outcomes(ModelParams(delta=0.0, h=np.full(n, 0.01)), ALPHAS, 200.0)
+        assert calls == [n, n]
+        calls.clear()
+        selfcheck.binomial_two_sided_p(8300, 0.4, 20_000)
+        assert calls == [20_000]
 
     def test_zero_weight_branch_has_no_span(self):
         n = 10**4

@@ -2,7 +2,7 @@
 """Print the SHA-256 of every output file of a fixed set of runs.
 
 Usage:
-    python scripts/output_digest.py [--keep DIR]
+    python scripts/output_digest.py [--keep DIR] [--against KEPT]
 
 The runs: the four figure presets, the configs of the four benchmark
 workloads (read from perfbench/workloads.py) at seeds 0 and 7, one
@@ -32,10 +32,20 @@ Every other run's records are written in both formats with
 "<sha256>  <path>".  Two checkouts with the same lines write
 byte-identical files.  The files go to a temporary directory,
 or to DIR with --keep.  Takes a few seconds on a 2-core machine.
+
+With --against KEPT, the files are compared with those an earlier
+--keep wrote to KEPT, from another checkout say.  One line per path of
+either set, sorted, reads "<sha256>  <kept sha256>  <path>  abs <a>
+rel <r>": a and r are the largest absolute and relative difference over
+the file's numeric fields (CSV cells that parse as floats, JSON numbers),
+paired in order.  A path missing on one side shows "-" for its digest
+and differences; numeric fields that do not pair up show "fields <n> vs
+<m>".  The exit status is 1 when any file differs.
 """
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 import tempfile
@@ -211,18 +221,81 @@ def write_outputs(out: Path) -> None:
     emit_results([run_config(_large_binomial_config())], out / "large_binomial", "json")
 
 
-def main() -> int:
+def digests(root: Path) -> dict[str, str]:
+    """The SHA-256 of every output file under root, by its path relative to root."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.suffix in (".csv", ".json")
+    }
+
+
+def _json_numbers(value):
+    """The numbers of a parsed JSON document, in document order; booleans are not numbers."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _json_numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield float(value)
+
+
+def numeric_fields(path: Path) -> list[float]:
+    """A file's numeric fields in order: JSON numbers, or the CSV cells that parse as floats."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return list(_json_numbers(json.loads(text)))
+    fields = []
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            fields.append(float(cell))
+        except ValueError:
+            pass
+    return fields
+
+
+def _difference(a: float, b: float) -> tuple[float, float]:
+    """(|a - b|, |a - b| / max(|a|, |b|)): zero when a and b are equal or both NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    gap = abs(a - b)
+    if not math.isfinite(gap):
+        return math.inf, math.inf
+    return gap, gap / max(abs(a), abs(b))
+
+
+def compare_line(path: str, ours: Path, kept: Path, new: str | None, old: str | None) -> str:
+    """One --against line: both digests and the largest differences of the numeric fields."""
+    if new is None or old is None:
+        return f"{new or '-'}  {old or '-'}  {path}  -"
+    a, b = numeric_fields(ours / path), numeric_fields(kept / path)
+    if len(a) != len(b):
+        return f"{new}  {old}  {path}  fields {len(a)} vs {len(b)}"
+    gaps = [_difference(x, y) for x, y in zip(a, b)] or [(0.0, 0.0)]
+    return f"{new}  {old}  {path}  abs {max(g[0] for g in gaps):.3g}  rel {max(g[1] for g in gaps):.3g}"
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", type=Path, default=None, help="write the files here and keep them")
-    args = parser.parse_args()
+    parser.add_argument(
+        "--against", type=Path, default=None, help="compare with the files an earlier --keep kept here"
+    )
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         out = args.keep or Path(scratch)
         write_outputs(out)
-        for path in sorted(out.rglob("*")):
-            if path.suffix in (".csv", ".json"):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(out).as_posix()}")
-    return 0
+        ours = digests(out)
+        if args.against is None:
+            for path, digest in ours.items():
+                print(f"{digest}  {path}")
+            return 0
+        kept = digests(args.against)
+        for path in sorted(ours.keys() | kept.keys()):
+            print(compare_line(path, out, args.against, ours.get(path), kept.get(path)))
+        return int(ours != kept)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ parsed by its field's type (all other keys are rejected by name):
                 (defaults 0.0, 400.0, 600)
     method      auto | exact | binomial | sampled | exact-universe
                 (auto picks exact for n <= 16, binomial for constant
-                couplings, sampled otherwise)
+                couplings, exact for other couplings up to n = 20 and
+                sampled above)
     samples     draws per grid point for the sampled method (default 100000)
     seed        base RNG seed (default 0)
     workers     worker threads for sampling (default 1); a point starts
@@ -30,6 +31,11 @@ parsed by its field's type (all other keys are rejected by name):
     label       optional record label used in output file names; a plain
                 file name, without path separators
     out         output directory (default "results")
+
+A run's results are held in memory until they are written: a config
+whose grid points and histogram times would take more than
+``engine.ARRAY_BYTES_CAP`` bytes (``RESULT_POINT_BYTES`` per point,
+``RESULT_HISTOGRAM_BYTES`` per histogram time) is rejected.
 
 Outputs are deterministic: the same config and seed produce
 byte-identical files for any worker count.  Wall-clock timing is kept
@@ -54,10 +60,9 @@ from . import engine, observables, selfcheck, universe
 from .core import (
     ModelParams,
     SystemAmplitudes,
-    check_phases,
+    checked_constants,
     dispersed_couplings,
     last_dispersed_coupling,
-    spin_constants,
 )
 from .observables import (
     DEFAULT_EPSILON,
@@ -83,6 +88,16 @@ _PRESETS = {
     ],
 }
 PRESET_NAMES = tuple(_PRESETS)
+# Bytes a run holds per grid point and per histogram time while it
+# evaluates and formats its record: tracemalloc peaks of ``run_config``
+# plus the JSON text reached 582 B per point (exact N = 10, binomial
+# N = 80 and 1000; the CSV text takes about 330) and 48-71 KB per
+# histogram time, 2-core x86 host, numpy 2.4.  ``validate`` rejects a
+# config whose estimate exceeds engine.ARRAY_BYTES_CAP: 447,392 points.
+RESULT_POINT_BYTES = 600
+RESULT_HISTOGRAM_BYTES = 80_000
+# Grid points per block of ``validate``'s grid check (128 KiB of times).
+GRID_CHECK_POINTS = 1 << 14
 CSV_COLUMNS = "t,p_up,p_down,p_q,method,n_samples,seed,N,delta,h_spec,epsilon"
 
 
@@ -160,24 +175,34 @@ class ExperimentConfig:
             raise ConfigError("steps: need at least one grid point")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end: must exceed t_start")
+        cap = engine.ARRAY_BYTES_CAP
+        estimate = RESULT_POINT_BYTES * self.steps + RESULT_HISTOGRAM_BYTES * len(self.hist_times)
+        if estimate > cap:
+            raise ConfigError(
+                f"steps: {self.steps} grid points and {len(self.hist_times)} histogram times "
+                f"take an estimated {estimate} bytes of results; a run is capped at {cap} bytes"
+            )
         key = "epsilon"
         try:
             observables.validate_error_threshold(self.epsilon)
             key = "steps"
-            observables.check_grid(g := self.grid())
-        except (ValueError, MemoryError) as err:
+            # One block at a time, each with the last point of the block before it: no
+            # grid-sized array.
+            for lo in range(0, self.steps, GRID_CHECK_POINTS):
+                observables.check_grid(g := self.grid(max(0, lo - 1), lo + GRID_CHECK_POINTS))
+        except ValueError as err:
             raise ConfigError(f"{key}: {err}") from None
-        if g[0] < 0.0:
+        if self.grid(0, 1)[0] < 0.0:
             raise ConfigError("t_start: the first grid point precedes the initial time 0")
         if any(t < 0.0 for t in self.hist_times):
             raise ConfigError("hist_times: every time must be at or after the initial time 0")
-        # check_phases rejects a phase omega * t that overflows.  omega grows with |h_j| and
+        # checked_constants rejects a phase omega * t that overflows.  omega grows with |h_j| and
         # dispersed couplings are monotone, so h_1 or h_N at the last time decides it.
         h_max = max(self.h + (self._last_coupling(),), key=abs)
         spin = ModelParams(self.delta, (h_max,))
         t_last = float(max((g[-1], *self.hist_times)))
         try:
-            check_phases(spin_constants(spin), np.array([t_last]))
+            checked_constants(spin, t_last)
         except ValueError as err:
             raise ConfigError(f"delta, h: {err} at t = {t_last!r}") from None
         _check_draws(self.samples, self.seed)
@@ -205,7 +230,6 @@ class ExperimentConfig:
             raise ConfigError(f"beta: the thermal log-weights -beta * E overflow at n = {self.n}")
         if self.method == "binomial" and not self._constant_couplings():
             raise ConfigError("method: binomial needs all couplings equal")
-        cap = engine.ARRAY_BYTES_CAP
         if self.resolved_method() == "binomial" and 8 * (self.n + 1) > cap:
             raise ConfigError(
                 f"n: {self.n} spins need a table log k! of {8 * (self.n + 1)} bytes; "
@@ -274,9 +298,14 @@ class ExperimentConfig:
     def alphas(self) -> SystemAmplitudes:
         return SystemAmplitudes.from_up_weight(self.alpha_up_sq, self.phase)
 
-    def grid(self) -> np.ndarray:
+    def grid(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Grid points lo..hi - 1, all by default: t_k = t_start + (k + 0.5) * step.
+
+        Each point is formed on its own, so a slice has the whole grid's bits.
+        """
         step = (self.t_end - self.t_start) / self.steps
-        return self.t_start + (np.arange(self.steps) + 0.5) * step
+        hi = self.steps if hi is None else min(hi, self.steps)
+        return self.t_start + (np.arange(lo, hi) + 0.5) * step
 
     def resolved_method(self) -> str:
         if self.method != "auto":
@@ -285,6 +314,8 @@ class ExperimentConfig:
             return "exact"
         if self._constant_couplings():
             return "binomial"
+        if self.n <= engine.ENUMERATION_CAP:
+            return "exact"
         return "sampled"
 
     def h_spec(self) -> str:

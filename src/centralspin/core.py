@@ -252,15 +252,13 @@ def spin_spectral(params: ModelParams, branch: str, j: int) -> SpinSpectral:
     branch and a = delta on the down branch.  r * omega^2 equals the
     squared sz coefficient.  When omega = 0 (delta = 0 and h_j = 0 on
     the down branch) the spin cannot flip at all; r is set to 1 by
-    convention so the kept weight stays exactly 1.
+    convention so the kept weight stays exactly 1.  The entry [branch,
+    j] of ``spin_constants``, bit for bit, from that spin alone: O(1).
     """
     if not 1 <= j <= params.n_env:
         raise IndexError(f"spin index {j} outside 1..{params.n_env}")
-    a, _ = branch_axis(params, branch)
-    hj = float(params.h[j - 1])
-    omega = math.hypot(a, hj)
-    ratio = (a / omega) ** 2 if omega > 0.0 else 1.0
-    return SpinSpectral(branch, omega, ratio)
+    spins = spin_constants(ModelParams(params.delta, params.h[j - 1 : j]), (branch,))
+    return SpinSpectral(branch, float(spins.omega[0, 0]), float(spins.ratio[0, 0]))
 
 
 def spin_amplitude(
@@ -278,7 +276,7 @@ def spin_amplitude(
     """
     if s not in (1, -1):
         raise ValueError("initial spin must be +1 or -1")
-    # math.hypot ignores signs, so spin_spectral's omega = hypot(a, h_j) is hypot(a, b).
+    # hypot ignores signs, so spin_spectral's omega = hypot(a, h_j) is hypot(a, b).
     omega = spin_spectral(params, branch, j).omega
     tau = params.elapsed(t)
     a, b_sign = branch_axis(params, branch)
@@ -343,6 +341,21 @@ def check_phases(spins: SpinConstants, tau: np.ndarray) -> None:
                 raise ValueError(f"phase omega * t must be finite on the {branch} branch")
 
 
+def checked_constants(
+    params: ModelParams, t, branches: tuple[str, ...] = BRANCHES
+) -> tuple[SpinConstants, np.ndarray]:
+    """The branches' ``spin_constants`` and the times t as a float array tau, both checked.
+
+    t is one time or an array of times.  tau is checked by
+    ``ModelParams.elapsed``, then every phase by ``check_phases``, with
+    their messages: the one check of every route that builds profiles.
+    """
+    tau = params.elapsed(np.asarray(t, dtype=float))
+    spins = spin_constants(params, branches)
+    check_phases(spins, tau)
+    return spins, tau
+
+
 def flip_squares(spins: SpinConstants, tau: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> None:
     """Squared kept and flipped amplitudes of every spin on the branches at the 1-D times tau.
 
@@ -367,16 +380,14 @@ def branch_flip_profile(params: ModelParams, branch: str, t) -> FlipProfile:
     giving T x N fields whose row k is bit-identical to the profile at
     t[k].  keep + flip = 1 to a few ulp for every spin (asserted at
     1e-12 in the tests); logs of exact zeros are -inf.  Raises
-    ValueError when a phase omega * t overflows (``check_phases``).
+    ValueError when a phase omega * t overflows (``checked_constants``).
     The branch's slice of the two steps that build both branches at
-    once: ``spin_constants`` and ``flip_squares``.
+    once: ``checked_constants`` and ``flip_squares``.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be one time or a 1-D array of times")
-    tau = params.elapsed(times)
-    spins = spin_constants(params, (branch,))
-    check_phases(spins, tau)
+    spins, tau = checked_constants(params, times, (branch,))
     keep, flip = np.empty((2, 1, tau.size, params.n_env))
     flip_squares(spins, tau.reshape(-1), keep, flip)
     keep, flip = (a.reshape(times.shape + (params.n_env,)) for a in (keep, flip))

@@ -43,15 +43,16 @@ from .core import (
     SpinConstants,
     SystemAmplitudes,
     branch_flip_profile,
-    check_phases,
+    checked_constants,
     flip_squares,
     pattern_log_weight,
     spin_amplitude,
-    spin_constants,
 )
 
 ENUMERATION_CAP = 20
 # Bytes that one array or estimate of a run may take: ``cli`` rejects a
+# config whose results, ``cli.RESULT_POINT_BYTES`` per grid point and
+# ``cli.RESULT_HISTOGRAM_BYTES`` per histogram time (447,392 points), a
 # sampled config whose u, 8 bytes per draw (2^25 = 33,554,432 draws), or
 # whose N-sized arrays (SAMPLE_SPIN_BYTES below) exceed it, a binomial
 # config whose table log k!, 8 (N + 1) bytes (N <= 33,554,431), does,
@@ -176,7 +177,7 @@ class ProjectionDistribution:
 def _mixture(alphas: SystemAmplitudes) -> tuple[float, float, float, float]:
     """(w_up, w_down, log w_up, log w_down), a log -inf for a vanishing weight, formed once.
 
-    ``_mix_block`` reads all four; the one-time routes take the logs, ``[2:]``.
+    ``_mixed_weight`` reads the weights and ``_logit`` the logs, ``[2:]``.
     """
     weights = (alphas.w_up, alphas.w_down)
     return weights + tuple(math.log(w) if w > 0 else -math.inf for w in weights)
@@ -198,20 +199,12 @@ def branch_log_rows(params: ModelParams, times: np.ndarray) -> np.ndarray:
     checks them, with its messages, and row k is bit for bit that
     profile at times[k] alone, so any split of a grid into tables gives
     the same rows.  A one-off table, in its own numpy error state: the
-    exact routes form the constants once (``_checked_constants``) and
-    fill each table with ``_log_rows`` in their own state.
+    exact routes form the constants once (``core.checked_constants``)
+    and fill each table with ``_log_rows`` in their own state.
     """
-    spins, tau = _checked_constants(params, times)
+    spins, tau = checked_constants(params, times)
     with np.errstate(divide="ignore"):
         return _log_rows(spins, tau)
-
-
-def _checked_constants(params: ModelParams, times) -> tuple[SpinConstants, np.ndarray]:
-    """Both branches' ``core.spin_constants`` and the 1-D times, checked as ``branch_flip_profile`` does."""
-    tau = params.elapsed(np.asarray(times, dtype=float))
-    spins = spin_constants(params)
-    check_phases(spins, tau)
-    return spins, tau
 
 
 def _log_rows(spins: SpinConstants, tau: np.ndarray) -> np.ndarray:
@@ -226,6 +219,42 @@ def _log_rows(spins: SpinConstants, tau: np.ndarray) -> np.ndarray:
     table = np.empty((2, 2, tau.size, spins.omega.shape[1]))
     flip_squares(spins, tau, table[:, 0], table[:, 1])
     return np.log(table, out=table)
+
+
+def _logit(logs: tuple[float, float], log_wu: np.ndarray, log_wd: np.ndarray) -> np.ndarray:
+    """x = (log w_down + log W_down) - (log w_up + log W_up) of patterns, formed in log_wd.
+
+    logs is (log w_up, log w_down) of ``_mixture`` and log_wu, log_wd
+    the patterns' branch log-sums, arrays of one shape that x may
+    overwrite: log_wu takes log w_up + log W_up and log_wd then x, which
+    is returned.  This is the one place x is formed, so every route
+    (``_mix_block``, ``_count_atoms``, ``_sample_chunk``,
+    ``_pattern_logit``) gives a pattern the same x, bit for bit.  x is
+    NaN where both branch log-sums are -inf; the caller's numpy state
+    decides whether that warns.
+    """
+    lw_up, lw_down = logs
+    # x = (lw_down + log_wd) - (lw_up + log_wu), in place: IEEE addition commutes.
+    log_wu += lw_up
+    log_wd += lw_down
+    log_wd -= log_wu
+    return log_wd
+
+
+def _mixed_weight(mix: tuple, log_wu, log_wd, weight: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The mixed weight w_up e^(log_wu) + w_down e^(log_wd) of patterns, formed in weight.
+
+    mix is ``_mixture(alphas)``; spare, of weight's shape, takes the down
+    term, and either may be the memory of the log-sum it is formed from.
+    The one place a pattern's weight is mixed (``_mix_block``, and
+    ``_count_atoms`` after it adds log C(N, k) to both log-sums).
+    """
+    down = np.exp(log_wd, out=spare)
+    down *= mix[1]
+    np.exp(log_wu, out=weight)
+    weight *= mix[0]
+    weight += down
+    return weight
 
 
 def u_from_x(x):
@@ -253,9 +282,11 @@ def _pattern_logit(
     """
     if len(pattern) != params.n_env:
         raise ValueError("pattern length does not match environment size")
-    up, down, lw_up, lw_down = _log_branch_pair(params, alphas, t)
-    flipped = pattern.flipped
-    x = (lw_down + pattern_log_weight(down, flipped)) - (lw_up + pattern_log_weight(up, flipped))
+    up, down, *logs = _log_branch_pair(params, alphas, t)
+    # A one-pattern mask, summed as the 1-D mask is, so that x is formed as an array.
+    flipped = pattern.flipped[None]
+    with np.errstate(invalid="ignore"):
+        x = float(_logit(logs, pattern_log_weight(up, flipped), pattern_log_weight(down, flipped))[0])
     if math.isnan(x):
         raise DegenerateOutcomeError(f"both branch weights vanish for this pattern at t={t}")
     return x
@@ -463,17 +494,9 @@ def _mix_block(mix: tuple, ws: BlockWorkspace) -> tuple:
     mix is the grid's ``_mixture``.  It runs in its caller's numpy state,
     which must let inf - inf = NaN pass silently (``_grid_state`` does).
     """
-    w_up, w_down, lw_up, lw_down = mix
     for log_wd, log_wu, weight, spare in ws.halves:
-        down_weight = np.exp(log_wd, out=spare)
-        down_weight *= w_down
-        np.exp(log_wu, out=weight)
-        weight *= w_up
-        weight += down_weight
-        # x in place in the down logs: (log_wd + lw_down) - (log_wu + lw_up).
-        log_wu += lw_up
-        log_wd += lw_down
-        log_wd -= log_wu
+        _mixed_weight(mix, log_wu, log_wd, weight, spare)
+        _logit(mix[2:], log_wu, log_wd)
     return ws.log_down, ws.weight, np.greater_equal(ws.weight, WEIGHT_FLOOR, out=ws.keep)
 
 
@@ -493,7 +516,7 @@ def enumerate_outcomes(
     them, all in one entry of ``_grid_state``.
     """
     ws = block_workspace(params.n_env, 1)
-    spins, tau = _checked_constants(params, np.array([t]))
+    spins, tau = checked_constants(params, np.array([t]))
     with _grid_state():
         rows = _log_rows(spins, tau)
         pattern_log_weights(rows, np.zeros((2, 1, 1)), ws.logs, ws.spare)
@@ -539,7 +562,7 @@ def exact_class_masses(
     """
     n = params.n_env
     _check_enumeration_cap(n)
-    spins, tau = _checked_constants(params, times)
+    spins, tau = checked_constants(params, times)
     bits = min(n, TILE_BITS)
     step = max(1, GRID_BLOCK_ATOMS >> bits)
     workspace = block_workspace(bits, min(step, times.size), 1 << (n - bits))
@@ -925,7 +948,6 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
     the k and N - k vectors and log C in the up flip term's row: four
     W-sized floats besides the counts.
     """
-    w_up, w_down, lw_up, lw_down = mix
     one_row = up.keep.shape[0] == 1
     counts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
     k = counts.astype(float)
@@ -946,17 +968,13 @@ def _count_atoms(n, mix, up, down, spans, log_fact) -> tuple[np.ndarray, np.ndar
     np.subtract(log_fact[n], log_fact[counts], out=log_count)
     # The counts turn into their mirrors N - k in place, so the mirror index allocates no W ints.
     log_count -= log_fact[np.subtract(n, counts, out=counts)]
+    np.add(log_count, log_wd, out=keep_down)
+    np.add(log_count, log_wu, out=flip_up)
     with np.errstate(over="ignore"):
-        down_weight = np.add(log_count, log_wd, out=keep_down)
-        np.exp(down_weight, out=down_weight)
-        down_weight *= w_down
-        weight = np.add(log_count, log_wu, out=flip_up)
-        np.exp(weight, out=weight)
-        weight *= w_up
-        weight += down_weight
-    del down_weight, keep_down, log_count, counts
+        weight = _mixed_weight(mix, flip_up, keep_down, flip_up, keep_down)
+    del keep_down, log_count, counts
     keep = weight >= WEIGHT_FLOOR
-    u = u_from_x((lw_down + log_wd[keep]) - (lw_up + log_wu[keep]))
+    u = u_from_x(_logit(mix[2:], log_wu[keep], log_wd[keep]))
     return u, weight[keep], np.count_nonzero(keep, axis=1)
 
 
@@ -1032,7 +1050,7 @@ def _sample_chunk(branches, alphas, seed, chunk_index, u):
     (size, N) block of uniforms would give.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    up, down, lw_up, lw_down = branches
+    up, down, *logs = branches
     n, size = up.flip.size, u.size
     branch = (rng.random(size) < alphas.w_up).view(np.uint8)
     flip_table = np.stack((down.flip, up.flip))
@@ -1053,9 +1071,8 @@ def _sample_chunk(branches, alphas, seed, chunk_index, u):
             np.less(draws[:m], flip_prob[:m], out=block[:m])
             flips[:, start : start + m] = block[:m].T
         del draws, flip_prob, block  # freed before the log-sums allocate their own blocks
-        log_wu = pattern_log_weight(up, flips.T)
-        log_wd = pattern_log_weight(down, flips.T)
-        u[tile : tile + width] = u_from_x((lw_down + log_wd) - (lw_up + log_wu))
+        x = _logit(logs, pattern_log_weight(up, flips.T), pattern_log_weight(down, flips.T))
+        u[tile : tile + width] = u_from_x(x)
 
 
 def _usable_cpus() -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine, universe
-from .core import ModelParams, SystemAmplitudes, spin_spectral
+from .core import ModelParams, SystemAmplitudes, spin_constants, spin_spectral
 
 DEFAULT_EPSILON = 1e-3
 HISTOGRAM_BINS = 200
@@ -283,21 +283,18 @@ def revival_times(params: ModelParams, m_max: int):
     For equal couplings these are m * pi / omega_down, where the
     superposition mass revives; for dispersed couplings the per-spin
     node times rarely coincide, so a list of per-spin arrays is
-    returned for diagnostics only.
+    returned for diagnostics only.  omega_down is ``spin_constants``'
+    down row: one spin's for equal couplings, every spin's in one pass
+    otherwise.
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     m = np.arange(1, m_max + 1, dtype=float)
     if params.equal_couplings:
         omega = spin_spectral(params, "down", 1).omega
-        if omega == 0.0:
-            return np.empty(0)
-        return m * math.pi / omega
-    out = []
-    for j in range(1, params.n_env + 1):
-        omega = spin_spectral(params, "down", j).omega
-        out.append(m * math.pi / omega if omega > 0 else np.empty(0))
-    return out
+        return m * math.pi / omega if omega > 0.0 else np.empty(0)
+    omegas = spin_constants(params, ("down",)).omega[0].tolist()
+    return [m * math.pi / omega if omega > 0.0 else np.empty(0) for omega in omegas]
 
 
 def first_collapse_time(series: ObservableSeries):

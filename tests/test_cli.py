@@ -208,17 +208,17 @@ class TestValidateBoundary:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_grid_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
-        # steps = 10**12 asks numpy for 7.28 TiB; the stand-in raises as numpy would.
-        def no_memory(self):
-            raise MemoryError(f"Unable to allocate a grid of {self.steps} times")
+        # steps = 10**12 would ask numpy for a 7.28 TiB grid; the budget rejects it before.
+        def never(self, *args):
+            raise AssertionError("built the grid of a config over the results budget")
 
-        monkeypatch.setattr(ExperimentConfig, "grid", no_memory)
+        monkeypatch.setattr(ExperimentConfig, "grid", never)
         path = tmp_path / "huge.conf"
         path.write_text(MINIMAL + "steps = 1000000000000\n")
         assert main(["validate", str(path)]) == 1
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.count("config error: steps: Unable to allocate a grid of 1000000000000 times\n") == 2
+        assert err == 2 * f"config error: {TestResultsBudget.message(10**12, 0)}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_largest_finite_thermal_weights_run(self, tmp_path):
@@ -516,13 +516,74 @@ def test_validate_rejects_exactly_what_run_rejects(overrides):
             assert _tree(base) == before
 
 
+class TestResultsBudget:
+    """A run's results, estimated from steps and hist_times, are capped at ``engine.ARRAY_BYTES_CAP``."""
+
+    CAP = engine.ARRAY_BYTES_CAP
+
+    @staticmethod
+    def message(steps, hists):
+        estimate = cli.RESULT_POINT_BYTES * steps + cli.RESULT_HISTOGRAM_BYTES * hists
+        return (
+            f"steps: {steps} grid points and {hists} histogram times take an estimated "
+            f"{estimate} bytes of results; a run is capped at {engine.ARRAY_BYTES_CAP} bytes"
+        )
+
+    def limit(self, hists):
+        return (self.CAP - cli.RESULT_HISTOGRAM_BYTES * hists) // cli.RESULT_POINT_BYTES
+
+    def text(self, steps, hists):
+        times = ";".join(str(float(k)) for k in range(hists))
+        return MINIMAL.replace("n = 10", "n = 2") + f"steps = {steps}\nhist_times = {times}\n"
+
+    @pytest.mark.parametrize("hists", [0, 3])
+    def test_at_the_budget_accepted_within_one_mib(self, hists, traced):
+        steps = self.limit(hists)
+        cfg, _, peak = traced(lambda: parse_config(self.text(steps, hists)))
+        assert (cfg.steps, len(cfg.hist_times)) == (steps, hists)
+        # Its grid alone would take 3.4 MiB.
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("hists", [0, 3])
+    def test_one_point_over_exits_1_without_output(self, hists, tmp_path, capsys):
+        steps = self.limit(hists) + 1
+        path = tmp_path / "over.conf"
+        path.write_text(self.text(steps, hists))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == 2 * f"config error: {self.message(steps, hists)}\n"
+        assert not out.exists()
+
+    def test_limit_is_the_documented_point_count(self):
+        assert self.limit(0) == 447_392
+
+    @pytest.mark.parametrize("size", [50, 1, 7, cli.GRID_CHECK_POINTS])
+    def test_grid_checked_in_blocks_sees_every_pair(self, size, monkeypatch):
+        # Floats near 1e16 lie 2 apart, so of the points 1e16 + 1.96 (k + 0.5) only points 49
+        # and 50 round to one value.  Blocks of 50 put that pair across their boundary.
+        text = "n = 2\nh = 0.01\nt_start = 1e16\nt_end = 10000000000000196\nsteps = 100\n"
+        grid = 1e16 + (np.arange(100) + 0.5) * 1.96
+        assert np.flatnonzero(np.diff(grid) <= 0).tolist() == [49]
+        monkeypatch.setattr(cli, "GRID_CHECK_POINTS", size)
+        with pytest.raises(ConfigError, match="^steps: times must be strictly increasing$"):
+            parse_config(text)
+
+    def test_block_slices_have_the_whole_grid_bits(self):
+        cfg = parse_config("n = 2\nh = 0.01\nt_start = 0.3\nt_end = 977.1\nsteps = 1001\n")
+        whole = cfg.grid()
+        blocks = np.concatenate([cfg.grid(lo, lo + 64) for lo in range(0, 1001, 64)])
+        assert np.array_equal(whole.view(np.int64), blocks.view(np.int64))
+
+
 class TestSamplesBudget:
     """A sampled point's u, 8 bytes per draw, is capped at ``engine.ARRAY_BYTES_CAP``."""
 
     LIMIT = engine.ARRAY_BYTES_CAP // 8
-    # auto sends a dispersed n = 20 to the sampler; the n = 10 config names it.
+    # auto sends a dispersed n = 21 to the sampler (n <= 20 enumerates); the n = 10 config
+    # names it.
     SAMPLED = {
-        "auto": "n = 20\nh = 0.01\ndelta_h = 0.02\n",
+        "auto": "n = 21\nh = 0.01\ndelta_h = 0.02\n",
         "named": MINIMAL + "method = sampled\n",
     }
 
@@ -695,6 +756,24 @@ class TestConfigBehavior:
         assert (
             parse_config("n = 80\nh = 0.01\ndelta_h = 0.02\n").resolved_method() == "sampled"
         )
+        # Up to the enumeration cap, auto enumerates dispersed couplings; constant ones
+        # above n = 16 stay binomial.
+        for n in (17, 20, 21):
+            dispersed = parse_config(f"n = {n}\nh = 0.01\ndelta_h = 0.02\n")
+            constant = parse_config(f"n = {n}\nh = 0.01\n")
+            assert dispersed.resolved_method() == ("exact" if n <= engine.ENUMERATION_CAP else "sampled")
+            assert constant.resolved_method() == "binomial"
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_auto_enumerates_dispersed_baths_up_to_the_cap(self, n):
+        cfg = parse_config(f"n = {n}\nh = 0.01\ndelta_h = 0.02\ndelta = 0.01\nsteps = 6\n")
+        series = run_config(cfg).series
+        masses, dropped = engine.exact_class_masses(
+            cfg.params(), cfg.alphas(), cfg.grid(), observables.logit_cutoffs(cfg.epsilon)
+        )
+        assert (series.method, series.dropped) == ("exact", dropped)
+        got = np.stack([series.p_up, series.p_down, series.p_q])
+        assert np.array_equal(got.view(np.int64), masses.view(np.int64))
 
     def test_auto_resolution_does_not_expand_couplings(self, monkeypatch):
         cfg = parse_config("n = 100000\nh = 0.01\n")

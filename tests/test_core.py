@@ -229,6 +229,24 @@ class TestSpinSpectral:
         with pytest.raises(ValueError):
             spin_spectral(p, "sideways", 1)
 
+    # (N, delta, h, delta_h, branch, j) where CPython's math.hypot and numpy's hypot, or the
+    # ratios formed from them, differ in the last bit.
+    HYPOT_SPLITS = [
+        (80, 0.0, 10.0, 0.02, "up", 36),
+        (80, 0.02, 0.01, 0.02, "down", 10),
+        (80, 0.05, 1.0, 2.0, "down", 57),
+        (200, 0.0, 0.5, 0.02, "up", 42),
+        (200, 0.01, 0.01, 0.02, "down", 17),
+        (200, 0.5, 0.5, 0.02, "down", 99),
+    ]
+
+    @pytest.mark.parametrize("n, delta, h, delta_h, branch, j", HYPOT_SPLITS)
+    def test_entry_of_spin_constants_bitwise(self, n, delta, h, delta_h, branch, j):
+        p = ModelParams(delta=delta, h=dispersed_couplings(h, delta_h, n))
+        spins = core.spin_constants(p, (branch,))
+        s = spin_spectral(p, branch, j)
+        assert (s.omega, s.ratio) == (spins.omega[0, j - 1], spins.ratio[0, j - 1])
+
 
 class TestSpinAmplitude:
     def test_identity_at_initial_time(self):

@@ -787,13 +787,19 @@ def _chunk_u(branches, alphas, seed, chunk_index, size):
     return u
 
 
-def _whole_block_sample_chunk(branches, alphas, seed, chunk_index, size):
-    """Reference: one (size, N) block of flip uniforms and a per-spin np.where log-sum."""
+def _chunk_flips(branches, alphas, seed, chunk_index, size):
+    """The (size, N) flip mask of a chunk's draws, from one block of flip uniforms."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    up, down, lw_up, lw_down = branches
+    up, down = branches[:2]
     branch_up = rng.random(size) < alphas.w_up
     flip_prob = np.where(branch_up[:, None], up.flip[None, :], down.flip[None, :])
-    flips = rng.random((size, up.flip.size)) < flip_prob
+    return rng.random((size, up.flip.size)) < flip_prob
+
+
+def _whole_block_sample_chunk(branches, alphas, seed, chunk_index, size):
+    """Reference: one (size, N) block of flip uniforms and a per-spin np.where log-sum."""
+    up, down, lw_up, lw_down = branches
+    flips = _chunk_flips(branches, alphas, seed, chunk_index, size)
 
     def log_sum(profile):
         total = np.zeros(size)
@@ -1031,6 +1037,21 @@ class TestOneKernel:
                 assert pattern_projection(p, a, t, pat) == dist.u[i]
                 for branch, log_w in logs.items():
                     assert log_branch_weight(p, branch, t, pat) == log_w[code]
+
+    @pytest.mark.parametrize("n", [8, 10, 13])
+    def test_sampled_u_is_the_enumerated_and_single_pattern_u(self, n):
+        # Each drawn pattern's u is, bit for bit, the u that enumeration and
+        # pattern_projection give that pattern: one x on every route.
+        rng = np.random.default_rng(700 + n)
+        p, a, t, dist, _ = _random_patterns(n, rng)
+        enumerated = dict(zip(dist.pattern_codes.tolist(), dist.u.view(np.int64).tolist()))
+        branches = engine._log_branch_pair(p, a, t)
+        sampled = _chunk_u(branches, a, 31, 0, 300)
+        codes = _chunk_flips(branches, a, 31, 0, 300) @ (1 << np.arange(n))
+        for u, code in zip(sampled.tolist(), codes.tolist()):
+            single = pattern_projection(p, a, t, FlipPattern.from_code(code, n))
+            assert np.float64(u).view(np.int64) == enumerated[code]
+            assert np.float64(single).view(np.int64) == enumerated[code]
 
     @pytest.mark.parametrize("n", range(8, 14))
     def test_wavefunction_magnitudes_match_projection(self, n):

@@ -455,9 +455,10 @@ class TestProfileChunks:
         monkeypatch.setattr(engine, "_log_rows", counted)
         monkeypatch.setattr(engine, "branch_flip_profile", lambda *args: calls.append(args))
         constants = []
-        real_constants = engine.spin_constants
+        real_constants = engine.checked_constants
         monkeypatch.setattr(
-            engine, "spin_constants", lambda *args: constants.append(args) or real_constants(*args)
+            engine, "checked_constants",
+            lambda *args: constants.append(args) or real_constants(*args),
         )
         chunk = _chunk_times(n)
         size = 3 * chunk + 1

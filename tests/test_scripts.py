@@ -51,12 +51,54 @@ def test_output_digest_prints_one_digest_per_file():
     assert len(set(paths)) == len(paths) and paths == sorted(paths)
 
 
-def test_output_digest_builds_its_configs(monkeypatch):
-    # Importing the script puts src/ and perfbench/ on sys.path; the monkeypatch undoes it.
+def _output_digest(monkeypatch):
+    """The output_digest script as a module; importing it puts src/ and perfbench/ on sys.path."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_output_digest_against_names_the_edited_file(tmp_path, monkeypatch, capsys):
+    digest = _output_digest(monkeypatch)
+    config = digest.ExperimentConfig(n=2, h=(0.01,), steps=5, label="tiny")
+    record = digest.run_config(config)
+
+    def tiny_outputs(out):
+        for fmt in digest.FORMATS:
+            digest.emit_results([record], out / "tiny", fmt)
+
+    monkeypatch.setattr(digest, "write_outputs", tiny_outputs)
+    kept = tmp_path / "kept"
+    assert digest.main(["--keep", str(kept)]) == 0
+    assert digest.main(["--against", str(kept)]) == 0
+    same = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split("  ", 2)[2] for line in same] == [
+        "tiny/tiny.csv  abs 0  rel 0", "tiny/tiny.json  abs 0  rel 0"
+    ]
+    # Row 2's P_up goes from its value to 0.5.
+    csv = kept / "tiny" / "tiny.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[2].split(",")
+    old = float(cells[1])
+    lines[2] = ",".join([cells[0], "0.5", *cells[2:]])
+    csv.write_text("\n".join(lines) + "\n")
+    assert digest.main(["--against", str(kept)]) == 1
+    edited, untouched = capsys.readouterr().out.splitlines()
+    ours, theirs, rest = edited.split("  ", 2)
+    assert ours != theirs and theirs == digest.digests(kept)["tiny/tiny.csv"]
+    gap = abs(old - 0.5)
+    assert rest == f"tiny/tiny.csv  abs {gap:.3g}  rel {gap / max(abs(old), 0.5):.3g}"
+    assert untouched.endswith("tiny/tiny.json  abs 0  rel 0")
+    # A file on one side only.
+    csv.unlink()
+    assert digest.main(["--against", str(kept)]) == 1
+    assert capsys.readouterr().out.splitlines()[0].endswith("  -  tiny/tiny.csv  -")
+
+
+def test_output_digest_builds_its_configs(monkeypatch):
+    digest = _output_digest(monkeypatch)
     configs = digest._hist_configs()
     assert [c.method for c in configs] == ["exact", "binomial", "sampled", "exact-universe"]
     coupling_configs = digest._coupling_configs()

@@ -13,7 +13,11 @@ Two parameter choices admit exact solutions:
   returns with certainty.
 
 The functions below are these solutions, as reference values for the
-tests; each checks only the inputs its own formula needs.
+tests; each checks only the inputs its own formula needs.  They form
+omega = sqrt(mu^2 + h^2) with CPython's ``math.hypot`` on purpose, as
+a reference independent of ``core``: ``core.spin_constants`` uses
+numpy's ``hypot``, which can differ in the last bit, so the tests
+compare these values with the engine's within tolerances.
 """
 
 from __future__ import annotations
@@ -56,7 +60,11 @@ def zero_h_solution(alphas: SystemAmplitudes, e_gs: float, t: float) -> Trajecto
 
 
 def recovery_times(mu: float, h: float, m_max: int) -> np.ndarray:
-    """m * pi / sqrt(mu^2 + h^2) for m = 1 .. m_max."""
+    """m * pi / sqrt(mu^2 + h^2) for m = 1 .. m_max.
+
+    omega is ``math.hypot``'s, not ``core``'s (module docstring), so
+    ``observables.revival_times`` can differ from it in the last bit.
+    """
     omega = math.hypot(mu, h)
     if omega == 0.0:
         return np.empty(0)
@@ -69,7 +77,8 @@ def flip_parity_split(mu: float, h: float, t: float, n: int) -> tuple[float, flo
     At nu = 0 both branches flip each spin independently with
     p = (h^2 / (mu^2 + h^2)) sin^2(omega t), so the parity probability
     is (1 +- (1 - 2p)^N) / 2.  Used by the trend tests that watch the
-    split approach 1/2 as N grows.
+    split approach 1/2 as N grows.  omega is ``math.hypot``'s, not
+    ``core``'s (module docstring).
     """
     omega = math.hypot(mu, h)
     p = (h / omega) ** 2 * math.sin(omega * t) ** 2 if omega > 0 else 0.0
@@ -87,7 +96,8 @@ def nu_zero_solution(
     recovery times (where sin(omega t) = 0) the initial state comes
     back with probability 1.  This is an asymptotic (N -> infinity)
     statement; at finite N the two-state support is still exact but the
-    split is flip_parity_split instead of 1/2.
+    split is flip_parity_split instead of 1/2.  omega is
+    ``math.hypot``'s, not ``core``'s (module docstring).
     """
     if n < 1:
         raise ValueError("need at least one environment spin")

@@ -26,6 +26,7 @@ the logit so it comes out finite or exactly 0/1 even at N = 80.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -611,7 +612,13 @@ def _block_masses(mix, rows, workspace: BlockWorkspace, prefix, base, cutoffs, o
     ``_mix_block`` runs on the tile, and each row's class masses are one
     pairwise sum over the row with the dropped and off-class weights
     zeroed; x, dead once the class masks are formed, takes each class's
-    weights in turn.
+    weights in turn.  Two skips keep those bits: a tile that keeps every
+    atom marks every row found and leaves the class masks as the
+    comparisons give them, with no ``&= keep``; and a class with no atom
+    in the tile gets row sums of +0.0 without its pass, the sums of 0.0
+    times finite non-negative weights.  On the ``figures`` and
+    ``large_n`` benchmark grids every tile keeps every atom, and about a
+    third have an empty up class.
 
     numpy's row sum is the pairwise sum 0.0 + pairwise(row), whose tree
     halves a 2^N row down to 128-entry leaves; the tile sums, combined
@@ -633,15 +640,22 @@ def _block_masses(mix, rows, workspace: BlockWorkspace, prefix, base, cutoffs, o
         for s in range(high):
             np.add(ws.logs if s else start, rows[:, tile >> s & 1, :, bits + s, None], out=ws.logs)
         x, weight, keep = _mix_block(mix, ws)
-        kept += int(np.count_nonzero(keep))
-        # argmax stops at each row's first kept atom; in a row that keeps none it gives atom 0.
-        found |= keep[every_row, keep.argmax(axis=1)]
+        count = int(np.count_nonzero(keep))
+        kept += count
         up = np.less_equal(x, c_up, out=ws.up)
-        up &= keep
         down = np.greater(x, c_down, out=ws.down)
-        down &= keep
+        if count < keep.size:
+            # argmax stops at each row's first kept atom; in a row that keeps none it gives atom 0.
+            found |= keep[every_row, keep.argmax(axis=1)]
+            up &= keep
+            down &= keep
+        else:
+            found.fill(True)
         # The mask is copied into x as 0/1 and multiplied in place, which needs no cast buffer.
         for mass, mask in zip(sums[:, :, tile], (up, down)):
+            if not mask.any():
+                mass.fill(0.0)
+                continue
             np.copyto(x, mask)
             x *= weight
             x.sum(axis=1, out=mass)
@@ -664,8 +678,13 @@ def tile_tree_sum(sums: np.ndarray) -> np.ndarray:
 
 
 def log_factorials(n: int, start: int = 0) -> np.ndarray:
-    """log k! = lgamma(k + 1) for k = start..n, from math.lgamma; independent of time."""
-    return np.fromiter(map(math.lgamma, range(start + 1, n + 2)), float, n + 1 - start)
+    """log k! = lgamma(k + 1) for k = start..n, from math.lgamma; independent of time.
+
+    ``math.lgamma`` takes the floats k + 1, which it would form from the
+    ints anyway (exactly, below 2^53), so every entry has the bits of
+    ``math.lgamma(k + 1)`` on an int without the per-entry conversion.
+    """
+    return np.fromiter(map(math.lgamma, itertools.count(float(start + 1))), float, n + 1 - start)
 
 
 def binomial_spin(params: ModelParams) -> ModelParams:

@@ -1481,11 +1481,138 @@ class TestBlockWorkspace:
         assert peak < 64 * 1024
 
 
+def _unskipped_block_masses(flags, mix, rows, workspace, prefix, base, cutoffs, out):
+    """Reference: ``engine._block_masses`` as a plain tile loop without its skips.
+
+    Every tile takes the found-row test, the class masks with keep and
+    both class sums; flags takes, per tile, (every atom kept, up class
+    empty, down class empty).
+    """
+    ws = workspace.sized(rows.shape[2])
+    bits, times = ws.n, ws.times
+    high = rows.shape[3] - bits
+    start = ws.logs if base is None else base[: 2 * times << bits].reshape(2, times, 1 << bits)
+    pattern_log_weights(rows[..., :bits], prefix, start, ws.spare)
+    c_up, c_down = cutoffs
+    found, kept, tile_sums = np.zeros(times, dtype=bool), 0, []
+    for tile in range(1 << high):
+        for s in range(high):
+            np.add(ws.logs if s else start, rows[:, tile >> s & 1, :, bits + s, None], out=ws.logs)
+        x, weight, keep = engine._mix_block(mix, ws)
+        kept += int(np.count_nonzero(keep))
+        found |= keep.any(axis=1)
+        up, down = (x <= c_up) & keep, (x > c_down) & keep
+        flags.append((bool(keep.all()), not up.any(), not down.any()))
+        tile_sums.append([np.where(mask, weight, 0.0).sum(axis=1) for mask in (up, down)])
+    if not found.all():
+        raise ValueError("empty distribution")
+    out[:] = engine.tile_tree_sum(np.stack(tile_sums, axis=-1))
+    return (times << rows.shape[3]) - kept
+
+
+class TestBlockTileSkips:
+    """A tile that keeps every atom, and a class empty in a tile, skip work but keep the bits."""
+
+    # Each case: params, alphas, times, the floor on kept weights, and the branch its tiles
+    # must take.  An empty class follows a time whose same tile has atoms in that class, so a
+    # skip that left the tile's sums unset would read them.
+    CASES = {
+        # Dispersed couplings at times off every node: every atom of every tile is kept.
+        "every_atom_kept_n10": (
+            ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 10)),
+            ALPHAS,
+            np.linspace(3.0, 400.0, 40),
+            engine.WEIGHT_FLOOR,
+            lambda full, up_empty, down_empty: all(full),
+        ),
+        "every_atom_kept_n16": (
+            ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 16)),
+            ALPHAS,
+            np.array([20.0, 150.0]),
+            engine.WEIGHT_FLOOR,
+            lambda full, up_empty, down_empty: all(full),
+        ),
+        # At t = 0 every flip factor is exactly 0, so only the no-flip pattern is kept; at
+        # t = 37 every atom is.
+        "factor_zero_drops_atoms": (
+            ModelParams(delta=0.3, h=dispersed_couplings(0.05, 0.4, 16)),
+            ALPHAS,
+            np.array([0.0, 37.0]),
+            engine.WEIGHT_FLOOR,
+            lambda full, up_empty, down_empty: any(full) and not all(full),
+        ),
+        # The atoms t = 0 drops have x NaN, which no class takes; a raised floor drops atoms
+        # whose finite x lies in a class, so only the keep mask keeps them out of it.
+        "floor_drops_classed_atoms": (
+            ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 16)),
+            ALPHAS,
+            np.array([150.0, 350.0]),
+            1e-8,
+            lambda full, up_empty, down_empty: not any(full),
+        ),
+        "up_class_empty_in_a_tile": (
+            ModelParams(delta=0.01, h=dispersed_couplings(0.01, 0.02, 16)),
+            ALPHAS,
+            np.array([350.0, 37.0]),
+            engine.WEIGHT_FLOOR,
+            lambda full, up_empty, down_empty: up_empty == (False, False, False, True),
+        ),
+        "down_class_empty_in_a_tile": (
+            ModelParams(delta=0.3, h=dispersed_couplings(0.5, 0.2, 16)),
+            SystemAmplitudes.from_up_weight(0.99),
+            np.array([3.0, 5.0]),
+            engine.WEIGHT_FLOOR,
+            lambda full, up_empty, down_empty: down_empty == (False, False, True, False),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_unskipped_tile_loop_bitwise(self, case, monkeypatch):
+        params, alphas, times, floor, takes_the_branch = self.CASES[case]
+        monkeypatch.setattr(engine, "WEIGHT_FLOOR", floor)
+        cutoffs = logit_cutoffs(1e-3)
+        masses, dropped = engine.exact_class_masses(params, alphas, times, cutoffs)
+        flags = []
+        monkeypatch.setattr(
+            engine, "_block_masses", lambda *args: _unskipped_block_masses(flags, *args)
+        )
+        want, want_dropped = engine.exact_class_masses(params, alphas, times, cutoffs)
+        assert masses.tobytes() == want.tobytes() and dropped == want_dropped
+        assert takes_the_branch(*zip(*flags))
+        if case == "factor_zero_drops_atoms":
+            assert dropped == (1 << params.n_env) - 1
+            assert np.isneginf(engine.branch_log_rows(params, times)[:, 1, 0]).all()
+
+    def test_a_row_that_keeps_no_atom_still_raises(self, monkeypatch):
+        # A floor between the t = 0 no-flip weight (1) and every t = 37 weight empties the
+        # second row.
+        params = ModelParams(delta=0.3, h=dispersed_couplings(0.05, 0.4, 16))
+        top = enumerate_outcomes(params, ALPHAS, 37.0).weight.max()
+        monkeypatch.setattr(engine, "WEIGHT_FLOOR", (1.0 + top) / 2)
+        times, cutoffs = np.array([0.0, 37.0]), logit_cutoffs(1e-3)
+        with pytest.raises(ValueError, match="empty distribution"):
+            engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+        monkeypatch.setattr(engine, "_block_masses", lambda *args: _unskipped_block_masses([], *args))
+        with pytest.raises(ValueError, match="empty distribution"):
+            engine.exact_class_masses(params, ALPHAS, times, cutoffs)
+
+
 class TestBinomialLogCounts:
     @pytest.mark.parametrize("n", [1, 2, 80, 1000, 10**5])
     def test_equals_lgamma_formula_bitwise(self, n):
         want = [math.lgamma(v + 1) for v in range(n + 1)]
         assert np.array_equal(log_factorials(n).view(np.int64), np.array(want).view(np.int64))
+
+    # The top 10^5 counts up to the table cap (log k! of N <= ARRAY_BYTES_CAP // 8 - 1), a
+    # mid-range span and a one-count span: the float arguments give lgamma's bits on ints.
+    CAP = engine.ARRAY_BYTES_CAP // 8 - 1
+
+    @pytest.mark.parametrize(
+        "start, n", [(CAP - 10**5 + 1, CAP), (6_809, 14_602), (CAP, CAP), (41, 41)]
+    )
+    def test_spans_equal_int_lgamma_bitwise(self, start, n):
+        want = np.array([math.lgamma(k + 1) for k in range(start, n + 1)])
+        assert log_factorials(n, start).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 8190, 8192, 8193, 10**5, 10**5 + 1])
     def test_in_place_table_equals_vector_formula_bitwise(self, n):
